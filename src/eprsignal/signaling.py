@@ -11,26 +11,18 @@ split them, which is the signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import TOL_DERIVED, haar_unitary, random_pure
-from .observables import FunctionalObservable, ensemble_average
-from .states import (
-    Ensemble,
-    EntangledState,
-    PureState,
-    build_entangled,
-    conditional_ensemble,
-    rebase_alice,
-)
-from .streams import CHUNK, chunk_sizes, pool_mean_var, run_chunked, substream
+from .hilbert import haar_unitary, random_pure
+from .observables import FunctionalObservable
+from .states import Ensemble, EntangledState, PureState, build_entangled
+from .states import conditional_ensemble, rebase_alice
+from .streams import CHUNK, STREAM_VERSION, chunk_sizes, count_moments, run_chunked
+from .streams import substream
 
-# Stream path tags so samples for letter 0 / letter 1 / channel trials never
-# collide for one seed.
-_PATH_LETTER0 = 0
-_PATH_LETTER1 = 1
+# Stream paths: letters 0 and 1 sample on paths 0 and 1, channel trials on 2.
 _PATH_CHANNEL = 2
 
 Z_THRESHOLD = 5.0
@@ -45,6 +37,10 @@ class Scenario:
     basis_a: tuple[PureState, ...]
     basis_a_prime: tuple[PureState, ...]
     observable: FunctionalObservable
+    # per letter, built once: the B-side ensemble and the observable's value
+    # on each of its members
+    ensembles: tuple[Ensemble, ...] = field(init=False, repr=False, compare=False)
+    member_values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis_a", tuple(self.basis_a))
@@ -55,13 +51,15 @@ class Scenario:
                 f"dim {self.state.dim_b}"
             )
         # rebasing validates orthonormality and span agreement of both bases
-        for basis in (self.basis_a, self.basis_a_prime):
-            rebase_alice(self.state, basis, span_tol=TOL_DERIVED)
-
-    def letter_basis(self, letter: int) -> tuple[PureState, ...]:
-        if letter not in (0, 1):
-            raise ValueError("letter must be 0 or 1")
-        return self.basis_a if letter == 0 else self.basis_a_prime
+        ensembles = tuple(
+            conditional_ensemble(rebase_alice(self.state, basis))
+            for basis in (self.basis_a, self.basis_a_prime)
+        )
+        values = tuple(self.observable.values([s.vec for s in e.states]) for e in ensembles)
+        for v in values:
+            v.setflags(write=False)
+        object.__setattr__(self, "ensembles", ensembles)
+        object.__setattr__(self, "member_values", values)
 
 
 @dataclass(frozen=True)
@@ -79,6 +77,7 @@ class SignalReport:
     n_samples: int | None = None
     seed: int | None = None
     convergence: tuple[tuple[int, float, float], ...] | None = None
+    stream_version: int | None = None
 
 
 @dataclass(frozen=True)
@@ -89,6 +88,7 @@ class ChannelReport:
     estimated_capacity_bits_per_block: float
     decision_threshold: float
     seed: int | None = None
+    stream_version: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.bit_error_rate <= 1.0:
@@ -97,26 +97,26 @@ class ChannelReport:
 
 def letter_ensemble(sc: Scenario, letter: int) -> Ensemble:
     """B-side ensemble induced by measuring the letter's basis on the A side."""
-    return conditional_ensemble(rebase_alice(sc.state, sc.letter_basis(letter)))
+    if letter not in (0, 1):
+        raise ValueError("letter must be 0 or 1")
+    return sc.ensembles[letter]
 
 
 def exact_gap(sc: Scenario) -> SignalReport:
     """Exact averages of the observable under both letters; no sampling."""
-    fb = ensemble_average(sc.observable, letter_ensemble(sc, 0))
-    fbprime = ensemble_average(sc.observable, letter_ensemble(sc, 1))
+    fb, fbprime = (
+        float(np.dot(e.weights, v)) for e, v in zip(sc.ensembles, sc.member_values)
+    )
     return SignalReport(exact_fb=fb, exact_fbprime=fbprime, gap=fb - fbprime)
 
 
-def _cumulative(ens: Ensemble) -> np.ndarray:
-    cum = np.cumsum(ens.weights)
-    cum[-1] = 1.0  # guard against rounding shortfall at the top
-    return cum
-
-
-def _draw_indices(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    # inverse CDF; at an exact interval boundary the earlier interval wins
-    u = rng.random(n)
-    return np.searchsorted(cum, u, side="left")
+def _sample_indices(ens: Ensemble, n: int, rng: np.random.Generator) -> np.ndarray:
+    # Every sample stream draws member counts first, rng.multinomial(n,
+    # weights), and they alone fix the statistics; the draws themselves are
+    # the counts expanded in an order shuffled by the same generator.
+    idx = np.repeat(np.arange(len(ens.states)), rng.multinomial(n, ens.weights))
+    rng.shuffle(idx)
+    return idx
 
 
 def sample_sequence(
@@ -126,8 +126,7 @@ def sample_sequence(
     if n < 1:
         raise ValueError("need at least one sample")
     ens = letter_ensemble(sc, letter)
-    idx = _draw_indices(_cumulative(ens), n, rng)
-    return [ens.states[i] for i in idx]
+    return [ens.states[i] for i in _sample_indices(ens, n, rng)]
 
 
 def per_sample_values(sc: Scenario, letter: int, n: int, seed: int) -> np.ndarray:
@@ -137,37 +136,24 @@ def per_sample_values(sc: Scenario, letter: int, n: int, seed: int) -> np.ndarra
     of this array up to summation rounding.
     """
     ens = letter_ensemble(sc, letter)
-    cum = _cumulative(ens)
-    member_vals = sc.observable.values(np.array([s.vec for s in ens.states]))
-    path = _PATH_LETTER0 if letter == 0 else _PATH_LETTER1
-    out = np.empty(n)
-    pos = 0
-    for k, size in enumerate(chunk_sizes(n)):
-        rng = substream(seed, path, k)
-        out[pos : pos + size] = member_vals[_draw_indices(cum, size, rng)]
-        pos += size
-    return out
+    return np.concatenate([
+        sc.member_values[letter][_sample_indices(ens, size, substream(seed, letter, k))]
+        for k, size in enumerate(chunk_sizes(n))
+    ])
 
 
-def _letter_statistics(
+def _letter_moments(
     sc: Scenario, letter: int, n: int, seed: int, workers: int
-) -> tuple[float, float, list[tuple[float, float, int]]]:
-    """Sample mean and standard error of f over n draws, chunk-partitioned."""
-    ens = letter_ensemble(sc, letter)
-    cum = _cumulative(ens)
-    member_vals = sc.observable.values(np.array([s.vec for s in ens.states]))
-    path = _PATH_LETTER0 if letter == 0 else _PATH_LETTER1
+) -> list[tuple[int, float, float]]:
+    """Running (n, mean, sample variance) of f over the chunks of n draws."""
+    weights = letter_ensemble(sc, letter).weights
     sizes = chunk_sizes(n)
-
-    def job(k: int) -> tuple[float, float, int]:
-        rng = substream(seed, path, k)
-        vals = member_vals[_draw_indices(cum, sizes[k], rng)]
-        return float(vals.sum()), float(np.dot(vals, vals)), sizes[k]
-
-    partials = run_chunked(job, len(sizes), workers)
-    mean, var, total = pool_mean_var(partials)
-    stderr = math.sqrt(var / total)
-    return mean, stderr, partials
+    counts = run_chunked(  # the first draw of _sample_indices on each chunk
+        lambda k: substream(seed, letter, k).multinomial(sizes[k], weights),
+        len(sizes),
+        workers,
+    )
+    return count_moments(np.array(counts), sc.member_values[letter])
 
 
 def _z_statistic(mean_b: float, mean_bp: float, se_b: float, se_bp: float) -> float:
@@ -194,26 +180,25 @@ def monte_carlo_report(
 ) -> SignalReport:
     """Simulate B's finite statistics with n samples per letter.
 
-    The estimate is the sample average of the observable over the same draws
-    ``sample_sequence`` would produce for (seed, letter).  The detection
+    The estimate is the sample average of the observable over the draws
+    ``per_sample_values`` returns for (seed, letter).  The detection
     statistic z compares the two letter means against their pooled standard
     error.  Results are bit-identical for any ``workers``.
     """
     if n < 2:
         raise ValueError("need at least two samples per letter")
     exact = exact_gap(sc)
-    mean_b, se_b, parts_b = _letter_statistics(sc, 0, n, seed, workers)
-    mean_bp, se_bp, parts_bp = _letter_statistics(sc, 1, n, seed, workers)
+    runs = [_letter_moments(sc, letter, n, seed, workers) for letter in (0, 1)]
+    (_, mean_b, var_b), (_, mean_bp, var_bp) = runs[0][-1], runs[1][-1]
+    se_b, se_bp = math.sqrt(var_b / n), math.sqrt(var_bp / n)
 
     convergence = None
     if track_convergence:
-        rows = []
-        for k in range(len(parts_b)):
-            m0, v0, n0 = pool_mean_var(parts_b[: k + 1])
-            m1, v1, n1 = pool_mean_var(parts_bp[: k + 1])
-            pooled = math.sqrt(v0 / n0 + v1 / n1) if min(n0, n1) >= 2 else 0.0
-            rows.append((n0, m0 - m1, pooled))
-        convergence = tuple(rows)
+        # both letters share one chunk partition, so the rows pair up
+        convergence = tuple(
+            (k, m0 - m1, math.sqrt(v0 / k + v1 / k))
+            for (k, m0, v0), (_, m1, v1) in zip(*runs)
+        )
 
     return SignalReport(
         exact_fb=exact.exact_fb,
@@ -227,6 +212,7 @@ def monte_carlo_report(
         n_samples=n,
         seed=seed,
         convergence=convergence,
+        stream_version=STREAM_VERSION,
     )
 
 
@@ -262,27 +248,24 @@ def channel_capacity(
     scale = max(1.0, abs(exact.exact_fb), abs(exact.exact_fbprime))
     tie_tol = np.finfo(float).eps * block_length * scale
 
-    ensembles = [letter_ensemble(sc, 0), letter_ensemble(sc, 1)]
-    cums = [_cumulative(e) for e in ensembles]
-    member_vals = [
-        sc.observable.values(np.array([s.vec for s in e.states])) for e in ensembles
-    ]
-
     sizes = chunk_sizes(trials, max(1, CHUNK // max(1, block_length)))
 
     def job(k: int) -> int:
+        # a chunk draws its letters, its tie-break coins, then the member
+        # counts of every letter-0 block and of every letter-1 block
         rng = substream(seed, _PATH_CHANNEL, k)
-        errors = 0
-        for _ in range(sizes[k]):
-            letter = int(rng.integers(0, 2))
-            idx = _draw_indices(cums[letter], block_length, rng)
-            mean = float(member_vals[letter][idx].mean())
-            if abs(mean - threshold) <= tie_tol:
-                decoded = int(rng.integers(0, 2))
-            else:
-                decoded = 0 if sign * (mean - threshold) > 0.0 else 1
-            errors += decoded != letter
-        return errors
+        letters = rng.integers(0, 2, sizes[k])
+        coins = rng.integers(0, 2, sizes[k])
+        means = np.empty(sizes[k])
+        for letter in (0, 1):
+            sent = letters == letter
+            counts = rng.multinomial(
+                block_length, letter_ensemble(sc, letter).weights, size=int(sent.sum())
+            )
+            means[sent] = (counts * sc.member_values[letter]).sum(axis=1) / block_length
+        tie = np.abs(means - threshold) <= tie_tol
+        decoded = np.where(tie, coins, sign * (means - threshold) <= 0.0)
+        return int(np.count_nonzero(decoded != letters))
 
     errors = sum(run_chunked(job, len(sizes), workers))
     ber = errors / trials
@@ -294,6 +277,7 @@ def channel_capacity(
         estimated_capacity_bits_per_block=capacity,
         decision_threshold=threshold,
         seed=seed,
+        stream_version=STREAM_VERSION,
     )
 
 

@@ -1,4 +1,4 @@
-"""Deterministic random streams and chunked parallel execution.
+"""Deterministic random streams, chunked parallel execution, pooled moments.
 
 Every randomized scan partitions its work into fixed-size chunks; chunk k
 draws from an independent stream derived from (seed, *path, k) and results
@@ -16,6 +16,10 @@ import numpy as np
 # Samples (or witnesses, trials, ...) per chunk.  Fixed: changing it changes
 # which stream produces which draw and breaks replay of recorded seeds.
 CHUNK = 8192
+
+# Layout of the channel's streams (what each chunk draws, in which order), as
+# recorded in simulate and capacity reports; bumped when old seeds stop replaying.
+STREAM_VERSION = 2
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -49,23 +53,34 @@ def run_chunked(
         return list(pool.map(job, range(n_chunks)))
 
 
-def pool_mean_var(partials: Sequence[tuple[float, float, int]]) -> tuple[float, float, int]:
-    """Merge per-chunk (sum, sum of squares, count) into (mean, sample var, n).
-
-    Uses the two-pass-free sums form; fine at the magnitudes handled here.
-    Sample variance uses the n-1 divisor and is 0 when n < 2.
-    """
-    s = 0.0
-    s2 = 0.0
-    n = 0
-    for ps, ps2, pn in partials:
-        s += ps
-        s2 += ps2
-        n += pn
-    if n == 0:
+def pool_mean_var(partials: Sequence[tuple[int, float, float]]) -> list[tuple]:
+    """Running (n, mean, sample variance; 0 when n < 2) of chunks 0..k, merged
+    from per-chunk (n, mean, M2), M2 the sum of squared deviations, by the
+    pairwise update of Chan, Golub & LeVeque (Am. Stat. 37:242, 1983), which
+    subtracts no large sums of squares."""
+    if not partials:
         raise ValueError("no samples to pool")
-    mean = s / n
-    if n < 2:
-        return mean, 0.0, n
-    var = max(0.0, (s2 - n * mean * mean) / (n - 1))
-    return mean, var, n
+    out = []
+    n, mean, m2 = 0, 0.0, 0.0
+    for pn, pmean, pm2 in partials:
+        n += pn
+        frac = pn / n  # exactly 1 for the first chunk, which it copies
+        delta = pmean - mean
+        mean += delta * frac
+        m2 += pm2 + delta * delta * (n - pn) * frac
+        out.append((n, mean, m2 / (n - 1) if n >= 2 else 0.0))
+    return out
+
+
+def count_moments(counts: np.ndarray, values: np.ndarray) -> list:
+    """``pool_mean_var`` of chunks, chunk k having drawn ``values[i]`` ``counts[k, i]``
+    times.  Each chunk's (n, mean, M2) follows exactly from its counts.  Both steps
+    run on values shifted by the overall sample mean, so their rounding error
+    does not grow with the values' common offset."""
+    shift = float((counts.sum(axis=0) * values).sum() / counts.sum())
+    centred = values - shift
+    n = counts.sum(axis=1)
+    means = (counts * centred).sum(axis=1) / n
+    m2 = (counts * (centred - means[:, None]) ** 2).sum(axis=1)
+    partials = list(zip(n.tolist(), means.tolist(), m2.tolist()))
+    return [(k, shift + mean, var) for k, mean, var in pool_mean_var(partials)]

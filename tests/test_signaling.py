@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsignal import (
     PureState,
@@ -8,6 +10,7 @@ from eprsignal import (
     channel_capacity,
     exact_gap,
     monte_carlo_report,
+    power,
     quadratic,
     random_scenario,
     sample_sequence,
@@ -23,6 +26,7 @@ from helpers import (
     bell_power_scenario,
     bell_quadratic_scenario,
     bell_state,
+    projector_matrix,
     random_hermitian,
 )
 
@@ -130,6 +134,35 @@ def test_monte_carlo_workers_bit_identical():
     a = monte_carlo_report(sc, 30000, seed=5, workers=1)
     b = monte_carlo_report(sc, 30000, seed=5, workers=4)
     assert a == b
+
+
+@pytest.mark.parametrize("c", [1e7, 1e8])
+def test_monte_carlo_quadratic_quiet_at_large_offset(c):
+    # diag(1 + c, c) is quadratic, so no signal at any c; a (sum, sum of
+    # squares) merge cancels catastrophically here and reports stderr 0
+    sc = bell_quadratic_scenario()
+    offset = Scenario(sc.state, sc.basis_a, sc.basis_a_prime,
+                      quadratic(np.diag([1.0 + c, c]).astype(complex)))
+    report = monte_carlo_report(offset, 100000, seed=0)
+    assert report.stderr_b > 0.0
+    assert report.z < 5.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 30000),
+    block=st.integers(1, 60),
+    trials=st.integers(1, 2000),
+)
+def test_reports_independent_of_worker_count(seed, n, block, trials):
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(power(projector_matrix(3), 2), 3, 3, rng)
+    mc = [monte_carlo_report(sc, n, seed=seed, workers=w, track_convergence=True)
+          for w in (1, 2, 3)]
+    assert mc[0] == mc[1] == mc[2]
+    ch = [channel_capacity(sc, block, trials, seed=seed, workers=w) for w in (1, 2, 3)]
+    assert ch[0] == ch[1] == ch[2]
 
 
 def test_per_sample_values_match_report_mean():
