@@ -114,6 +114,15 @@ def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_pure_batch(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """m Haar-uniform unit vectors in dimension d, one per row, from a single
+    (m, d) complex Gaussian draw."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    v = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def tensor(a, b) -> np.ndarray:
     """Tensor product of two vectors; dim multiplies, inner products factor."""
     return np.kron(as_vector(a), as_vector(b))
@@ -185,13 +194,22 @@ def bloch_inverse(p: BlochPoint, tol: float = 1e-9) -> np.ndarray:
     )
 
 
+def bloch_states(points, tol: float = 1e-9) -> np.ndarray:
+    """Unit dim-2 states, one row each, of an (m, 3) array of surface points."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"expected points of shape (m, 3), got {points.shape}")
+    r = np.linalg.norm(points, axis=1)
+    bad = np.abs(r - 1.0) > tol
+    if bad.any():
+        raise ValueError(f"point must lie on the ball surface (radius {r[bad][0]})")
+    theta = np.arccos(np.clip(points[:, 2] / r, -1.0, 1.0))
+    phi = np.arctan2(points[:, 1], points[:, 0])
+    return np.stack(
+        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1
+    )
+
+
 def bloch_state(p: BlochPoint, tol: float = 1e-9) -> np.ndarray:
     """Unit dim-2 state of a surface point (inverse of bloch_map up to phase)."""
-    r = p.radius()
-    if abs(r - 1.0) > tol:
-        raise ValueError(f"point must lie on the ball surface (radius {r})")
-    theta = np.arccos(np.clip(p.z / r, -1.0, 1.0))
-    phi = np.arctan2(p.y, p.x)
-    return np.array(
-        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)]
-    )
+    return bloch_states(p.as_array()[None, :], tol)[0]

@@ -16,7 +16,7 @@ non-quadratic observable produces a concrete witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,11 +24,11 @@ from .hilbert import (
     TOL_DECISION,
     TOL_DERIVED,
     BlochPoint,
-    bloch_state,
+    bloch_states,
     haar_unitary,
 )
 from .observables import CountingObservable, polarization_reconstruct
-from .streams import run_chunked, substream
+from .streams import chunk_sizes, run_chunked, substream
 
 VERDICT_QUADRATIC = "quadratic-consistent"
 VERDICT_NON_QUADRATIC = "non-quadratic"
@@ -46,16 +46,43 @@ _PATH_TRACE = 21
 # non-negative
 _PSD_SLACK = 1e-10
 
+# decomposition residual, weight-sum and endpoint-radius tolerance of a chord
+# witness, and the slack of its convex weights around [0, 1]
 _DECOMP_TOL = 1e-9
+_WEIGHT_SLACK = 1e-12
+
+
+def _check_chords(x1, x2, x1p, x2p, x, p1, p2, p1p, p2p) -> None:
+    """Raise unless every row holds two convex decompositions of its point x,
+    x = p1 x1 + p2 x2 = p1p x1p + p2p x2p: each weight pair sums to 1, every
+    weight lies in [0, 1], and the four endpoints lie on the sphere.
+
+    Points are (k, 3) arrays and weights (k,) arrays; a NaN fails every check.
+    """
+    for a, b in ((p1, p2), (p1p, p2p)):
+        bad = ~(np.abs(a + b - 1.0) <= _DECOMP_TOL)
+        if bad.any():
+            raise ValueError(f"weights {a[bad][0]}, {b[bad][0]} do not sum to 1")
+        for w in (a, b):
+            bad = ~((w >= -_WEIGHT_SLACK) & (w <= 1.0 + _WEIGHT_SLACK))
+            if bad.any():
+                raise ValueError(f"convex weight {w[bad][0]} outside [0, 1]")
+    for e in (x1, x2, x1p, x2p):
+        r = np.linalg.norm(e, axis=1)
+        bad = ~(np.abs(r - 1.0) <= _DECOMP_TOL)
+        if bad.any():
+            raise ValueError(f"chord endpoint radius {r[bad][0]} is not 1")
+    for pa, pb, va, vb in ((p1, p2, x1, x2), (p1p, p2p, x1p, x2p)):
+        err = np.linalg.norm(pa[:, None] * va + pb[:, None] * vb - x, axis=1)
+        bad = ~(err <= _DECOMP_TOL)
+        if bad.any():
+            raise ValueError(f"decomposition misses the point by {err[bad][0]}")
 
 
 @dataclass(frozen=True)
 class ChordWitness:
-    """Two decompositions of one ball point and the two mixture averages.
-
-    Weights within a pair sum to 1; they lie in [0, 1] for convex witnesses
-    and may leave it when ``affine`` is set (the extended scan).
-    """
+    """Two convex decompositions of one ball point found by
+    ``chord_intersection``: x = p1 x1 + p2 x2 = p1p x1p + p2p x2p."""
 
     x1: BlochPoint
     x2: BlochPoint
@@ -66,26 +93,65 @@ class ChordWitness:
     p1p: float
     p2p: float
     x: BlochPoint
-    lhs: float | None = None
-    rhs: float | None = None
-    violation: float | None = None
-    values: tuple[float, float, float, float] | None = None
-    affine: bool = False
 
     def __post_init__(self):
-        for a, b in ((self.p1, self.p2), (self.p1p, self.p2p)):
-            if abs(a + b - 1.0) > _DECOMP_TOL:
-                raise ValueError(f"weights {a}, {b} do not sum to 1")
-            if not self.affine and not (-1e-12 <= a <= 1 + 1e-12):
-                raise ValueError(f"convex weight {a} outside [0, 1]")
-        x = self.x.as_array()
-        for pa, pb, va, vb in (
-            (self.p1, self.p2, self.x1, self.x2),
-            (self.p1p, self.p2p, self.x1p, self.x2p),
-        ):
-            err = np.linalg.norm(pa * va.as_array() + pb * vb.as_array() - x)
-            if err > _DECOMP_TOL:
-                raise ValueError(f"decomposition misses the point by {err}")
+        points = (self.x1, self.x2, self.x1p, self.x2p, self.x)
+        weights = (self.p1, self.p2, self.p1p, self.p2p)
+        _check_chords(
+            *(p.as_array()[None, :] for p in points),
+            *(np.array([w], dtype=float) for w in weights),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class ChordColumns:
+    """Evaluated chord-pair witnesses held as columns, one row per witness.
+
+    Row i decomposes the ball point ``x[i]`` twice, as in ``ChordWitness``;
+    ``values[i]`` is f at (x1, x2, x1p, x2p), ``lhs`` and ``rhs`` are the two
+    mixture averages and ``violation`` is |lhs - rhs|.  The rows are checked
+    once, at construction, and the arrays are read-only.
+    """
+
+    x1: np.ndarray
+    x2: np.ndarray
+    x1p: np.ndarray
+    x2p: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    p1p: np.ndarray
+    p2p: np.ndarray
+    x: np.ndarray
+    values: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    violation: np.ndarray
+
+    def __post_init__(self):
+        _check_chords(
+            self.x1, self.x2, self.x1p, self.x2p, self.x,
+            self.p1, self.p2, self.p1p, self.p2p,
+        )
+        for col in fields(self):
+            getattr(self, col.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.violation)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ChordColumns):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, col.name), getattr(other, col.name))
+            for col in fields(self)
+        )
+
+    @staticmethod
+    def concat(blocks) -> "ChordColumns":
+        return ChordColumns(**{
+            col.name: np.concatenate([getattr(b, col.name) for b in blocks])
+            for col in fields(ChordColumns)
+        })
 
 
 @dataclass(frozen=True)
@@ -109,7 +175,11 @@ class TraceFitRecord:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of a scan: verdict, the worst violation found, and evidence."""
+    """Outcome of a scan: verdict, the worst violation found, and evidence.
+
+    ``witnesses`` is a ``ChordColumns`` record for the chord scan and a tuple
+    of subspace records for the subspace route.
+    """
 
     verdict: str
     worst_violation: float
@@ -133,7 +203,7 @@ def _certificate(worst, witnesses, tolerance, seed=None, operator=None) -> Certi
     return Certificate(
         verdict=verdict,
         worst_violation=float(worst),
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         tolerance=float(tolerance),
         seed=seed,
         operator=operator,
@@ -185,120 +255,121 @@ def chord_intersection(
     )
 
 
-def _sphere_value(f, point: np.ndarray) -> float:
-    return f(bloch_state(BlochPoint.from_array(point)))
+def _sphere_values(f, points: np.ndarray) -> np.ndarray:
+    """f at the states of an (m, 3) array of sphere points, in one batch."""
+    return f.values(bloch_states(points))
 
 
-def _evaluate_witness(f, w: ChordWitness) -> ChordWitness:
-    v1 = _sphere_value(f, w.x1.as_array())
-    v2 = _sphere_value(f, w.x2.as_array())
-    v1p = _sphere_value(f, w.x1p.as_array())
-    v2p = _sphere_value(f, w.x2p.as_array())
-    lhs = w.p1 * v1 + w.p2 * v2
-    rhs = w.p1p * v1p + w.p2p * v2p
-    return replace(
-        w, lhs=lhs, rhs=rhs, violation=abs(lhs - rhs), values=(v1, v2, v1p, v2p)
-    )
+def _line_through(x: np.ndarray, direction: np.ndarray):
+    """Unit direction u and the parameters t_minus <= 0 <= t_plus at which the
+    line x + t u through interior point x meets the sphere.
+
+    Works row-wise on (k, 3) arrays, or on single 3-vectors."""
+    u = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
+    b = np.sum(x * u, axis=-1)
+    root = np.sqrt(b * b - (np.sum(x * x, axis=-1) - 1.0))
+    return u, -b - root, -b + root
 
 
 def _chord_through(x: np.ndarray, direction: np.ndarray):
-    """Endpoints on the sphere of the line through interior point x, plus the
-    convex weight placing x on the segment."""
-    u = direction / np.linalg.norm(direction)
-    b = x @ u
-    disc = b * b - (x @ x - 1.0)
-    root = math.sqrt(disc)
-    t_minus, t_plus = -b - root, -b + root
-    e1 = x + t_minus * u
-    e2 = x + t_plus * u
-    p2 = -t_minus / (t_plus - t_minus)
-    return e1, e2, p2
+    """Endpoints on the sphere of the lines through interior points x along
+    ``direction``, plus the convex weight p2 placing x on each segment."""
+    u, t_minus, t_plus = _line_through(x, direction)
+    e1 = x + t_minus[..., None] * u
+    e2 = x + t_plus[..., None] * u
+    return e1, e2, -t_minus / (t_plus - t_minus)
 
 
-def _center_diameter_probes() -> list[ChordWitness]:
-    """Deterministic pairs of diameters through the center.
+def _evaluate_chords(f, x1, x2, x1p, x2p, p2, p2p, x) -> ChordColumns:
+    """Both mixture averages of k chord pairs, from one ``values`` call on
+    the (4k, 2) batch of their endpoint states."""
+    k = len(x)
+    values = _sphere_values(f, np.concatenate([x1, x2, x1p, x2p]))
+    values = values.reshape(4, k).T
+    p1, p1p = 1.0 - p2, 1.0 - p2p
+    lhs = p1 * values[:, 0] + p2 * values[:, 1]
+    rhs = p1p * values[:, 2] + p2p * values[:, 3]
+    return ChordColumns(
+        x1=x1, x2=x2, x1p=x1p, x2p=x2p,
+        p1=p1, p2=p2, p1p=p1p, p2p=p2p,
+        x=x, values=values, lhs=lhs, rhs=rhs, violation=np.abs(lhs - rhs),
+    )
+
+
+def _center_diameter_probes(f) -> ChordColumns:
+    """Deterministic pairs of diameters through the center, evaluated.
 
     Axis-aligned observables reach their extreme mixture split on one of
     these, so the scan never relies on sampling luck to exhibit them.
     """
-    axes = [
-        np.array([0.0, 0.0, 1.0]),
-        np.array([1.0, 0.0, 0.0]),
-        np.array([0.0, 1.0, 0.0]),
-    ]
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            axes.append(np.array([sx, sy, 1.0]) / math.sqrt(3.0))
-    center = BlochPoint(0.0, 0.0, 0.0)
-    probes = []
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            probes.append(
-                ChordWitness(
-                    x1=BlochPoint.from_array(axes[i]),
-                    x2=BlochPoint.from_array(-axes[i]),
-                    x1p=BlochPoint.from_array(axes[j]),
-                    x2p=BlochPoint.from_array(-axes[j]),
-                    p1=0.5, p2=0.5, p1p=0.5, p2p=0.5,
-                    x=center,
-                )
-            )
-    return probes
-
-
-def _random_ball_point(rng: np.random.Generator) -> np.ndarray:
-    direction = rng.standard_normal(3)
-    direction /= np.linalg.norm(direction)
-    return direction * rng.random() ** (1.0 / 3.0)
-
-
-def _random_convex_witness(rng: np.random.Generator) -> ChordWitness:
-    # a point drawn in the ball interior plus two random chord directions:
-    # both chords pass through it, so the pair always intersects
-    x = _random_ball_point(rng)
-    e1, e2, p2 = _chord_through(x, rng.standard_normal(3))
-    g1, g2, q2 = _chord_through(x, rng.standard_normal(3))
-    return ChordWitness(
-        x1=BlochPoint.from_array(e1),
-        x2=BlochPoint.from_array(e2),
-        x1p=BlochPoint.from_array(g1),
-        x2p=BlochPoint.from_array(g2),
-        p1=1.0 - p2, p2=p2, p1p=1.0 - q2, p2p=q2,
-        x=BlochPoint.from_array(x),
+    s = 1.0 / math.sqrt(3.0)
+    axes = np.array([
+        [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+        [s, s, s], [s, -s, s], [-s, s, s], [-s, -s, s],
+    ])
+    i, j = np.triu_indices(len(axes), k=1)
+    half = np.full(len(i), 0.5)
+    return _evaluate_chords(
+        f, axes[i], -axes[i], axes[j], -axes[j], half, half, np.zeros((len(i), 3))
     )
 
 
-def _diameter_average(f, y: np.ndarray) -> float:
-    """Mixture value of an interior point via the diameter through it."""
-    r = np.linalg.norm(y)
-    axis = y / r if r > 1e-12 else np.array([0.0, 0.0, 1.0])
-    hi = _sphere_value(f, axis)
-    lo = _sphere_value(f, -axis)
+def _ball_points(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k uniform points of the unit ball: k direction vectors, then k radii."""
+    direction = rng.standard_normal((k, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return direction * (rng.random(k) ** (1.0 / 3.0))[:, None]
+
+
+def _random_chords(f, rng: np.random.Generator, k: int) -> ChordColumns:
+    # k points drawn in the ball interior plus two random chord directions
+    # each: both chords pass through the point, so every pair intersects
+    x = _ball_points(rng, k)
+    e1, e2, p2 = _chord_through(x, rng.standard_normal((k, 3)))
+    g1, g2, q2 = _chord_through(x, rng.standard_normal((k, 3)))
+    return _evaluate_chords(f, e1, e2, g1, g2, p2, q2, x)
+
+
+def _diameter_averages(f, y: np.ndarray) -> np.ndarray:
+    """Mixture values of interior points via the diameter through each."""
+    r = np.linalg.norm(y, axis=1)
+    axis = np.tile([0.0, 0.0, 1.0], (len(y), 1))
+    off_center = r > 1e-12
+    axis[off_center] = y[off_center] / r[off_center, None]
+    hi, lo = _sphere_values(f, np.concatenate([axis, -axis])).reshape(2, len(y))
     return 0.5 * (1.0 + r) * hi + 0.5 * (1.0 - r) * lo
 
 
-def _random_affine_witness(f, rng: np.random.Generator):
-    """An affine (weights beyond [0,1]) two-point decomposition, evaluated
-    through the diameter rule; both decomposition points stay in the ball."""
+def _affine_violations(f, rng: np.random.Generator, k: int) -> np.ndarray:
+    """|lhs - rhs| of up to k affine (weights beyond [0,1]) two-point
+    decompositions, evaluated through the diameter rule; both decomposition
+    points stay in the ball.
+
+    Each of the k slots draws a ball point x, a direction u and two line
+    parameters a, b on the chord through x, and keeps the draw when
+    |a - b| >= 0.05 and p2 = a / (a - b) lies in [-0.5, 1.5].  Rejected slots
+    are redrawn together, as arrays, up to 100 tries each; a slot that never
+    succeeds contributes nothing.
+    """
+    kept = []
+    pending = k
     for _ in range(100):
-        x = _random_ball_point(rng)
-        u = rng.standard_normal(3)
-        u = u / np.linalg.norm(u)
-        b0 = x @ u
-        root = math.sqrt(b0 * b0 - (x @ x - 1.0))
-        t_minus, t_plus = -b0 - root, -b0 + root
+        if pending == 0:
+            break
+        x = _ball_points(rng, pending)
+        u, t_minus, t_plus = _line_through(x, rng.standard_normal((pending, 3)))
         a = rng.uniform(t_minus, t_plus)
         b = rng.uniform(t_minus, t_plus)
-        if abs(a - b) < 0.05:
-            continue
-        p2 = a / (a - b)
-        if not -0.5 <= p2 <= 1.5:
-            continue
-        y1, y2 = x + a * u, x + b * u
-        lhs = _diameter_average(f, x)
-        rhs = (1.0 - p2) * _diameter_average(f, y1) + p2 * _diameter_average(f, y2)
-        return abs(lhs - rhs)
-    return 0.0  # no admissible draw found; contributes nothing
+        far = np.abs(a - b) >= 0.05
+        p2 = np.divide(a, a - b, out=np.full(pending, np.inf), where=far)
+        ok = far & (p2 >= -0.5) & (p2 <= 1.5)
+        y1, y2 = x + a[:, None] * u, x + b[:, None] * u
+        kept.append((x[ok], y1[ok], y2[ok], p2[ok]))
+        pending -= int(ok.sum())
+    x, y1, y2, p2 = (np.concatenate(col) for col in zip(*kept))
+    avg = _diameter_averages(f, np.concatenate([x, y1, y2]))
+    lhs, at_y1, at_y2 = avg.reshape(3, len(x))
+    return np.abs(lhs - ((1.0 - p2) * at_y1 + p2 * at_y2))
 
 
 def affinity_scan(
@@ -312,39 +383,31 @@ def affinity_scan(
     """Chord-pair consistency scan for a dim-2 observable.
 
     Evaluates both mixture averages on deterministic center-diameter pairs
-    and on ``n_chords`` sampled intersecting pairs; with ``extended`` the
-    affine regime (weights in [-0.5, 1.5], diameter evaluation rule) is
-    scanned as well.  The verdict compares the worst |lhs - rhs| against
-    ``tolerance``.
+    and on ``n_chords`` sampled intersecting pairs, drawn and evaluated as
+    arrays in chunks of 256; with ``extended`` the affine regime (weights in
+    [-0.5, 1.5], diameter evaluation rule) is scanned as well.  The verdict
+    compares the worst |lhs - rhs| against ``tolerance``.
     """
     if f.dim != 2:
         raise ValueError("the chord scan is defined for dimension 2 only")
     if n_chords < 1:
         raise ValueError("need at least one chord pair")
 
-    witnesses = [_evaluate_witness(f, w) for w in _center_diameter_probes()]
+    sizes = chunk_sizes(n_chords, _WITNESS_CHUNK)
 
-    sizes = [_WITNESS_CHUNK] * (n_chords // _WITNESS_CHUNK)
-    if n_chords % _WITNESS_CHUNK:
-        sizes.append(n_chords % _WITNESS_CHUNK)
+    def job(k: int) -> ChordColumns:
+        return _random_chords(f, substream(seed, _PATH_CHORDS, k), sizes[k])
 
-    def job(k: int) -> list[ChordWitness]:
-        rng = substream(seed, _PATH_CHORDS, k)
-        return [
-            _evaluate_witness(f, _random_convex_witness(rng))
-            for _ in range(sizes[k])
-        ]
-
-    for chunk in run_chunked(job, len(sizes), workers):
-        witnesses.extend(chunk)
-
-    worst = max(w.violation for w in witnesses)
+    witnesses = ChordColumns.concat(
+        [_center_diameter_probes(f), *run_chunked(job, len(sizes), workers)]
+    )
+    worst = float(witnesses.violation.max())
 
     if extended:
 
         def affine_job(k: int) -> float:
             rng = substream(seed, _PATH_AFFINE, k)
-            return max(_random_affine_witness(f, rng) for _ in range(sizes[k]))
+            return float(_affine_violations(f, rng, sizes[k]).max(initial=0.0))
 
         worst = max(worst, max(run_chunked(affine_job, len(sizes), workers)))
 
@@ -532,4 +595,6 @@ def gleason_certify(
         if deficit > _PSD_SLACK:
             worst = max(worst, deficit)
 
-    return _certificate(worst, witnesses, tolerance, seed=seed, operator=operator)
+    return _certificate(
+        worst, tuple(witnesses), tolerance, seed=seed, operator=operator
+    )

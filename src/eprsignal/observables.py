@@ -13,7 +13,13 @@ from typing import Callable
 
 import numpy as np
 
-from .hilbert import TOL_STRUCTURAL, as_matrix, is_hermitian, random_pure
+from .hilbert import (
+    TOL_STRUCTURAL,
+    as_matrix,
+    is_hermitian,
+    random_pure,
+    random_pure_batch,
+)
 from .states import Ensemble, PureState
 
 # Construction-time spot checks (ray invariance of opaque evaluators, range of
@@ -40,9 +46,10 @@ class FunctionalObservable:
     """A real function on unit state vectors of a fixed dimension.
 
     ``values`` evaluates a batch (m, d) -> (m,); evaluation must be pure and
-    ray-invariant.  Scalar multiplication and addition build linear
-    combinations; combinations of quadratics stay quadratic with the combined
-    matrix, anything else degrades to the custom kind.
+    ray-invariant, and a NaN or infinite value is an error.  Scalar
+    multiplication and addition build linear combinations; combinations of
+    quadratics stay quadratic with the combined matrix, anything else
+    degrades to the custom kind.
     """
 
     dim: int
@@ -61,6 +68,8 @@ class FunctionalObservable:
         out = np.asarray(self._values(batch), dtype=float)
         if out.shape != (batch.shape[0],):
             raise ValueError("evaluator returned a wrongly shaped batch")
+        if not np.all(np.isfinite(out)):
+            raise ValueError("evaluator returned a non-finite value")
         return out
 
     def __call__(self, psi) -> float:
@@ -88,7 +97,7 @@ class FunctionalObservable:
 
 def _expectation_batch(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     def values(batch: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,jk,ik->i", batch.conj(), matrix, batch).real
+        return np.einsum("ij,ij->i", batch.conj() @ matrix, batch).real
 
     return values
 
@@ -204,9 +213,7 @@ class CountingObservable:
 
     def __post_init__(self):
         rng = np.random.default_rng(_SPOT_CHECK_SEED + 1)
-        pts = np.array(
-            [random_pure(self.observable.dim, rng) for _ in range(1000)]
-        )
+        pts = random_pure_batch(1000, self.observable.dim, rng)
         vals = self.observable.values(pts)
         if vals.min() < -TOL_STRUCTURAL or vals.max() > 1.0 + TOL_STRUCTURAL:
             raise ValueError(
@@ -272,6 +279,6 @@ def quadraticity_residual(
     if samples < 1:
         raise ValueError("need at least one sample")
     m = as_matrix(matrix, dim=f.dim)
-    pts = np.array([random_pure(f.dim, rng) for _ in range(samples)])
-    ref = np.einsum("ij,jk,ik->i", pts.conj(), m, pts).real
+    pts = random_pure_batch(samples, f.dim, rng)
+    ref = _expectation_batch(m)(pts)
     return float(np.max(np.abs(f.values(pts) - ref)))

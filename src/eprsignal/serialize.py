@@ -8,12 +8,12 @@ reports are dumped with sorted keys so equal values give equal bytes.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 
 import numpy as np
 
-from .hilbert import BlochPoint
-from .nosignal import Certificate, ChordWitness, SubspaceMeasureRecord, TraceFitRecord
+from .nosignal import Certificate, ChordColumns, SubspaceMeasureRecord, TraceFitRecord
 from .observables import CountingObservable, power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
 from .states import Ensemble, EntangledState, PureState, build_entangled
@@ -136,24 +136,30 @@ def scenario_from_json(data) -> Scenario:
     )
 
 
-def _bloch_to_json(p: BlochPoint) -> list[float]:
-    return [p.x, p.y, p.z]
+def chords_to_json(w: ChordColumns) -> list[dict]:
+    """One "chord" object per witness row, built from the columns."""
+    rows = zip(
+        w.x1.tolist(), w.x2.tolist(), w.x1p.tolist(), w.x2p.tolist(),
+        w.p1.tolist(), w.p2.tolist(), w.p1p.tolist(), w.p2p.tolist(),
+        w.x.tolist(), w.lhs.tolist(), w.rhs.tolist(), w.violation.tolist(),
+        w.values.tolist(),
+    )
+    return [
+        {
+            "type": "chord",
+            "x1": x1, "x2": x2, "x1p": x1p, "x2p": x2p,
+            "p1": p1, "p2": p2, "p1p": p1p, "p2p": p2p,
+            "x": x,
+            "lhs": lhs, "rhs": rhs, "violation": violation,
+            "values": values,
+            "affine": False,
+        }
+        for x1, x2, x1p, x2p, p1, p2, p1p, p2p, x, lhs, rhs, violation, values
+        in rows
+    ]
 
 
 def witness_to_json(w) -> dict:
-    if isinstance(w, ChordWitness):
-        return {
-            "type": "chord",
-            "x1": _bloch_to_json(w.x1),
-            "x2": _bloch_to_json(w.x2),
-            "x1p": _bloch_to_json(w.x1p),
-            "x2p": _bloch_to_json(w.x2p),
-            "p1": w.p1, "p2": w.p2, "p1p": w.p1p, "p2p": w.p2p,
-            "x": _bloch_to_json(w.x),
-            "lhs": w.lhs, "rhs": w.rhs, "violation": w.violation,
-            "values": list(w.values) if w.values is not None else None,
-            "affine": w.affine,
-        }
     if isinstance(w, SubspaceMeasureRecord):
         return {
             "type": "subspace-measure",
@@ -173,12 +179,16 @@ def witness_to_json(w) -> dict:
 
 
 def certificate_to_json(c: Certificate) -> dict:
+    if isinstance(c.witnesses, ChordColumns):
+        witnesses = chords_to_json(c.witnesses)
+    else:
+        witnesses = [witness_to_json(w) for w in c.witnesses]
     out = {
         "verdict": c.verdict,
         "worst_violation": c.worst_violation,
         "tolerance": c.tolerance,
         "seed": c.seed,
-        "witnesses": [witness_to_json(w) for w in c.witnesses],
+        "witnesses": witnesses,
     }
     if c.operator is not None:
         out["operator"] = matrix_to_json(c.operator)
@@ -201,5 +211,13 @@ def channel_report_to_json(r: ChannelReport) -> dict:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace drift, newline end."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """Deterministic JSON text: sorted keys, no whitespace drift, newline end.
+
+    The text is streamed into one buffer: ``json.dumps`` with an indent would
+    first hold every encoded fragment in a list, several times the size of
+    the text it joins them into.
+    """
+    buf = io.StringIO()
+    json.dump(obj, buf, sort_keys=True, separators=(",", ": "), indent=1)
+    buf.write("\n")
+    return buf.getvalue()

@@ -19,6 +19,7 @@ def test_bundled_library_is_complete():
         "bell-quadratic",
         "d3-gleason-fail",
         "d3-gleason-pass",
+        "power2-affinity",
     ]
 
 

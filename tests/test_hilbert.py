@@ -13,7 +13,7 @@ from eprsignal import (
     random_pure,
     tensor,
 )
-from eprsignal.hilbert import as_matrix, as_vector
+from eprsignal.hilbert import as_matrix, as_vector, bloch_states, random_pure_batch
 
 from helpers import E0, E1, PLUS, SQRT_HALF
 
@@ -204,6 +204,24 @@ def test_bloch_state_matches_ray():
         psi = random_pure(2, rng)
         chi = bloch_state(bloch_map(psi))
         assert abs(abs(np.vdot(psi, chi)) - 1.0) < 1e-10
+
+
+def test_bloch_states_rows_match_scalar_map():
+    rng = np.random.default_rng(15)
+    points = np.array([bloch_map(p).as_array() for p in random_pure_batch(50, 2, rng)])
+    rows = bloch_states(points)
+    assert rows.shape == (50, 2)
+    for point, row in zip(points, rows):
+        np.testing.assert_array_equal(row, bloch_state(BlochPoint.from_array(point)))
+    with pytest.raises(ValueError):
+        bloch_states(np.vstack([points, [[0.0, 0.0, 0.9]]]))
+
+
+def test_random_pure_batch_unit_rows():
+    a = random_pure_batch(200, 4, np.random.default_rng(16))
+    assert a.shape == (200, 4)
+    np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(a, random_pure_batch(200, 4, np.random.default_rng(16)))
 
 
 def test_bloch_inverse_rejects_outside_ball():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsignal import (
     BlochPoint,
@@ -26,9 +28,11 @@ from eprsignal.nosignal import (
     VERDICT_NON_QUADRATIC,
     VERDICT_QUADRATIC,
     Certificate,
+    ChordColumns,
     ChordWitness,
     _chord_through,
 )
+from eprsignal.serialize import certificate_to_json, dumps_canonical
 from eprsignal.zoo import builtin_observables
 
 from helpers import PROJ0_2, projector_matrix, random_hermitian
@@ -93,6 +97,81 @@ def test_chord_witness_validation():
             p1=0.7, p2=0.7, p1p=0.5, p2p=0.5,
             x=BlochPoint(0, 0, 0),
         )
+
+
+def _columns(**changes) -> ChordColumns:
+    # two rows: the z/x diameter pair through the center, and a chord pair
+    # through an interior point
+    x = np.array([[0.0, 0.0, 0.0], [0.1, -0.2, 0.3]])
+    e1, e2, p2 = _chord_through(x, np.array([[0.0, 0.0, 1.0], [1.0, 2.0, 0.5]]))
+    g1, g2, q2 = _chord_through(x, np.array([[1.0, 0.0, 0.0], [-0.3, 0.2, 1.0]]))
+    cols = dict(x1=e1, x2=e2, x1p=g1, x2p=g2, p1=1 - p2, p2=p2, p1p=1 - q2, p2p=q2,
+                x=x, values=np.zeros((2, 4)), lhs=np.zeros(2), rhs=np.zeros(2),
+                violation=np.zeros(2))
+    return ChordColumns(**{**cols, **changes})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"p1": np.array([0.5, 0.7])}, "do not sum"),
+        ({"p1": np.array([1.5, 0.5]), "p2": np.array([-0.5, 0.5])}, "outside"),
+        ({"x1": np.array([[0.0, 0.0, 1.1], [1.0, 0.0, 0.0]])}, "radius"),
+        ({"x": np.array([[0.0, 0.0, 1e-6], [0.1, -0.2, 0.3]])}, "misses"),
+        ({"p2p": np.array([0.5, np.nan])}, "do not sum"),
+    ],
+)
+def test_chord_columns_validation(change, message):
+    assert len(_columns()) == 2
+    with pytest.raises(ValueError, match=message):
+        _columns(**change)
+
+
+def test_chord_columns_equality_is_exact():
+    a = _columns()
+    assert a == _columns()
+    assert a != _columns(lhs=np.array([0.0, 1e-300]))
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 700))
+def test_affinity_witness_rows_are_valid_decompositions(seed, n):
+    cert = affinity_scan(power(PROJ0_2, 2), n, seed=seed)
+    w = cert.witnesses
+    assert len(w) == 21 + n
+    for p1, p2, a, b in ((w.p1, w.p2, w.x1, w.x2), (w.p1p, w.p2p, w.x1p, w.x2p)):
+        assert np.all((p1 >= 0.0) & (p1 <= 1.0) & (p2 >= 0.0) & (p2 <= 1.0))
+        np.testing.assert_allclose(p1 + p2, 1.0, rtol=0, atol=1e-9)
+        residual = np.linalg.norm(p1[:, None] * a + p2[:, None] * b - w.x, axis=1)
+        assert residual.max() <= 1e-9
+        for e in (a, b):
+            np.testing.assert_allclose(np.linalg.norm(e, axis=1), 1.0, rtol=0, atol=1e-9)
+    lhs = w.p1 * w.values[:, 0] + w.p2 * w.values[:, 1]
+    rhs = w.p1p * w.values[:, 2] + w.p2p * w.values[:, 3]
+    np.testing.assert_array_equal(w.violation, np.abs(lhs - rhs))
+    assert cert.worst_violation == w.violation.max()
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 1200))
+def test_affinity_independent_of_worker_count(seed, n):
+    f = power(PROJ0_2, 2)
+    certs = [affinity_scan(f, n, seed=seed, workers=w) for w in (1, 2, 3)]
+    assert certs[0] == certs[1] == certs[2]
+    texts = {dumps_canonical(certificate_to_json(c)) for c in certs}
+    assert len(texts) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    entries=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_affinity_random_hermitian_quadratic_passes(entries, seed):
+    a, d, re, im = entries
+    matrix = np.array([[a, re + 1j * im], [re - 1j * im, d]])
+    cert = affinity_scan(quadratic(matrix), 300, seed=seed, extended=True)
+    assert cert.worst_violation < 1e-9
 
 
 def test_affinity_quadratic_passes():

@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsignal import (
     CountingObservable,
     Ensemble,
     PureState,
     combine,
+    affinity_scan,
     custom,
     ensemble_average,
     ensemble_density,
+    gleason_certify,
     polarization_reconstruct,
     power,
     quadratic,
     quadraticity_residual,
     random_pure,
 )
+from eprsignal.hilbert import random_pure_batch
 from eprsignal.zoo import builtin_observables
 
 from helpers import E0, E1, PLUS, PROJ0_2, random_hermitian
@@ -181,3 +186,42 @@ def test_batch_and_scalar_evaluation_agree():
     f = power(PROJ0_2, 3)
     pts = np.array([random_pure(2, rng) for _ in range(10)])
     np.testing.assert_allclose(f.values(pts), [f(p) for p in pts], atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_quadratic_batch_matches_vdot(d, m, seed):
+    rng = np.random.default_rng(seed)
+    matrix = random_hermitian(d, rng)
+    psis = random_pure_batch(m, d, rng)
+    got = quadratic(matrix).values(psis)
+    want = np.array([np.vdot(psi, matrix @ psi).real for psi in psis])
+    scale = np.linalg.norm(matrix, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_values_rejects_non_finite(bad):
+    f = custom(lambda batch: np.where(batch[:, 0].real > 2.0, bad, 0.5), dim=2,
+               batch=True)
+    assert f(np.array([1.0, 0.0])) == 0.5
+    with pytest.raises(ValueError, match="non-finite"):
+        f.values(np.array([[3.0, 0.0], [1.0, 0.0]]))
+
+
+def _nan_near_first_axis(dim: int):
+    # finite on the construction spot checks, NaN on the cap |psi_0|^2 > 0.99,
+    # which holds the first basis state that both certifiers evaluate
+    def values(batch):
+        return np.where(np.abs(batch[:, 0]) ** 2 > 0.99, np.nan, 0.25)
+
+    return custom(values, dim, batch=True)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_certifiers_fail_closed_on_nan(seed):
+    with pytest.raises(ValueError, match="non-finite"):
+        affinity_scan(_nan_near_first_axis(2), 300, seed=seed)
+    with pytest.raises(ValueError, match="non-finite"):
+        gleason_certify(_nan_near_first_axis(3), seed=seed)

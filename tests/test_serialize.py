@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,17 @@ def test_certificate_serialization_contains_witnesses():
     chord = data["witnesses"][0]
     assert chord["type"] == "chord"
     assert len(chord["values"]) == 4
+    assert list(chord) == [
+        "type", "x1", "x2", "x1p", "x2p", "p1", "p2", "p1p", "p2p", "x",
+        "lhs", "rhs", "violation", "values", "affine",
+    ]
+    # one object per row of the columns, in row order
+    cols = cert.witnesses
+    for i in (0, 20, 21, len(cols) - 1):
+        w = data["witnesses"][i]
+        assert w["x1p"] == cols.x1p[i].tolist() and w["p2"] == cols.p2[i]
+        assert w["values"] == cols.values[i].tolist()
+        assert w["violation"] == cols.violation[i] and w["affine"] is False
     # serialized certificates must be canonical-JSON clean
     text = dumps_canonical(data)
     assert text.endswith("\n")
@@ -115,3 +128,10 @@ def test_dumps_canonical_is_stable():
     a = dumps_canonical({"b": 1.5, "a": [1, 2]})
     b = dumps_canonical({"a": [1, 2], "b": 1.5})
     assert a == b
+
+
+def test_dumps_canonical_matches_json_dumps():
+    cert = affinity_scan(power(PROJ0_2, 2), 300, seed=74)
+    data = {"result": certificate_to_json(cert), "name": "é", "none": None}
+    reference = json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
+    assert dumps_canonical(data) == reference + "\n"
