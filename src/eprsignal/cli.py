@@ -338,7 +338,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default=None)
         p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted for compatibility; runs are serial")
         if name == "simulate":
             p.add_argument("--dump-samples", default=None,
                            help="also write per-sample observable values (CSV)")

@@ -28,7 +28,7 @@ from .hilbert import (
     haar_unitary,
 )
 from .observables import CountingObservable, polarization_reconstruct
-from .streams import chunk_sizes, run_chunked, substream
+from .streams import chunk_sizes, substream
 
 VERDICT_QUADRATIC = "quadratic-consistent"
 VERDICT_NON_QUADRATIC = "non-quadratic"
@@ -145,13 +145,6 @@ class ChordColumns:
             np.array_equal(getattr(self, col.name), getattr(other, col.name))
             for col in fields(self)
         )
-
-    @staticmethod
-    def concat(blocks) -> "ChordColumns":
-        return ChordColumns(**{
-            col.name: np.concatenate([getattr(b, col.name) for b in blocks])
-            for col in fields(ChordColumns)
-        })
 
 
 @dataclass(frozen=True)
@@ -280,23 +273,24 @@ def _chord_through(x: np.ndarray, direction: np.ndarray):
     return e1, e2, -t_minus / (t_plus - t_minus)
 
 
-def _evaluate_chords(f, x1, x2, x1p, x2p, p2, p2p, x) -> ChordColumns:
-    """Both mixture averages of k chord pairs, from one ``values`` call on
-    the (4k, 2) batch of their endpoint states."""
+def _evaluate_chords(f, x1, x2, x1p, x2p, p2, p2p, x) -> dict:
+    """The ``ChordColumns`` fields of k chord pairs, unchecked, with both
+    mixture averages from one ``values`` call on the (4k, 2) batch of their
+    endpoint states."""
     k = len(x)
     values = _sphere_values(f, np.concatenate([x1, x2, x1p, x2p]))
     values = values.reshape(4, k).T
     p1, p1p = 1.0 - p2, 1.0 - p2p
     lhs = p1 * values[:, 0] + p2 * values[:, 1]
     rhs = p1p * values[:, 2] + p2p * values[:, 3]
-    return ChordColumns(
+    return dict(
         x1=x1, x2=x2, x1p=x1p, x2p=x2p,
         p1=p1, p2=p2, p1p=p1p, p2p=p2p,
         x=x, values=values, lhs=lhs, rhs=rhs, violation=np.abs(lhs - rhs),
     )
 
 
-def _center_diameter_probes(f) -> ChordColumns:
+def _center_diameter_probes(f) -> dict:
     """Deterministic pairs of diameters through the center, evaluated.
 
     Axis-aligned observables reach their extreme mixture split on one of
@@ -321,7 +315,7 @@ def _ball_points(rng: np.random.Generator, k: int) -> np.ndarray:
     return direction * (rng.random(k) ** (1.0 / 3.0))[:, None]
 
 
-def _random_chords(f, rng: np.random.Generator, k: int) -> ChordColumns:
+def _random_chords(f, rng: np.random.Generator, k: int) -> dict:
     # k points drawn in the ball interior plus two random chord directions
     # each: both chords pass through the point, so every pair intersects
     x = _ball_points(rng, k)
@@ -386,7 +380,8 @@ def affinity_scan(
     and on ``n_chords`` sampled intersecting pairs, drawn and evaluated as
     arrays in chunks of 256; with ``extended`` the affine regime (weights in
     [-0.5, 1.5], diameter evaluation rule) is scanned as well.  The verdict
-    compares the worst |lhs - rhs| against ``tolerance``.
+    compares the worst |lhs - rhs| against ``tolerance``.  ``workers`` is
+    accepted for compatibility and ignored: chunks run serially.
     """
     if f.dim != 2:
         raise ValueError("the chord scan is defined for dimension 2 only")
@@ -394,22 +389,20 @@ def affinity_scan(
         raise ValueError("need at least one chord pair")
 
     sizes = chunk_sizes(n_chords, _WITNESS_CHUNK)
-
-    def job(k: int) -> ChordColumns:
-        return _random_chords(f, substream(seed, _PATH_CHORDS, k), sizes[k])
-
-    witnesses = ChordColumns.concat(
-        [_center_diameter_probes(f), *run_chunked(job, len(sizes), workers)]
+    blocks = [_center_diameter_probes(f)] + [
+        _random_chords(f, substream(seed, _PATH_CHORDS, k), size)
+        for k, size in enumerate(sizes)
+    ]
+    # one validating construction over all rows
+    witnesses = ChordColumns(
+        **{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     )
     worst = float(witnesses.violation.max())
 
     if extended:
-
-        def affine_job(k: int) -> float:
+        for k, size in enumerate(sizes):
             rng = substream(seed, _PATH_AFFINE, k)
-            return float(_affine_violations(f, rng, sizes[k]).max(initial=0.0))
-
-        worst = max(worst, max(run_chunked(affine_job, len(sizes), workers)))
+            worst = max(worst, float(_affine_violations(f, rng, size).max(initial=0.0)))
 
     return _certificate(worst, witnesses, tolerance, seed=seed)
 
@@ -548,7 +541,8 @@ def gleason_certify(
     basis), reconstructs the only operator a quadratic observable could
     have, and verifies mu(X) = Tr(F P_X) on random subspaces.  Positive
     semidefiniteness of the operator is additionally required for counting
-    observables, whose measure is non-negative by construction.
+    observables, whose measure is non-negative by construction.  ``workers``
+    is accepted for compatibility and ignored: subspaces run serially.
     """
     d = f.dim
     if d < 3:
@@ -565,12 +559,12 @@ def gleason_certify(
         for i in range(subspaces_per_dim):
             tasks.append((m, _random_subspace(d, m, substream(seed, _PATH_SUBSPACE, m, i))))
 
-    def spread_job(k: int) -> SubspaceMeasureRecord:
-        m, rows = tasks[k]
-        rng = substream(seed, _PATH_SUBSPACE, m, 1000 + k)
-        return basis_independence(f, rows, resamples, rng)
-
-    records = run_chunked(spread_job, len(tasks), workers)
+    records = [
+        basis_independence(
+            f, rows, resamples, substream(seed, _PATH_SUBSPACE, m, 1000 + k)
+        )
+        for k, (m, rows) in enumerate(tasks)
+    ]
     witnesses: list = list(records)
     worst = max(r.basis_spread for r in records)
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -196,7 +197,13 @@ def certificate_to_json(c: Certificate) -> dict:
 
 
 def signal_report_to_json(r: SignalReport) -> dict:
+    """Report fields by name; an infinite z (constant samples at different
+    means) is written as null with ``"z_infinite": true``, as JSON has no
+    infinity."""
     out = dataclasses.asdict(r)
+    if r.z is not None and math.isinf(r.z):
+        out["z"] = None
+        out["z_infinite"] = True
     if r.convergence is not None:
         out["convergence"] = [
             {"n": n, "mc_gap": g, "pooled_stderr": s} for n, g, s in r.convergence
@@ -210,14 +217,90 @@ def channel_report_to_json(r: ChannelReport) -> dict:
     return dataclasses.asdict(r)
 
 
-def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace drift, newline end.
+def _finite(text: str) -> str:
+    """``text``, one or more joined float reprs, unless one of them is "nan",
+    "inf" or "-inf" (the only float reprs with an n), which JSON lacks."""
+    if "n" in text:
+        raise ValueError("out of range float values are not JSON compliant")
+    return text
 
-    The text is streamed into one buffer: ``json.dumps`` with an indent would
-    first hold every encoded fragment in a list, several times the size of
-    the text it joins them into.
+
+def dumps_canonical(obj) -> str:
+    """Deterministic, strict JSON text: sorted keys, one space of indent per
+    level, shortest round-trip floats, newline end.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=1,
+    separators=(",", ": "))`` plus the newline, for trees of str-keyed dicts,
+    lists, tuples, str, int, float, bool and None; other types raise
+    ``TypeError`` and NaN or an infinity raises ``ValueError``.  The text is
+    streamed into one buffer.  Each key order is sorted, and its ``"key": ``
+    prefixes encoded, once per call; a list of floats is formatted by one join.
     """
     buf = io.StringIO()
-    json.dump(obj, buf, sort_keys=True, separators=(",", ": "), indent=1)
-    buf.write("\n")
+    write = buf.write
+    layouts: dict[tuple, list[tuple[str, str]]] = {}
+
+    def layout(d: dict) -> list[tuple[str, str]]:
+        names = tuple(d)
+        found = layouts.get(names)
+        if found is None:
+            for key in names:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            found = [(key, encode_basestring_ascii(key) + ": ") for key in sorted(names)]
+            layouts[names] = found
+        return found
+
+    def encode(o, pad: str) -> None:
+        # pad: newline plus the indent of the line that o starts on
+        if isinstance(o, dict):
+            if not o:
+                write("{}")
+                return
+            inner = pad + " "
+            comma = "," + inner
+            sep = "{" + inner
+            for key, prefix in layout(o):
+                item = o[key]
+                if type(item) is float:
+                    write(sep + prefix + _finite(float.__repr__(item)))
+                else:
+                    write(sep + prefix)
+                    encode(item, inner)
+                sep = comma
+            write(pad + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                write("[]")
+                return
+            inner = pad + " "
+            comma = "," + inner
+            try:  # float.__repr__ raises TypeError on an item that is not a float
+                text = comma.join(map(float.__repr__, o))
+            except TypeError:
+                sep = "[" + inner
+                for item in o:
+                    write(sep)
+                    encode(item, inner)
+                    sep = comma
+                write(pad + "]")
+            else:
+                write("[" + inner + _finite(text) + pad + "]")
+        elif isinstance(o, str):
+            write(encode_basestring_ascii(o))
+        elif o is None:
+            write("null")
+        elif o is True:
+            write("true")
+        elif o is False:
+            write("false")
+        elif isinstance(o, int):
+            write(int.__repr__(o))
+        elif isinstance(o, float):
+            write(_finite(float.__repr__(o)))
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    encode(obj, "\n")
+    write("\n")
     return buf.getvalue()

@@ -19,8 +19,7 @@ from .hilbert import haar_unitary, random_pure
 from .observables import FunctionalObservable
 from .states import Ensemble, EntangledState, PureState, build_entangled
 from .states import conditional_ensemble, rebase_alice
-from .streams import CHUNK, STREAM_VERSION, chunk_sizes, count_moments, run_chunked
-from .streams import substream
+from .streams import CHUNK, STREAM_VERSION, chunk_sizes, count_moments, substream
 
 # Stream paths: letters 0 and 1 sample on paths 0 and 1, channel trials on 2.
 _PATH_CHANNEL = 2
@@ -143,16 +142,14 @@ def per_sample_values(sc: Scenario, letter: int, n: int, seed: int) -> np.ndarra
 
 
 def _letter_moments(
-    sc: Scenario, letter: int, n: int, seed: int, workers: int
+    sc: Scenario, letter: int, n: int, seed: int
 ) -> list[tuple[int, float, float]]:
     """Running (n, mean, sample variance) of f over the chunks of n draws."""
     weights = letter_ensemble(sc, letter).weights
-    sizes = chunk_sizes(n)
-    counts = run_chunked(  # the first draw of _sample_indices on each chunk
-        lambda k: substream(seed, letter, k).multinomial(sizes[k], weights),
-        len(sizes),
-        workers,
-    )
+    counts = [  # the first draw of _sample_indices on each chunk
+        substream(seed, letter, k).multinomial(size, weights)
+        for k, size in enumerate(chunk_sizes(n))
+    ]
     return count_moments(np.array(counts), sc.member_values[letter])
 
 
@@ -183,12 +180,13 @@ def monte_carlo_report(
     The estimate is the sample average of the observable over the draws
     ``per_sample_values`` returns for (seed, letter).  The detection
     statistic z compares the two letter means against their pooled standard
-    error.  Results are bit-identical for any ``workers``.
+    error.  ``workers`` is accepted for compatibility and ignored: chunks run
+    serially.
     """
     if n < 2:
         raise ValueError("need at least two samples per letter")
     exact = exact_gap(sc)
-    runs = [_letter_moments(sc, letter, n, seed, workers) for letter in (0, 1)]
+    runs = [_letter_moments(sc, letter, n, seed) for letter in (0, 1)]
     (_, mean_b, var_b), (_, mean_bp, var_bp) = runs[0][-1], runs[1][-1]
     se_b, se_bp = math.sqrt(var_b / n), math.sqrt(var_bp / n)
 
@@ -239,6 +237,7 @@ def channel_capacity(
     decode at chance level instead of inheriting a knife-edge float bias.
     The capacity estimate is the binary-symmetric-channel bound
     1 - H2(bit error rate), pinned to 0 when the exact gap is 0.
+    ``workers`` is accepted for compatibility and ignored: chunks run serially.
     """
     if block_length < 1 or trials < 1:
         raise ValueError("block length and trials must be >= 1")
@@ -267,7 +266,7 @@ def channel_capacity(
         decoded = np.where(tie, coins, sign * (means - threshold) <= 0.0)
         return int(np.count_nonzero(decoded != letters))
 
-    errors = sum(run_chunked(job, len(sizes), workers))
+    errors = sum(job(k) for k in range(len(sizes)))
     ber = errors / trials
     capacity = 0.0 if exact.gap == 0.0 else 1.0 - binary_entropy(ber)
     return ChannelReport(

@@ -1,15 +1,15 @@
-"""Deterministic random streams, chunked parallel execution, pooled moments.
+"""Deterministic random streams and pooled moments.
 
 Every randomized scan partitions its work into fixed-size chunks; chunk k
 draws from an independent stream derived from (seed, *path, k) and results
-merge in chunk order.  Output is therefore bit-identical for any worker
-count, including 1.
+merge in chunk order.  Chunks run serially: a thread pool over them ran every
+command slower at 2 workers than at 1, since each chunk is a few short numpy
+calls under the interpreter lock.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,20 +37,6 @@ def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
     if total % chunk:
         out.append(total % chunk)
     return out
-
-
-def run_chunked(
-    job: Callable[[int], object], n_chunks: int, workers: int = 1
-) -> list:
-    """Evaluate job(0..n_chunks-1), possibly in parallel, in index order.
-
-    ``job`` must be pure given its index (it derives its own substream), so
-    the result list does not depend on the worker count.
-    """
-    if workers <= 1 or n_chunks <= 1:
-        return [job(k) for k in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(job, range(n_chunks)))
 
 
 def pool_mean_var(partials: Sequence[tuple[int, float, float]]) -> list[tuple]:

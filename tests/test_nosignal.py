@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprsignal import nosignal
 from eprsignal import (
     BlochPoint,
     CountingObservable,
@@ -125,6 +126,18 @@ def test_chord_columns_validation(change, message):
     assert len(_columns()) == 2
     with pytest.raises(ValueError, match=message):
         _columns(**change)
+
+
+def test_affinity_checks_each_witness_row_once(monkeypatch):
+    checked, check = [], nosignal._check_chords
+
+    def counting_check(*columns):
+        checked.append(len(columns[0]))
+        check(*columns)
+
+    monkeypatch.setattr(nosignal, "_check_chords", counting_check)
+    cert = affinity_scan(power(PROJ0_2, 2), 1000, seed=3)
+    assert sum(checked) == len(cert.witnesses) == 21 + 1000
 
 
 def test_chord_columns_equality_is_exact():

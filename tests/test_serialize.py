@@ -1,13 +1,18 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsignal import (
     CountingObservable,
     Ensemble,
     PureState,
     affinity_scan,
+    monte_carlo_report,
     power,
     quadratic,
     random_pure,
@@ -27,6 +32,7 @@ from eprsignal.serialize import (
     observable_to_json,
     scenario_from_json,
     scenario_to_json,
+    signal_report_to_json,
     vector_from_json,
     vector_to_json,
 )
@@ -135,3 +141,83 @@ def test_dumps_canonical_matches_json_dumps():
     data = {"result": certificate_to_json(cert), "name": "é", "none": None}
     reference = json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
     assert dumps_canonical(data) == reference + "\n"
+
+
+def _reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 0.1, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), _FLOATS, st.text(),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(_FLOATS, max_size=5),
+        st.dictionaries(st.text(), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_dumps_canonical_equals_json_dumps_on_random_trees(obj):
+    assert dumps_canonical(obj) == _reference(obj)
+
+
+def test_dumps_canonical_edge_cases_match_json_dumps():
+    obj = {
+        "floats": [-0.0, 5e-324, 1e16, 1e-7, np.float64(0.1)],
+        "mixed": [True, 1, 1.0, None, "x", [], {}, (2.5, False)],
+        "empty": {}, "none": [], "bool": False, "int": True,
+        "text": 'é "q" \\ \n \t \u2028 \U0001f600 \x00',
+        'k"é\n': {"b": (1.5,), "a": [[0.5, 1], [2.0]]},
+    }
+    assert dumps_canonical(obj) == _reference(obj)
+    assert dumps_canonical([]) == "[]\n" and dumps_canonical(1e-7) == "1e-07\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda x: x, lambda x: [0.5, x], lambda x: {"v": x}, lambda x: ["s", x]],
+    ids=["bare", "float-list", "dict-value", "mixed-list"],
+)
+def test_dumps_canonical_rejects_non_finite(bad, wrap):
+    with pytest.raises(ValueError):
+        dumps_canonical(wrap(bad))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.int64(1), np.bool_(True), {1, 2}, b"x", object(), {1: "a"}, {None: 0}]
+)
+def test_dumps_canonical_rejects_unsupported_types(bad):
+    with pytest.raises(TypeError):
+        dumps_canonical({"a": [bad]})
+
+
+def _refuse(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_infinite_z_is_strict_json():
+    # both letters emit states of one f value each (1 and 0): the standard
+    # errors vanish at a real gap, so z is infinite
+    sc = dataclasses.replace(
+        bell_power_scenario(), observable=power(np.diag([1.0, -1.0]).astype(complex), 2)
+    )
+    report = monte_carlo_report(sc, 1000, seed=0)
+    assert report.z == math.inf
+    data = json.loads(dumps_canonical(signal_report_to_json(report)), parse_constant=_refuse)
+    assert data["z"] is None and data["z_infinite"] is True and data["gap"] == 1.0
+
+    finite = signal_report_to_json(monte_carlo_report(bell_power_scenario(), 1000, seed=0))
+    assert math.isfinite(finite["z"]) and "z_infinite" not in finite
