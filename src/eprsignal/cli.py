@@ -185,12 +185,20 @@ def _build_observable(config: RunConfig):
         raise ConfigError(f"observable: {err}") from err
 
 
+def _gap_detected(report, tolerance: float) -> bool:
+    """Whether an exact gap is a signal: |gap| >= tolerance times the scale
+    max(1, |exact_fb|, |exact_fbprime|), so that the rounding of two large
+    letter means does not read as a signal."""
+    scale = max(1.0, abs(report.exact_fb), abs(report.exact_fbprime))
+    return abs(report.gap) >= tolerance * scale
+
+
 def execute(config: RunConfig) -> tuple[dict, bool]:
     """Run the configured command; returns (result dict, signal detected)."""
     cmd = config.command
     if cmd == "gap":
         report = exact_gap(_build_scenario(config))
-        return signal_report_to_json(report), abs(report.gap) >= config.tolerance
+        return signal_report_to_json(report), _gap_detected(report, config.tolerance)
     if cmd == "simulate":
         report = monte_carlo_report(
             _build_scenario(config),
@@ -209,11 +217,18 @@ def execute(config: RunConfig) -> tuple[dict, bool]:
             seed=config.seed,
             workers=config.workers,
         )
-        detected = abs(exact_gap(scenario).gap) >= config.tolerance
+        detected = _gap_detected(exact_gap(scenario), config.tolerance)
         return channel_report_to_json(report), detected
 
     observable = _build_observable(config)
-    if cmd == "affinity" or (cmd == "certify" and observable.dim == 2):
+    dim = observable.dim
+    if cmd == "certify":
+        cmd = "affinity" if dim == 2 else "gleason"
+    if cmd == "affinity" and dim != 2:
+        raise ConfigError(f"observable: affinity needs dimension 2, got {dim}")
+    if cmd == "gleason" and dim < 3:
+        raise ConfigError(f"observable: gleason needs dimension >= 3, got {dim}")
+    if cmd == "affinity":
         cert = affinity_scan(
             observable,
             config.n_chords,

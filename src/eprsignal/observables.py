@@ -251,24 +251,25 @@ def polarization_reconstruct(f, d: int) -> np.ndarray:
     """The Hermitian matrix a quadratic f of dimension d must have.
 
     Diagonal entries come from basis states; off-diagonal real and imaginary
-    parts from the probes (e_j + e_k)/sqrt(2) and (e_j - i e_k)/sqrt(2).  If f
-    is quadratic this reconstructs its matrix exactly; if not, the output is
-    still produced and its (mis)fit is judged by ``quadraticity_residual``.
+    parts from the probes (e_j + e_k)/sqrt(2) and (e_j - i e_k)/sqrt(2), j < k.
+    All d^2 probes are evaluated in one ``values`` call.  If f is quadratic
+    this reconstructs its matrix exactly; if not, the output is still
+    produced and its (mis)fit is judged by ``quadraticity_residual``.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
     eye = np.eye(d, dtype=complex)
-    mat = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        mat[j, j] = f(eye[j])
+    j, k = np.triu_indices(d, k=1)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for j in range(d):
-        for k in range(j + 1, d):
-            avg = (mat[j, j].real + mat[k, k].real) / 2.0
-            re = f((eye[j] + eye[k]) * inv_sqrt2) - avg
-            im = f((eye[j] - 1j * eye[k]) * inv_sqrt2) - avg
-            mat[j, k] = re + 1j * im
-            mat[k, j] = re - 1j * im
+    probes = np.concatenate(
+        [eye, (eye[j] + eye[k]) * inv_sqrt2, (eye[j] - 1j * eye[k]) * inv_sqrt2]
+    )
+    vals = f.values(probes)
+    diag = vals[:d]
+    re, im = vals[d:].reshape(2, -1) - (diag[j] + diag[k]) / 2.0
+    mat = np.diag(diag).astype(complex)
+    mat[j, k] = re + 1j * im
+    mat[k, j] = re - 1j * im
     return mat
 
 

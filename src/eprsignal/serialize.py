@@ -32,15 +32,18 @@ def complex_from_json(data) -> complex:
 
 
 def vector_to_json(v) -> list:
-    return [complex_to_json(z) for z in np.asarray(v, dtype=complex)]
+    """[re, im] pairs of a complex array, built in one pass: a vector gives a
+    list of pairs, a matrix a list of rows of pairs.  The floats are those
+    ``complex_to_json`` gives entry by entry, signed zeros included."""
+    a = np.asarray(v, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def vector_from_json(data) -> np.ndarray:
     return np.array([complex_from_json(z) for z in data], dtype=complex)
 
 
-def matrix_to_json(m) -> list:
-    return [vector_to_json(row) for row in np.asarray(m, dtype=complex)]
+matrix_to_json = vector_to_json
 
 
 def matrix_from_json(data) -> np.ndarray:
@@ -164,7 +167,7 @@ def witness_to_json(w) -> dict:
     if isinstance(w, SubspaceMeasureRecord):
         return {
             "type": "subspace-measure",
-            "basis": [vector_to_json(row) for row in w.basis],
+            "basis": matrix_to_json(w.basis),
             "mu": w.mu,
             "basis_spread": w.basis_spread,
         }

@@ -192,3 +192,43 @@ def test_emit_plot_data_kinds(tmp_path):
         emit_plot_data({"witnesses": []}, "convergence")
     with pytest.raises(ValueError):
         emit_plot_data({}, "nonsense")
+
+
+@pytest.mark.parametrize("command, name", [
+    ("gleason", "power2-affinity"),
+    ("affinity", "d3-gleason-pass"),
+])
+def test_wrong_dimension_for_certifier_is_a_config_error(command, name, capsys):
+    assert main([command, "--config", name]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: observable: ")
+
+
+def _offset_quadratic_config(command: str, c: float) -> dict:
+    # the no-signal Bell scenario with f = <psi|diag(1 + c, c)|psi>: both
+    # letter means are c + 1/2, the exact gap is 0 up to rounding at scale c
+    raw = load_config("bell-quadratic")
+    raw["scenario"]["observable"]["F"] = [
+        [[1.0 + c, 0.0], [0.0, 0.0]], [[0.0, 0.0], [c, 0.0]]
+    ]
+    return {**raw, "command": command, "expect": "no-signal",
+            "block": 10, "trials": 50}
+
+
+@pytest.mark.parametrize("command", ["gap", "capacity"])
+def test_signal_gate_is_relative_to_the_letter_means(command, tmp_path):
+    cfg = parse_config(_offset_quadratic_config(command, 1e8),
+                       {"out": str(tmp_path / "r.json")})
+    code, _ = run(cfg)
+    assert code == 0
+    # a real gap at the same scale still trips the gate
+    raw = load_config("bell-power")
+    raw["scenario"]["observable"]["P"] = [
+        [[1e4, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]
+    ]
+    raw.update(command=command, expect="no-signal", block=10, trials=50)
+    code, _ = run(parse_config(raw, {"out": str(tmp_path / "s.json")}))
+    assert code == 2

@@ -352,6 +352,95 @@ def test_orthoadditivity_rejects_overlapping_subspaces():
         )
 
 
+def _reference_rotations(n, resamples, rng, structured):
+    """The rotation family written out as dense n x n matrices: the Fourier
+    mix, the real and the phase mix of every pair a < b, then the Haar draws."""
+    out = []
+    if structured and n >= 2:
+        j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        out.append(np.exp(2j * np.pi * j * k / n) / math.sqrt(n))
+        s = 1.0 / math.sqrt(2.0)
+        for a in range(n):
+            for b in range(a + 1, n):
+                for block in ([[s, s], [s, -s]], [[s, 1j * s], [1j * s, s]]):
+                    w = np.eye(n, dtype=complex)
+                    w[np.ix_([a, b], [a, b])] = block
+                    out.append(w)
+    return out + [haar_unitary(n, rng) for _ in range(resamples)]
+
+
+def _reference_measures(f, rows, resamples, rng, structured):
+    rotations = _reference_rotations(len(rows), resamples, rng, structured)
+    return np.array(
+        [np.sum(f.values(rows))] + [np.sum(f.values(w @ rows)) for w in rotations]
+    )
+
+
+def _family_observable(kind, d, rng):
+    if kind == "quadratic":
+        return quadratic(random_hermitian(d, rng))
+    if kind == "power":
+        return power(random_hermitian(d, rng), 3)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return custom(
+        lambda psis: np.abs(psis[:, 0]) ** 6 - np.abs(psis @ v) ** 2, d, batch=True
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    extra=st.integers(0, 3),
+    kind=st.sampled_from(["quadratic", "power", "custom"]),
+    structured=st.booleans(),
+    resamples=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rotation_family_matches_dense_reference(
+    n, extra, kind, structured, resamples, seed
+):
+    d = min(max(n, 3) + extra, 6)
+    rng = np.random.default_rng(seed)
+    f = _family_observable(kind, d, rng)
+    rows = np.ascontiguousarray(haar_unitary(d, rng)[:, :n].T)
+
+    ref = _reference_measures(f, rows, resamples, np.random.default_rng(seed), structured)
+    rec = basis_independence(f, rows, resamples, np.random.default_rng(seed), structured)
+    scale = max(1.0, np.abs(ref).max())
+    assert rec.mu == ref[0]
+    assert abs(rec.basis_spread - (ref.max() - ref.min())) <= 1e-12 * scale
+
+    if n < 2:
+        return
+    m = n // 2
+    mu_parts = subspace_measure(f, rows[:m]) + subspace_measure(f, rows[m:])
+    worst = orthoadditivity_check(
+        f, rows[:m], rows[m:], np.random.default_rng(seed),
+        resamples=resamples, structured=structured,
+    )
+    assert abs(worst - np.abs(mu_parts - ref).max()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_independence_makes_at_most_three_values_calls(n, monkeypatch):
+    f = power(projector_matrix(max(n, 3)), 2)
+    calls = []
+    values = type(f).values
+
+    def counted(self, psis):
+        calls.append(len(psis))
+        return values(self, psis)
+
+    monkeypatch.setattr(type(f), "values", counted)
+    rows = np.eye(max(n, 3), dtype=complex)[:n]
+    basis_independence(f, rows, 6, np.random.default_rng(n))
+    assert len(calls) <= 3
+    # base rows, then the four new rows of each pair mix, then the stacked
+    # Fourier (n >= 2 only) and Haar rotations
+    fourier = 1 if n >= 2 else 0
+    assert sum(calls) == n + 2 * n * (n - 1) + n * (fourier + 6)
+
+
 def test_subspace_measure_matches_projector_trace():
     # for quadratic f the measure of any subspace is Tr(F P_X)
     rng = np.random.default_rng(62)

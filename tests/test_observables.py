@@ -161,6 +161,25 @@ def test_polarization_identity_random_hermitian():
             assert np.max(np.abs(rec - m)) < 1e-10
 
 
+def test_polarization_evaluates_all_probes_in_one_batch(monkeypatch):
+    # d basis states, then the d(d-1)/2 real and d(d-1)/2 phase probes
+    d = 5
+    m = random_hermitian(d, np.random.default_rng(7))
+    f = quadratic(m)
+    calls = []
+    values = type(f).values
+
+    def counted(self, psis):
+        calls.append(len(psis))
+        return values(self, psis)
+
+    monkeypatch.setattr(type(f), "values", counted)
+    rec = polarization_reconstruct(f, d)
+    assert calls == [d * d]
+    assert np.max(np.abs(rec - m)) < 1e-12
+    assert np.array_equal(rec, rec.conj().T)
+
+
 def test_polarization_of_power_observable_misfits():
     # frozen from the independent residual oracle: the best quadratic guess
     # for the squared projector misses by more than 0.1 on random states

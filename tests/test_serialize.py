@@ -35,7 +35,9 @@ from eprsignal.serialize import (
     signal_report_to_json,
     vector_from_json,
     vector_to_json,
+    witness_to_json,
 )
+from eprsignal.nosignal import SubspaceMeasureRecord
 
 from helpers import (
     PROJ0_2,
@@ -58,6 +60,26 @@ def test_vector_and_matrix_round_trip():
     np.testing.assert_array_equal(vector_from_json(vector_to_json(v)), v)
     m = random_hermitian(3, rng)
     np.testing.assert_array_equal(matrix_from_json(matrix_to_json(m)), m)
+
+
+def test_array_encoding_matches_per_entry_pairs():
+    # the one-pass [re, im] encoding gives the floats complex_to_json gives
+    # entry by entry, signed zeros and extreme magnitudes included
+    rng = np.random.default_rng(74)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m[0, 0] = complex(-0.0, 0.0)
+    m[0, 1] = complex(0.0, -0.0)
+    m[1, 2] = complex(5e-324, -5e-324)
+    m[2, 3] = complex(1e16, -1e16)
+    m[3, 0] = complex(-0.0, 1e-7)
+    per_entry = [[complex_to_json(z) for z in row] for row in m]
+    assert dumps_canonical(matrix_to_json(m)) == dumps_canonical(per_entry)
+    for row, expected in zip(m, per_entry):
+        assert dumps_canonical(vector_to_json(row)) == dumps_canonical(expected)
+    record = SubspaceMeasureRecord(
+        basis=tuple(map(tuple, m.tolist())), mu=0.5, basis_spread=0.0
+    )
+    assert dumps_canonical(witness_to_json(record)["basis"]) == dumps_canonical(per_entry)
 
 
 def test_ensemble_round_trip():
