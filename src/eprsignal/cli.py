@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+from . import __version__
 from .hilbert import TOL_DECISION
 from .nosignal import VERDICT_NON_QUADRATIC, affinity_scan, gleason_certify
 from .serialize import (
@@ -28,6 +29,7 @@ from .serialize import (
     observable_from_json,
     scenario_from_json,
     signal_report_to_json,
+    witnesses_to_json,
 )
 from .signaling import (
     Z_THRESHOLD,
@@ -36,8 +38,14 @@ from .signaling import (
     monte_carlo_report,
     per_sample_values,
 )
+from .streams import STREAM_VERSION
 
 COMMANDS = ("gap", "simulate", "capacity", "affinity", "gleason", "certify")
+CERTIFIERS = ("affinity", "gleason", "certify")
+REPORT_VERSION = 2
+# RunConfig fields that only say where and how output goes; the report's
+# meta block leaves them out, so its bytes do not depend on them
+_OUTPUT_FIELDS = ("out", "format", "workers", "witnesses")
 
 _DEFAULTS = {
     "n_samples": 10000,
@@ -72,6 +80,7 @@ class RunConfig:
     out: str | None = None
     format: str = "json"
     workers: int = 1
+    witnesses: str | None = None
 
     def to_dict(self) -> dict:
         """Normal form: every field explicit, stable ordering."""
@@ -145,12 +154,16 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
 
     scenario = merged.get("scenario")
     observable = merged.get("observable")
+    if command in CERTIFIERS and observable is None and isinstance(scenario, dict):
+        observable = scenario.get("observable")
     if command in ("gap", "simulate", "capacity"):
         if not isinstance(scenario, dict):
             raise ConfigError(f"scenario: required for command {command!r}")
     else:
         if not isinstance(observable, dict):
             raise ConfigError(f"observable: required for command {command!r}")
+    if merged.get("witnesses") is not None and command not in CERTIFIERS:
+        raise ConfigError(f"witnesses: no witness table for command {command!r}")
 
     return RunConfig(
         command=command,
@@ -168,6 +181,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         out=merged.get("out"),
         format=fmt,
         workers=merged["workers"],
+        witnesses=merged.get("witnesses"),
     )
 
 
@@ -193,32 +207,37 @@ def _gap_detected(report, tolerance: float) -> bool:
     return abs(report.gap) >= tolerance * scale
 
 
-def execute(config: RunConfig) -> tuple[dict, bool]:
-    """Run the configured command; returns (result dict, signal detected)."""
+def execute(config: RunConfig) -> tuple[dict, bool, object]:
+    """Run the configured command; returns (result dict, signal detected,
+    source) where the source of the sidecar files is the scenario for
+    ``simulate``, the certificate for a certifier, and None otherwise."""
     cmd = config.command
     if cmd == "gap":
         report = exact_gap(_build_scenario(config))
-        return signal_report_to_json(report), _gap_detected(report, config.tolerance)
+        return signal_report_to_json(report), _gap_detected(report, config.tolerance), None
     if cmd == "simulate":
+        scenario = _build_scenario(config)
         report = monte_carlo_report(
-            _build_scenario(config),
+            scenario,
             config.n_samples,
             seed=config.seed,
             workers=config.workers,
             track_convergence=True,
         )
-        return signal_report_to_json(report), report.z >= Z_THRESHOLD
+        return signal_report_to_json(report), report.z >= Z_THRESHOLD, scenario
     if cmd == "capacity":
         scenario = _build_scenario(config)
+        exact = exact_gap(scenario)
         report = channel_capacity(
             scenario,
             config.block,
             config.trials,
             seed=config.seed,
             workers=config.workers,
+            exact=exact,
         )
-        detected = _gap_detected(exact_gap(scenario), config.tolerance)
-        return channel_report_to_json(report), detected
+        detected = _gap_detected(exact, config.tolerance)
+        return channel_report_to_json(report), detected, None
 
     observable = _build_observable(config)
     dim = observable.dim
@@ -245,7 +264,7 @@ def execute(config: RunConfig) -> tuple[dict, bool]:
             resamples=config.resamples,
             workers=config.workers,
         )
-    return certificate_to_json(cert), cert.verdict == VERDICT_NON_QUADRATIC
+    return certificate_to_json(cert), cert.verdict == VERDICT_NON_QUADRATIC, cert
 
 
 _PLOT_KIND_FOR_COMMAND = {
@@ -298,35 +317,57 @@ def emit_plot_data(result: dict, kind: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute a validated config, write the report, return (exit code, report)."""
-    result, detected = execute(config)
+def _meta(config: RunConfig) -> dict:
+    """Provenance of a report: package and report versions, the stream
+    version of a sampled result, and the normalized config without its
+    output settings.  No timestamps and no host data."""
+    normal = config.to_dict()
+    for key in _OUTPUT_FIELDS:
+        del normal[key]
+    meta = {"version": __version__, "report_version": REPORT_VERSION, "config": normal}
+    if config.command in ("simulate", "capacity"):
+        meta["stream_version"] = STREAM_VERSION
+    return meta
+
+
+def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
+    """Execute a validated config, write the report, the ``witnesses`` table
+    and, for ``simulate``, the ``dump_samples`` CSV; return (exit code,
+    report)."""
+    result, detected, source = execute(config)
     report = {
         "command": config.command,
         "seed": config.seed,
         "tolerance": config.tolerance,
         "result": result,
+        "meta": _meta(config),
     }
+    table = None
+    if config.command in CERTIFIERS and (config.witnesses or config.format == "csv"):
+        table = {"witnesses": witnesses_to_json(source)}
     if config.format == "csv":
         kind = _PLOT_KIND_FOR_COMMAND.get(config.command)
         if kind is None:
             raise ConfigError(
                 f"format: no CSV plot data defined for command {config.command!r}"
             )
-        text = emit_plot_data(result, kind)
+        text = emit_plot_data(table or result, kind)
     else:
         text = dumps_canonical(report)
     if config.out:
         Path(config.out).write_text(text)
     else:
         sys.stdout.write(text)
+    if config.witnesses:
+        Path(config.witnesses).write_text(dumps_canonical(table))
+    if dump_samples and config.command == "simulate":
+        _dump_samples(source, config, dump_samples)
     if config.expect == "no-signal" and detected:
         return 2, report
     return 0, report
 
 
-def _dump_samples(config: RunConfig, path: str):
-    sc = _build_scenario(config)
+def _dump_samples(sc, config: RunConfig, path: str):
     lines = ["letter,index,f_value"]
     for letter in (0, 1):
         vals = per_sample_values(sc, letter, config.n_samples, config.seed)
@@ -358,6 +399,9 @@ def _build_parser() -> _Parser:
         if name == "simulate":
             p.add_argument("--dump-samples", default=None,
                            help="also write per-sample observable values (CSV)")
+        if name in CERTIFIERS:
+            p.add_argument("--witnesses", default=None,
+                           help="also write the full witness table (JSON)")
     return parser
 
 
@@ -373,12 +417,10 @@ def main(argv=None) -> int:
             "format": args.format,
             "tolerance": args.tolerance,
             "workers": args.workers,
+            "witnesses": getattr(args, "witnesses", None),
         }
         config = parse_config(data, overrides)
-        code, _ = run(config)
-        if getattr(args, "dump_samples", None):
-            _dump_samples(config, args.dump_samples)
-        return code
+        return run(config, getattr(args, "dump_samples", None))[0]
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

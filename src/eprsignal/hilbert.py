@@ -93,17 +93,24 @@ def gram_schmidt(vectors, tol: float = TOL_DERIVED) -> list[np.ndarray]:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary.
+    """Haar-distributed d x d unitary: ``haar_unitaries(d, 1, rng)[0]``."""
+    return haar_unitaries(d, 1, rng)[0]
 
-    QR factorization of a complex Gaussian matrix, with the diagonal of R
-    phase-normalized so the distribution is exactly left-invariant.
+
+def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed d x d unitaries, shape (count, d, d).
+
+    QR factorizations of complex Gaussian matrices, with the diagonal of each
+    R phase-normalized so the distribution is exactly left-invariant.  Matrix
+    j draws its real, then its imaginary d x d block, so the stack equals
+    ``count`` calls of ``haar_unitary`` in a row; the QRs run as one batch.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    z = rng.standard_normal((count, 2, d, d))
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

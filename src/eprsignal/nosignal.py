@@ -16,7 +16,8 @@ non-quadratic observable produces a concrete witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .hilbert import (
     TOL_DERIVED,
     BlochPoint,
     bloch_states,
+    haar_unitaries,
     haar_unitary,
 )
 from .observables import CountingObservable, polarization_reconstruct
@@ -149,11 +151,15 @@ class ChordColumns:
 
 @dataclass(frozen=True)
 class SubspaceMeasureRecord:
-    """Measure of one subspace plus its spread over resampled bases."""
+    """Measure of one subspace plus its spread over resampled bases, and the
+    rotations that gave the largest and the smallest measure, named as by
+    ``_rotation_name``."""
 
     basis: tuple
     mu: float
     basis_spread: float
+    max_rotation: tuple = ("base",)
+    min_rotation: tuple = ("base",)
 
 
 @dataclass(frozen=True)
@@ -166,12 +172,54 @@ class TraceFitRecord:
     residual: float
 
 
+class AffineChordRecord(NamedTuple):
+    """One affine decomposition x = (1 - p2) y1 + p2 y2 of the extended scan:
+    ``lhs`` is the diameter-rule value at x, ``rhs`` the weighted values at
+    y1 and y2, ``violation`` is |lhs - rhs|."""
+
+    x: tuple
+    y1: tuple
+    y2: tuple
+    p2: float
+    lhs: float
+    rhs: float
+    violation: float
+
+
+class PsdDeficitRecord(NamedTuple):
+    """Lowest eigenpair of the reconstructed operator of a counting
+    observable; the deficit is max(0, -eigenvalue)."""
+
+    eigenvalue: float
+    eigenvector: tuple
+
+
+class Check(NamedTuple):
+    """One check of a certificate: its worst violation, how many rows it
+    scanned, and the row that attained the worst, either an index into the
+    certificate's witnesses or a record of its own (None without rows)."""
+
+    worst: float
+    count: int
+    witness: object
+
+
+def _worst_row(violations, offset: int = 0) -> Check:
+    """Check over rows ``offset``, ``offset + 1``, ... of the witnesses with
+    these violations; the witness is the first row attaining the max."""
+    if len(violations) == 0:
+        return Check(0.0, 0, None)
+    i = int(np.argmax(violations))
+    return Check(float(violations[i]), len(violations), offset + i)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Outcome of a scan: verdict, the worst violation found, and evidence.
 
     ``witnesses`` is a ``ChordColumns`` record for the chord scan and a tuple
-    of subspace records for the subspace route.
+    of subspace records for the subspace route.  ``checks`` maps each check
+    the scan ran to its ``Check``, in the order they ran.
     """
 
     verdict: str
@@ -180,6 +228,7 @@ class Certificate:
     tolerance: float
     seed: int | None = None
     operator: np.ndarray | None = None
+    checks: dict = field(default_factory=dict)
 
     def __post_init__(self):
         expected = (
@@ -190,8 +239,16 @@ class Certificate:
         if self.verdict != expected:
             raise ValueError("verdict inconsistent with worst violation")
 
+    @property
+    def worst_check(self) -> str | None:
+        """Name of the first check whose worst is ``worst_violation``."""
+        return next(
+            (name for name, c in self.checks.items() if c.worst == self.worst_violation),
+            None,
+        )
 
-def _certificate(worst, witnesses, tolerance, seed=None, operator=None) -> Certificate:
+
+def _certificate(worst, witnesses, tolerance, checks, seed=None, operator=None) -> Certificate:
     verdict = VERDICT_QUADRATIC if worst < tolerance else VERDICT_NON_QUADRATIC
     return Certificate(
         verdict=verdict,
@@ -200,6 +257,7 @@ def _certificate(worst, witnesses, tolerance, seed=None, operator=None) -> Certi
         tolerance=float(tolerance),
         seed=seed,
         operator=operator,
+        checks=checks,
     )
 
 
@@ -334,10 +392,10 @@ def _diameter_averages(f, y: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + r) * hi + 0.5 * (1.0 - r) * lo
 
 
-def _affine_violations(f, rng: np.random.Generator, k: int) -> np.ndarray:
-    """|lhs - rhs| of up to k affine (weights beyond [0,1]) two-point
-    decompositions, evaluated through the diameter rule; both decomposition
-    points stay in the ball.
+def _affine_violations(f, rng: np.random.Generator, k: int) -> Check:
+    """The worst |lhs - rhs| of up to k affine (weights beyond [0,1]) two-point
+    decompositions, evaluated through the diameter rule, with the row that
+    attains it; both decomposition points stay in the ball.
 
     Each of the k slots draws a ball point x, a direction u and two line
     parameters a, b on the chord through x, and keeps the draw when
@@ -363,7 +421,15 @@ def _affine_violations(f, rng: np.random.Generator, k: int) -> np.ndarray:
     x, y1, y2, p2 = (np.concatenate(col) for col in zip(*kept))
     avg = _diameter_averages(f, np.concatenate([x, y1, y2]))
     lhs, at_y1, at_y2 = avg.reshape(3, len(x))
-    return np.abs(lhs - ((1.0 - p2) * at_y1 + p2 * at_y2))
+    rhs = (1.0 - p2) * at_y1 + p2 * at_y2
+    violation = np.abs(lhs - rhs)
+    i = int(np.argmax(violation))
+    row = AffineChordRecord(
+        x=tuple(x[i].tolist()), y1=tuple(y1[i].tolist()), y2=tuple(y2[i].tolist()),
+        p2=float(p2[i]), lhs=float(lhs[i]), rhs=float(rhs[i]),
+        violation=float(violation[i]),
+    )
+    return Check(row.violation, len(x), row)
 
 
 def affinity_scan(
@@ -380,8 +446,10 @@ def affinity_scan(
     and on ``n_chords`` sampled intersecting pairs, drawn and evaluated as
     arrays in chunks of 256; with ``extended`` the affine regime (weights in
     [-0.5, 1.5], diameter evaluation rule) is scanned as well.  The verdict
-    compares the worst |lhs - rhs| against ``tolerance``.  ``workers`` is
-    accepted for compatibility and ignored: chunks run serially.
+    compares the worst |lhs - rhs| against ``tolerance``.  The checks are
+    ``convex_chord`` (the witness rows) and, with ``extended``,
+    ``affine_chord``.  ``workers`` is accepted for compatibility and ignored:
+    chunks run serially.
     """
     if f.dim != 2:
         raise ValueError("the chord scan is defined for dimension 2 only")
@@ -397,14 +465,18 @@ def affinity_scan(
     witnesses = ChordColumns(
         **{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     )
-    worst = float(witnesses.violation.max())
+    checks = {"convex_chord": _worst_row(witnesses.violation)}
 
     if extended:
-        for k, size in enumerate(sizes):
-            rng = substream(seed, _PATH_AFFINE, k)
-            worst = max(worst, float(_affine_violations(f, rng, size).max(initial=0.0)))
+        parts = [
+            _affine_violations(f, substream(seed, _PATH_AFFINE, k), size)
+            for k, size in enumerate(sizes)
+        ]
+        best = max(parts, key=lambda c: c.worst)
+        checks["affine_chord"] = Check(best.worst, sum(c.count for c in parts), best.witness)
 
-    return _certificate(worst, witnesses, tolerance, seed=seed)
+    worst = max(c.worst for c in checks.values())
+    return _certificate(worst, witnesses, tolerance, checks, seed=seed)
 
 
 def extremal_decomposition(f):
@@ -480,16 +552,33 @@ def _rotated_measures(
     n = rows.shape[0]
     base = f.values(rows)
     mus = [np.array([np.sum(base)])]
-    stack = []
+    stack = [haar_unitaries(n, resamples, rng)]
     if structured and n >= 2:
         j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        stack.append(np.exp(2j * np.pi * j * k / n) / math.sqrt(n))
+        stack.insert(0, np.exp(2j * np.pi * j * k / n)[None] / math.sqrt(n))
         mus.append(_pair_mix_measures(f, rows, base))
-    stack += [haar_unitary(n, rng) for _ in range(resamples)]
-    if stack:
-        rotated = np.stack(stack).reshape(-1, n) @ rows
+    stack = np.concatenate(stack)
+    if len(stack):
+        rotated = stack.reshape(-1, n) @ rows
         mus.append(f.values(rotated).reshape(len(stack), n).sum(axis=1))
     return np.concatenate(mus)
+
+
+def _rotation_name(i: int, n: int, structured: bool) -> tuple:
+    """Name of entry i of ``_rotated_measures``: ("base",), ("real", a, b) or
+    ("phase", a, b) for a pair mix, ("fourier",), or ("haar", j) for the
+    j-th Haar draw."""
+    if i == 0:
+        return ("base",)
+    if structured and n >= 2:
+        a, b = np.triu_indices(n, k=1)
+        if i <= 2 * len(a):
+            p = (i - 1) % len(a)
+            return ("real" if i <= len(a) else "phase", int(a[p]), int(b[p]))
+        if i == 2 * len(a) + 1:
+            return ("fourier",)
+        i -= 2 * len(a) + 1
+    return ("haar", i - 1)
 
 
 def basis_independence(
@@ -505,10 +594,13 @@ def basis_independence(
         raise ValueError("need at least two resamples")
     rows = _basis_rows(basis)
     mus = _rotated_measures(f, rows, resamples, rng, structured)
+    hi, lo = int(mus.argmax()), int(mus.argmin())
     return SubspaceMeasureRecord(
         basis=tuple(map(tuple, rows.tolist())),
         mu=float(mus[0]),
-        basis_spread=float(mus.max() - mus.min()),
+        basis_spread=float(mus[hi] - mus[lo]),
+        max_rotation=_rotation_name(hi, rows.shape[0], structured),
+        min_rotation=_rotation_name(lo, rows.shape[0], structured),
     )
 
 
@@ -559,8 +651,11 @@ def gleason_certify(
     basis), reconstructs the only operator a quadratic observable could
     have, and verifies mu(X) = Tr(F P_X) on random subspaces.  Positive
     semidefiniteness of the operator is additionally required for counting
-    observables, whose measure is non-negative by construction.  ``workers``
-    is accepted for compatibility and ignored: subspaces run serially.
+    observables, whose measure is non-negative by construction.  The checks
+    are ``basis_spread`` (the subspace records), ``trace_fit`` (the trace
+    records, run only while the spread passes) and, for a counting
+    observable, ``psd_deficit``.  ``workers`` is accepted for compatibility
+    and ignored: subspaces run serially.
     """
     d = f.dim
     if d < 3:
@@ -584,7 +679,8 @@ def gleason_certify(
         for k, (m, rows) in enumerate(tasks)
     ]
     witnesses: list = list(records)
-    worst = max(r.basis_spread for r in records)
+    checks = {"basis_spread": _worst_row([r.basis_spread for r in records])}
+    worst = checks["basis_spread"].worst
 
     operator = polarization_reconstruct(f, d)
 
@@ -600,13 +696,20 @@ def gleason_certify(
             witnesses.append(
                 TraceFitRecord(subspace_dim=m, mu=mu, trace_value=tr, residual=res)
             )
-            worst = max(worst, res)
+        residuals = [w.residual for w in witnesses[len(records):]]
+        checks["trace_fit"] = _worst_row(residuals, offset=len(records))
+        worst = max(worst, checks["trace_fit"].worst)
 
     if isinstance(f, CountingObservable):
-        deficit = max(0.0, -float(np.linalg.eigvalsh(operator).min()))
+        low = float(np.linalg.eigvalsh(operator).min())
+        vector = np.linalg.eigh(operator)[1][:, 0]
+        deficit = max(0.0, -low)
+        checks["psd_deficit"] = Check(
+            deficit, 1, PsdDeficitRecord(low, tuple(vector.tolist()))
+        )
         if deficit > _PSD_SLACK:
             worst = max(worst, deficit)
 
     return _certificate(
-        worst, tuple(witnesses), tolerance, seed=seed, operator=operator
+        worst, tuple(witnesses), tolerance, checks, seed=seed, operator=operator
     )

@@ -10,11 +10,19 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import struct
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .nosignal import Certificate, ChordColumns, SubspaceMeasureRecord, TraceFitRecord
+from .nosignal import (
+    AffineChordRecord,
+    Certificate,
+    ChordColumns,
+    PsdDeficitRecord,
+    SubspaceMeasureRecord,
+    TraceFitRecord,
+)
 from .observables import CountingObservable, power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
 from .states import Ensemble, EntangledState, PureState, build_entangled
@@ -140,14 +148,14 @@ def scenario_from_json(data) -> Scenario:
     )
 
 
-def chords_to_json(w: ChordColumns) -> list[dict]:
-    """One "chord" object per witness row, built from the columns."""
-    rows = zip(
-        w.x1.tolist(), w.x2.tolist(), w.x1p.tolist(), w.x2p.tolist(),
-        w.p1.tolist(), w.p2.tolist(), w.p1p.tolist(), w.p2p.tolist(),
-        w.x.tolist(), w.lhs.tolist(), w.rhs.tolist(), w.violation.tolist(),
-        w.values.tolist(),
-    )
+def chords_to_json(w: ChordColumns, rows: slice = slice(None)) -> list[dict]:
+    """One "chord" object per witness row (or per row of the slice ``rows``),
+    built from the columns."""
+    rows = zip(*(
+        getattr(w, name)[rows].tolist()
+        for name in ("x1", "x2", "x1p", "x2p", "p1", "p2", "p1p", "p2p",
+                     "x", "lhs", "rhs", "violation", "values")
+    ))
     return [
         {
             "type": "chord",
@@ -179,20 +187,76 @@ def witness_to_json(w) -> dict:
             "trace_value": w.trace_value,
             "residual": w.residual,
         }
+    if isinstance(w, AffineChordRecord):
+        return {"type": "affine-chord", **w._asdict()}
+    if isinstance(w, PsdDeficitRecord):
+        return {
+            "type": "psd-deficit",
+            "eigenvalue": w.eigenvalue,
+            "eigenvector": vector_to_json(w.eigenvector),
+        }
     raise ValueError(f"cannot serialize witness of type {type(w).__name__}")
 
 
-def certificate_to_json(c: Certificate) -> dict:
+def witnesses_to_json(c: Certificate) -> list[dict]:
+    """Every witness of a certificate, one object each, in order: the table
+    that ``--witnesses`` writes and ``--format csv`` renders."""
     if isinstance(c.witnesses, ChordColumns):
-        witnesses = chords_to_json(c.witnesses)
+        return chords_to_json(c.witnesses)
+    return [witness_to_json(w) for w in c.witnesses]
+
+
+def _record_bytes(w) -> bytes:
+    if isinstance(w, SubspaceMeasureRecord):
+        basis = np.array(w.basis, dtype="<c16")
+        return (b"S" + struct.pack("<2q", *basis.shape) + basis.tobytes()
+                + struct.pack("<2d", w.mu, w.basis_spread))
+    return b"T" + struct.pack("<q3d", w.subspace_dim, w.mu, w.trace_value, w.residual)
+
+
+def witness_digest(c: Certificate) -> str:
+    """SHA-256 (hex) of the witness table in the byte layout README gives:
+    the 13 ``ChordColumns`` arrays in field order as C-contiguous ``<f8``, or
+    each subspace and trace record in order."""
+    import hashlib  # only certificates pay for the import
+
+    h = hashlib.sha256()
+    if isinstance(c.witnesses, ChordColumns):
+        for col in dataclasses.fields(ChordColumns):
+            h.update(np.ascontiguousarray(getattr(c.witnesses, col.name), "<f8").tobytes())
     else:
-        witnesses = [witness_to_json(w) for w in c.witnesses]
+        for w in c.witnesses:
+            h.update(_record_bytes(w))
+    return h.hexdigest()
+
+
+def _check_to_json(c: Certificate, check) -> dict:
+    out = {"worst": check.worst, "count": check.count}
+    w = check.witness
+    if isinstance(w, int):  # a row of the witness table
+        out["index"] = w
+        if isinstance(c.witnesses, ChordColumns):
+            out["witness"] = chords_to_json(c.witnesses, slice(w, w + 1))[0]
+            return out
+        w = c.witnesses[w]
+        if isinstance(w, SubspaceMeasureRecord):
+            out["rotations"] = {"max": list(w.max_rotation), "min": list(w.min_rotation)}
+    out["witness"] = None if w is None else witness_to_json(w)
+    return out
+
+
+def certificate_to_json(c: Certificate) -> dict:
+    """The certificate's verdict, worst violation and per-check worst rows,
+    with the witness table as its row count and digest only."""
     out = {
         "verdict": c.verdict,
         "worst_violation": c.worst_violation,
+        "worst_check": c.worst_check,
         "tolerance": c.tolerance,
         "seed": c.seed,
-        "witnesses": witnesses,
+        "checks": {name: _check_to_json(c, check) for name, check in c.checks.items()},
+        "witness_count": len(c.witnesses),
+        "witness_digest": witness_digest(c),
     }
     if c.operator is not None:
         out["operator"] = matrix_to_json(c.operator)

@@ -228,6 +228,7 @@ def channel_capacity(
     trials: int,
     seed: int = 0,
     workers: int = 1,
+    exact: SignalReport | None = None,
 ) -> ChannelReport:
     """Estimate how well B decodes one uniformly random letter per block.
 
@@ -237,11 +238,14 @@ def channel_capacity(
     decode at chance level instead of inheriting a knife-edge float bias.
     The capacity estimate is the binary-symmetric-channel bound
     1 - H2(bit error rate), pinned to 0 when the exact gap is 0.
-    ``workers`` is accepted for compatibility and ignored: chunks run serially.
+    ``exact`` is the scenario's ``exact_gap`` report, when the caller already
+    has it.  ``workers`` is accepted for compatibility and ignored: chunks run
+    serially.
     """
     if block_length < 1 or trials < 1:
         raise ValueError("block length and trials must be >= 1")
-    exact = exact_gap(sc)
+    if exact is None:
+        exact = exact_gap(sc)
     threshold = (exact.exact_fb + exact.exact_fbprime) / 2.0
     sign = 1.0 if exact.gap >= 0.0 else -1.0
     scale = max(1.0, abs(exact.exact_fb), abs(exact.exact_fbprime))

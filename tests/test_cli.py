@@ -76,13 +76,14 @@ def test_certify_dispatches_on_dimension(tmp_path):
             "observable": load_config("bell-power")["scenario"]["observable"],
             "seed": 3,
         },
-        {"out": str(tmp_path / "c2.json")},
+        {"out": str(tmp_path / "c2.json"), "witnesses": str(tmp_path / "w2.json")},
     )
     code, report = run(power_cfg)
     assert code == 0
     assert report["result"]["verdict"] == "non-quadratic"
     # dim-2 dispatch produced a chord-scan certificate
-    assert report["result"]["witnesses"][0]["type"] == "chord"
+    witnesses = json.loads((tmp_path / "w2.json").read_text())["witnesses"]
+    assert witnesses[0]["type"] == "chord"
 
 
 def test_exit_two_when_signal_found_but_not_expected(tmp_path):
@@ -169,23 +170,25 @@ def test_csv_format_rejected_for_gap():
 
 
 def test_emit_plot_data_kinds(tmp_path):
+    sidecar = tmp_path / "w.json"
     cfg = parse_config(load_config("d3-gleason-fail"),
-                       {"out": str(tmp_path / "g.json")})
-    _, report = run(cfg)
-    hist = emit_plot_data(report["result"], "violation-histogram")
+                       {"out": str(tmp_path / "g.json"), "witnesses": str(sidecar)})
+    run(cfg)
+    hist = emit_plot_data(json.loads(sidecar.read_text()), "violation-histogram")
     assert hist.splitlines()[0] == "index,violation"
 
     bloch_cfg = parse_config(
         {"command": "affinity",
          "observable": load_config("bell-power")["scenario"]["observable"],
          "n_chords": 50},
-        {"out": str(tmp_path / "a.json")},
+        {"out": str(tmp_path / "a.json"), "witnesses": str(sidecar)},
     )
-    _, report = run(bloch_cfg)
-    bloch = emit_plot_data(report["result"], "bloch")
+    run(bloch_cfg)
+    table = json.loads(sidecar.read_text())
+    bloch = emit_plot_data(table, "bloch")
     lines = bloch.splitlines()
     assert lines[0] == "x,y,z,f_value,violation"
-    assert len(lines) == 1 + 4 * len(report["result"]["witnesses"])
+    assert len(lines) == 1 + 4 * len(table["witnesses"])
 
     assert emit_plot_data({"witnesses": []}, "bloch") == "x,y,z,f_value,violation\n"
     with pytest.raises(ValueError):
@@ -232,3 +235,97 @@ def test_signal_gate_is_relative_to_the_letter_means(command, tmp_path):
     raw.update(command=command, expect="no-signal", block=10, trials=50)
     code, _ = run(parse_config(raw, {"out": str(tmp_path / "s.json")}))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["affinity", "certify"])
+def test_certifiers_take_the_observable_from_a_scenario_config(command, tmp_path):
+    out = tmp_path / "r.json"
+    assert main([command, "--config", "bell-power", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["verdict"] == "non-quadratic"
+
+
+def test_capacity_computes_the_exact_gap_once(monkeypatch, tmp_path):
+    from eprsignal import cli, signaling
+
+    calls = []
+    exact_gap = signaling.exact_gap
+
+    def counted(sc):
+        calls.append(sc)
+        return exact_gap(sc)
+
+    monkeypatch.setattr(signaling, "exact_gap", counted)
+    monkeypatch.setattr(cli, "exact_gap", counted)
+    raw = {**load_config("bell-power"), "block": 10, "trials": 50}
+    code, report = run(parse_config(raw, {"command": "capacity",
+                                          "out": str(tmp_path / "r.json")}))
+    assert code == 0 and report["result"]["trials"] == 50
+    assert len(calls) == 1
+
+
+def test_dump_samples_builds_the_scenario_once(monkeypatch, tmp_path):
+    from eprsignal import cli
+
+    calls = []
+    build = cli.scenario_from_json
+    monkeypatch.setattr(cli, "scenario_from_json",
+                        lambda data: calls.append(data) or build(data))
+    assert main(["simulate", "--config", "bell-power", "--samples", "100",
+                 "--out", str(tmp_path / "r.json"),
+                 "--dump-samples", str(tmp_path / "s.csv")]) == 0
+    assert len(calls) == 1
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 1 + 2 * 100
+
+
+def test_report_meta_and_sidecar_do_not_depend_on_output_settings(tmp_path):
+    reports, tables = set(), set()
+    for i, workers in enumerate((1, 2, 3)):
+        out, side = tmp_path / f"r{i}.json", tmp_path / f"sub{i}" / "w.json"
+        side.parent.mkdir()
+        assert main(["affinity", "--config", "power2-affinity", "--workers", str(workers),
+                     "--out", str(out), "--witnesses", str(side)]) == 0
+        reports.add(out.read_bytes())
+        tables.add(side.read_bytes())
+    assert len(reports) == len(tables) == 1
+    meta = json.loads(reports.pop())["meta"]
+    assert meta["report_version"] == 2 and "stream_version" not in meta
+    from eprsignal import __version__
+
+    assert meta["version"] == __version__
+    expected = parse_config(load_config("power2-affinity")).to_dict()
+    for key in ("out", "workers", "format", "witnesses"):
+        del expected[key]
+    assert meta["config"] == expected
+
+    main(["simulate", "--config", "bell-power", "--samples", "100",
+          "--out", str(tmp_path / "s.json")])
+    meta = json.loads((tmp_path / "s.json").read_text())["meta"]
+    assert meta["stream_version"] == 2 and meta["config"]["n_samples"] == 100
+
+
+def test_witness_table_only_for_certifiers(capsys):
+    with pytest.raises(ConfigError, match="witnesses"):
+        parse_config(load_config("bell-power"), {"witnesses": "w.json"})
+    assert main(["gap", "--config", "bell-power", "--witnesses", "w.json"]) == 1
+    assert "--witnesses" in capsys.readouterr().err
+
+
+# SHA-256 of the CSV plot data at the config seed, as written when every
+# witness was part of the JSON report; the CSV is built from the same table
+_CSV_SHA256 = {
+    ("affinity", "power2-affinity"):
+        "7a401a5339501e170665ffaaa08a0c18e89a20e0d60eb237a0776d02875da4fe",
+    ("gleason", "d3-gleason-fail"):
+        "74d2ce03eac03982c178df1e4a1ab430a2c9b686787ecb55c27f079f89e01b6b",
+    ("gleason", "d3-gleason-pass"):
+        "9fd321509d680b9470c309dc4544ef696186fa6b9781524b614a77f3fea00125",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(_CSV_SHA256))
+def test_csv_plot_data_bytes_are_unchanged(command, name, tmp_path):
+    import hashlib
+
+    out = tmp_path / "plot.csv"
+    assert main([command, "--config", name, "--format", "csv", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _CSV_SHA256[command, name]

@@ -526,3 +526,102 @@ def test_certified_kind_matches_signaling_behaviour():
                     if best > 1e-6:
                         break
                 assert best > 1e-6, entry.name
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    kind=st.sampled_from(["quadratic", "power", "custom"]),
+    structured=st.booleans(),
+    resamples=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_basis_spread_names_the_extreme_rotations(n, kind, structured, resamples, seed):
+    # each rotation name, turned back into its dense matrix, gives the
+    # largest and the smallest measure of the family
+    d = max(n, 3)
+    rng = np.random.default_rng(seed)
+    f = _family_observable(kind, d, rng)
+    rows = np.ascontiguousarray(haar_unitary(d, rng)[:, :n].T)
+    rec = basis_independence(f, rows, resamples, np.random.default_rng(seed), structured)
+
+    names = [("haar", j) for j in range(resamples)]
+    if structured and n >= 2:
+        pairs = [(k, a, b) for a in range(n) for b in range(a + 1, n)
+                 for k in ("real", "phase")]
+        names = [("fourier",)] + pairs + names
+    rotations = _reference_rotations(n, resamples, np.random.default_rng(seed), structured)
+    mu = {("base",): subspace_measure(f, rows)}
+    mu.update((name, subspace_measure(f, w @ rows)) for name, w in zip(names, rotations))
+    scale = max(1.0, max(abs(v) for v in mu.values()))
+    assert set(mu) >= {rec.max_rotation, rec.min_rotation}
+    assert abs(mu[rec.max_rotation] - max(mu.values())) <= 1e-12 * scale
+    assert abs(mu[rec.min_rotation] - min(mu.values())) <= 1e-12 * scale
+    assert abs(mu[rec.max_rotation] - mu[rec.min_rotation] - rec.basis_spread) <= 1e-12 * scale
+
+
+def _haar_one_by_one(n, count, rng):
+    # one QR per draw, as haar_unitary did before the draws were batched
+    out = []
+    for _ in range(count):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r)
+        out.append(q * (diag / np.abs(diag)))
+    return np.array(out, dtype=complex).reshape(count, n, n)
+
+
+def test_batched_haar_draws_match_one_qr_per_draw(monkeypatch):
+    for n, count in ((1, 3), (3, 0), (4, 6), (24, 2)):
+        batch = nosignal.haar_unitaries(n, count, np.random.default_rng([n, count]))
+        single = _haar_one_by_one(n, count, np.random.default_rng([n, count]))
+        assert batch.tobytes() == single.tobytes()
+
+    from eprsignal.serialize import witnesses_to_json
+
+    rng = np.random.default_rng(62)
+    observables = [
+        quadratic(random_hermitian(5, rng)),
+        CountingObservable(power(projector_matrix(4, 1), 2)),
+    ]
+
+    def texts():
+        return [
+            dumps_canonical(encode(gleason_certify(f, seed=63)))
+            for f in observables
+            for encode in (certificate_to_json, witnesses_to_json)
+        ]
+
+    batched = texts()
+    monkeypatch.setattr(nosignal, "haar_unitaries", _haar_one_by_one)
+    assert texts() == batched
+
+
+def test_affine_chord_check_carries_its_worst_row():
+    f = power(PROJ0_2, 2)
+    cert = affinity_scan(f, 300, seed=64, extended=True)
+    affine = cert.checks["affine_chord"]
+    row = affine.witness
+    assert 0 < affine.count <= 300 and affine.worst == row.violation
+    x, y1, y2 = (np.array(v) for v in (row.x, row.y1, row.y2))
+    np.testing.assert_allclose((1.0 - row.p2) * y1 + row.p2 * y2, x, rtol=0, atol=1e-12)
+    assert -0.5 <= row.p2 <= 1.5
+    assert row.lhs == nosignal._diameter_averages(f, x[None])[0]
+    assert row.violation == abs(row.lhs - row.rhs)
+    assert cert.worst_violation == max(c.worst for c in cert.checks.values())
+    assert cert.checks[cert.worst_check].worst == cert.worst_violation
+    assert list(affinity_scan(f, 300, seed=64).checks) == ["convex_chord"]
+
+
+def test_psd_deficit_check_records_the_lowest_eigenpair():
+    f = CountingObservable(power(projector_matrix(3), 2))
+    cert = gleason_certify(f, seed=66)
+    check = cert.checks["psd_deficit"]
+    lam, vec = check.witness.eigenvalue, np.array(check.witness.eigenvector)
+    assert check.count == 1 and check.worst == max(0.0, -lam)
+    assert lam == np.linalg.eigvalsh(cert.operator).min()
+    assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+    assert np.linalg.norm(cert.operator @ vec - lam * vec) <= 1e-10
+    plain = gleason_certify(quadratic(random_hermitian(3, np.random.default_rng(67))), seed=66)
+    assert list(plain.checks) == ["basis_spread", "trace_fit"]
+    assert plain.worst_check in plain.checks

@@ -36,6 +36,7 @@ from eprsignal.serialize import (
     vector_from_json,
     vector_to_json,
     witness_to_json,
+    witnesses_to_json,
 )
 from eprsignal.nosignal import SubspaceMeasureRecord
 
@@ -132,7 +133,9 @@ def test_certificate_serialization_contains_witnesses():
     data = certificate_to_json(cert)
     assert data["verdict"] == "non-quadratic"
     assert data["seed"] == 73
-    assert len(data["witnesses"]) == len(cert.witnesses)
+    # the witness table is the sidecar's; the report holds its size
+    data["witnesses"] = witnesses_to_json(cert)
+    assert len(data["witnesses"]) == len(cert.witnesses) == data["witness_count"]
     chord = data["witnesses"][0]
     assert chord["type"] == "chord"
     assert len(chord["values"]) == 4
@@ -160,7 +163,8 @@ def test_dumps_canonical_is_stable():
 
 def test_dumps_canonical_matches_json_dumps():
     cert = affinity_scan(power(PROJ0_2, 2), 300, seed=74)
-    data = {"result": certificate_to_json(cert), "name": "é", "none": None}
+    data = {"result": certificate_to_json(cert), "witnesses": witnesses_to_json(cert),
+            "name": "é", "none": None}
     reference = json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
     assert dumps_canonical(data) == reference + "\n"
 
@@ -243,3 +247,65 @@ def test_infinite_z_is_strict_json():
 
     finite = signal_report_to_json(monte_carlo_report(bell_power_scenario(), 1000, seed=0))
     assert math.isfinite(finite["z"]) and "z_infinite" not in finite
+
+
+_CHORD_FIELDS = ("x1", "x2", "x1p", "x2p", "p1", "p2", "p1p", "p2p",
+                 "x", "values", "lhs", "rhs", "violation")
+_ROW_VIOLATION = {"chord": "violation", "subspace-measure": "basis_spread",
+                  "trace-fit": "residual"}
+
+
+def _digest_of_table(rows) -> str:
+    """SHA-256 of a parsed witness table in the byte layout README gives."""
+    import hashlib
+
+    h = hashlib.sha256()
+    if rows and rows[0]["type"] == "chord":
+        for name in _CHORD_FIELDS:
+            h.update(np.array([r[name] for r in rows], dtype="<f8").tobytes())
+        return h.hexdigest()
+    for r in rows:
+        if r["type"] == "subspace-measure":
+            basis = np.array([[complex(*z) for z in row] for row in r["basis"]], dtype="<c16")
+            h.update(b"S" + np.array(basis.shape, dtype="<i8").tobytes() + basis.tobytes())
+            h.update(np.array([r["mu"], r["basis_spread"]], dtype="<f8").tobytes())
+        else:
+            h.update(b"T" + np.array([r["subspace_dim"]], dtype="<i8").tobytes())
+            h.update(np.array([r["mu"], r["trace_value"], r["residual"]], dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    route=st.sampled_from(["chord", "quadratic", "power"]),
+    size=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_report_digest_and_checks_replay_from_the_sidecar(route, size, seed):
+    from eprsignal import gleason_certify
+
+    rng = np.random.default_rng(seed)
+    if route == "chord":
+        cert = affinity_scan(quadratic(random_hermitian(2, rng)) if size % 2
+                             else power(PROJ0_2, 2), size, seed=seed)
+    else:
+        d = 3 + size % 2
+        f = quadratic(random_hermitian(d, rng)) if route == "quadratic" \
+            else power(random_hermitian(d, rng), 3)
+        cert = gleason_certify(f, seed=seed)
+    report = json.loads(dumps_canonical(certificate_to_json(cert)))
+    table = json.loads(dumps_canonical({"witnesses": witnesses_to_json(cert)}))["witnesses"]
+
+    assert report["witness_count"] == len(table) == len(cert.witnesses)
+    assert report["witness_digest"] == _digest_of_table(table)
+    assert report["checks"]
+    for name, check in report["checks"].items():
+        row = check["witness"]
+        assert table[check["index"]] == row, name
+        key = _ROW_VIOLATION[row["type"]]
+        same = [i for i, r in enumerate(table) if r["type"] == row["type"]]
+        worst = max(table[i][key] for i in same)
+        assert check["worst"] == row[key] == worst, name
+        assert check["index"] == next(i for i in same if table[i][key] == worst), name
+        assert check["count"] == len(same), name
+    assert report["checks"][report["worst_check"]]["worst"] == report["worst_violation"]
