@@ -207,14 +207,17 @@ def _gap_detected(report, tolerance: float) -> bool:
     return abs(report.gap) >= tolerance * scale
 
 
-def execute(config: RunConfig) -> tuple[dict, bool, object]:
+def execute(config: RunConfig) -> tuple[dict, bool, object, str]:
     """Run the configured command; returns (result dict, signal detected,
-    source) where the source of the sidecar files is the scenario for
-    ``simulate``, the certificate for a certifier, and None otherwise."""
+    source, command run) where the source of the sidecar files is the
+    scenario for ``simulate``, the certificate for a certifier, and None
+    otherwise, and the command run is the one ``certify`` dispatched to or
+    else the configured one."""
     cmd = config.command
     if cmd == "gap":
         report = exact_gap(_build_scenario(config))
-        return signal_report_to_json(report), _gap_detected(report, config.tolerance), None
+        detected = _gap_detected(report, config.tolerance)
+        return signal_report_to_json(report), detected, None, cmd
     if cmd == "simulate":
         scenario = _build_scenario(config)
         report = monte_carlo_report(
@@ -224,7 +227,7 @@ def execute(config: RunConfig) -> tuple[dict, bool, object]:
             workers=config.workers,
             track_convergence=True,
         )
-        return signal_report_to_json(report), report.z >= Z_THRESHOLD, scenario
+        return signal_report_to_json(report), report.z >= Z_THRESHOLD, scenario, cmd
     if cmd == "capacity":
         scenario = _build_scenario(config)
         exact = exact_gap(scenario)
@@ -237,7 +240,7 @@ def execute(config: RunConfig) -> tuple[dict, bool, object]:
             exact=exact,
         )
         detected = _gap_detected(exact, config.tolerance)
-        return channel_report_to_json(report), detected, None
+        return channel_report_to_json(report), detected, None, cmd
 
     observable = _build_observable(config)
     dim = observable.dim
@@ -264,13 +267,12 @@ def execute(config: RunConfig) -> tuple[dict, bool, object]:
             resamples=config.resamples,
             workers=config.workers,
         )
-    return certificate_to_json(cert), cert.verdict == VERDICT_NON_QUADRATIC, cert
+    return certificate_to_json(cert), cert.verdict == VERDICT_NON_QUADRATIC, cert, cmd
 
 
 _PLOT_KIND_FOR_COMMAND = {
     "simulate": "convergence",
     "affinity": "bloch",
-    "certify": "bloch",
     "gleason": "violation-histogram",
 }
 
@@ -334,7 +336,7 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
     """Execute a validated config, write the report, the ``witnesses`` table
     and, for ``simulate``, the ``dump_samples`` CSV; return (exit code,
     report)."""
-    result, detected, source = execute(config)
+    result, detected, source, ran = execute(config)
     report = {
         "command": config.command,
         "seed": config.seed,
@@ -346,7 +348,7 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
     if config.command in CERTIFIERS and (config.witnesses or config.format == "csv"):
         table = {"witnesses": witnesses_to_json(source)}
     if config.format == "csv":
-        kind = _PLOT_KIND_FOR_COMMAND.get(config.command)
+        kind = _PLOT_KIND_FOR_COMMAND.get(ran)
         if kind is None:
             raise ConfigError(
                 f"format: no CSV plot data defined for command {config.command!r}"

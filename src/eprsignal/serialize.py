@@ -263,11 +263,16 @@ def certificate_to_json(c: Certificate) -> dict:
     return out
 
 
+def _fields(r) -> dict:
+    # a report's fields by name, without the deep copy of dataclasses.asdict
+    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
+
+
 def signal_report_to_json(r: SignalReport) -> dict:
     """Report fields by name; an infinite z (constant samples at different
     means) is written as null with ``"z_infinite": true``, as JSON has no
     infinity."""
-    out = dataclasses.asdict(r)
+    out = _fields(r)
     if r.z is not None and math.isinf(r.z):
         out["z"] = None
         out["z_infinite"] = True
@@ -281,7 +286,7 @@ def signal_report_to_json(r: SignalReport) -> dict:
 
 
 def channel_report_to_json(r: ChannelReport) -> dict:
-    return dataclasses.asdict(r)
+    return _fields(r)
 
 
 def _finite(text: str) -> str:

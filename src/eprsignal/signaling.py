@@ -109,11 +109,9 @@ def exact_gap(sc: Scenario) -> SignalReport:
     return SignalReport(exact_fb=fb, exact_fbprime=fbprime, gap=fb - fbprime)
 
 
-def _sample_indices(ens: Ensemble, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Every sample stream draws member counts first, rng.multinomial(n,
-    # weights), and they alone fix the statistics; the draws themselves are
-    # the counts expanded in an order shuffled by the same generator.
-    idx = np.repeat(np.arange(len(ens.states)), rng.multinomial(n, ens.weights))
+def _shuffled(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    # member i repeated counts[i] times, in an order shuffled by rng
+    idx = np.repeat(np.arange(counts.size), counts)
     rng.shuffle(idx)
     return idx
 
@@ -125,32 +123,36 @@ def sample_sequence(
     if n < 1:
         raise ValueError("need at least one sample")
     ens = letter_ensemble(sc, letter)
-    return [ens.states[i] for i in _sample_indices(ens, n, rng)]
+    return [ens.states[i] for i in _shuffled(rng.multinomial(n, ens.weights), rng)]
+
+
+def _chunk_counts(sc: Scenario, letter: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    # The first draw of a letter's stream: the member counts of every chunk of
+    # the n samples, one row per chunk.  They alone fix the statistics.
+    return rng.multinomial(chunk_sizes(n), letter_ensemble(sc, letter).weights)
 
 
 def per_sample_values(sc: Scenario, letter: int, n: int, seed: int) -> np.ndarray:
     """Observable values of exactly the draws behind ``monte_carlo_report``.
 
-    Useful for dumping raw samples; the report's letter mean equals the mean
-    of this array up to summation rounding.
+    The letter's one generator, ``substream(seed, letter)``, first draws the
+    member counts of every chunk, as the report does; then each chunk's
+    counts are expanded in an order the same generator shuffles, chunk by
+    chunk.  The report's letter mean, and each convergence row's, equals the
+    mean of the matching prefix of this array up to summation rounding.
     """
-    ens = letter_ensemble(sc, letter)
-    return np.concatenate([
-        sc.member_values[letter][_sample_indices(ens, size, substream(seed, letter, k))]
-        for k, size in enumerate(chunk_sizes(n))
-    ])
+    rng = substream(seed, letter)
+    counts = _chunk_counts(sc, letter, n, rng)
+    idx = np.concatenate([_shuffled(row, rng) for row in counts])
+    return sc.member_values[letter][idx]
 
 
 def _letter_moments(
     sc: Scenario, letter: int, n: int, seed: int
 ) -> list[tuple[int, float, float]]:
     """Running (n, mean, sample variance) of f over the chunks of n draws."""
-    weights = letter_ensemble(sc, letter).weights
-    counts = [  # the first draw of _sample_indices on each chunk
-        substream(seed, letter, k).multinomial(size, weights)
-        for k, size in enumerate(chunk_sizes(n))
-    ]
-    return count_moments(np.array(counts), sc.member_values[letter])
+    counts = _chunk_counts(sc, letter, n, substream(seed, letter))
+    return count_moments(counts, sc.member_values[letter])
 
 
 def _z_statistic(mean_b: float, mean_bp: float, se_b: float, se_bp: float) -> float:
@@ -178,10 +180,13 @@ def monte_carlo_report(
     """Simulate B's finite statistics with n samples per letter.
 
     The estimate is the sample average of the observable over the draws
-    ``per_sample_values`` returns for (seed, letter).  The detection
-    statistic z compares the two letter means against their pooled standard
-    error.  ``workers`` is accepted for compatibility and ignored: chunks run
-    serially.
+    ``per_sample_values`` returns for (seed, letter).  Each letter draws the
+    member counts of all its ``CHUNK``-sized chunks in one call on one
+    generator, ``substream(seed, letter)`` (stream version 3); the moments
+    follow from the counts.  The detection statistic z compares the two
+    letter means against their pooled standard error.  The convergence rows,
+    when tracked, hold the gap and pooled standard error after each chunk.
+    ``workers`` is accepted for compatibility and ignored.
     """
     if n < 2:
         raise ValueError("need at least two samples per letter")
@@ -238,9 +243,10 @@ def channel_capacity(
     decode at chance level instead of inheriting a knife-edge float bias.
     The capacity estimate is the binary-symmetric-channel bound
     1 - H2(bit error rate), pinned to 0 when the exact gap is 0.
+    Trials run in chunks of ``CHUNK // block_length`` blocks, drawn in order
+    from one generator, ``substream(seed, 2)`` (stream version 3).
     ``exact`` is the scenario's ``exact_gap`` report, when the caller already
-    has it.  ``workers`` is accepted for compatibility and ignored: chunks run
-    serially.
+    has it.  ``workers`` is accepted for compatibility and ignored.
     """
     if block_length < 1 or trials < 1:
         raise ValueError("block length and trials must be >= 1")
@@ -251,26 +257,22 @@ def channel_capacity(
     scale = max(1.0, abs(exact.exact_fb), abs(exact.exact_fbprime))
     tie_tol = np.finfo(float).eps * block_length * scale
 
-    sizes = chunk_sizes(trials, max(1, CHUNK // max(1, block_length)))
-
-    def job(k: int) -> int:
+    weights = [letter_ensemble(sc, letter).weights for letter in (0, 1)]
+    rng = substream(seed, _PATH_CHANNEL)
+    errors = 0
+    for size in chunk_sizes(trials, max(1, CHUNK // max(1, block_length))):
         # a chunk draws its letters, its tie-break coins, then the member
         # counts of every letter-0 block and of every letter-1 block
-        rng = substream(seed, _PATH_CHANNEL, k)
-        letters = rng.integers(0, 2, sizes[k])
-        coins = rng.integers(0, 2, sizes[k])
-        means = np.empty(sizes[k])
+        letters = rng.integers(0, 2, size)
+        coins = rng.integers(0, 2, size)
+        means = np.empty(size)
         for letter in (0, 1):
             sent = letters == letter
-            counts = rng.multinomial(
-                block_length, letter_ensemble(sc, letter).weights, size=int(sent.sum())
-            )
+            counts = rng.multinomial(block_length, weights[letter], size=int(sent.sum()))
             means[sent] = (counts * sc.member_values[letter]).sum(axis=1) / block_length
         tie = np.abs(means - threshold) <= tie_tol
         decoded = np.where(tie, coins, sign * (means - threshold) <= 0.0)
-        return int(np.count_nonzero(decoded != letters))
-
-    errors = sum(job(k) for k in range(len(sizes)))
+        errors += int(np.count_nonzero(decoded != letters))
     ber = errors / trials
     capacity = 0.0 if exact.gap == 0.0 else 1.0 - binary_entropy(ber)
     return ChannelReport(

@@ -300,7 +300,7 @@ def test_report_meta_and_sidecar_do_not_depend_on_output_settings(tmp_path):
     main(["simulate", "--config", "bell-power", "--samples", "100",
           "--out", str(tmp_path / "s.json")])
     meta = json.loads((tmp_path / "s.json").read_text())["meta"]
-    assert meta["stream_version"] == 2 and meta["config"]["n_samples"] == 100
+    assert meta["stream_version"] == 3 and meta["config"]["n_samples"] == 100
 
 
 def test_witness_table_only_for_certifiers(capsys):
@@ -329,3 +329,41 @@ def test_csv_plot_data_bytes_are_unchanged(command, name, tmp_path):
     out = tmp_path / "plot.csv"
     assert main([command, "--config", name, "--format", "csv", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _CSV_SHA256[command, name]
+
+
+def test_certify_csv_plots_what_it_dispatched_to(tmp_path):
+    # certify in dimension >= 3 runs gleason, so it plots gleason's
+    # violation histogram rather than an empty sphere-point table
+    paths = {}
+    for command in ("certify", "gleason"):
+        paths[command] = tmp_path / f"{command}.csv"
+        assert main([command, "--config", "d3-gleason-fail", "--format", "csv",
+                     "--out", str(paths[command])]) == 0
+    text = paths["certify"].read_text()
+    assert text.startswith("index,violation\n") and len(text.splitlines()) > 1
+    assert paths["certify"].read_bytes() == paths["gleason"].read_bytes()
+
+
+def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
+    # simulate and capacity draw each stream from one generator (stream
+    # version 3); the chord scan keeps one generator per chunk of 256
+    from eprsignal import nosignal, signaling, streams
+
+    built = []
+
+    def counting(seed, *path):
+        built.append(path)
+        return streams.substream(seed, *path)
+
+    for module in (signaling, nosignal):
+        monkeypatch.setattr(module, "substream", counting)
+    out = {"out": str(tmp_path / "r.json")}
+    runs = [
+        ("bell-power", {"n_samples": 100000}, [(0,), (1,)]),
+        ("bell-power", {"command": "capacity"}, [(2,)]),
+        ("power2-affinity", {}, [(10, k) for k in range(4)]),
+    ]
+    for name, overrides, paths in runs:
+        built.clear()
+        run(parse_config(load_config(name), {**overrides, **out}))
+        assert built == paths

@@ -249,6 +249,40 @@ def test_infinite_z_is_strict_json():
     assert math.isfinite(finite["z"]) and "z_infinite" not in finite
 
 
+def test_report_encoding_matches_asdict():
+    # the reports are encoded from their fields without asdict's deep copy;
+    # the bytes must be those asdict gives
+    from eprsignal import channel_capacity, exact_gap
+    from eprsignal.serialize import channel_report_to_json
+
+    def via_asdict(r):
+        out = dataclasses.asdict(r)
+        if r.z is not None and math.isinf(r.z):
+            out["z"] = None
+            out["z_infinite"] = True
+        if r.convergence is None:
+            out.pop("convergence")
+        else:
+            out["convergence"] = [
+                {"n": n, "mc_gap": g, "pooled_stderr": s} for n, g, s in r.convergence
+            ]
+        return out
+
+    sc = bell_power_scenario()
+    infinite = dataclasses.replace(sc, observable=power(np.diag([1.0, -1.0]).astype(complex), 2))
+    reports = [
+        monte_carlo_report(sc, 30000, seed=3, track_convergence=True),
+        monte_carlo_report(infinite, 1000, seed=0, track_convergence=True),
+        monte_carlo_report(sc, 1000, seed=0),
+        exact_gap(sc),  # every Monte-Carlo field None
+    ]
+    assert math.isinf(reports[1].z) and reports[3].mc_fb is None
+    for r in reports:
+        assert dumps_canonical(signal_report_to_json(r)) == dumps_canonical(via_asdict(r))
+    ch = channel_capacity(sc, 10, 500, seed=4)
+    assert dumps_canonical(channel_report_to_json(ch)) == dumps_canonical(dataclasses.asdict(ch))
+
+
 _CHORD_FIELDS = ("x1", "x2", "x1p", "x2p", "p1", "p2", "p1p", "p2p",
                  "x", "values", "lhs", "rhs", "violation")
 _ROW_VIOLATION = {"chord": "violation", "subspace-measure": "basis_spread",

@@ -173,6 +173,31 @@ def test_per_sample_values_match_report_mean():
     assert vals.mean() == pytest.approx(report.mc_fb, abs=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 40000),
+    dims=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+    kind=st.sampled_from(["power", "quadratic"]),
+)
+def test_per_sample_values_reproduce_every_convergence_row(seed, n, dims, kind):
+    # the dump's draws are exactly the report's: the first n_k values of each
+    # letter give row k's gap, and all n give the letter means
+    dim_a, dim_b = dims
+    rng = np.random.default_rng(seed)
+    f = (power(projector_matrix(dim_b), 2) if kind == "power"
+         else quadratic(random_hermitian(dim_b, rng)))
+    sc = random_scenario(f, dim_a, int(rng.integers(1, dim_a + 1)), rng)
+    report = monte_carlo_report(sc, n, seed=seed, track_convergence=True)
+    vals = [per_sample_values(sc, letter, n, seed) for letter in (0, 1)]
+    scale = max(1.0, *(float(np.abs(v).max()) for v in sc.member_values))
+    assert all(v.shape == (n,) for v in vals)
+    for n_k, gap, _ in report.convergence:
+        assert abs(vals[0][:n_k].mean() - vals[1][:n_k].mean() - gap) <= 1e-12 * scale
+    assert abs(vals[0].mean() - report.mc_fb) <= 1e-12 * scale
+    assert abs(vals[1].mean() - report.mc_fbprime) <= 1e-12 * scale
+
+
 def test_convergence_series_shape():
     report = monte_carlo_report(bell_power_scenario(), 20000, seed=4,
                                 track_convergence=True)

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprsignal.streams import count_moments, pool_mean_var
+from eprsignal.streams import count_moments
 
 
-def test_pool_mean_var_rejects_empty():
-    with pytest.raises(ValueError):
-        pool_mean_var([])
+def test_count_moments_rejects_empty_counts():
+    for counts in (np.zeros((0, 3), dtype=int), np.zeros((2, 3), dtype=int)):
+        with pytest.raises(ValueError, match="no samples"):
+            count_moments(counts, np.arange(3.0))
 
 
 @settings(max_examples=300, deadline=None)
