@@ -2,10 +2,6 @@
 observables on quantum states."""
 
 from .hilbert import (
-    BlochPoint,
-    bloch_inverse,
-    bloch_map,
-    bloch_state,
     gram_schmidt,
     haar_unitary,
     inner,
@@ -16,18 +12,14 @@ from .hilbert import (
 from .nosignal import (
     Certificate,
     ChordColumns,
-    ChordWitness,
     SubspaceMeasureRecord,
     affinity_scan,
     basis_independence,
-    chord_intersection,
-    extremal_decomposition,
     gleason_certify,
     orthoadditivity_check,
     subspace_measure,
 )
 from .observables import (
-    CountingObservable,
     FunctionalObservable,
     combine,
     custom,
@@ -35,7 +27,6 @@ from .observables import (
     polarization_reconstruct,
     power,
     quadratic,
-    quadraticity_residual,
 )
 from .signaling import (
     ChannelReport,
@@ -45,7 +36,6 @@ from .signaling import (
     exact_gap,
     monte_carlo_report,
     random_scenario,
-    sample_sequence,
 )
 from .states import (
     DensityMatrix,
@@ -62,12 +52,9 @@ from .states import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlochPoint",
     "Certificate",
     "ChannelReport",
     "ChordColumns",
-    "ChordWitness",
-    "CountingObservable",
     "DensityMatrix",
     "Ensemble",
     "EntangledState",
@@ -78,12 +65,8 @@ __all__ = [
     "SubspaceMeasureRecord",
     "affinity_scan",
     "basis_independence",
-    "bloch_inverse",
-    "bloch_map",
-    "bloch_state",
     "build_entangled",
     "channel_capacity",
-    "chord_intersection",
     "combine",
     "conditional_ensemble",
     "custom",
@@ -91,7 +74,6 @@ __all__ = [
     "ensemble_average",
     "ensemble_density",
     "exact_gap",
-    "extremal_decomposition",
     "gleason_certify",
     "gram_schmidt",
     "haar_unitary",
@@ -102,11 +84,9 @@ __all__ = [
     "polarization_reconstruct",
     "power",
     "quadratic",
-    "quadraticity_residual",
     "random_pure",
     "random_scenario",
     "rebase_alice",
-    "sample_sequence",
     "subspace_measure",
     "tensor",
 ]

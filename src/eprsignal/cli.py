@@ -133,14 +133,17 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     if command not in COMMANDS:
         raise ConfigError(f"command: must be one of {COMMANDS}, got {command!r}")
 
-    for key in ("n_samples", "n_chords", "block", "trials",
-                "subspaces_per_dim", "workers"):
+    # simulate reports a sample variance per letter, which needs two samples
+    _require_int(merged, "n_samples", 2 if command == "simulate" else 1)
+    for key in ("n_chords", "block", "trials", "subspaces_per_dim", "workers"):
         _require_int(merged, key, 1)
     _require_int(merged, "resamples", 2)
     _require_int(merged, "seed", 0)
     tolerance = merged["tolerance"]
-    if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise ConfigError(f"tolerance: must be > 0, got {tolerance!r}")
+    # the bound is False for NaN, infinities and ints beyond the float range
+    finite = isinstance(tolerance, (int, float)) and 0 < tolerance <= sys.float_info.max
+    if not finite:
+        raise ConfigError(f"tolerance: must be a finite number > 0, got {tolerance!r}")
 
     expect = merged.get("expect")
     if expect not in (None, "signal", "no-signal"):

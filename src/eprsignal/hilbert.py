@@ -7,8 +7,6 @@ randomized ones take an explicit ``numpy.random.Generator``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Tolerance tiers.  Structural identities (norms, orthonormality of a freshly
@@ -92,6 +90,19 @@ def gram_schmidt(vectors, tol: float = TOL_DERIVED) -> list[np.ndarray]:
     return out
 
 
+def orthonormal_rows(rows, tol: float, what: str) -> np.ndarray:
+    """The rows as a 2-d complex array, once checked to be orthonormal: every
+    entry of their Gram matrix lies within ``tol`` of the identity's.  Raises
+    ``ValueError`` naming ``what`` otherwise."""
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2:
+        raise ValueError(f"{what} must be a list of equal-length vectors")
+    err = np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows))))
+    if not err <= tol:
+        raise ValueError(f"{what} is not orthonormal (max deviation {err})")
+    return rows
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary: ``haar_unitaries(d, 1, rng)[0]``."""
     return haar_unitaries(d, 1, rng)[0]
@@ -151,58 +162,13 @@ def partial_trace_a(psi, dim_a: int, dim_b: int) -> np.ndarray:
     return m.T @ m.conj()
 
 
-@dataclass(frozen=True)
-class BlochPoint:
-    """A point of the unit ball in R^3; surface points are pure states."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    def radius(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    @staticmethod
-    def from_array(p) -> "BlochPoint":
-        p = np.asarray(p, dtype=float)
-        if p.shape != (3,):
-            raise ValueError(f"expected 3 coordinates, got shape {p.shape}")
-        return BlochPoint(float(p[0]), float(p[1]), float(p[2]))
-
-
-def bloch_map(psi) -> BlochPoint:
-    """Map a unit dim-2 state to its point on the ball surface.
-
-    Convention: the first basis vector maps to the north pole (0, 0, 1) and
-    the equal real superposition to (1, 0, 0).
-    """
-    psi = as_vector(psi, dim=2)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
-        raise ValueError("state must be unit norm")
-    c = np.conj(psi[0]) * psi[1]
-    return BlochPoint(
-        2.0 * c.real, 2.0 * c.imag, float(abs(psi[0]) ** 2 - abs(psi[1]) ** 2)
-    )
-
-
-def bloch_inverse(p: BlochPoint, tol: float = 1e-9) -> np.ndarray:
-    """Density operator (I + x sx + y sy + z sz)/2 for a ball point.
-
-    Surface points give the rank-1 projector of the corresponding ray.
-    """
-    r = p.radius()
-    if r > 1.0 + tol:
-        raise ValueError(f"point lies outside the unit ball (radius {r})")
-    return 0.5 * np.array(
-        [[1.0 + p.z, p.x - 1j * p.y], [p.x + 1j * p.y, 1.0 - p.z]]
-    )
-
-
 def bloch_states(points, tol: float = 1e-9) -> np.ndarray:
-    """Unit dim-2 states, one row each, of an (m, 3) array of surface points."""
+    """Unit dim-2 states, one row each, of an (m, 3) array of surface points.
+
+    Convention: the north pole (0, 0, 1) gives the first basis vector and
+    (1, 0, 0) the equal real superposition, so that each state's projector
+    is (I + x sx + y sy + z sz)/2.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"expected points of shape (m, 3), got {points.shape}")
@@ -216,7 +182,3 @@ def bloch_states(points, tol: float = 1e-9) -> np.ndarray:
         [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1
     )
 
-
-def bloch_state(p: BlochPoint, tol: float = 1e-9) -> np.ndarray:
-    """Unit dim-2 state of a surface point (inverse of bloch_map up to phase)."""
-    return bloch_states(p.as_array()[None, :], tol)[0]

@@ -1,10 +1,9 @@
 """Executable no-go checks for functional observables.
 
-Three certifiers, each returning a pass/fail certificate:
+Two certifiers, each returning a pass/fail certificate:
 
 * mixture consistency on the dim-2 ball: two convex decompositions of one
   interior point must give one mixture average (chord scan);
-* the extremal decomposition of a quadratic dim-2 observable;
 * the subspace-measure route for dim >= 3: basis independence of the summed
   observable, orthoadditivity, and reconstruction of the unique compatible
   operator.
@@ -24,12 +23,12 @@ import numpy as np
 from .hilbert import (
     TOL_DECISION,
     TOL_DERIVED,
-    BlochPoint,
     bloch_states,
     haar_unitaries,
     haar_unitary,
+    orthonormal_rows,
 )
-from .observables import CountingObservable, polarization_reconstruct
+from .observables import polarization_reconstruct
 from .streams import chunk_sizes, substream
 
 VERDICT_QUADRATIC = "quadratic-consistent"
@@ -81,35 +80,12 @@ def _check_chords(x1, x2, x1p, x2p, x, p1, p2, p1p, p2p) -> None:
             raise ValueError(f"decomposition misses the point by {err[bad][0]}")
 
 
-@dataclass(frozen=True)
-class ChordWitness:
-    """Two convex decompositions of one ball point found by
-    ``chord_intersection``: x = p1 x1 + p2 x2 = p1p x1p + p2p x2p."""
-
-    x1: BlochPoint
-    x2: BlochPoint
-    x1p: BlochPoint
-    x2p: BlochPoint
-    p1: float
-    p2: float
-    p1p: float
-    p2p: float
-    x: BlochPoint
-
-    def __post_init__(self):
-        points = (self.x1, self.x2, self.x1p, self.x2p, self.x)
-        weights = (self.p1, self.p2, self.p1p, self.p2p)
-        _check_chords(
-            *(p.as_array()[None, :] for p in points),
-            *(np.array([w], dtype=float) for w in weights),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class ChordColumns:
     """Evaluated chord-pair witnesses held as columns, one row per witness.
 
-    Row i decomposes the ball point ``x[i]`` twice, as in ``ChordWitness``;
+    Row i decomposes the ball point ``x[i]`` twice,
+    x = p1 x1 + p2 x2 = p1p x1p + p2p x2p, with endpoints on the sphere;
     ``values[i]`` is f at (x1, x2, x1p, x2p), ``lhs`` and ``rhs`` are the two
     mixture averages and ``violation`` is |lhs - rhs|.  The rows are checked
     once, at construction, and the arrays are read-only.
@@ -258,51 +234,6 @@ def _certificate(worst, witnesses, tolerance, checks, seed=None, operator=None) 
         seed=seed,
         operator=operator,
         checks=checks,
-    )
-
-
-def _on_sphere(p: BlochPoint, tol: float = TOL_DERIVED) -> np.ndarray:
-    v = p.as_array()
-    r = np.linalg.norm(v)
-    if abs(r - 1.0) > tol:
-        raise ValueError(f"point radius {r} is not 1 within {tol}")
-    return v
-
-
-def chord_intersection(
-    x1: BlochPoint,
-    x2: BlochPoint,
-    x1p: BlochPoint,
-    x2p: BlochPoint,
-    tol: float = 1e-9,
-) -> ChordWitness | None:
-    """Intersection witness of two chords of the sphere, or None.
-
-    Returns a witness when the open segments x1-x2 and x1p-x2p pass within
-    ``tol`` of each other; collinear pairs are skipped (they carry no
-    constraint beyond affinity along one line).
-    """
-    a1, a2 = _on_sphere(x1), _on_sphere(x2)
-    b1, b2 = _on_sphere(x1p), _on_sphere(x2p)
-    d1, d2, r = a2 - a1, b2 - b1, a1 - b1
-    aa, bb, cc = d1 @ d1, d1 @ d2, d2 @ d2
-    dd, ee = d1 @ r, d2 @ r
-    den = aa * cc - bb * bb
-    if den <= 1e-12 * aa * cc:
-        return None  # parallel or collinear
-    t = (bb * ee - cc * dd) / den
-    s = (aa * ee - bb * dd) / den
-    if not (0.0 < t < 1.0 and 0.0 < s < 1.0):
-        return None
-    q1 = a1 + t * d1
-    q2 = b1 + s * d2
-    if np.linalg.norm(q1 - q2) >= tol:
-        return None
-    x = BlochPoint.from_array((q1 + q2) / 2.0)
-    return ChordWitness(
-        x1=x1, x2=x2, x1p=x1p, x2p=x2p,
-        p1=1.0 - t, p2=t, p1p=1.0 - s, p2p=s,
-        x=x,
     )
 
 
@@ -479,31 +410,10 @@ def affinity_scan(
     return _certificate(worst, witnesses, tolerance, checks, seed=seed)
 
 
-def extremal_decomposition(f):
-    """Eigen-split of a quadratic dim-2 observable.
-
-    Returns (high value, low value, high state, low state); the mixture
-    functional value at any ball point is the weight-averaged pair.
-    """
-    if f.kind != "quadratic" or f.matrix is None:
-        raise ValueError("extremal decomposition needs a quadratic observable")
-    if f.dim != 2:
-        raise ValueError("defined for dimension 2 only")
-    vals, vecs = np.linalg.eigh(f.matrix)
-    return float(vals[1]), float(vals[0]), vecs[:, 1].copy(), vecs[:, 0].copy()
-
-
 def _basis_rows(basis) -> np.ndarray:
-    rows = np.array(
-        [b.vec if hasattr(b, "vec") else np.asarray(b, dtype=complex) for b in basis]
+    return orthonormal_rows(
+        [b.vec if hasattr(b, "vec") else b for b in basis], TOL_DERIVED, "basis"
     )
-    if rows.ndim != 2:
-        raise ValueError("basis must be a list of equal-length vectors")
-    gram = rows.conj() @ rows.T
-    err = np.max(np.abs(gram - np.eye(rows.shape[0])))
-    if err > TOL_DERIVED:
-        raise ValueError(f"basis is not orthonormal (max deviation {err})")
-    return rows
 
 
 def subspace_measure(f, basis) -> float:
@@ -650,11 +560,11 @@ def gleason_certify(
     dimension (always including the full space with its computational
     basis), reconstructs the only operator a quadratic observable could
     have, and verifies mu(X) = Tr(F P_X) on random subspaces.  Positive
-    semidefiniteness of the operator is additionally required for counting
-    observables, whose measure is non-negative by construction.  The checks
+    semidefiniteness of the operator is additionally required when
+    ``f.counting`` is set, as a counting measure is non-negative.  The checks
     are ``basis_spread`` (the subspace records), ``trace_fit`` (the trace
-    records, run only while the spread passes) and, for a counting
-    observable, ``psd_deficit``.  ``workers`` is accepted for compatibility
+    records, run only while the spread passes) and, with ``f.counting``,
+    ``psd_deficit``.  ``workers`` is accepted for compatibility
     and ignored: subspaces run serially.
     """
     d = f.dim
@@ -700,7 +610,7 @@ def gleason_certify(
         checks["trace_fit"] = _worst_row(residuals, offset=len(records))
         worst = max(worst, checks["trace_fit"].worst)
 
-    if isinstance(f, CountingObservable):
+    if f.counting:
         low = float(np.linalg.eigvalsh(operator).min())
         vector = np.linalg.eigh(operator)[1][:, 0]
         deficit = max(0.0, -low)

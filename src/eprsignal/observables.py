@@ -23,7 +23,7 @@ from .hilbert import (
 from .states import Ensemble, PureState
 
 # Construction-time spot checks (ray invariance of opaque evaluators, range of
-# counting observables) draw from this fixed stream so construction is
+# observables flagged ``counting``) draw from this fixed stream so construction is
 # deterministic and rng-free for the caller.
 _SPOT_CHECK_SEED = 0x5EED
 
@@ -49,7 +49,11 @@ class FunctionalObservable:
     ray-invariant, and a NaN or infinite value is an error.  Scalar
     multiplication and addition build linear combinations; combinations of
     quadratics stay quadratic with the combined matrix, anything else
-    degrades to the custom kind.
+    degrades to the custom kind (and drops ``counting``).
+
+    ``counting`` marks an observable valued in [0, 1], a detector that fires
+    or not.  The range is sampled, not proven: 1000 Haar-random states are
+    checked at construction.
     """
 
     dim: int
@@ -58,6 +62,17 @@ class FunctionalObservable:
     matrix: np.ndarray | None = None
     exponent: int | None = None
     label: str = field(default="", compare=False)
+    counting: bool = False
+
+    def __post_init__(self):
+        if not self.counting:
+            return
+        rng = np.random.default_rng(_SPOT_CHECK_SEED + 1)
+        vals = self.values(random_pure_batch(1000, self.dim, rng))
+        if vals.min() < -TOL_STRUCTURAL or vals.max() > 1.0 + TOL_STRUCTURAL:
+            raise ValueError(
+                f"observable range [{vals.min()}, {vals.max()}] leaves [0, 1]"
+            )
 
     def values(self, psis) -> np.ndarray:
         batch = _as_batch(psis)
@@ -201,44 +216,6 @@ def _check_ray_invariance(obs: FunctionalObservable, checks: int):
             )
 
 
-@dataclass(frozen=True)
-class CountingObservable:
-    """An observable valued in [0, 1], modeling a detector that fires or not.
-
-    The range constraint is sampled, not proven: 1000 Haar-random states are
-    checked at construction.
-    """
-
-    observable: FunctionalObservable
-
-    def __post_init__(self):
-        rng = np.random.default_rng(_SPOT_CHECK_SEED + 1)
-        pts = random_pure_batch(1000, self.observable.dim, rng)
-        vals = self.observable.values(pts)
-        if vals.min() < -TOL_STRUCTURAL or vals.max() > 1.0 + TOL_STRUCTURAL:
-            raise ValueError(
-                f"observable range [{vals.min()}, {vals.max()}] leaves [0, 1]"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.observable.dim
-
-    @property
-    def kind(self) -> str:
-        return self.observable.kind
-
-    @property
-    def matrix(self):
-        return self.observable.matrix
-
-    def values(self, psis) -> np.ndarray:
-        return self.observable.values(psis)
-
-    def __call__(self, psi) -> float:
-        return self.observable(psi)
-
-
 def ensemble_average(f, ens: Ensemble) -> float:
     """Exact statistical average sum_i p_i f(b_i) over an ensemble."""
     if f.dim != ens.dim:
@@ -254,7 +231,7 @@ def polarization_reconstruct(f, d: int) -> np.ndarray:
     parts from the probes (e_j + e_k)/sqrt(2) and (e_j - i e_k)/sqrt(2), j < k.
     All d^2 probes are evaluated in one ``values`` call.  If f is quadratic
     this reconstructs its matrix exactly; if not, the output is still
-    produced and its (mis)fit is judged by ``quadraticity_residual``.
+    produced, and its misfit shows on states beyond the probes.
     """
     if d < 2:
         raise ValueError("dimension must be >= 2")
@@ -272,14 +249,3 @@ def polarization_reconstruct(f, d: int) -> np.ndarray:
     mat[k, j] = re - 1j * im
     return mat
 
-
-def quadraticity_residual(
-    f, matrix, samples: int, rng: np.random.Generator
-) -> float:
-    """Max |f(psi) - <psi|M|psi>| over Haar-sampled unit states."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    m = as_matrix(matrix, dim=f.dim)
-    pts = random_pure_batch(samples, f.dim, rng)
-    ref = _expectation_batch(m)(pts)
-    return float(np.max(np.abs(f.values(pts) - ref)))

@@ -23,7 +23,7 @@ from .nosignal import (
     SubspaceMeasureRecord,
     TraceFitRecord,
 )
-from .observables import CountingObservable, power, quadratic
+from .observables import power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
 from .states import Ensemble, EntangledState, PureState, build_entangled
 
@@ -100,19 +100,13 @@ def entangled_from_json(data) -> EntangledState:
 
 
 def observable_to_json(f) -> dict:
-    counting = isinstance(f, CountingObservable)
-    inner = f.observable if counting else f
-    if inner.kind == "quadratic":
-        desc = {"kind": "quadratic", "F": matrix_to_json(inner.matrix)}
-    elif inner.kind == "power":
-        desc = {
-            "kind": "power",
-            "P": matrix_to_json(inner.matrix),
-            "k": int(inner.exponent),
-        }
+    if f.kind == "quadratic":
+        desc = {"kind": "quadratic", "F": matrix_to_json(f.matrix)}
+    elif f.kind == "power":
+        desc = {"kind": "power", "P": matrix_to_json(f.matrix), "k": int(f.exponent)}
     else:
         raise ValueError("only quadratic and power observables serialize")
-    if counting:
+    if f.counting:
         desc["counting"] = True
     return desc
 
@@ -126,7 +120,7 @@ def observable_from_json(data):
     else:
         raise ValueError(f"unknown observable kind {kind!r}")
     if data.get("counting"):
-        return CountingObservable(obs)
+        return dataclasses.replace(obs, counting=True)
     return obs
 
 

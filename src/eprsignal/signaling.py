@@ -116,16 +116,6 @@ def _shuffled(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return idx
 
 
-def sample_sequence(
-    sc: Scenario, letter: int, n: int, rng: np.random.Generator
-) -> list[PureState]:
-    """n i.i.d. B-side states received while A measures the given letter."""
-    if n < 1:
-        raise ValueError("need at least one sample")
-    ens = letter_ensemble(sc, letter)
-    return [ens.states[i] for i in _shuffled(rng.multinomial(n, ens.weights), rng)]
-
-
 def _chunk_counts(sc: Scenario, letter: int, n: int, rng: np.random.Generator) -> np.ndarray:
     # The first draw of a letter's stream: the member counts of every chunk of
     # the n samples, one row per chunk.  They alone fix the statistics.

@@ -16,6 +16,7 @@ from .hilbert import (
     TOL_DERIVED,
     as_vector,
     as_matrix,
+    orthonormal_rows,
     projector,
 )
 
@@ -68,14 +69,6 @@ def ray_equal(a: PureState, b: PureState, tol: float = TOL_DERIVED) -> bool:
     return bool(np.max(np.abs(a.projector() - b.projector())) <= tol)
 
 
-def _check_orthonormal(states: tuple[PureState, ...], tol: float, what: str):
-    mat = np.array([s.vec for s in states])
-    gram = mat.conj() @ mat.T
-    err = np.max(np.abs(gram - np.eye(len(states))))
-    if err > tol:
-        raise ValueError(f"{what} is not orthonormal (max deviation {err})")
-
-
 @dataclass(frozen=True)
 class EntangledState:
     """A correlated state: coefficients, an orthonormal A-side basis, and unit
@@ -107,7 +100,7 @@ class EntangledState:
         total = float(np.sum(np.abs(alphas) ** 2))
         if abs(total - 1.0) > TOL_STRUCTURAL:
             raise ValueError(f"coefficient weights sum to {total}, not 1")
-        _check_orthonormal(alice, TOL_STRUCTURAL, "the A-side basis")
+        orthonormal_rows([s.vec for s in alice], TOL_STRUCTURAL, "the A-side basis")
         object.__setattr__(self, "alphas", _frozen_array(alphas))
         object.__setattr__(self, "alice_basis", alice)
         object.__setattr__(self, "bob_states", bob)
@@ -160,9 +153,6 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return self.states[0].dim
-
-    def members(self):
-        return list(zip(self.weights.tolist(), self.states))
 
 
 @dataclass(frozen=True)
@@ -227,9 +217,9 @@ def rebase_alice(
         )
     if any(s.dim != state.dim_a for s in new):
         raise ValueError("new basis has wrong dimension")
-    _check_orthonormal(new, TOL_STRUCTURAL, "the new A-side basis")
-
-    new_mat = np.array([s.vec for s in new])
+    new_mat = orthonormal_rows(
+        [s.vec for s in new], TOL_STRUCTURAL, "the new A-side basis"
+    )
     span_new = new_mat.T @ new_mat.conj()
     gap = np.max(np.abs(span_new - state.alice_span_projector()))
     if gap > span_tol:

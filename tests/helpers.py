@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
 from eprsignal import (
@@ -23,9 +25,30 @@ MINUS = np.array([SQRT_HALF, -SQRT_HALF], dtype=complex)
 PROJ0_2 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
+def bloch_point(psi) -> np.ndarray:
+    """Ball point (2 Re c, 2 Im c, |psi0|^2 - |psi1|^2), c = conj(psi0) psi1, of
+    a unit dim-2 state: its projector is (I + x sx + y sy + z sz)/2."""
+    c = np.conj(psi[0]) * psi[1]
+    return np.array([2.0 * c.real, 2.0 * c.imag, abs(psi[0]) ** 2 - abs(psi[1]) ** 2])
+
+
+def ball_density(point) -> np.ndarray:
+    """(I + x sx + y sy + z sz)/2 of a ball point."""
+    x, y, z = point
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
+
+
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (g + g.conj().T) / 2.0
+
+
+def random_projector(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Orthogonal projector onto a Haar-random subspace of random rank 1..d."""
+    rank = int(rng.integers(1, d + 1))
+    v = haar_unitary(d, rng)[:, :rank]
+    p = v @ v.conj().T
+    return (p + p.conj().T) / 2.0
 
 
 def random_entangled(
@@ -66,6 +89,11 @@ def bell_quadratic_scenario() -> Scenario:
         basis_a_prime=(PureState(PLUS), PureState(MINUS)),
         observable=quadratic(PROJ0_2),
     )
+
+
+def counting(f):
+    """``f`` flagged as a counting observable, so its [0, 1] range is checked."""
+    return dataclasses.replace(f, counting=True)
 
 
 def projector_matrix(dim: int, index: int = 0) -> np.ndarray:

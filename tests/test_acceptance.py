@@ -7,7 +7,6 @@ All randomness is seed-pinned; every criterion runs at desk scale.
 import numpy as np
 
 from eprsignal import (
-    CountingObservable,
     affinity_scan,
     channel_capacity,
     conditional_ensemble,
@@ -28,6 +27,7 @@ from eprsignal.nosignal import VERDICT_NON_QUADRATIC, VERDICT_QUADRATIC
 from helpers import (
     PROJ0_2,
     bell_power_scenario,
+    counting,
     projector_matrix,
     random_entangled,
     random_hermitian,
@@ -129,7 +129,7 @@ def test_criterion_5_gleason_certifier():
         mismatch = float(np.max(np.abs(cert.operator - matrix)))
         ok = ok and cert.verdict == VERDICT_QUADRATIC and mismatch < 1e-10
         detail.append(f"d={d} mismatch {mismatch:.1e}")
-    cert = gleason_certify(CountingObservable(power(projector_matrix(3), 2)),
+    cert = gleason_certify(counting(power(projector_matrix(3), 2)),
                            seed=1005)
     spreads = [w.basis_spread for w in cert.witnesses if hasattr(w, "basis_spread")]
     ok = ok and cert.verdict == VERDICT_NON_QUADRATIC and max(spreads) >= 0.5

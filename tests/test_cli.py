@@ -53,6 +53,36 @@ def test_parse_config_field_errors():
         parse_config({"command": "gleason"})
 
 
+def test_simulate_needs_two_samples_per_letter(capsys):
+    assert main(["simulate", "--config", "bell-power", "--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: n_samples: must be an integer >= 2, got 1\n"
+    assert captured.out == ""
+    base = load_config("bell-power")
+    assert parse_config(base, {"command": "simulate", "n_samples": 2}).n_samples == 2
+    for command in ("gap", "capacity"):
+        assert parse_config(base, {"command": command, "n_samples": 1}).n_samples == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("command, name", [("gap", "bell-power"),
+                                           ("certify", "power2-affinity")])
+def test_tolerance_must_be_finite_and_positive(command, name, source, value,
+                                               tmp_path, capsys):
+    argv = [command, "--config", name]
+    if source == "flag":
+        argv.append(f"--tolerance={value}")
+    else:  # json.dumps writes NaN and Infinity, which json.loads reads back
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**load_config(name), "tolerance": float(value)}))
+        argv[2] = str(path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tolerance: must be a finite number > 0")
+    assert captured.out == ""
+
+
 def test_gap_command_reports_bell_power_gap(tmp_path):
     out = tmp_path / "report.json"
     cfg = parse_config(load_config("bell-power"),

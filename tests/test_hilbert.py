@@ -1,21 +1,31 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsignal import (
-    BlochPoint,
-    bloch_inverse,
-    bloch_map,
-    bloch_state,
+    build_entangled,
     gram_schmidt,
     haar_unitary,
     inner,
     partial_trace_a,
+    quadratic,
     random_pure,
+    rebase_alice,
+    subspace_measure,
     tensor,
 )
-from eprsignal.hilbert import as_matrix, as_vector, bloch_states, random_pure_batch
+from eprsignal.hilbert import (
+    as_matrix,
+    as_vector,
+    bloch_states,
+    orthonormal_rows,
+    random_pure_batch,
+)
 
-from helpers import E0, E1, PLUS, SQRT_HALF
+from helpers import E0, E1, PLUS, SQRT_HALF, ball_density, bloch_point
 
 
 def test_inner_basis_cases():
@@ -175,10 +185,13 @@ def test_partial_trace_dim_mismatch():
 
 
 def test_bloch_conventions():
-    p = bloch_map(E0)
-    assert (p.x, p.y, p.z) == pytest.approx((0.0, 0.0, 1.0))
-    p = bloch_map(PLUS)
-    assert (p.x, p.y, p.z) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    p = bloch_point(E0)
+    assert tuple(p) == pytest.approx((0.0, 0.0, 1.0))
+    p = bloch_point(PLUS)
+    assert tuple(p) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
+    north, east = bloch_states([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(north, E0, atol=1e-12)
+    np.testing.assert_allclose(east, PLUS, atol=1e-12)
 
 
 def test_bloch_antipodal_orthogonal():
@@ -186,33 +199,40 @@ def test_bloch_antipodal_orthogonal():
     for _ in range(20):
         psi = random_pure(2, rng)
         perp = np.array([-np.conj(psi[1]), np.conj(psi[0])])
-        p, q = bloch_map(psi), bloch_map(perp)
-        np.testing.assert_allclose(p.as_array(), -q.as_array(), atol=1e-12)
+        p, q = bloch_point(psi), bloch_point(perp)
+        np.testing.assert_allclose(p, -q, atol=1e-12)
+        row, antipode = bloch_states(np.array([p, -p]))
+        assert abs(np.vdot(row, antipode)) < 1e-12
 
 
 def test_bloch_inverse_round_trip():
+    # rho = (I + r.sigma)/2 of a state's point is its projector, and the
+    # state bloch_states gives for a point r has that projector
     rng = np.random.default_rng(13)
     for _ in range(1000):
         psi = random_pure(2, rng)
-        rho = bloch_inverse(bloch_map(psi))
+        rho = ball_density(bloch_point(psi))
         assert np.linalg.norm(rho - np.outer(psi, psi.conj())) < 1e-12
+        chi = bloch_states(bloch_point(psi)[None, :])[0]
+        assert np.linalg.norm(rho - np.outer(chi, chi.conj())) < 1e-12
 
 
 def test_bloch_state_matches_ray():
     rng = np.random.default_rng(14)
     for _ in range(100):
         psi = random_pure(2, rng)
-        chi = bloch_state(bloch_map(psi))
+        chi = bloch_states(bloch_point(psi)[None, :])[0]
         assert abs(abs(np.vdot(psi, chi)) - 1.0) < 1e-10
 
 
 def test_bloch_states_rows_match_scalar_map():
+    # a batch gives, row for row, what each point gives alone
     rng = np.random.default_rng(15)
-    points = np.array([bloch_map(p).as_array() for p in random_pure_batch(50, 2, rng)])
+    points = np.array([bloch_point(p) for p in random_pure_batch(50, 2, rng)])
     rows = bloch_states(points)
     assert rows.shape == (50, 2)
     for point, row in zip(points, rows):
-        np.testing.assert_array_equal(row, bloch_state(BlochPoint.from_array(point)))
+        np.testing.assert_array_equal(row, bloch_states(point[None, :])[0])
     with pytest.raises(ValueError):
         bloch_states(np.vstack([points, [[0.0, 0.0, 0.9]]]))
 
@@ -226,4 +246,42 @@ def test_random_pure_batch_unit_rows():
 
 def test_bloch_inverse_rejects_outside_ball():
     with pytest.raises(ValueError):
-        bloch_inverse(BlochPoint(1.2, 0.0, 0.0))
+        bloch_states([[1.2, 0.0, 0.0]])
+
+
+def _orthonormal_callers(d: int, rng: np.random.Generator):
+    """(noun, tolerance, check) of each caller of ``orthonormal_rows``; check
+    takes the rows of d vectors in dimension d."""
+    alphas = np.full(d, 1.0 / np.sqrt(d))
+    bob = [random_pure(2, rng) for _ in range(d)]
+    state = build_entangled(alphas, list(np.eye(d, dtype=complex)), bob)
+    return [
+        ("the A-side basis", 1e-12, lambda rows: build_entangled(alphas, list(rows), bob)),
+        ("the new A-side basis", 1e-12, lambda rows: rebase_alice(state, list(rows))),
+        ("basis", 1e-10, lambda rows: subspace_measure(quadratic(np.eye(d)), rows)),
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6), data=st.data())
+def test_orthonormal_rows_accepts_unitaries_and_names_a_perturbed_basis(seed, d, data):
+    rng = np.random.default_rng(seed)
+    rows = haar_unitary(d, rng).T  # the columns of a Haar unitary
+    np.testing.assert_array_equal(orthonormal_rows(rows, 1e-12, "rows"), rows)
+    # perturb one entry of row i, in the column where the row is smallest, at
+    # right angles to the entry's phase: the row's norm moves by t^2 only,
+    # and some other row overlaps the new row by at least t / sqrt(d)
+    i = data.draw(st.integers(0, d - 1))
+    j = int(np.argmin(np.abs(rows[i])))
+    phase = rows[i, j] / abs(rows[i, j]) if rows[i, j] != 0 else 1.0
+    for noun, tol, check in _orthonormal_callers(d, rng):
+        check(rows)
+        for t, rejected in ((0.1 * tol, False), (10.0 * np.sqrt(d) * tol, True)):
+            bent = rows.copy()
+            bent[i, j] += 1j * phase * t
+            if not rejected:
+                check(bent)
+                continue
+            pattern = f"^{re.escape(noun)} is not orthonormal \\(max deviation"
+            with pytest.raises(ValueError, match=pattern):
+                check(bent)

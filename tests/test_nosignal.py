@@ -7,16 +7,10 @@ from hypothesis import strategies as st
 
 from eprsignal import nosignal
 from eprsignal import (
-    BlochPoint,
-    CountingObservable,
     affinity_scan,
     basis_independence,
-    bloch_inverse,
-    bloch_state,
-    chord_intersection,
     custom,
     exact_gap,
-    extremal_decomposition,
     gleason_certify,
     haar_unitary,
     orthoadditivity_check,
@@ -25,79 +19,25 @@ from eprsignal import (
     random_scenario,
     subspace_measure,
 )
+from eprsignal.hilbert import bloch_states
 from eprsignal.nosignal import (
     VERDICT_NON_QUADRATIC,
     VERDICT_QUADRATIC,
     Certificate,
     ChordColumns,
-    ChordWitness,
     _chord_through,
 )
 from eprsignal.serialize import certificate_to_json, dumps_canonical
 from eprsignal.zoo import builtin_observables
 
-from helpers import PROJ0_2, projector_matrix, random_hermitian
-
-
-def _bp(arr) -> BlochPoint:
-    return BlochPoint.from_array(arr)
-
-
-def test_chord_intersection_diameters_meet_at_center():
-    w = chord_intersection(
-        _bp([0, 0, 1]), _bp([0, 0, -1]), _bp([1, 0, 0]), _bp([-1, 0, 0])
-    )
-    assert w is not None
-    np.testing.assert_allclose(w.x.as_array(), [0, 0, 0], atol=1e-12)
-    assert (w.p1, w.p2, w.p1p, w.p2p) == pytest.approx((0.5,) * 4)
-
-
-def test_chord_intersection_parallel_returns_none():
-    h = math.sqrt(1 - 0.25)
-    assert (
-        chord_intersection(
-            _bp([h, 0, 0.5]), _bp([-h, 0, 0.5]), _bp([h, 0, -0.5]), _bp([-h, 0, -0.5])
-        )
-        is None
-    )
-
-
-def test_chord_intersection_collinear_returns_none():
-    assert (
-        chord_intersection(
-            _bp([0, 0, 1]), _bp([0, 0, -1]), _bp([0, 0, -1]), _bp([0, 0, 1])
-        )
-        is None
-    )
-
-
-def test_chord_intersection_random_pairs_against_oracle():
-    # oracle: both chords are constructed through a known interior point,
-    # so the recovered witness must decompose exactly that point
-    rng = np.random.default_rng(40)
-    for _ in range(60):
-        x = rng.standard_normal(3)
-        x = x / np.linalg.norm(x) * rng.uniform(0.0, 0.9)
-        a1, a2, pa = _chord_through(x, rng.standard_normal(3))
-        b1, b2, pb = _chord_through(x, rng.standard_normal(3))
-        w = chord_intersection(_bp(a1), _bp(a2), _bp(b1), _bp(b2))
-        assert w is not None
-        np.testing.assert_allclose(w.x.as_array(), x, atol=1e-10)
-        assert w.p2 == pytest.approx(pa, abs=1e-10)
-        assert w.p2p == pytest.approx(pb, abs=1e-10)
-        lhs = w.p1 * a1 + w.p2 * a2
-        rhs = w.p1p * b1 + w.p2p * b2
-        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-def test_chord_witness_validation():
-    with pytest.raises(ValueError):
-        ChordWitness(
-            x1=_bp([0, 0, 1]), x2=_bp([0, 0, -1]),
-            x1p=_bp([1, 0, 0]), x2p=_bp([-1, 0, 0]),
-            p1=0.7, p2=0.7, p1p=0.5, p2p=0.5,
-            x=BlochPoint(0, 0, 0),
-        )
+from helpers import (
+    PROJ0_2,
+    ball_density,
+    counting,
+    projector_matrix,
+    random_hermitian,
+    random_projector,
+)
 
 
 def _columns(**changes) -> ChordColumns:
@@ -228,42 +168,24 @@ def test_affinity_workers_identical():
     )
 
 
-def test_extremal_decomposition_diagonal():
-    hi, lo, b_hi, b_lo = extremal_decomposition(
-        quadratic(np.diag([0.7, 0.2]).astype(complex))
-    )
-    assert (hi, lo) == pytest.approx((0.7, 0.2))
-    assert abs(b_hi[0]) == pytest.approx(1.0)
-    assert abs(b_lo[1]) == pytest.approx(1.0)
-
-
-def test_extremal_decomposition_constant():
-    hi, lo, _, _ = extremal_decomposition(quadratic(np.eye(2, dtype=complex)))
-    assert hi == pytest.approx(1.0)
-    assert lo == pytest.approx(1.0)
-
-
 def test_extremal_decomposition_reproduces_mixture_functional():
-    # the two-point form evaluates every ball point, whatever decomposition
-    # produced it
+    # the eigen-split of a quadratic evaluates every ball point through
+    # rho = (I + x.sigma)/2, whatever decomposition produced it
     rng = np.random.default_rng(48)
     f = quadratic(random_hermitian(2, rng))
-    hi, lo, b_hi, b_lo = extremal_decomposition(f)
+    (lo, hi), vecs = np.linalg.eigh(f.matrix)
+    b_lo, b_hi = vecs[:, 0], vecs[:, 1]
     for _ in range(100):
         x = rng.standard_normal(3)
         x = x / np.linalg.norm(x) * rng.uniform(0, 0.99)
         e1, e2, p2 = _chord_through(x, rng.standard_normal(3))
-        via_chord = (1 - p2) * f(bloch_state(_bp(e1))) + p2 * f(bloch_state(_bp(e2)))
-        rho = bloch_inverse(_bp(x))
+        at_e1, at_e2 = f.values(bloch_states(np.array([e1, e2])))
+        via_chord = (1 - p2) * at_e1 + p2 * at_e2
+        rho = ball_density(x)
         via_pair = hi * np.vdot(b_hi, rho @ b_hi).real + lo * np.vdot(
             b_lo, rho @ b_lo
         ).real
         assert via_chord == pytest.approx(via_pair, abs=1e-10)
-
-
-def test_extremal_decomposition_rejects_non_quadratic():
-    with pytest.raises(ValueError):
-        extremal_decomposition(power(PROJ0_2, 2))
 
 
 def test_subspace_measure_trace_for_quadratic():
@@ -463,7 +385,7 @@ def test_gleason_quadratic_recovers_operator():
 
 
 def test_gleason_power_non_quadratic_with_spread_witness():
-    f = CountingObservable(power(projector_matrix(3), 2))
+    f = counting(power(projector_matrix(3), 2))
     cert = gleason_certify(f, seed=55)
     assert cert.verdict == VERDICT_NON_QUADRATIC
     spreads = [w.basis_spread for w in cert.witnesses if hasattr(w, "basis_spread")]
@@ -471,7 +393,7 @@ def test_gleason_power_non_quadratic_with_spread_witness():
 
 
 def test_gleason_always_firing_counter():
-    f = CountingObservable(quadratic(np.eye(3, dtype=complex)))
+    f = counting(quadratic(np.eye(3, dtype=complex)))
     cert = gleason_certify(f, seed=56)
     assert cert.verdict == VERDICT_QUADRATIC
     assert np.max(np.abs(cert.operator - np.eye(3))) < 1e-10
@@ -582,7 +504,7 @@ def test_batched_haar_draws_match_one_qr_per_draw(monkeypatch):
     rng = np.random.default_rng(62)
     observables = [
         quadratic(random_hermitian(5, rng)),
-        CountingObservable(power(projector_matrix(4, 1), 2)),
+        counting(power(projector_matrix(4, 1), 2)),
     ]
 
     def texts():
@@ -614,7 +536,7 @@ def test_affine_chord_check_carries_its_worst_row():
 
 
 def test_psd_deficit_check_records_the_lowest_eigenpair():
-    f = CountingObservable(power(projector_matrix(3), 2))
+    f = counting(power(projector_matrix(3), 2))
     cert = gleason_certify(f, seed=66)
     check = cert.checks["psd_deficit"]
     lam, vec = check.witness.eigenvalue, np.array(check.witness.eigenvector)
@@ -625,3 +547,19 @@ def test_psd_deficit_check_records_the_lowest_eigenpair():
     plain = gleason_certify(quadratic(random_hermitian(3, np.random.default_rng(67))), seed=66)
     assert list(plain.checks) == ["basis_spread", "trace_fit"]
     assert plain.worst_check in plain.checks
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(3, 4),
+    k=st.integers(1, 3),
+    flag=st.booleans(),
+)
+def test_psd_deficit_is_checked_iff_counting(seed, d, k, flag):
+    p = random_projector(d, np.random.default_rng(seed))
+    f = quadratic(p) if k == 1 else power(p, k)
+    if flag:
+        f = counting(f)
+    cert = gleason_certify(f, seed=seed, subspaces_per_dim=1, resamples=2, trace_checks=2)
+    assert ("psd_deficit" in cert.checks) == flag

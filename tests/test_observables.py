@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprsignal import (
-    CountingObservable,
     Ensemble,
     PureState,
     combine,
@@ -16,13 +15,12 @@ from eprsignal import (
     polarization_reconstruct,
     power,
     quadratic,
-    quadraticity_residual,
     random_pure,
 )
 from eprsignal.hilbert import random_pure_batch
 from eprsignal.zoo import builtin_observables
 
-from helpers import E0, E1, PLUS, PROJ0_2, random_hermitian
+from helpers import E0, E1, PLUS, PROJ0_2, counting, random_hermitian, random_projector
 
 
 def test_quadratic_basics():
@@ -132,9 +130,30 @@ def test_custom_rejects_phase_sensitive_evaluator():
 
 
 def test_counting_accepts_projector_power_rejects_unbounded():
-    CountingObservable(power(PROJ0_2, 2))
+    counting(power(PROJ0_2, 2))
     with pytest.raises(ValueError):
-        CountingObservable(quadratic(2.0 * np.eye(2, dtype=complex)))
+        counting(quadratic(2.0 * np.eye(2, dtype=complex)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), k=st.integers(2, 5))
+def test_counting_flag_accepts_projector_powers(seed, d, k):
+    p = random_projector(d, np.random.default_rng(seed))
+    for f in (quadratic(p), power(p, k)):
+        assert counting(f).counting and not f.counting
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(2, 5),
+    c=st.one_of(st.floats(-100.0, -1e-3), st.floats(1.0 + 1e-3, 100.0)),
+)
+def test_counting_flag_rejects_values_outside_unit_interval(d, c):
+    f = quadratic(c * np.eye(d, dtype=complex))
+    with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+        counting(f)
+    with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+        counting(power(np.eye(d, dtype=complex), 2) * c)
 
 
 def test_polarization_recovers_diagonal():
@@ -187,17 +206,9 @@ def test_polarization_of_power_observable_misfits():
     rec = polarization_reconstruct(f, 2)
     expected = np.array([[1.0, -0.25 - 0.25j], [-0.25 + 0.25j, 0.0]])
     np.testing.assert_allclose(rec, expected, atol=1e-12)
-    res = quadraticity_residual(f, rec, 1000, np.random.default_rng(6))
+    pts = random_pure_batch(1000, 2, np.random.default_rng(6))
+    res = np.max(np.abs(f.values(pts) - quadratic(rec).values(pts)))
     assert res > 0.1
-
-
-def test_quadraticity_residual_bounds():
-    rng = np.random.default_rng(7)
-    m = random_hermitian(3, rng)
-    f = quadratic(m)
-    assert quadraticity_residual(f, m, 200, rng) < 1e-10
-    zero = custom(lambda psi: 0.0, dim=2)
-    assert quadraticity_residual(zero, np.zeros((2, 2)), 50, rng) == 0.0
 
 
 def test_batch_and_scalar_evaluation_agree():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprsignal import (
-    CountingObservable,
     Ensemble,
     PureState,
     affinity_scan,
@@ -43,6 +42,8 @@ from eprsignal.nosignal import SubspaceMeasureRecord
 from helpers import (
     PROJ0_2,
     bell_power_scenario,
+    counting,
+    random_projector,
     random_entangled,
     random_hermitian,
 )
@@ -111,13 +112,33 @@ def test_observable_descriptors():
     back = observable_from_json(desc)
     assert back.kind == "power" and back.exponent == 2
 
-    c = CountingObservable(power(PROJ0_2, 2))
+    c = counting(power(PROJ0_2, 2))
     desc = observable_to_json(c)
     assert desc["counting"] is True
-    assert isinstance(observable_from_json(desc), CountingObservable)
+    assert observable_from_json(desc).counting
 
     with pytest.raises(ValueError):
         observable_from_json({"kind": "mystery"})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 5),
+    k=st.integers(1, 4),
+    flag=st.booleans(),
+)
+def test_counting_flag_survives_observable_round_trip(seed, d, k, flag):
+    # a projector keeps <P> and its powers in [0, 1], so either flag holds
+    p = random_projector(d, np.random.default_rng(seed))
+    f = quadratic(p) if k == 1 else power(p, k)
+    if flag:
+        f = counting(f)
+    desc = observable_to_json(f)
+    assert ("counting" in desc) == flag
+    back = observable_from_json(json.loads(json.dumps(desc)))
+    assert back.counting == flag and back.kind == f.kind
+    assert observable_to_json(back) == desc
 
 
 def test_scenario_round_trip_preserves_gap():

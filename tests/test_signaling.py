@@ -13,10 +13,8 @@ from eprsignal import (
     power,
     quadratic,
     random_scenario,
-    sample_sequence,
 )
 from eprsignal.signaling import binary_entropy, per_sample_values
-from eprsignal.states import ray_equal
 
 from helpers import (
     E0,
@@ -82,19 +80,20 @@ def test_exact_gap_quadratic_random_scenarios():
 
 
 def test_sample_sequence_frequencies():
+    # letter 0 leaves B in E0 or E1 with weight 1/2 each; f is 1 on E0 only
     sc = bell_power_scenario()
-    states = sample_sequence(sc, 0, 100000, np.random.default_rng(31))
-    freq = np.mean([ray_equal(s, PureState(E0)) for s in states])
+    values = per_sample_values(sc, 0, 100000, 31)
+    freq = np.mean(values == sc.observable(E0))
     assert freq == pytest.approx(0.5, abs=0.01)
 
 
 def test_sample_sequence_small_and_deterministic():
     sc = bell_power_scenario()
-    one = sample_sequence(sc, 1, 1, np.random.default_rng(32))
+    one = per_sample_values(sc, 1, 1, 32)
     assert len(one) == 1
-    a = sample_sequence(sc, 0, 50, np.random.default_rng(33))
-    b = sample_sequence(sc, 0, 50, np.random.default_rng(33))
-    assert all(np.array_equal(x.vec, y.vec) for x, y in zip(a, b))
+    a = per_sample_values(sc, 0, 50, 33)
+    b = per_sample_values(sc, 0, 50, 33)
+    assert np.array_equal(a, b)
 
 
 def test_monte_carlo_detects_bell_power_signal():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsignal import (
     DensityMatrix,
@@ -112,13 +114,23 @@ def test_rebase_preserves_flattened_vector():
         assert abs(np.sum(np.abs(r.alphas) ** 2) - 1.0) < 1e-12
 
 
-def test_rebase_round_trip():
-    rng = np.random.default_rng(21)
-    for _ in range(20):
-        s = random_entangled(rng, 4, 3, 3)
-        other = rotated_alice_basis(s, rng)
-        back = rebase_alice(rebase_alice(s, other), s.alice_basis)
-        assert np.linalg.norm(back.vector() - s.vector()) < 1e-10
+# (dim_a, dim_b, branches <= dim_a, seed) of a random entangled state
+_ENTANGLED_CASES = st.integers(2, 5).flatmap(
+    lambda da: st.tuples(
+        st.just(da), st.integers(2, 5), st.integers(1, da), st.integers(0, 2**32 - 1)
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_ENTANGLED_CASES)
+def test_rebase_round_trip(case):
+    da, db, n, seed = case
+    rng = np.random.default_rng(seed)
+    s = random_entangled(rng, da, db, n)
+    other = rotated_alice_basis(s, rng)
+    back = rebase_alice(rebase_alice(s, other), s.alice_basis)
+    assert np.linalg.norm(back.vector() - s.vector()) < 1e-10
 
 
 def test_conditional_ensemble_bell():
@@ -175,21 +187,20 @@ def test_density_equal_distance():
     assert dist == pytest.approx(SQRT_HALF)
 
 
-def test_density_invariance_under_random_rebasing():
-    rng = np.random.default_rng(22)
-    for _ in range(100):
-        da = int(rng.integers(2, 6))
-        db = int(rng.integers(2, 6))
-        n = int(rng.integers(1, da + 1))
-        s = random_entangled(rng, da, db, n)
-        r = rebase_alice(s, rotated_alice_basis(s, rng))
-        rho_a = ensemble_density(conditional_ensemble(s))
-        rho_b = ensemble_density(conditional_ensemble(r))
-        equal, dist = density_equal(rho_a, rho_b)
-        assert equal, f"densities split by {dist}"
-        # independent computation of the same operator via the partial trace
-        rho_pt = partial_trace_a(s.vector(), da, db)
-        assert np.linalg.norm(rho_a.mat - rho_pt) < 1e-12
+@settings(max_examples=100, deadline=None)
+@given(case=_ENTANGLED_CASES)
+def test_density_invariance_under_random_rebasing(case):
+    da, db, n, seed = case
+    rng = np.random.default_rng(seed)
+    s = random_entangled(rng, da, db, n)
+    r = rebase_alice(s, rotated_alice_basis(s, rng))
+    rho_a = ensemble_density(conditional_ensemble(s))
+    rho_b = ensemble_density(conditional_ensemble(r))
+    equal, dist = density_equal(rho_a, rho_b)
+    assert equal, f"densities split by {dist}"
+    # independent computation of the same operator via the partial trace
+    rho_pt = partial_trace_a(s.vector(), da, db)
+    assert np.linalg.norm(rho_a.mat - rho_pt) < 1e-12
 
 
 def test_ensemble_validation():
