@@ -141,7 +141,11 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     _require_int(merged, "seed", 0)
     tolerance = merged["tolerance"]
     # the bound is False for NaN, infinities and ints beyond the float range
-    finite = isinstance(tolerance, (int, float)) and 0 < tolerance <= sys.float_info.max
+    finite = (
+        isinstance(tolerance, (int, float))
+        and not isinstance(tolerance, bool)
+        and 0 < tolerance <= sys.float_info.max
+    )
     if not finite:
         raise ConfigError(f"tolerance: must be a finite number > 0, got {tolerance!r}")
 

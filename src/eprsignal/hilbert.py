@@ -18,27 +18,23 @@ TOL_DERIVED = 1e-10
 TOL_DECISION = 1e-8
 
 
-def as_vector(v, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-d complex array, optionally checking its length."""
+def as_vector(v) -> np.ndarray:
+    """Coerce to a finite 1-d complex array."""
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"expected a 1-d vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector has non-finite entries")
-    if dim is not None and arr.size != dim:
-        raise ValueError(f"expected dimension {dim}, got {arr.size}")
     return arr
 
 
-def as_matrix(m, dim: int | None = None) -> np.ndarray:
+def as_matrix(m) -> np.ndarray:
     """Coerce to a finite square complex matrix."""
     arr = np.asarray(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix has non-finite entries")
-    if dim is not None and arr.shape[0] != dim:
-        raise ValueError(f"expected dimension {dim}, got {arr.shape[0]}")
     return arr
 
 
@@ -162,7 +158,7 @@ def partial_trace_a(psi, dim_a: int, dim_b: int) -> np.ndarray:
     return m.T @ m.conj()
 
 
-def bloch_states(points, tol: float = 1e-9) -> np.ndarray:
+def bloch_states(points) -> np.ndarray:
     """Unit dim-2 states, one row each, of an (m, 3) array of surface points.
 
     Convention: the north pole (0, 0, 1) gives the first basis vector and
@@ -173,7 +169,7 @@ def bloch_states(points, tol: float = 1e-9) -> np.ndarray:
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"expected points of shape (m, 3), got {points.shape}")
     r = np.linalg.norm(points, axis=1)
-    bad = np.abs(r - 1.0) > tol
+    bad = ~(np.abs(r - 1.0) <= 1e-9)  # a NaN radius fails too
     if bad.any():
         raise ValueError(f"point must lie on the ball surface (radius {r[bad][0]})")
     theta = np.arccos(np.clip(points[:, 2] / r, -1.0, 1.0))

@@ -5,8 +5,10 @@ Two certifiers, each returning a pass/fail certificate:
 * mixture consistency on the dim-2 ball: two convex decompositions of one
   interior point must give one mixture average (chord scan);
 * the subspace-measure route for dim >= 3: basis independence of the summed
-  observable, orthoadditivity, and reconstruction of the unique compatible
-  operator.
+  observable on sampled subspaces, and reconstruction of the unique
+  compatible operator F with the fit mu(X) = Tr(F P_X), which implies
+  additivity on the sampled subspaces.  ``orthoadditivity_check`` tests
+  additivity directly, as a separate library function.
 
 A quadratic observable passes every check to numerical precision; any
 non-quadratic observable produces a concrete witness.
@@ -37,11 +39,14 @@ VERDICT_NON_QUADRATIC = "non-quadratic"
 # chord-pair witnesses evaluated per substream
 _WITNESS_CHUNK = 256
 
-# stream path tags (affinity convex, affinity affine, subspace draws, trace fit)
+# stream path tags (affinity chords, subspace draws, trace fit); tag 11 is
+# retired with the affine scan, so no other stream reuses it
 _PATH_CHORDS = 10
-_PATH_AFFINE = 11
 _PATH_SUBSPACE = 20
 _PATH_TRACE = 21
+
+# random subspaces on which gleason_certify fits mu(X) = Tr(F P_X)
+_TRACE_CHECKS = 8
 
 # PSD slack for reconstructed operators; eigenvalues above -1e-10 count as
 # non-negative
@@ -148,20 +153,6 @@ class TraceFitRecord:
     residual: float
 
 
-class AffineChordRecord(NamedTuple):
-    """One affine decomposition x = (1 - p2) y1 + p2 y2 of the extended scan:
-    ``lhs`` is the diameter-rule value at x, ``rhs`` the weighted values at
-    y1 and y2, ``violation`` is |lhs - rhs|."""
-
-    x: tuple
-    y1: tuple
-    y2: tuple
-    p2: float
-    lhs: float
-    rhs: float
-    violation: float
-
-
 class PsdDeficitRecord(NamedTuple):
     """Lowest eigenpair of the reconstructed operator of a counting
     observable; the deficit is max(0, -eigenvalue)."""
@@ -191,14 +182,13 @@ def _worst_row(violations, offset: int = 0) -> Check:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of a scan: verdict, the worst violation found, and evidence.
+    """Outcome of a scan: the worst violation found, and evidence.
 
     ``witnesses`` is a ``ChordColumns`` record for the chord scan and a tuple
     of subspace records for the subspace route.  ``checks`` maps each check
     the scan ran to its ``Check``, in the order they ran.
     """
 
-    verdict: str
     worst_violation: float
     witnesses: tuple
     tolerance: float
@@ -206,14 +196,13 @@ class Certificate:
     operator: np.ndarray | None = None
     checks: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        expected = (
-            VERDICT_QUADRATIC
-            if self.worst_violation < self.tolerance
-            else VERDICT_NON_QUADRATIC
-        )
-        if self.verdict != expected:
-            raise ValueError("verdict inconsistent with worst violation")
+    @property
+    def verdict(self) -> str:
+        """Quadratic-consistent iff ``worst_violation < tolerance``; a NaN
+        violation is non-quadratic."""
+        if self.worst_violation < self.tolerance:
+            return VERDICT_QUADRATIC
+        return VERDICT_NON_QUADRATIC
 
     @property
     def worst_check(self) -> str | None:
@@ -224,39 +213,21 @@ class Certificate:
         )
 
 
-def _certificate(worst, witnesses, tolerance, checks, seed=None, operator=None) -> Certificate:
-    verdict = VERDICT_QUADRATIC if worst < tolerance else VERDICT_NON_QUADRATIC
-    return Certificate(
-        verdict=verdict,
-        worst_violation=float(worst),
-        witnesses=witnesses,
-        tolerance=float(tolerance),
-        seed=seed,
-        operator=operator,
-        checks=checks,
-    )
-
-
 def _sphere_values(f, points: np.ndarray) -> np.ndarray:
     """f at the states of an (m, 3) array of sphere points, in one batch."""
     return f.values(bloch_states(points))
 
 
-def _line_through(x: np.ndarray, direction: np.ndarray):
-    """Unit direction u and the parameters t_minus <= 0 <= t_plus at which the
-    line x + t u through interior point x meets the sphere.
+def _chord_through(x: np.ndarray, direction: np.ndarray):
+    """Endpoints on the sphere of the lines through interior points x along
+    ``direction``, plus the convex weight p2 placing x on each segment.
 
-    Works row-wise on (k, 3) arrays, or on single 3-vectors."""
+    Row-wise on (k, 3) arrays: the line x + t u with unit u meets the sphere
+    at t_minus <= 0 <= t_plus."""
     u = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
     b = np.sum(x * u, axis=-1)
     root = np.sqrt(b * b - (np.sum(x * x, axis=-1) - 1.0))
-    return u, -b - root, -b + root
-
-
-def _chord_through(x: np.ndarray, direction: np.ndarray):
-    """Endpoints on the sphere of the lines through interior points x along
-    ``direction``, plus the convex weight p2 placing x on each segment."""
-    u, t_minus, t_plus = _line_through(x, direction)
+    t_minus, t_plus = -b - root, -b + root
     e1 = x + t_minus[..., None] * u
     e2 = x + t_plus[..., None] * u
     return e1, e2, -t_minus / (t_plus - t_minus)
@@ -313,74 +284,22 @@ def _random_chords(f, rng: np.random.Generator, k: int) -> dict:
     return _evaluate_chords(f, e1, e2, g1, g2, p2, q2, x)
 
 
-def _diameter_averages(f, y: np.ndarray) -> np.ndarray:
-    """Mixture values of interior points via the diameter through each."""
-    r = np.linalg.norm(y, axis=1)
-    axis = np.tile([0.0, 0.0, 1.0], (len(y), 1))
-    off_center = r > 1e-12
-    axis[off_center] = y[off_center] / r[off_center, None]
-    hi, lo = _sphere_values(f, np.concatenate([axis, -axis])).reshape(2, len(y))
-    return 0.5 * (1.0 + r) * hi + 0.5 * (1.0 - r) * lo
-
-
-def _affine_violations(f, rng: np.random.Generator, k: int) -> Check:
-    """The worst |lhs - rhs| of up to k affine (weights beyond [0,1]) two-point
-    decompositions, evaluated through the diameter rule, with the row that
-    attains it; both decomposition points stay in the ball.
-
-    Each of the k slots draws a ball point x, a direction u and two line
-    parameters a, b on the chord through x, and keeps the draw when
-    |a - b| >= 0.05 and p2 = a / (a - b) lies in [-0.5, 1.5].  Rejected slots
-    are redrawn together, as arrays, up to 100 tries each; a slot that never
-    succeeds contributes nothing.
-    """
-    kept = []
-    pending = k
-    for _ in range(100):
-        if pending == 0:
-            break
-        x = _ball_points(rng, pending)
-        u, t_minus, t_plus = _line_through(x, rng.standard_normal((pending, 3)))
-        a = rng.uniform(t_minus, t_plus)
-        b = rng.uniform(t_minus, t_plus)
-        far = np.abs(a - b) >= 0.05
-        p2 = np.divide(a, a - b, out=np.full(pending, np.inf), where=far)
-        ok = far & (p2 >= -0.5) & (p2 <= 1.5)
-        y1, y2 = x + a[:, None] * u, x + b[:, None] * u
-        kept.append((x[ok], y1[ok], y2[ok], p2[ok]))
-        pending -= int(ok.sum())
-    x, y1, y2, p2 = (np.concatenate(col) for col in zip(*kept))
-    avg = _diameter_averages(f, np.concatenate([x, y1, y2]))
-    lhs, at_y1, at_y2 = avg.reshape(3, len(x))
-    rhs = (1.0 - p2) * at_y1 + p2 * at_y2
-    violation = np.abs(lhs - rhs)
-    i = int(np.argmax(violation))
-    row = AffineChordRecord(
-        x=tuple(x[i].tolist()), y1=tuple(y1[i].tolist()), y2=tuple(y2[i].tolist()),
-        p2=float(p2[i]), lhs=float(lhs[i]), rhs=float(rhs[i]),
-        violation=float(violation[i]),
-    )
-    return Check(row.violation, len(x), row)
-
-
 def affinity_scan(
     f,
     n_chords: int,
     seed: int = 0,
     tolerance: float = TOL_DECISION,
     workers: int = 1,
-    extended: bool = False,
 ) -> Certificate:
     """Chord-pair consistency scan for a dim-2 observable.
 
     Evaluates both mixture averages on deterministic center-diameter pairs
     and on ``n_chords`` sampled intersecting pairs, drawn and evaluated as
-    arrays in chunks of 256; with ``extended`` the affine regime (weights in
-    [-0.5, 1.5], diameter evaluation rule) is scanned as well.  The verdict
-    compares the worst |lhs - rhs| against ``tolerance``.  The checks are
-    ``convex_chord`` (the witness rows) and, with ``extended``,
-    ``affine_chord``.  ``workers`` is accepted for compatibility and ignored:
-    chunks run serially.
+    arrays in chunks of 256.  The verdict compares the worst |lhs - rhs|
+    against ``tolerance``; in dimension 2, consistency of the convex
+    decompositions over the whole ball already decides affinity.  The one
+    check is ``convex_chord`` (the witness rows).  ``workers`` is accepted
+    for compatibility and ignored: chunks run serially.
     """
     if f.dim != 2:
         raise ValueError("the chord scan is defined for dimension 2 only")
@@ -396,18 +315,14 @@ def affinity_scan(
     witnesses = ChordColumns(
         **{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
     )
-    checks = {"convex_chord": _worst_row(witnesses.violation)}
-
-    if extended:
-        parts = [
-            _affine_violations(f, substream(seed, _PATH_AFFINE, k), size)
-            for k, size in enumerate(sizes)
-        ]
-        best = max(parts, key=lambda c: c.worst)
-        checks["affine_chord"] = Check(best.worst, sum(c.count for c in parts), best.witness)
-
-    worst = max(c.worst for c in checks.values())
-    return _certificate(worst, witnesses, tolerance, checks, seed=seed)
+    check = _worst_row(witnesses.violation)
+    return Certificate(
+        worst_violation=check.worst,
+        witnesses=witnesses,
+        tolerance=float(tolerance),
+        seed=seed,
+        checks={"convex_chord": check},
+    )
 
 
 def _basis_rows(basis) -> np.ndarray:
@@ -449,12 +364,11 @@ def _pair_mix_measures(f, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 def _rotated_measures(
-    f, rows: np.ndarray, resamples: int, rng: np.random.Generator, structured: bool
+    f, rows: np.ndarray, resamples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """The subspace measure of ``rows`` first, then of each rotated basis
-    w @ rows: with ``structured`` (and n >= 2) the Fourier mix and the real
-    and phase mix of every pair, then ``resamples`` Haar rotations drawn in
-    order from ``rng``.
+    w @ rows: for n >= 2 the real and phase mix of every pair and the Fourier
+    mix, then ``resamples`` Haar rotations drawn in order from ``rng``.
 
     Makes at most three ``values`` calls: the base rows, the pair mixes, and
     the Fourier and Haar rotations stacked as one (r n, n) @ (n, d) product.
@@ -463,7 +377,7 @@ def _rotated_measures(
     base = f.values(rows)
     mus = [np.array([np.sum(base)])]
     stack = [haar_unitaries(n, resamples, rng)]
-    if structured and n >= 2:
+    if n >= 2:
         j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         stack.insert(0, np.exp(2j * np.pi * j * k / n)[None] / math.sqrt(n))
         mus.append(_pair_mix_measures(f, rows, base))
@@ -474,13 +388,13 @@ def _rotated_measures(
     return np.concatenate(mus)
 
 
-def _rotation_name(i: int, n: int, structured: bool) -> tuple:
+def _rotation_name(i: int, n: int) -> tuple:
     """Name of entry i of ``_rotated_measures``: ("base",), ("real", a, b) or
     ("phase", a, b) for a pair mix, ("fourier",), or ("haar", j) for the
     j-th Haar draw."""
     if i == 0:
         return ("base",)
-    if structured and n >= 2:
+    if n >= 2:
         a, b = np.triu_indices(n, k=1)
         if i <= 2 * len(a):
             p = (i - 1) % len(a)
@@ -492,25 +406,25 @@ def _rotation_name(i: int, n: int, structured: bool) -> tuple:
 
 
 def basis_independence(
-    f, basis, resamples: int, rng: np.random.Generator, structured: bool = True
+    f, basis, resamples: int, rng: np.random.Generator
 ) -> SubspaceMeasureRecord:
     """Spread of the subspace measure over rotated bases of one subspace.
 
-    Rotations are ``resamples`` Haar draws plus, by default, a deterministic
-    structured family (Fourier and pairwise mixes) that exposes basis
-    dependence aligned with the given basis without sampling luck.
+    Rotations are ``resamples`` Haar draws plus a deterministic structured
+    family (Fourier and pairwise mixes) that exposes basis dependence aligned
+    with the given basis without sampling luck.
     """
     if resamples < 2:
         raise ValueError("need at least two resamples")
     rows = _basis_rows(basis)
-    mus = _rotated_measures(f, rows, resamples, rng, structured)
+    mus = _rotated_measures(f, rows, resamples, rng)
     hi, lo = int(mus.argmax()), int(mus.argmin())
     return SubspaceMeasureRecord(
         basis=tuple(map(tuple, rows.tolist())),
         mu=float(mus[0]),
         basis_spread=float(mus[hi] - mus[lo]),
-        max_rotation=_rotation_name(hi, rows.shape[0], structured),
-        min_rotation=_rotation_name(lo, rows.shape[0], structured),
+        max_rotation=_rotation_name(hi, rows.shape[0]),
+        min_rotation=_rotation_name(lo, rows.shape[0]),
     )
 
 
@@ -520,15 +434,15 @@ def orthoadditivity_check(
     basis_z,
     rng: np.random.Generator,
     resamples: int = 8,
-    structured: bool = True,
 ) -> float:
     """Violation of mu(Y) + mu(Z) = mu(Y + Z) for orthogonal subspaces.
 
-    With the concatenated basis the identity holds termwise (set
-    ``resamples=0, structured=False`` to see exactly that); the reported
-    violation otherwise folds in rebased evaluations of the direct sum
-    (structured plus ``resamples`` Haar rotations), i.e. the basis spread
-    of the joint subspace.
+    With the concatenated basis the identity holds termwise, as
+    ``subspace_measure`` sums over the basis rows; the reported violation
+    therefore comes from the rebased evaluations of the direct sum (the
+    structured family plus ``resamples`` Haar rotations), i.e. the basis
+    spread of the joint subspace.  ``gleason_certify`` does not call this
+    check: its trace fit implies additivity on the subspaces it samples.
     """
     rows_y = _basis_rows(basis_y)
     rows_z = _basis_rows(basis_z)
@@ -537,7 +451,7 @@ def orthoadditivity_check(
         raise ValueError(f"subspaces are not orthogonal (max overlap {cross})")
     mu_parts = subspace_measure(f, rows_y) + subspace_measure(f, rows_z)
     joint = _basis_rows(np.vstack([rows_y, rows_z]))
-    mus = _rotated_measures(f, joint, resamples, rng, structured)
+    mus = _rotated_measures(f, joint, resamples, rng)
     return float(np.max(np.abs(mu_parts - mus)))
 
 
@@ -551,7 +465,6 @@ def gleason_certify(
     tolerance: float = TOL_DECISION,
     subspaces_per_dim: int = 3,
     resamples: int = 6,
-    trace_checks: int = 8,
     workers: int = 1,
 ) -> Certificate:
     """Subspace-measure certification for dimension >= 3.
@@ -559,13 +472,13 @@ def gleason_certify(
     Checks basis independence of the measure on sampled subspaces of every
     dimension (always including the full space with its computational
     basis), reconstructs the only operator a quadratic observable could
-    have, and verifies mu(X) = Tr(F P_X) on random subspaces.  Positive
-    semidefiniteness of the operator is additionally required when
-    ``f.counting`` is set, as a counting measure is non-negative.  The checks
-    are ``basis_spread`` (the subspace records), ``trace_fit`` (the trace
-    records, run only while the spread passes) and, with ``f.counting``,
-    ``psd_deficit``.  ``workers`` is accepted for compatibility
-    and ignored: subspaces run serially.
+    have, and verifies mu(X) = Tr(F P_X) on 8 random subspaces, which implies
+    additivity on them.  Positive semidefiniteness of the operator is
+    additionally required when ``f.counting`` is set, as a counting measure
+    is non-negative.  The checks are ``basis_spread`` (the subspace records),
+    ``trace_fit`` (the trace records, run only while the spread passes) and,
+    with ``f.counting``, ``psd_deficit``.  ``workers`` is accepted for
+    compatibility and ignored: subspaces run serially.
     """
     d = f.dim
     if d < 3:
@@ -592,10 +505,10 @@ def gleason_certify(
     checks = {"basis_spread": _worst_row([r.basis_spread for r in records])}
     worst = checks["basis_spread"].worst
 
-    operator = polarization_reconstruct(f, d)
+    operator = polarization_reconstruct(f)
 
     if worst < tolerance:
-        for i in range(trace_checks):
+        for i in range(_TRACE_CHECKS):
             rng = substream(seed, _PATH_TRACE, i)
             m = int(rng.integers(1, d + 1))
             rows = np.eye(d, dtype=complex) if m == d else _random_subspace(d, m, rng)
@@ -620,6 +533,11 @@ def gleason_certify(
         if deficit > _PSD_SLACK:
             worst = max(worst, deficit)
 
-    return _certificate(
-        worst, tuple(witnesses), tolerance, checks, seed=seed, operator=operator
+    return Certificate(
+        worst_violation=float(worst),
+        witnesses=tuple(witnesses),
+        tolerance=float(tolerance),
+        seed=seed,
+        operator=operator,
+        checks=checks,
     )

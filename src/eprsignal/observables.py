@@ -8,7 +8,7 @@ projector P, doubles as a counting observable with values in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,8 @@ from .states import Ensemble, PureState
 # observables flagged ``counting``) draw from this fixed stream so construction is
 # deterministic and rng-free for the caller.
 _SPOT_CHECK_SEED = 0x5EED
+# random (state, phase) pairs on which ``custom`` checks ray invariance
+_PHASE_CHECKS = 10
 
 KIND_QUADRATIC = "quadratic"
 KIND_POWER = "power"
@@ -61,7 +63,6 @@ class FunctionalObservable:
     _values: Callable[[np.ndarray], np.ndarray]
     matrix: np.ndarray | None = None
     exponent: int | None = None
-    label: str = field(default="", compare=False)
     counting: bool = False
 
     def __post_init__(self):
@@ -117,7 +118,7 @@ def _expectation_batch(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
     return values
 
 
-def quadratic(matrix, label: str = "") -> FunctionalObservable:
+def quadratic(matrix) -> FunctionalObservable:
     """The expectation-value observable psi -> <psi|M|psi> of a Hermitian M."""
     m = as_matrix(matrix)
     if not is_hermitian(m, TOL_STRUCTURAL):
@@ -127,11 +128,10 @@ def quadratic(matrix, label: str = "") -> FunctionalObservable:
         kind=KIND_QUADRATIC,
         _values=_expectation_batch(m),
         matrix=m,
-        label=label,
     )
 
 
-def power(matrix, exponent: int, label: str = "") -> FunctionalObservable:
+def power(matrix, exponent: int) -> FunctionalObservable:
     """psi -> (<psi|M|psi>)^k for Hermitian M and integer k >= 2.
 
     Ray-invariant and, when M is a projector, valued in [0, 1].
@@ -152,21 +152,15 @@ def power(matrix, exponent: int, label: str = "") -> FunctionalObservable:
         _values=values,
         matrix=m,
         exponent=int(exponent),
-        label=label,
     )
 
 
-def custom(
-    evaluator: Callable,
-    dim: int,
-    batch: bool = False,
-    label: str = "",
-    phase_checks: int = 10,
-) -> FunctionalObservable:
-    """Wrap an opaque evaluator.
+def custom(evaluator: Callable, dim: int, batch: bool = False) -> FunctionalObservable:
+    """Wrap an opaque evaluator, of one state or, with ``batch``, of an (m, d)
+    array of states.
 
     Ray invariance cannot be proven for a black box, so it is spot-checked at
-    construction on ``phase_checks`` random (state, phase) pairs.
+    construction on 10 random (state, phase) pairs.
     """
     if batch:
         values = evaluator
@@ -175,10 +169,8 @@ def custom(
         def values(psis: np.ndarray) -> np.ndarray:
             return np.array([float(evaluator(p)) for p in psis])
 
-    obs = FunctionalObservable(
-        dim=dim, kind=KIND_CUSTOM, _values=values, label=label
-    )
-    _check_ray_invariance(obs, phase_checks)
+    obs = FunctionalObservable(dim=dim, kind=KIND_CUSTOM, _values=values)
+    _check_ray_invariance(obs)
     return obs
 
 
@@ -204,9 +196,9 @@ def combine(coeffs, observables) -> FunctionalObservable:
     return FunctionalObservable(dim=dim, kind=KIND_CUSTOM, _values=values)
 
 
-def _check_ray_invariance(obs: FunctionalObservable, checks: int):
+def _check_ray_invariance(obs: FunctionalObservable):
     rng = np.random.default_rng(_SPOT_CHECK_SEED)
-    for _ in range(checks):
+    for _ in range(_PHASE_CHECKS):
         psi = random_pure(obs.dim, rng)
         theta = rng.uniform(0.0, 2.0 * np.pi)
         delta = abs(obs(np.exp(1j * theta) * psi) - obs(psi))
@@ -224,8 +216,8 @@ def ensemble_average(f, ens: Ensemble) -> float:
     return float(np.dot(ens.weights, vals))
 
 
-def polarization_reconstruct(f, d: int) -> np.ndarray:
-    """The Hermitian matrix a quadratic f of dimension d must have.
+def polarization_reconstruct(f) -> np.ndarray:
+    """The Hermitian matrix a quadratic f of dimension d = ``f.dim`` must have.
 
     Diagonal entries come from basis states; off-diagonal real and imaginary
     parts from the probes (e_j + e_k)/sqrt(2) and (e_j - i e_k)/sqrt(2), j < k.
@@ -233,6 +225,7 @@ def polarization_reconstruct(f, d: int) -> np.ndarray:
     this reconstructs its matrix exactly; if not, the output is still
     produced, and its misfit shows on states beyond the probes.
     """
+    d = f.dim
     if d < 2:
         raise ValueError("dimension must be >= 2")
     eye = np.eye(d, dtype=complex)

@@ -16,7 +16,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .nosignal import (
-    AffineChordRecord,
     Certificate,
     ChordColumns,
     PsdDeficitRecord,
@@ -112,16 +111,24 @@ def observable_to_json(f) -> dict:
 
 
 def observable_from_json(data):
+    """The observable of a descriptor: an object whose ``k`` is an integer
+    and whose ``counting``, when present, is true or false."""
+    if not isinstance(data, dict):
+        raise ValueError(f"an observable must be an object, got {data!r}")
     kind = data.get("kind")
     if kind == "quadratic":
         obs = quadratic(matrix_from_json(data["F"]))
     elif kind == "power":
-        obs = power(matrix_from_json(data["P"]), int(data["k"]))
+        k = data["k"]
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        obs = power(matrix_from_json(data["P"]), k)
     else:
         raise ValueError(f"unknown observable kind {kind!r}")
-    if data.get("counting"):
-        return dataclasses.replace(obs, counting=True)
-    return obs
+    counting = data.get("counting", False)
+    if not isinstance(counting, bool):
+        raise ValueError(f"counting must be true or false, got {counting!r}")
+    return dataclasses.replace(obs, counting=True) if counting else obs
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -181,8 +188,6 @@ def witness_to_json(w) -> dict:
             "trace_value": w.trace_value,
             "residual": w.residual,
         }
-    if isinstance(w, AffineChordRecord):
-        return {"type": "affine-chord", **w._asdict()}
     if isinstance(w, PsdDeficitRecord):
         return {
             "type": "psd-deficit",

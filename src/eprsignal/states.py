@@ -197,16 +197,14 @@ def _placeholder_state(dim: int) -> PureState:
     return basis_state(dim, 0)
 
 
-def rebase_alice(
-    state: EntangledState, new_basis, span_tol: float = TOL_DERIVED
-) -> EntangledState:
+def rebase_alice(state: EntangledState, new_basis) -> EntangledState:
     """Re-express the state over a different orthonormal A-side basis.
 
-    The new basis must span the same A subspace as the old one (checked via
-    the Frobenius distance of the span projectors).  Each new coefficient is
-    chosen real and non-negative, with the phase absorbed into the new B
-    state, so the output is deterministic.  Branches of weight below
-    TOL_STRUCTURAL keep a fixed placeholder B state and coefficient 0.
+    The new basis must span the same A subspace as the old one: no entry of
+    the two span projectors may differ by more than TOL_DERIVED.  Each new
+    coefficient is chosen real and non-negative, with the phase absorbed into
+    the new B state, so the output is deterministic.  Branches of weight
+    below TOL_STRUCTURAL keep a fixed placeholder B state and coefficient 0.
     """
     new = tuple(
         s if isinstance(s, PureState) else PureState(s) for s in new_basis
@@ -222,7 +220,7 @@ def rebase_alice(
     )
     span_new = new_mat.T @ new_mat.conj()
     gap = np.max(np.abs(span_new - state.alice_span_projector()))
-    if gap > span_tol:
+    if gap > TOL_DERIVED:
         raise ValueError(
             f"new basis spans a different A subspace (projector gap {gap})"
         )

@@ -57,11 +57,7 @@ def builtin_observables(dim: int) -> list[ZooEntry]:
         ZooEntry("offdiag-hermitian", quadratic(_offdiag_hermitian(dim)), True),
         ZooEntry("power2-projector", power(p0, 2), False),
         ZooEntry("power3-projector", power(p0, 3), False),
-        ZooEntry(
-            "projection-product",
-            custom(product_eval, dim, batch=True, label="projection-product"),
-            False,
-        ),
+        ZooEntry("projection-product", custom(product_eval, dim, batch=True), False),
         ZooEntry("power2-plane", power(p0 + p1, 2), False) if dim >= 3 else None,
     ]
     return [e for e in entries if e is not None]

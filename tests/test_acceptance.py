@@ -145,7 +145,7 @@ def test_criterion_6_polarization_identity():
     for i in range(50):
         d = 2 + i % 5
         matrix = random_hermitian(d, rng)
-        rec = polarization_reconstruct(quadratic(matrix), d)
+        rec = polarization_reconstruct(quadratic(matrix))
         worst = max(worst, float(np.max(np.abs(rec - matrix))))
     _verdict(
         "criterion 6: polarization reconstruction is the identity",

@@ -64,8 +64,12 @@ def test_simulate_needs_two_samples_per_letter(capsys):
         assert parse_config(base, {"command": command, "n_samples": 1}).n_samples == 1
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
-@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize(
+    "source, value",
+    [(source, value) for source in ("flag", "file") for value in ("nan", "inf", "-inf", "0")]
+    # a JSON true is an int to Python, and reads as 1.0 unless rejected
+    + [("file", "true")],
+)
 @pytest.mark.parametrize("command, name", [("gap", "bell-power"),
                                            ("certify", "power2-affinity")])
 def test_tolerance_must_be_finite_and_positive(command, name, source, value,
@@ -75,12 +79,44 @@ def test_tolerance_must_be_finite_and_positive(command, name, source, value,
         argv.append(f"--tolerance={value}")
     else:  # json.dumps writes NaN and Infinity, which json.loads reads back
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({**load_config(name), "tolerance": float(value)}))
+        tolerance = True if value == "true" else float(value)
+        path.write_text(json.dumps({**load_config(name), "tolerance": tolerance}))
         argv[2] = str(path)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: tolerance: must be a finite number > 0")
+    if value == "true":
+        assert captured.err == "error: tolerance: must be a finite number > 0, got True\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"k": 2.5}, {"k": "2"}, {"counting": "false"}, {"counting": 1}, None],
+    ids=["k-float", "k-string", "counting-string", "counting-int", "list"],
+)
+@pytest.mark.parametrize("route", ["scenario", "observable"])
+def test_observable_descriptor_is_validated(route, change, tmp_path, capsys):
+    # k must be a JSON integer, counting true or false, and the descriptor an
+    # object, under gap's scenario and as gleason's top-level observable
+    if route == "scenario":
+        config = load_config("bell-power")
+        desc = config["scenario"]["observable"]
+    else:
+        config = load_config("d3-gleason-fail")
+        desc = config["observable"]
+    desc = [1, 2] if change is None else {**desc, **change}
+    if route == "scenario":
+        config = {**config, "scenario": {**config["scenario"], "observable": desc}}
+    else:
+        config = {**config, "observable": desc}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    command = "gap" if route == "scenario" else "gleason"
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {route}: ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
 def test_gap_command_reports_bell_power_gap(tmp_path):
@@ -340,25 +376,49 @@ def test_witness_table_only_for_certifiers(capsys):
     assert "--witnesses" in capsys.readouterr().err
 
 
-# SHA-256 of the CSV plot data at the config seed, as written when every
-# witness was part of the JSON report; the CSV is built from the same table
-_CSV_SHA256 = {
-    ("affinity", "power2-affinity"):
+# SHA-256 of the report bytes at the config seed: the JSON report of every
+# bundled config under its own command and of certify on the observable
+# configs, and the CSV plot data of the certifier configs (as written when
+# every witness was part of the JSON report; the CSV is built from the same
+# table)
+_REPORT_SHA256 = {
+    ("simulate", "bell-power", "json"):
+        "fad12dd35802b869dae6542764b13d327d082519b9d3153cecd261bb81fb1916",
+    ("simulate", "bell-quadratic", "json"):
+        "dae3b33867f5d4c8f8d0b45cb9b95d192561cd1dc6ad370309145974aa98dc9c",
+    ("gleason", "d3-gleason-fail", "json"):
+        "7dac0124c4185e917212b7ccb9881488473c778738a54c4427783e78af0abecf",
+    ("gleason", "d3-gleason-pass", "json"):
+        "3531e795425cfffbb58fa5a81802a6973d095245b054fec6fe7f2e8838db6d92",
+    ("affinity", "power2-affinity", "json"):
+        "d1fd6faa6a136ed195f0bbf27d4f53cb7d15ba7f7d62290e8f3e2443060fe4db",
+    ("certify", "d3-gleason-fail", "json"):
+        "0dafa032ec96a582e6457cd6fe93034901354810370a4fe20e5b93103ed1323f",
+    ("certify", "d3-gleason-pass", "json"):
+        "4f54ef5d4ca2261563673a54987005785ddb5688a7ef9affd81d70c0865d0f07",
+    ("certify", "power2-affinity", "json"):
+        "eeab133f06878590dbdae115cceffd48c7e4c22f4a0548301fa990d9bfbd6827",
+    ("affinity", "power2-affinity", "csv"):
         "7a401a5339501e170665ffaaa08a0c18e89a20e0d60eb237a0776d02875da4fe",
-    ("gleason", "d3-gleason-fail"):
+    ("gleason", "d3-gleason-fail", "csv"):
         "74d2ce03eac03982c178df1e4a1ab430a2c9b686787ecb55c27f079f89e01b6b",
-    ("gleason", "d3-gleason-pass"):
+    ("gleason", "d3-gleason-pass", "csv"):
         "9fd321509d680b9470c309dc4544ef696186fa6b9781524b614a77f3fea00125",
 }
 
 
-@pytest.mark.parametrize("command, name", sorted(_CSV_SHA256))
-def test_csv_plot_data_bytes_are_unchanged(command, name, tmp_path):
+@pytest.mark.parametrize(
+    "command, name, fmt",
+    # the CSV cases keep the ids they had before the JSON cases joined them
+    [pytest.param(*key, id="-".join(key if key[2] == "json" else key[:2]))
+     for key in sorted(_REPORT_SHA256)],
+)
+def test_csv_plot_data_bytes_are_unchanged(command, name, fmt, tmp_path):
     import hashlib
 
-    out = tmp_path / "plot.csv"
-    assert main([command, "--config", name, "--format", "csv", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == _CSV_SHA256[command, name]
+    out = tmp_path / "report"
+    assert main([command, "--config", name, "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_SHA256[command, name, fmt]
 
 
 def test_certify_csv_plots_what_it_dispatched_to(tmp_path):

@@ -247,6 +247,8 @@ def test_random_pure_batch_unit_rows():
 def test_bloch_inverse_rejects_outside_ball():
     with pytest.raises(ValueError):
         bloch_states([[1.2, 0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"radius nan"):
+        bloch_states([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]])
 
 
 def _orthonormal_callers(d: int, rng: np.random.Generator):

@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eprsignal import nosignal
@@ -123,7 +124,7 @@ def test_affinity_independent_of_worker_count(seed, n):
 def test_affinity_random_hermitian_quadratic_passes(entries, seed):
     a, d, re, im = entries
     matrix = np.array([[a, re + 1j * im], [re - 1j * im, d]])
-    cert = affinity_scan(quadratic(matrix), 300, seed=seed, extended=True)
+    cert = affinity_scan(quadratic(matrix), 300, seed=seed)
     assert cert.worst_violation < 1e-9
 
 
@@ -140,6 +141,7 @@ def test_affinity_power_produces_quarter_violation():
     cert = affinity_scan(power(PROJ0_2, 2), 1000, seed=43)
     assert cert.verdict == VERDICT_NON_QUADRATIC
     assert 0.2 <= cert.worst_violation <= 0.25 + 1e-9
+    assert list(cert.checks) == ["convex_chord"] and cert.worst_check == "convex_chord"
 
 
 def test_affinity_constant_observable():
@@ -150,15 +152,6 @@ def test_affinity_constant_observable():
 def test_affinity_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         affinity_scan(quadratic(np.eye(3, dtype=complex)), 10, seed=0)
-
-
-def test_affinity_extended_scan():
-    rng = np.random.default_rng(45)
-    cert_q = affinity_scan(quadratic(random_hermitian(2, rng)), 300, seed=46,
-                           extended=True)
-    assert cert_q.worst_violation < 1e-9
-    cert_p = affinity_scan(power(PROJ0_2, 2), 300, seed=46, extended=True)
-    assert cert_p.worst_violation >= 0.2
 
 
 def test_affinity_workers_identical():
@@ -247,11 +240,11 @@ def test_basis_independence_requires_two_resamples():
 
 
 def test_orthoadditivity_concatenation_is_exact():
+    # over the concatenated basis mu(Y) + mu(Z) = mu(Y + Z) holds termwise
     f = power(projector_matrix(3), 2)
     y = [np.array([1, 0, 0], dtype=complex), np.array([0, 1, 0], dtype=complex)]
     z = [np.array([0, 0, 1], dtype=complex)]
-    assert orthoadditivity_check(f, y, z, np.random.default_rng(0),
-                                 resamples=0, structured=False) == 0.0
+    assert subspace_measure(f, y) + subspace_measure(f, z) == subspace_measure(f, y + z)
 
 
 def test_orthoadditivity_quadratic_flat_power_violates():
@@ -274,11 +267,11 @@ def test_orthoadditivity_rejects_overlapping_subspaces():
         )
 
 
-def _reference_rotations(n, resamples, rng, structured):
+def _reference_rotations(n, resamples, rng):
     """The rotation family written out as dense n x n matrices: the Fourier
     mix, the real and the phase mix of every pair a < b, then the Haar draws."""
     out = []
-    if structured and n >= 2:
+    if n >= 2:
         j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         out.append(np.exp(2j * np.pi * j * k / n) / math.sqrt(n))
         s = 1.0 / math.sqrt(2.0)
@@ -291,8 +284,8 @@ def _reference_rotations(n, resamples, rng, structured):
     return out + [haar_unitary(n, rng) for _ in range(resamples)]
 
 
-def _reference_measures(f, rows, resamples, rng, structured):
-    rotations = _reference_rotations(len(rows), resamples, rng, structured)
+def _reference_measures(f, rows, resamples, rng):
+    rotations = _reference_rotations(len(rows), resamples, rng)
     return np.array(
         [np.sum(f.values(rows))] + [np.sum(f.values(w @ rows)) for w in rotations]
     )
@@ -314,20 +307,17 @@ def _family_observable(kind, d, rng):
     n=st.integers(1, 6),
     extra=st.integers(0, 3),
     kind=st.sampled_from(["quadratic", "power", "custom"]),
-    structured=st.booleans(),
     resamples=st.integers(2, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_rotation_family_matches_dense_reference(
-    n, extra, kind, structured, resamples, seed
-):
+def test_rotation_family_matches_dense_reference(n, extra, kind, resamples, seed):
     d = min(max(n, 3) + extra, 6)
     rng = np.random.default_rng(seed)
     f = _family_observable(kind, d, rng)
     rows = np.ascontiguousarray(haar_unitary(d, rng)[:, :n].T)
 
-    ref = _reference_measures(f, rows, resamples, np.random.default_rng(seed), structured)
-    rec = basis_independence(f, rows, resamples, np.random.default_rng(seed), structured)
+    ref = _reference_measures(f, rows, resamples, np.random.default_rng(seed))
+    rec = basis_independence(f, rows, resamples, np.random.default_rng(seed))
     scale = max(1.0, np.abs(ref).max())
     assert rec.mu == ref[0]
     assert abs(rec.basis_spread - (ref.max() - ref.min())) <= 1e-12 * scale
@@ -337,8 +327,7 @@ def test_rotation_family_matches_dense_reference(
     m = n // 2
     mu_parts = subspace_measure(f, rows[:m]) + subspace_measure(f, rows[m:])
     worst = orthoadditivity_check(
-        f, rows[:m], rows[m:], np.random.default_rng(seed),
-        resamples=resamples, structured=structured,
+        f, rows[:m], rows[m:], np.random.default_rng(seed), resamples=resamples
     )
     assert abs(worst - np.abs(mu_parts - ref).max()) <= 1e-12 * scale
 
@@ -412,12 +401,17 @@ def test_gleason_workers_identical():
     assert a.verdict == b.verdict
 
 
-def test_certificate_verdict_must_match_violation():
-    with pytest.raises(ValueError):
-        Certificate(
-            verdict=VERDICT_QUADRATIC, worst_violation=1.0,
-            witnesses=(), tolerance=1e-8,
-        )
+@settings(max_examples=200, deadline=None)
+@given(worst=st.floats(), tolerance=st.floats(min_value=0.0, exclude_min=True))
+@example(worst=math.nan, tolerance=1e-8)
+@example(worst=1e-8, tolerance=1e-8)
+def test_certificate_verdict_must_match_violation(worst, tolerance):
+    # the verdict is derived, never stored: non-quadratic unless the worst
+    # violation is below the tolerance, so a NaN violation is non-quadratic
+    cert = Certificate(worst_violation=worst, witnesses=(), tolerance=tolerance)
+    assert (cert.verdict == VERDICT_NON_QUADRATIC) == (not worst < tolerance)
+    assert cert.verdict in (VERDICT_QUADRATIC, VERDICT_NON_QUADRATIC)
+    assert "verdict" not in {f.name for f in dataclasses.fields(Certificate)}
 
 
 def test_certifiers_agree_with_ground_truth():
@@ -454,25 +448,24 @@ def test_certified_kind_matches_signaling_behaviour():
 @given(
     n=st.integers(1, 5),
     kind=st.sampled_from(["quadratic", "power", "custom"]),
-    structured=st.booleans(),
     resamples=st.integers(2, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_basis_spread_names_the_extreme_rotations(n, kind, structured, resamples, seed):
+def test_basis_spread_names_the_extreme_rotations(n, kind, resamples, seed):
     # each rotation name, turned back into its dense matrix, gives the
     # largest and the smallest measure of the family
     d = max(n, 3)
     rng = np.random.default_rng(seed)
     f = _family_observable(kind, d, rng)
     rows = np.ascontiguousarray(haar_unitary(d, rng)[:, :n].T)
-    rec = basis_independence(f, rows, resamples, np.random.default_rng(seed), structured)
+    rec = basis_independence(f, rows, resamples, np.random.default_rng(seed))
 
     names = [("haar", j) for j in range(resamples)]
-    if structured and n >= 2:
+    if n >= 2:
         pairs = [(k, a, b) for a in range(n) for b in range(a + 1, n)
                  for k in ("real", "phase")]
         names = [("fourier",)] + pairs + names
-    rotations = _reference_rotations(n, resamples, np.random.default_rng(seed), structured)
+    rotations = _reference_rotations(n, resamples, np.random.default_rng(seed))
     mu = {("base",): subspace_measure(f, rows)}
     mu.update((name, subspace_measure(f, w @ rows)) for name, w in zip(names, rotations))
     scale = max(1.0, max(abs(v) for v in mu.values()))
@@ -519,22 +512,6 @@ def test_batched_haar_draws_match_one_qr_per_draw(monkeypatch):
     assert texts() == batched
 
 
-def test_affine_chord_check_carries_its_worst_row():
-    f = power(PROJ0_2, 2)
-    cert = affinity_scan(f, 300, seed=64, extended=True)
-    affine = cert.checks["affine_chord"]
-    row = affine.witness
-    assert 0 < affine.count <= 300 and affine.worst == row.violation
-    x, y1, y2 = (np.array(v) for v in (row.x, row.y1, row.y2))
-    np.testing.assert_allclose((1.0 - row.p2) * y1 + row.p2 * y2, x, rtol=0, atol=1e-12)
-    assert -0.5 <= row.p2 <= 1.5
-    assert row.lhs == nosignal._diameter_averages(f, x[None])[0]
-    assert row.violation == abs(row.lhs - row.rhs)
-    assert cert.worst_violation == max(c.worst for c in cert.checks.values())
-    assert cert.checks[cert.worst_check].worst == cert.worst_violation
-    assert list(affinity_scan(f, 300, seed=64).checks) == ["convex_chord"]
-
-
 def test_psd_deficit_check_records_the_lowest_eigenpair():
     f = counting(power(projector_matrix(3), 2))
     cert = gleason_certify(f, seed=66)
@@ -561,5 +538,5 @@ def test_psd_deficit_is_checked_iff_counting(seed, d, k, flag):
     f = quadratic(p) if k == 1 else power(p, k)
     if flag:
         f = counting(f)
-    cert = gleason_certify(f, seed=seed, subspaces_per_dim=1, resamples=2, trace_checks=2)
+    cert = gleason_certify(f, seed=seed, subspaces_per_dim=1, resamples=2)
     assert ("psd_deficit" in cert.checks) == flag

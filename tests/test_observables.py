@@ -159,7 +159,7 @@ def test_counting_flag_rejects_values_outside_unit_interval(d, c):
 def test_polarization_recovers_diagonal():
     f = quadratic(np.diag([0.2, 0.3, 0.5]).astype(complex))
     np.testing.assert_allclose(
-        polarization_reconstruct(f, 3), np.diag([0.2, 0.3, 0.5]), atol=1e-12
+        polarization_reconstruct(f), np.diag([0.2, 0.3, 0.5]), atol=1e-12
     )
 
 
@@ -167,7 +167,7 @@ def test_polarization_constant_gives_scaled_identity():
     c = 0.37
     f = custom(lambda psi: c, dim=3)
     np.testing.assert_allclose(
-        polarization_reconstruct(f, 3), c * np.eye(3), atol=1e-12
+        polarization_reconstruct(f), c * np.eye(3), atol=1e-12
     )
 
 
@@ -176,7 +176,7 @@ def test_polarization_identity_random_hermitian():
     for d in range(2, 7):
         for _ in range(5):
             m = random_hermitian(d, rng)
-            rec = polarization_reconstruct(quadratic(m), d)
+            rec = polarization_reconstruct(quadratic(m))
             assert np.max(np.abs(rec - m)) < 1e-10
 
 
@@ -193,7 +193,7 @@ def test_polarization_evaluates_all_probes_in_one_batch(monkeypatch):
         return values(self, psis)
 
     monkeypatch.setattr(type(f), "values", counted)
-    rec = polarization_reconstruct(f, d)
+    rec = polarization_reconstruct(f)
     assert calls == [d * d]
     assert np.max(np.abs(rec - m)) < 1e-12
     assert np.array_equal(rec, rec.conj().T)
@@ -203,7 +203,7 @@ def test_polarization_of_power_observable_misfits():
     # frozen from the independent residual oracle: the best quadratic guess
     # for the squared projector misses by more than 0.1 on random states
     f = power(PROJ0_2, 2)
-    rec = polarization_reconstruct(f, 2)
+    rec = polarization_reconstruct(f)
     expected = np.array([[1.0, -0.25 - 0.25j], [-0.25 + 0.25j, 0.0]])
     np.testing.assert_allclose(rec, expected, atol=1e-12)
     pts = random_pure_batch(1000, 2, np.random.default_rng(6))
