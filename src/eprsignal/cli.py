@@ -83,8 +83,8 @@ class RunConfig:
     witnesses: str | None = None
 
     def to_dict(self) -> dict:
-        """Normal form: every field explicit, stable ordering."""
-        return dataclasses.asdict(self)
+        """Normal form: every field explicit, stable ordering, shallow."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def bundled_config_names() -> list[str]:

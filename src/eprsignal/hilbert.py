@@ -47,13 +47,9 @@ def inner(u, v) -> complex:
     return complex(np.vdot(u, v))
 
 
-def norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
-
-
-def is_hermitian(m, tol: float = TOL_STRUCTURAL) -> bool:
+def is_hermitian(m) -> bool:
     m = as_matrix(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= TOL_STRUCTURAL)
 
 
 def projector(v) -> np.ndarray:
@@ -62,13 +58,13 @@ def projector(v) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def gram_schmidt(vectors, tol: float = TOL_DERIVED) -> list[np.ndarray]:
+def gram_schmidt(vectors) -> list[np.ndarray]:
     """Orthonormalize a linearly independent family of vectors.
 
     Uses modified Gram-Schmidt with one re-orthogonalization pass, which keeps
     pairwise inner products at the 1e-15 level for the small dimensions used
     here.  Raises ``ValueError`` when a vector's residual norm after projection
-    drops below ``tol`` (rank deficiency).
+    drops below TOL_DERIVED (rank deficiency).
     """
     vs = [as_vector(v) for v in vectors]
     if any(v.size != vs[0].size for v in vs):
@@ -80,7 +76,7 @@ def gram_schmidt(vectors, tol: float = TOL_DERIVED) -> list[np.ndarray]:
             for q in out:
                 w = w - np.vdot(q, w) * q
         r = np.linalg.norm(w)
-        if r < tol:
+        if r < TOL_DERIVED:
             raise ValueError("input family is rank deficient within tolerance")
         out.append(w / r)
     return out
@@ -106,15 +102,18 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """``count`` Haar-distributed d x d unitaries, shape (count, d, d).
-
-    QR factorizations of complex Gaussian matrices, with the diagonal of each
-    R phase-normalized so the distribution is exactly left-invariant.  Matrix
-    j draws its real, then its imaginary d x d block, so the stack equals
-    ``count`` calls of ``haar_unitary`` in a row; the QRs run as one batch.
-    """
+    Matrix j draws its real, then its imaginary d x d block, so the stack
+    equals ``count`` calls of ``haar_unitary`` in a row."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    z = rng.standard_normal((count, 2, d, d))
+    return haar_from_normals(rng.standard_normal((count, 2, d, d)))
+
+
+def haar_from_normals(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (k, 2, d, d) stack of normal draws, the real and
+    the imaginary block of each: one batched QR of the k complex Gaussian
+    matrices, each R's diagonal phase-normalized so the distribution is
+    exactly left-invariant.  Each equals its own matrix's QR bit for bit."""
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]

@@ -16,6 +16,7 @@ non-quadratic observable produces a concrete witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -26,6 +27,7 @@ from .hilbert import (
     TOL_DECISION,
     TOL_DERIVED,
     bloch_states,
+    haar_from_normals,
     haar_unitaries,
     haar_unitary,
     orthonormal_rows,
@@ -133,8 +135,8 @@ class ChordColumns:
 @dataclass(frozen=True)
 class SubspaceMeasureRecord:
     """Measure of one subspace plus its spread over resampled bases, and the
-    rotations that gave the largest and the smallest measure, named as by
-    ``_rotation_name``."""
+    rotations that gave the largest and the smallest measure, named as in
+    ``basis_independence``."""
 
     basis: tuple
     mu: float
@@ -341,6 +343,25 @@ def subspace_measure(f, basis) -> float:
     return float(np.sum(f.values(rows)))
 
 
+@functools.cache
+def _structured_family(n: int):
+    """Read-only tables of the structured rotations of an n-row basis, built
+    once per n: the pairs a < b in ``np.triu_indices`` order, the Fourier
+    matrix with a leading axis, and the names of the measures
+    ``_rotated_measures`` returns before its Haar rotations: ("base",), then
+    for n >= 2 ("real", a, b) and ("phase", a, b) of each pair and ("fourier",)."""
+    a, b = np.triu_indices(n, k=1)
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    fourier = np.exp(2j * np.pi * j * k / n)[None] / math.sqrt(n)
+    for table in (a, b, fourier):
+        table.flags.writeable = False
+    names = [("base",)]
+    if n >= 2:
+        names += [(mix, int(p), int(q)) for mix in ("real", "phase") for p, q in zip(a, b)]
+        names.append(("fourier",))
+    return a, b, fourier, tuple(names)
+
+
 def _pair_mix_measures(f, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Measures of the 2 * n(n-1)/2 bases in which one pair of rows a < b is
     mixed, by the real mix (r_a + r_b, r_a - r_b)/sqrt(2) and then the phase
@@ -351,7 +372,7 @@ def _pair_mix_measures(f, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
     ``base`` with entries a and b replaced.
     """
     n = rows.shape[0]
-    a, b = np.triu_indices(n, k=1)
+    a, b = _structured_family(n)[:2]
     ra, rb = rows[a], rows[b]
     s = 1.0 / math.sqrt(2.0)
     mixed = np.concatenate([ra + rb, ra - rb, ra + 1j * rb, 1j * ra + rb]) * s
@@ -363,68 +384,48 @@ def _pair_mix_measures(f, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
     return table.reshape(-1, n).sum(axis=1)
 
 
-def _rotated_measures(
-    f, rows: np.ndarray, resamples: int, rng: np.random.Generator
-) -> np.ndarray:
+def _rotated_measures(f, rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     """The subspace measure of ``rows`` first, then of each rotated basis
     w @ rows: for n >= 2 the real and phase mix of every pair and the Fourier
-    mix, then ``resamples`` Haar rotations drawn in order from ``rng``.
+    mix, then the (r, n, n) stack ``rotations``.
 
     Makes at most three ``values`` calls: the base rows, the pair mixes, and
-    the Fourier and Haar rotations stacked as one (r n, n) @ (n, d) product.
+    the Fourier and stacked rotations as one (r n, n) @ (n, d) product.
     """
     n = rows.shape[0]
     base = f.values(rows)
     mus = [np.array([np.sum(base)])]
-    stack = [haar_unitaries(n, resamples, rng)]
     if n >= 2:
-        j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        stack.insert(0, np.exp(2j * np.pi * j * k / n)[None] / math.sqrt(n))
+        rotations = np.concatenate([_structured_family(n)[2], rotations])
         mus.append(_pair_mix_measures(f, rows, base))
-    stack = np.concatenate(stack)
-    if len(stack):
-        rotated = stack.reshape(-1, n) @ rows
-        mus.append(f.values(rotated).reshape(len(stack), n).sum(axis=1))
+    rotated = rotations.reshape(-1, n) @ rows
+    mus.append(f.values(rotated).reshape(len(rotations), n).sum(axis=1))
     return np.concatenate(mus)
 
 
-def _rotation_name(i: int, n: int) -> tuple:
-    """Name of entry i of ``_rotated_measures``: ("base",), ("real", a, b) or
-    ("phase", a, b) for a pair mix, ("fourier",), or ("haar", j) for the
-    j-th Haar draw."""
-    if i == 0:
-        return ("base",)
-    if n >= 2:
-        a, b = np.triu_indices(n, k=1)
-        if i <= 2 * len(a):
-            p = (i - 1) % len(a)
-            return ("real" if i <= len(a) else "phase", int(a[p]), int(b[p]))
-        if i == 2 * len(a) + 1:
-            return ("fourier",)
-        i -= 2 * len(a) + 1
-    return ("haar", i - 1)
-
-
-def basis_independence(
-    f, basis, resamples: int, rng: np.random.Generator
-) -> SubspaceMeasureRecord:
+def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
     """Spread of the subspace measure over rotated bases of one subspace.
 
-    Rotations are ``resamples`` Haar draws plus a deterministic structured
-    family (Fourier and pairwise mixes) that exposes basis dependence aligned
-    with the given basis without sampling luck.
+    Rotations are the (resamples, n, n) stack ``rotations`` of Haar draws,
+    resamples >= 2, plus a deterministic structured family (Fourier and
+    pairwise mixes) that exposes basis dependence aligned with the given
+    basis without sampling luck.  The records name the extreme rotations
+    ("base",), ("real", a, b), ("phase", a, b), ("fourier",) or ("haar", j).
     """
-    if resamples < 2:
-        raise ValueError("need at least two resamples")
     rows = _basis_rows(basis)
-    mus = _rotated_measures(f, rows, resamples, rng)
+    n = rows.shape[0]
+    rotations = np.asarray(rotations, dtype=complex)
+    if rotations.ndim != 3 or rotations.shape[1:] != (n, n) or len(rotations) < 2:
+        raise ValueError(f"need at least two {n} x {n} rotations, got {rotations.shape}")
+    mus = _rotated_measures(f, rows, rotations)
+    names = _structured_family(n)[3] + tuple(("haar", j) for j in range(len(rotations)))
     hi, lo = int(mus.argmax()), int(mus.argmin())
     return SubspaceMeasureRecord(
         basis=tuple(map(tuple, rows.tolist())),
         mu=float(mus[0]),
         basis_spread=float(mus[hi] - mus[lo]),
-        max_rotation=_rotation_name(hi, rows.shape[0]),
-        min_rotation=_rotation_name(lo, rows.shape[0]),
+        max_rotation=names[hi],
+        min_rotation=names[lo],
     )
 
 
@@ -451,12 +452,36 @@ def orthoadditivity_check(
         raise ValueError(f"subspaces are not orthogonal (max overlap {cross})")
     mu_parts = subspace_measure(f, rows_y) + subspace_measure(f, rows_z)
     joint = _basis_rows(np.vstack([rows_y, rows_z]))
-    mus = _rotated_measures(f, joint, resamples, rng)
+    mus = _rotated_measures(f, joint, haar_unitaries(len(joint), resamples, rng))
     return float(np.max(np.abs(mu_parts - mus)))
 
 
-def _random_subspace(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    return haar_unitary(d, rng)[:, :n].T
+def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> list:
+    """``basis_independence`` records of ``subspaces_per_dim`` sampled
+    subspaces of each dimension m < d, then of the full space.
+
+    Subspace k of dimension m draws its d x d Haar unitary from stream
+    (seed, 20, m, i), i counting within m, and its Haar rotations from
+    (seed, 20, m, 1000 + k).  The QRs run stacked, one for all sampled
+    subspaces and one per dimension m for the rotations.  The ``values``
+    calls stay per subspace: a BLAS product's last bits can depend on its row count.
+    """
+    d = f.dim
+    drawn = [(m, i) for m in range(1, d) for i in range(subspaces_per_dim)]
+    spaces = haar_from_normals(np.array([
+        substream(seed, _PATH_SUBSPACE, m, i).standard_normal((2, d, d))
+        for m, i in drawn
+    ]).reshape(-1, 2, d, d))
+    bases = [u[:, :m].T for u, (m, _) in zip(spaces, drawn)] + [np.eye(d, dtype=complex)]
+    dims = [m for m, _ in drawn] + [d]
+    records = []
+    for m in range(1, d + 1):
+        ks = [k for k, n in enumerate(dims) if n == m]
+        streams = [substream(seed, _PATH_SUBSPACE, m, 1000 + k) for k in ks]
+        z = np.array([g.standard_normal((resamples, 2, m, m)) for g in streams])
+        haar = haar_from_normals(z.reshape(-1, 2, m, m)).reshape(len(ks), resamples, m, m)
+        records += [basis_independence(f, bases[k], w) for k, w in zip(ks, haar)]
+    return records
 
 
 def gleason_certify(
@@ -487,20 +512,7 @@ def gleason_certify(
             "use affinity_scan for dimension 2"
         )
 
-    tasks: list[tuple[int, np.ndarray]] = []
-    for m in range(1, d + 1):
-        if m == d:
-            tasks.append((m, np.eye(d, dtype=complex)))
-            continue
-        for i in range(subspaces_per_dim):
-            tasks.append((m, _random_subspace(d, m, substream(seed, _PATH_SUBSPACE, m, i))))
-
-    records = [
-        basis_independence(
-            f, rows, resamples, substream(seed, _PATH_SUBSPACE, m, 1000 + k)
-        )
-        for k, (m, rows) in enumerate(tasks)
-    ]
+    records = _subspace_records(f, seed, subspaces_per_dim, resamples)
     witnesses: list = list(records)
     checks = {"basis_spread": _worst_row([r.basis_spread for r in records])}
     worst = checks["basis_spread"].worst
@@ -511,7 +523,7 @@ def gleason_certify(
         for i in range(_TRACE_CHECKS):
             rng = substream(seed, _PATH_TRACE, i)
             m = int(rng.integers(1, d + 1))
-            rows = np.eye(d, dtype=complex) if m == d else _random_subspace(d, m, rng)
+            rows = np.eye(d, dtype=complex) if m == d else haar_unitary(d, rng)[:, :m].T
             mu = subspace_measure(f, rows)
             p_x = rows.T @ rows.conj()
             tr = float(np.trace(operator @ p_x).real)

@@ -121,7 +121,7 @@ def _expectation_batch(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]
 def quadratic(matrix) -> FunctionalObservable:
     """The expectation-value observable psi -> <psi|M|psi> of a Hermitian M."""
     m = as_matrix(matrix)
-    if not is_hermitian(m, TOL_STRUCTURAL):
+    if not is_hermitian(m):
         raise ValueError("matrix must be Hermitian")
     return FunctionalObservable(
         dim=m.shape[0],
@@ -137,7 +137,7 @@ def power(matrix, exponent: int) -> FunctionalObservable:
     Ray-invariant and, when M is a projector, valued in [0, 1].
     """
     m = as_matrix(matrix)
-    if not is_hermitian(m, TOL_STRUCTURAL):
+    if not is_hermitian(m):
         raise ValueError("matrix must be Hermitian")
     if int(exponent) != exponent or exponent < 2:
         raise ValueError("exponent must be an integer >= 2")

@@ -33,8 +33,11 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def complex_from_json(data) -> complex:
-    if not (isinstance(data, (list, tuple)) and len(data) == 2):
-        raise ValueError(f"a complex number must be a [re, im] pair, got {data!r}")
+    """A complex number from an [re, im] pair of JSON numbers: the type of
+    each part is int or float, so a string or a bool is rejected."""
+    if not (isinstance(data, (list, tuple)) and len(data) == 2
+            and type(data[0]) in (int, float) and type(data[1]) in (int, float)):
+        raise ValueError(f"a complex number must be a [re, im] pair of numbers, got {data!r}")
     return complex(float(data[0]), float(data[1]))
 
 

@@ -47,26 +47,11 @@ class PureState:
     def projector(self) -> np.ndarray:
         return projector(self.vec)
 
-    @staticmethod
-    def normalized(v) -> "PureState":
-        v = as_vector(v)
-        n = np.linalg.norm(v)
-        if n < TOL_DERIVED:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        return PureState(v / n)
-
 
 def basis_state(dim: int, index: int) -> PureState:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0
     return PureState(v)
-
-
-def ray_equal(a: PureState, b: PureState, tol: float = TOL_DERIVED) -> bool:
-    """Equality up to global phase, via rank-1 projectors."""
-    if a.dim != b.dim:
-        return False
-    return bool(np.max(np.abs(a.projector() - b.projector())) <= tol)
 
 
 @dataclass(frozen=True)
@@ -266,11 +251,9 @@ def ensemble_density(ens: Ensemble) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def density_equal(
-    r1: DensityMatrix, r2: DensityMatrix, tol: float = TOL_DERIVED
-) -> tuple[bool, float]:
-    """Frobenius comparison; returns (equal within tol, distance)."""
+def density_equal(r1: DensityMatrix, r2: DensityMatrix) -> tuple[bool, float]:
+    """Frobenius comparison; returns (equal within TOL_DERIVED, distance)."""
     if r1.dim != r2.dim:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
     dist = float(np.linalg.norm(r1.mat - r2.mat))
-    return dist < tol, dist
+    return dist < TOL_DERIVED, dist

@@ -1,5 +1,7 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from eprsignal.cli import (
@@ -116,6 +118,28 @@ def test_observable_descriptor_is_validated(route, change, tmp_path, capsys):
     assert main([command, "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {route}: ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("entry", [["1", 0], [True, 0]], ids=["string", "bool"])
+@pytest.mark.parametrize("route", ["scenario", "observable"])
+def test_matrix_entries_must_be_numbers(route, entry, tmp_path, capsys):
+    # a complex entry with a string or bool part fails with the config path,
+    # here the first of the scenario's alphas or of gleason's P
+    if route == "scenario":
+        config = load_config("bell-power")
+        state = config["scenario"]["state"]
+        state["alphas"] = [entry] + state["alphas"][1:]
+    else:
+        config = load_config("d3-gleason-fail")
+        p = config["observable"]["P"]
+        p[0] = [entry] + p[0][1:]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    command = "gap" if route == "scenario" else "gleason"
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {route}: a complex number must be")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
 
 
@@ -414,11 +438,37 @@ _REPORT_SHA256 = {
      for key in sorted(_REPORT_SHA256)],
 )
 def test_csv_plot_data_bytes_are_unchanged(command, name, fmt, tmp_path):
-    import hashlib
-
     out = tmp_path / "report"
     assert main([command, "--config", name, "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_SHA256[command, name, fmt]
+
+
+def _counting_config(d: int, seed: int) -> dict:
+    # gleason on F = U diag(linspace(0, 1, d)) U^dagger, U Haar from the seed:
+    # the recipe of the benchmark's gleason-counting24 workload
+    rng = np.random.default_rng([seed, d])
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    u = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    f = u @ np.diag(np.linspace(0.0, 1.0, d)) @ u.conj().T
+    f = (f + f.conj().T) / 2.0
+    pairs = [[[float(z.real), float(z.imag)] for z in row] for row in f]
+    observable = {"kind": "quadratic", "counting": True, "F": pairs}
+    return {"command": "gleason", "observable": observable, "seed": seed}
+
+
+def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
+    # SHA-256 of the JSON report and the --witnesses table of a d = 24
+    # counting quadratic at seed 0, as written before the subspace scan's
+    # QRs were stacked
+    config = tmp_path / "counting24.json"
+    config.write_text(json.dumps(_counting_config(24, 0), sort_keys=True) + "\n")
+    out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
+    assert main(["gleason", "--config", str(config), "--out", str(out),
+                 "--witnesses", str(side)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9297d382565a778e5101ab0a520a24aba55dbcad082a9456078c25535833ec6d")
+    assert hashlib.sha256(side.read_bytes()).hexdigest() == (
+        "4238930e9d59a4f95fa2044bebcf51ee7d0a31ed6fa0c25ff5e1e61f5cab74f0")
 
 
 def test_certify_csv_plots_what_it_dispatched_to(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eprsignal import nosignal
+from eprsignal import hilbert, nosignal
 from eprsignal import (
     affinity_scan,
     basis_independence,
@@ -20,7 +20,7 @@ from eprsignal import (
     random_scenario,
     subspace_measure,
 )
-from eprsignal.hilbert import bloch_states
+from eprsignal.hilbert import bloch_states, haar_unitaries
 from eprsignal.nosignal import (
     VERDICT_NON_QUADRATIC,
     VERDICT_QUADRATIC,
@@ -28,7 +28,8 @@ from eprsignal.nosignal import (
     ChordColumns,
     _chord_through,
 )
-from eprsignal.serialize import certificate_to_json, dumps_canonical
+from eprsignal.serialize import certificate_to_json, dumps_canonical, witnesses_to_json
+from eprsignal.streams import substream
 from eprsignal.zoo import builtin_observables
 
 from helpers import (
@@ -213,30 +214,34 @@ def test_subspace_measure_rejects_skew_basis():
 def test_basis_independence_quadratic_flat():
     rng = np.random.default_rng(50)
     f = quadratic(random_hermitian(3, rng))
-    rec = basis_independence(f, np.eye(3, dtype=complex), 6, rng)
+    rec = basis_independence(f, np.eye(3, dtype=complex), haar_unitaries(3, 6, rng))
     assert rec.basis_spread < 1e-10
 
 
 def test_basis_independence_power_spread():
     rng = np.random.default_rng(51)
     f = power(projector_matrix(3), 2)
-    rec = basis_independence(f, np.eye(3, dtype=complex), 6, rng)
+    rec = basis_independence(f, np.eye(3, dtype=complex), haar_unitaries(3, 6, rng))
     assert rec.basis_spread >= 0.5
 
 
 def test_basis_independence_single_ray_spread_zero():
     rng = np.random.default_rng(52)
     f = power(projector_matrix(3), 2)
-    rec = basis_independence(f, [np.array([0, 1, 0], dtype=complex)], 4, rng)
+    rec = basis_independence(
+        f, [np.array([0, 1, 0], dtype=complex)], haar_unitaries(1, 4, rng)
+    )
     assert rec.basis_spread < 1e-12
 
 
 def test_basis_independence_requires_two_resamples():
-    with pytest.raises(ValueError):
-        basis_independence(
-            power(projector_matrix(3), 2),
-            np.eye(3, dtype=complex), 1, np.random.default_rng(0),
-        )
+    # at least two Haar rotations, each n x n for the n basis rows
+    f = power(projector_matrix(3), 2)
+    rng = np.random.default_rng(0)
+    for rotations in (haar_unitaries(3, 1, rng), haar_unitaries(2, 4, rng),
+                      haar_unitaries(3, 4, rng)[0]):
+        with pytest.raises(ValueError, match="rotations"):
+            basis_independence(f, np.eye(3, dtype=complex), rotations)
 
 
 def test_orthoadditivity_concatenation_is_exact():
@@ -317,7 +322,9 @@ def test_rotation_family_matches_dense_reference(n, extra, kind, resamples, seed
     rows = np.ascontiguousarray(haar_unitary(d, rng)[:, :n].T)
 
     ref = _reference_measures(f, rows, resamples, np.random.default_rng(seed))
-    rec = basis_independence(f, rows, resamples, np.random.default_rng(seed))
+    rec = basis_independence(
+        f, rows, haar_unitaries(n, resamples, np.random.default_rng(seed))
+    )
     scale = max(1.0, np.abs(ref).max())
     assert rec.mu == ref[0]
     assert abs(rec.basis_spread - (ref.max() - ref.min())) <= 1e-12 * scale
@@ -344,7 +351,7 @@ def test_basis_independence_makes_at_most_three_values_calls(n, monkeypatch):
 
     monkeypatch.setattr(type(f), "values", counted)
     rows = np.eye(max(n, 3), dtype=complex)[:n]
-    basis_independence(f, rows, 6, np.random.default_rng(n))
+    basis_independence(f, rows, haar_unitaries(n, 6, np.random.default_rng(n)))
     assert len(calls) <= 3
     # base rows, then the four new rows of each pair mix, then the stacked
     # Fourier (n >= 2 only) and Haar rotations
@@ -458,7 +465,9 @@ def test_basis_spread_names_the_extreme_rotations(n, kind, resamples, seed):
     rng = np.random.default_rng(seed)
     f = _family_observable(kind, d, rng)
     rows = np.ascontiguousarray(haar_unitary(d, rng)[:, :n].T)
-    rec = basis_independence(f, rows, resamples, np.random.default_rng(seed))
+    rec = basis_independence(
+        f, rows, haar_unitaries(n, resamples, np.random.default_rng(seed))
+    )
 
     names = [("haar", j) for j in range(resamples)]
     if n >= 2:
@@ -486,30 +495,121 @@ def _haar_one_by_one(n, count, rng):
     return np.array(out, dtype=complex).reshape(count, n, n)
 
 
+def _haar_from_normals_one_by_one(z):
+    # haar_from_normals with one QR per (2, n, n) draw of the stack
+    out = []
+    for re, im in z:
+        q, r = np.linalg.qr(re + 1j * im)
+        diag = np.diagonal(r)
+        out.append(q * (diag / np.abs(diag)))
+    return np.array(out, dtype=complex).reshape(len(z), *z.shape[2:])
+
+
+def _per_subspace_records(f, seed, subspaces_per_dim, resamples):
+    # the subspace scan one subspace at a time, as before its QRs were
+    # stacked: one QR per Haar draw, each draw from its subspace's own stream
+    d = f.dim
+    bases = [
+        _haar_one_by_one(d, 1, substream(seed, 20, m, i))[0][:, :m].T
+        for m in range(1, d)
+        for i in range(subspaces_per_dim)
+    ]
+    bases.append(np.eye(d, dtype=complex))
+    return [
+        basis_independence(f, rows, _haar_one_by_one(
+            len(rows), resamples, substream(seed, 20, len(rows), 1000 + k)))
+        for k, rows in enumerate(bases)
+    ]
+
+
+def _gleason_texts(f, seed, **kwargs):
+    cert = gleason_certify(f, seed=seed, **kwargs)
+    return [dumps_canonical(encode(cert)) for encode in (certificate_to_json, witnesses_to_json)]
+
+
 def test_batched_haar_draws_match_one_qr_per_draw(monkeypatch):
     for n, count in ((1, 3), (3, 0), (4, 6), (24, 2)):
-        batch = nosignal.haar_unitaries(n, count, np.random.default_rng([n, count]))
+        batch = hilbert.haar_unitaries(n, count, np.random.default_rng([n, count]))
         single = _haar_one_by_one(n, count, np.random.default_rng([n, count]))
         assert batch.tobytes() == single.tobytes()
-
-    from eprsignal.serialize import witnesses_to_json
 
     rng = np.random.default_rng(62)
     observables = [
         quadratic(random_hermitian(5, rng)),
         counting(power(projector_matrix(4, 1), 2)),
     ]
+    batched = [_gleason_texts(f, 63) for f in observables]
+    # every QR of the certifier, stacked or not, goes one draw at a time
+    calls = []
 
-    def texts():
-        return [
-            dumps_canonical(encode(gleason_certify(f, seed=63)))
-            for f in observables
-            for encode in (certificate_to_json, witnesses_to_json)
-        ]
+    def one_by_one(z):
+        calls.append(len(z))
+        return _haar_from_normals_one_by_one(z)
 
-    batched = texts()
-    monkeypatch.setattr(nosignal, "haar_unitaries", _haar_one_by_one)
-    assert texts() == batched
+    for module in (nosignal, hilbert):
+        monkeypatch.setattr(module, "haar_from_normals", one_by_one)
+    assert [_gleason_texts(f, 63) for f in observables] == batched
+    # d = 5: one QR for the 12 sampled subspaces, one per dimension for the
+    # rotations, then one unitary per trace-fit draw; d = 4 fails the spread
+    assert calls[:6] == [12, 18, 18, 18, 18, 6] and calls[-5:] == [9, 18, 18, 18, 6]
+    assert len(calls) > 11 and set(calls[6:-5]) == {1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(3, 7),
+    subspaces_per_dim=st.integers(1, 3),
+    resamples=st.integers(2, 4),
+    kind=st.sampled_from(["quadratic", "power", "custom"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_subspace_scan_matches_per_subspace_reference(
+    d, subspaces_per_dim, resamples, kind, seed
+):
+    # the certificate and witness table bytes do not depend on the stacking
+    f = _family_observable(kind, d, np.random.default_rng(seed))
+    kwargs = dict(subspaces_per_dim=subspaces_per_dim, resamples=resamples)
+    stacked = _gleason_texts(f, seed, **kwargs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nosignal, "_subspace_records", _per_subspace_records)
+        assert _gleason_texts(f, seed, **kwargs) == stacked
+
+
+@pytest.mark.parametrize("d", [3, 5, 8])
+def test_subspace_scan_makes_one_plus_d_qr_calls(d, monkeypatch):
+    f = power(random_hermitian(d, np.random.default_rng(d)), 3)
+    qr, values = np.linalg.qr, type(f).values
+    log = []
+
+    def counted_qr(a, *args, **kwargs):
+        log.append(("qr", a.shape))
+        return qr(a, *args, **kwargs)
+
+    def counted_values(self, psis):
+        log.append(("values", len(psis)))
+        return values(self, psis)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(type(f), "values", counted_values)
+    scans = {}
+    for name, scan in (("stacked", nosignal._subspace_records),
+                       ("reference", _per_subspace_records)):
+        log.clear()
+        scan(f, 11, 3, 6)
+        scans[name] = list(log)
+    # one QR for the 3 (d - 1) sampled subspaces, one per dimension m for
+    # the rotations, and the values calls of the per-subspace scan
+    qrs = [shape for kind, shape in scans["stacked"] if kind == "qr"]
+    assert qrs == [(3 * (d - 1), d, d)] + [(18, m, m) for m in range(1, d)] + [(6, d, d)]
+    assert [e for e in scans["stacked"] if e[0] == "values"] == [
+        e for e in scans["reference"] if e[0] == "values"
+    ]
+    # the certifier runs that scan once; this observable fails the spread,
+    # so no trace fit draws further subspaces
+    log.clear()
+    cert = gleason_certify(f, seed=11)
+    assert "trace_fit" not in cert.checks
+    assert sum(kind == "qr" for kind, _ in log) == 1 + d
 
 
 def test_psd_deficit_check_records_the_lowest_eigenpair():

@@ -56,6 +56,19 @@ def test_complex_pairs_round_trip():
         complex_from_json([1.0])
 
 
+@pytest.mark.parametrize(
+    "data", [["1", True], ["1", 0], [True, 0], [0, False], [None, 0], [1, "0"]]
+)
+def test_complex_parts_must_be_numbers(data):
+    # a part that float() would take, a string or a bool, is not a number
+    with pytest.raises(ValueError, match="pair of numbers"):
+        complex_from_json(data)
+    assert complex_from_json([1, -2.5]) == 1 - 2.5j
+    identity = [[["1", "0"], [0, 0]], [[0, 0], [True, 0]]]
+    with pytest.raises(ValueError):
+        observable_from_json({"kind": "quadratic", "F": identity})
+
+
 def test_vector_and_matrix_round_trip():
     rng = np.random.default_rng(70)
     v = random_pure(4, rng)

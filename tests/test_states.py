@@ -14,7 +14,6 @@ from eprsignal import (
     partial_trace_a,
     rebase_alice,
 )
-from eprsignal.states import ray_equal
 
 from helpers import (
     E0,
@@ -28,11 +27,16 @@ from helpers import (
 )
 
 
+def ray_equal(a: PureState, b: PureState) -> bool:
+    """Equality up to global phase, via rank-1 projectors, within 1e-10."""
+    if a.dim != b.dim:
+        return False
+    return bool(np.max(np.abs(a.projector() - b.projector())) <= 1e-10)
+
+
 def test_pure_state_requires_unit_norm():
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 1.0]))
-    s = PureState.normalized(np.array([1.0, 1.0]))
-    np.testing.assert_allclose(s.vec, PLUS, atol=1e-15)
 
 
 def test_build_entangled_product_case():
