@@ -29,7 +29,7 @@ from .hilbert import (
     bloch_states,
     haar_from_normals,
     haar_unitaries,
-    haar_unitary,
+    haar_unitary,  # unused here; bench/selftest.py looks it up in this module
     orthonormal_rows,
 )
 from .observables import polarization_reconstruct
@@ -520,10 +520,15 @@ def gleason_certify(
     operator = polarization_reconstruct(f)
 
     if worst < tolerance:
-        for i in range(_TRACE_CHECKS):
-            rng = substream(seed, _PATH_TRACE, i)
-            m = int(rng.integers(1, d + 1))
-            rows = np.eye(d, dtype=complex) if m == d else haar_unitary(d, rng)[:, :m].T
+        # trace subspace i draws m, then (m < d) its Gaussian from stream
+        # (seed, 21, i); the m < d draws share one stacked QR
+        streams = [substream(seed, _PATH_TRACE, i) for i in range(_TRACE_CHECKS)]
+        dims = [int(g.integers(1, d + 1)) for g in streams]
+        spaces = iter(haar_from_normals(np.array([
+            g.standard_normal((2, d, d)) for g, m in zip(streams, dims) if m < d
+        ]).reshape(-1, 2, d, d)))
+        for m in dims:
+            rows = np.eye(d, dtype=complex) if m == d else next(spaces)[:, :m].T
             mu = subspace_measure(f, rows)
             p_x = rows.T @ rows.conj()
             tr = float(np.trace(operator @ p_x).real)

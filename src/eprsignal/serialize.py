@@ -24,7 +24,7 @@ from .nosignal import (
 )
 from .observables import power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
-from .states import Ensemble, EntangledState, PureState, build_entangled
+from .states import EntangledState, PureState, build_entangled
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -66,23 +66,6 @@ def state_to_json(s: PureState) -> list:
 
 def state_from_json(data) -> PureState:
     return PureState(vector_from_json(data))
-
-
-def ensemble_to_json(e: Ensemble) -> dict:
-    return {
-        "members": [
-            {"weight": float(w), "state": state_to_json(s)}
-            for w, s in zip(e.weights, e.states)
-        ]
-    }
-
-
-def ensemble_from_json(data) -> Ensemble:
-    members = data["members"]
-    return Ensemble(
-        np.array([m["weight"] for m in members], dtype=float),
-        tuple(state_from_json(m["state"]) for m in members),
-    )
 
 
 def entangled_to_json(s: EntangledState) -> dict:

@@ -19,7 +19,7 @@ from .hilbert import haar_unitary, random_pure
 from .observables import FunctionalObservable
 from .states import Ensemble, EntangledState, PureState, build_entangled
 from .states import conditional_ensemble, rebase_alice
-from .streams import CHUNK, STREAM_VERSION, chunk_sizes, count_moments, substream
+from .streams import STREAM_VERSION, chunk_sizes, count_moments, substream
 
 # Stream paths: letters 0 and 1 sample on paths 0 and 1, channel trials on 2.
 _PATH_CHANNEL = 2
@@ -172,8 +172,8 @@ def monte_carlo_report(
     The estimate is the sample average of the observable over the draws
     ``per_sample_values`` returns for (seed, letter).  Each letter draws the
     member counts of all its ``CHUNK``-sized chunks in one call on one
-    generator, ``substream(seed, letter)`` (stream version 3); the moments
-    follow from the counts.  The detection statistic z compares the two
+    generator, ``substream(seed, letter)`` (since stream version 3); the
+    moments follow from the counts.  The detection statistic z compares the two
     letter means against their pooled standard error.  The convergence rows,
     when tracked, hold the gap and pooled standard error after each chunk.
     ``workers`` is accepted for compatibility and ignored.
@@ -233,8 +233,8 @@ def channel_capacity(
     decode at chance level instead of inheriting a knife-edge float bias.
     The capacity estimate is the binary-symmetric-channel bound
     1 - H2(bit error rate), pinned to 0 when the exact gap is 0.
-    Trials run in chunks of ``CHUNK // block_length`` blocks, drawn in order
-    from one generator, ``substream(seed, 2)`` (stream version 3).
+    Trials run in chunks of ``CHUNK`` trials whatever the block length, drawn
+    in order from one generator, ``substream(seed, 2)`` (stream version 4).
     ``exact`` is the scenario's ``exact_gap`` report, when the caller already
     has it.  ``workers`` is accepted for compatibility and ignored.
     """
@@ -250,7 +250,7 @@ def channel_capacity(
     weights = [letter_ensemble(sc, letter).weights for letter in (0, 1)]
     rng = substream(seed, _PATH_CHANNEL)
     errors = 0
-    for size in chunk_sizes(trials, max(1, CHUNK // max(1, block_length))):
+    for size in chunk_sizes(trials):
         # a chunk draws its letters, its tie-break coins, then the member
         # counts of every letter-0 block and of every letter-1 block
         letters = rng.integers(0, 2, size)

@@ -3,10 +3,10 @@
 Every randomized scan partitions its work into fixed-size chunks and merges
 results in chunk order.  A stream is a generator derived from a (seed, *path)
 address.  The certifiers give chunk k its own address (seed, *path, k), so
-one witness replays without the chunks before it.  The channel (stream
-version 3) draws all chunks of one letter, or all channel trials, from one
-generator in chunk order: building a generator costs more than a chunk's
-draws.
+one witness replays without the chunks before it.  The channel draws all
+chunks of one letter, or all channel trials, from one generator in chunk
+order: building a generator costs more than a chunk's draws.  Since stream
+version 4 a channel chunk is ``CHUNK`` trials whatever the block length.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ CHUNK = 8192
 # Layout of the channel's streams (what each chunk draws, in which order), as
 # recorded in simulate and capacity reports; bumped when old seeds stop replaying.
 # 3: one generator per letter and one for the channel trials, not one per chunk.
-STREAM_VERSION = 3
+# 4: capacity chunks hold CHUNK trials, not CHUNK // block; simulate unchanged.
+STREAM_VERSION = 4
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:

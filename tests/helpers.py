@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 
 from eprsignal import (
+    Ensemble,
     EntangledState,
     PureState,
     Scenario,
@@ -14,6 +15,7 @@ from eprsignal import (
     quadratic,
     random_pure,
 )
+from eprsignal.serialize import state_from_json, state_to_json
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -100,3 +102,25 @@ def projector_matrix(dim: int, index: int = 0) -> np.ndarray:
     m = np.zeros((dim, dim), dtype=complex)
     m[index, index] = 1.0
     return m
+
+
+def ensemble_to_json(e: Ensemble) -> dict:
+    return {
+        "members": [
+            {"weight": float(w), "state": state_to_json(s)}
+            for w, s in zip(e.weights, e.states)
+        ]
+    }
+
+
+def ensemble_from_json(data) -> Ensemble:
+    """An ensemble from its members; a weight's type is int or float, so a
+    string or a bool is rejected, as ``complex_from_json`` rejects them."""
+    members = data["members"]
+    weights = [m["weight"] for m in members]
+    if any(type(w) not in (int, float) for w in weights):
+        raise ValueError(f"ensemble weights must be numbers, got {weights!r}")
+    return Ensemble(
+        np.array(weights, dtype=float),
+        tuple(state_from_json(m["state"]) for m in members),
+    )

@@ -390,7 +390,7 @@ def test_report_meta_and_sidecar_do_not_depend_on_output_settings(tmp_path):
     main(["simulate", "--config", "bell-power", "--samples", "100",
           "--out", str(tmp_path / "s.json")])
     meta = json.loads((tmp_path / "s.json").read_text())["meta"]
-    assert meta["stream_version"] == 3 and meta["config"]["n_samples"] == 100
+    assert meta["stream_version"] == 4 and meta["config"]["n_samples"] == 100
 
 
 def test_witness_table_only_for_certifiers(capsys):
@@ -407,9 +407,11 @@ def test_witness_table_only_for_certifiers(capsys):
 # table)
 _REPORT_SHA256 = {
     ("simulate", "bell-power", "json"):
-        "fad12dd35802b869dae6542764b13d327d082519b9d3153cecd261bb81fb1916",
+        "227663896705ec9beea4f452e64638328a8b1f774f65c95ed3d83adb23fcee7c",
     ("simulate", "bell-quadratic", "json"):
-        "dae3b33867f5d4c8f8d0b45cb9b95d192561cd1dc6ad370309145974aa98dc9c",
+        "b475c5b5d96dd244a4bed1c61aac739217b5d903f9a8318d655d2b892e612121",
+    ("capacity", "bell-power", "json"):
+        "2b389e07010fb5baaa73ef703b5dd545e7af7dcb43b8ec9cde1ab2f160ea5e17",
     ("gleason", "d3-gleason-fail", "json"):
         "7dac0124c4185e917212b7ccb9881488473c778738a54c4427783e78af0abecf",
     ("gleason", "d3-gleason-pass", "json"):
@@ -469,6 +471,21 @@ def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
         "9297d382565a778e5101ab0a520a24aba55dbcad082a9456078c25535833ec6d")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
         "4238930e9d59a4f95fa2044bebcf51ee7d0a31ed6fa0c25ff5e1e61f5cab74f0")
+
+
+def test_capacity_report_bytes_at_block_10(tmp_path):
+    # at the library's block of 1000 every trial decodes, so the pinned
+    # capacity report above does not see the trial draws; at block 10 about
+    # one trial in twelve fails (exactly 176/2048), and which ones depends on
+    # the stream layout (version 4: 8,192 trials per chunk)
+    config = tmp_path / "capacity.json"
+    raw = {**load_config("bell-power"), "command": "capacity", "block": 10, "trials": 20000}
+    config.write_text(json.dumps(raw, sort_keys=True) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["capacity", "--config", str(config), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["bit_error_rate"] == 0.08755
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "76747b64205f073219ecab871f98d8dceacc653c98ff87ea246d141b5d0a4c5c")
 
 
 def test_certify_csv_plots_what_it_dispatched_to(tmp_path):

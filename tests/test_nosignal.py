@@ -550,9 +550,11 @@ def test_batched_haar_draws_match_one_qr_per_draw(monkeypatch):
         monkeypatch.setattr(module, "haar_from_normals", one_by_one)
     assert [_gleason_texts(f, 63) for f in observables] == batched
     # d = 5: one QR for the 12 sampled subspaces, one per dimension for the
-    # rotations, then one unitary per trace-fit draw; d = 4 fails the spread
+    # rotations, then one for the trace-fit draws of dimension m < 5 (stream
+    # (63, 21, i) draws m first); d = 4 fails the spread, so it has no trace fit
+    trace_draws = sum(int(substream(63, 21, i).integers(1, 6)) < 5 for i in range(8))
     assert calls[:6] == [12, 18, 18, 18, 18, 6] and calls[-5:] == [9, 18, 18, 18, 6]
-    assert len(calls) > 11 and set(calls[6:-5]) == {1}
+    assert calls[6:-5] == [trace_draws] and trace_draws > 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -610,6 +612,12 @@ def test_subspace_scan_makes_one_plus_d_qr_calls(d, monkeypatch):
     cert = gleason_certify(f, seed=11)
     assert "trace_fit" not in cert.checks
     assert sum(kind == "qr" for kind, _ in log) == 1 + d
+    # a quadratic observable passes the spread, and the trace fit adds at
+    # most one stacked QR for all its subspaces
+    log.clear()
+    cert = gleason_certify(quadratic(random_hermitian(d, np.random.default_rng(d))), seed=11)
+    assert "trace_fit" in cert.checks
+    assert sum(kind == "qr" for kind, _ in log) <= 2 + d
 
 
 def test_psd_deficit_check_records_the_lowest_eigenpair():

@@ -21,8 +21,6 @@ from eprsignal.serialize import (
     complex_from_json,
     complex_to_json,
     dumps_canonical,
-    ensemble_from_json,
-    ensemble_to_json,
     entangled_from_json,
     entangled_to_json,
     matrix_from_json,
@@ -43,6 +41,8 @@ from helpers import (
     PROJ0_2,
     bell_power_scenario,
     counting,
+    ensemble_from_json,
+    ensemble_to_json,
     random_projector,
     random_entangled,
     random_hermitian,
@@ -105,6 +105,15 @@ def test_ensemble_round_trip():
     np.testing.assert_array_equal(back.weights, ens.weights)
     for a, b in zip(back.states, ens.states):
         np.testing.assert_array_equal(a.vec, b.vec)
+
+
+@pytest.mark.parametrize("weights", [("0.5", 0.5), (True, False)])
+def test_ensemble_weights_must_be_numbers(weights):
+    # float() would make a valid ensemble of both, [0.5, 0.5] and [1.0, 0.0]
+    state = [[1.0, 0.0], [0.0, 0.0]]
+    members = [{"weight": w, "state": state} for w in weights]
+    with pytest.raises(ValueError, match="weights must be numbers"):
+        ensemble_from_json({"members": members})
 
 
 def test_entangled_round_trip():

@@ -14,7 +14,9 @@ from eprsignal import (
     quadratic,
     random_scenario,
 )
+from eprsignal import signaling
 from eprsignal.signaling import binary_entropy, per_sample_values
+from eprsignal.streams import CHUNK
 
 from helpers import (
     E0,
@@ -253,6 +255,58 @@ def test_channel_workers_bit_identical():
     a = channel_capacity(sc, 200, 300, seed=16, workers=1)
     b = channel_capacity(sc, 200, 300, seed=16, workers=4)
     assert a == b
+
+
+def test_channel_draws_two_count_arrays_per_chunk_whatever_the_block(monkeypatch):
+    # stream version 4: a chunk is CHUNK trials and draws one multinomial
+    # per letter, so the count of draws does not grow with the block length
+    calls = []
+
+    class CountingGenerator:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def multinomial(self, *args, **kwargs):
+            calls.append(args)
+            return self.rng.multinomial(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    substream = signaling.substream
+    monkeypatch.setattr(signaling, "substream",
+                        lambda seed, *path: CountingGenerator(substream(seed, *path)))
+    sc = bell_power_scenario()
+    for block, trials, draws in ((10, CHUNK + 5, 4), (10_000, 3, 2)):
+        calls.clear()
+        channel_capacity(sc, block, trials, seed=17)
+        assert len(calls) == draws
+
+
+# the exact bit error rate of the block-10 decoder on bell-power: letter 1's
+# members all give f = 1/4, below the threshold 3/8, so it always decodes;
+# letter 0's give f = 1 or 0 w.p. 1/2 each, and a block with k <= 3 ones
+# decodes wrongly: P(k <= 3) = 176/1024, and letter 0 is sent half the time
+_BELL_BER_BLOCK_10 = 176 / 2048
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_channel_error_rate_matches_the_exact_value(seed):
+    trials = 20_000
+    ber = channel_capacity(bell_power_scenario(), 10, trials, seed=seed).bit_error_rate
+    sigma = np.sqrt(_BELL_BER_BLOCK_10 * (1.0 - _BELL_BER_BLOCK_10) / trials)
+    assert abs(ber - _BELL_BER_BLOCK_10) <= 5.0 * sigma
+
+
+def test_simulate_draws_are_unchanged_by_the_channel_layout():
+    # the values simulate gave at stream version 3; version 4 changed only
+    # capacity's chunks, so they hold exactly
+    report = monte_carlo_report(bell_power_scenario(), 100_000, seed=7)
+    assert report.mc_fb == 0.49932
+    assert report.mc_fbprime == 0.2500000000000001
+    assert report.stderr_b == 0.0015811452735924561
+    assert report.z == 157.6831706510623
 
 
 def test_binary_entropy_edges():
