@@ -38,14 +38,11 @@ from .signaling import (
     random_scenario,
 )
 from .states import (
-    DensityMatrix,
     Ensemble,
     EntangledState,
     PureState,
     build_entangled,
     conditional_ensemble,
-    density_equal,
-    ensemble_density,
     rebase_alice,
 )
 
@@ -55,7 +52,6 @@ __all__ = [
     "Certificate",
     "ChannelReport",
     "ChordColumns",
-    "DensityMatrix",
     "Ensemble",
     "EntangledState",
     "FunctionalObservable",
@@ -70,9 +66,7 @@ __all__ = [
     "combine",
     "conditional_ensemble",
     "custom",
-    "density_equal",
     "ensemble_average",
-    "ensemble_density",
     "exact_gap",
     "gleason_certify",
     "gram_schmidt",

@@ -17,6 +17,41 @@ TOL_STRUCTURAL = 1e-12
 TOL_DERIVED = 1e-10
 TOL_DECISION = 1e-8
 
+# OpenBLAS (0.3.31, as bundled with numpy 2.4) runs a complex product of
+# m x k and k x n factors on one thread while m * k * n <= 65,536; above it,
+# on a 2-CPU host, its thread pool took more CPU than wall time and sometimes
+# stalled for hundreds of milliseconds.
+_SERIAL_PRODUCT = 65_536
+
+
+def _row_edges(m: int, k: int, n: int) -> list[int]:
+    """Edges of near-equal row blocks of m x k @ k x n factors: at most
+    65,536 // (k * n) rows each, and none of one row when m >= 2 (so 2 or 3
+    rows, above the bound, where k * n > 32,768)."""
+    rows = max(1, _SERIAL_PRODUCT // max(1, k * n))
+    blocks = max(1, min(-(-m // rows), m // 2))
+    return [i * m // blocks for i in range(blocks + 1)]
+
+
+def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of 2-d arrays, one ``_row_edges`` block at a time, so that
+    OpenBLAS keeps every block on the calling thread.
+
+    With OpenBLAS 0.3.31, for complex factors with k <= 128, each row is bit
+    for bit that of ``a @ b``.  That is why no block has one row: numpy
+    sends a 1-row product to a matrix-vector kernel that rounds
+    differently.  The exceptions: a one-column b with a column-major a, whose
+    matrix-vector kernel rounds differently with the row count; real
+    products; and, for k > 128, a threaded ``a @ b``, which splits its inner
+    sums differently."""
+    edges = _row_edges(a.shape[0], *b.shape)
+    if len(edges) == 2:
+        return a @ b
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for i, j in zip(edges[:-1], edges[1:]):
+        np.matmul(a[i:j], b, out=out[i:j])
+    return out
+
 
 def as_vector(v) -> np.ndarray:
     """Coerce to a finite 1-d complex array."""

@@ -31,6 +31,7 @@ from .hilbert import (
     haar_unitaries,
     haar_unitary,  # unused here; bench/selftest.py looks it up in this module
     orthonormal_rows,
+    serial_matmul,
 )
 from .observables import polarization_reconstruct
 from .streams import chunk_sizes, substream
@@ -346,20 +347,32 @@ def subspace_measure(f, basis) -> float:
 @functools.cache
 def _structured_family(n: int):
     """Read-only tables of the structured rotations of an n-row basis, built
-    once per n: the pairs a < b in ``np.triu_indices`` order, the Fourier
-    matrix with a leading axis, and the names of the measures
-    ``_rotated_measures`` returns before its Haar rotations: ("base",), then
-    for n >= 2 ("real", a, b) and ("phase", a, b) of each pair and ("fourier",)."""
+    once per n: the pairs a < b in ``np.triu_indices`` order, and the Fourier
+    matrix with a leading axis."""
     a, b = np.triu_indices(n, k=1)
     j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     fourier = np.exp(2j * np.pi * j * k / n)[None] / math.sqrt(n)
     for table in (a, b, fourier):
         table.flags.writeable = False
-    names = [("base",)]
-    if n >= 2:
-        names += [(mix, int(p), int(q)) for mix in ("real", "phase") for p, q in zip(a, b)]
-        names.append(("fourier",))
-    return a, b, fourier, tuple(names)
+    return a, b, fourier
+
+
+def _rotation_name(n: int, i: int) -> tuple:
+    """Name of measure i of ``_rotated_measures`` on an n-row basis: ("base",),
+    then for n >= 2 ("real", a, b) of each pair a < b in ``np.triu_indices``
+    order, ("phase", a, b) of each pair and ("fourier",), then ("haar", j) of
+    each Haar rotation j."""
+    if i == 0:
+        return ("base",)
+    pairs = n * (n - 1) // 2
+    fourier = 2 * pairs + 1 if n >= 2 else 0
+    if i > fourier:
+        return ("haar", i - fourier - 1)
+    if i == fourier:
+        return ("fourier",)
+    a, b = _structured_family(n)[:2]
+    p = (i - 1) % pairs
+    return ("real" if i <= pairs else "phase", int(a[p]), int(b[p]))
 
 
 def _pair_mix_measures(f, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -387,7 +400,8 @@ def _pair_mix_measures(f, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
 def _rotated_measures(f, rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     """The subspace measure of ``rows`` first, then of each rotated basis
     w @ rows: for n >= 2 the real and phase mix of every pair and the Fourier
-    mix, then the (r, n, n) stack ``rotations``.
+    mix, then the (r, n, n) stack ``rotations``; ``_rotation_name`` names
+    them in this order.
 
     Makes at most three ``values`` calls: the base rows, the pair mixes, and
     the Fourier and stacked rotations as one (r n, n) @ (n, d) product.
@@ -398,7 +412,7 @@ def _rotated_measures(f, rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     if n >= 2:
         rotations = np.concatenate([_structured_family(n)[2], rotations])
         mus.append(_pair_mix_measures(f, rows, base))
-    rotated = rotations.reshape(-1, n) @ rows
+    rotated = serial_matmul(rotations.reshape(-1, n), rows)
     mus.append(f.values(rotated).reshape(len(rotations), n).sum(axis=1))
     return np.concatenate(mus)
 
@@ -410,7 +424,8 @@ def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
     resamples >= 2, plus a deterministic structured family (Fourier and
     pairwise mixes) that exposes basis dependence aligned with the given
     basis without sampling luck.  The records name the extreme rotations
-    ("base",), ("real", a, b), ("phase", a, b), ("fourier",) or ("haar", j).
+    ("base",), ("real", a, b), ("phase", a, b), ("fourier",) or ("haar", j),
+    indexed as ``_rotation_name`` gives.
     """
     rows = _basis_rows(basis)
     n = rows.shape[0]
@@ -418,14 +433,13 @@ def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
     if rotations.ndim != 3 or rotations.shape[1:] != (n, n) or len(rotations) < 2:
         raise ValueError(f"need at least two {n} x {n} rotations, got {rotations.shape}")
     mus = _rotated_measures(f, rows, rotations)
-    names = _structured_family(n)[3] + tuple(("haar", j) for j in range(len(rotations)))
     hi, lo = int(mus.argmax()), int(mus.argmin())
     return SubspaceMeasureRecord(
         basis=tuple(map(tuple, rows.tolist())),
         mu=float(mus[0]),
         basis_spread=float(mus[hi] - mus[lo]),
-        max_rotation=names[hi],
-        min_rotation=names[lo],
+        max_rotation=_rotation_name(n, hi),
+        min_rotation=_rotation_name(n, lo),
     )
 
 

@@ -19,6 +19,7 @@ from .hilbert import (
     is_hermitian,
     random_pure,
     random_pure_batch,
+    serial_matmul,
 )
 from .states import Ensemble, PureState
 
@@ -113,7 +114,7 @@ class FunctionalObservable:
 
 def _expectation_batch(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     def values(batch: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", batch.conj() @ matrix, batch).real
+        return np.einsum("ij,ij->i", serial_matmul(batch.conj(), matrix), batch).real
 
     return values
 

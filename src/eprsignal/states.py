@@ -1,8 +1,8 @@
-"""Pure states, ensembles, entangled states and derived density matrices.
+"""Pure states, ensembles and entangled states.
 
-Ensembles (weighted lists of pure states) are the primary mixed-state object;
-density matrices are derived summaries.  Two different ensembles may share a
-density matrix, which is exactly the situation the signaling machinery probes.
+Ensembles (weighted lists of pure states) are the mixed-state object.  Two
+different ensembles may share a density matrix, which is exactly the
+situation the signaling machinery probes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .hilbert import (
     TOL_STRUCTURAL,
     TOL_DERIVED,
     as_vector,
-    as_matrix,
     orthonormal_rows,
     projector,
 )
@@ -140,30 +139,6 @@ class Ensemble:
         return self.states[0].dim
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, positive semidefinite, trace-1 operator."""
-
-    mat: np.ndarray
-
-    def __post_init__(self):
-        m = as_matrix(self.mat)
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > TOL_STRUCTURAL:
-            raise ValueError(f"matrix is not Hermitian (deviation {herm})")
-        tr = m.trace()
-        if abs(tr - 1.0) > TOL_STRUCTURAL:
-            raise ValueError(f"trace is {tr}, not 1")
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < -TOL_STRUCTURAL:
-            raise ValueError(f"matrix has negative eigenvalue {lo}")
-        object.__setattr__(self, "mat", _frozen_array(m))
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
 def build_entangled(alphas, alice_basis, bob_states) -> EntangledState:
     """Build a correlated state from raw coefficient/vector data.
 
@@ -240,20 +215,3 @@ def conditional_ensemble(state: EntangledState) -> Ensemble:
     w = w[keep]
     states = tuple(s for s, k in zip(state.bob_states, keep) if k)
     return Ensemble(w / w.sum(), states)
-
-
-def ensemble_density(ens: Ensemble) -> DensityMatrix:
-    """The derived density matrix sum_i p_i |b_i><b_i|."""
-    mat = np.zeros((ens.dim, ens.dim), dtype=complex)
-    for p, s in zip(ens.weights, ens.states):
-        mat += p * s.projector()
-    mat = (mat + mat.conj().T) / 2.0
-    return DensityMatrix(mat)
-
-
-def density_equal(r1: DensityMatrix, r2: DensityMatrix) -> tuple[bool, float]:
-    """Frobenius comparison; returns (equal within TOL_DERIVED, distance)."""
-    if r1.dim != r2.dim:
-        raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
-    dist = float(np.linalg.norm(r1.mat - r2.mat))
-    return dist < TOL_DERIVED, dist

@@ -15,6 +15,7 @@ from eprsignal import (
     quadratic,
     random_pure,
 )
+from eprsignal.hilbert import TOL_DERIVED, TOL_STRUCTURAL, as_matrix
 from eprsignal.serialize import state_from_json, state_to_json
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -124,3 +125,46 @@ def ensemble_from_json(data) -> Ensemble:
         np.array(weights, dtype=float),
         tuple(state_from_json(m["state"]) for m in members),
     )
+
+
+@dataclasses.dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, positive semidefinite, trace-1 operator."""
+
+    mat: np.ndarray
+
+    def __post_init__(self):
+        m = as_matrix(self.mat)
+        herm = np.max(np.abs(m - m.conj().T))
+        if herm > TOL_STRUCTURAL:
+            raise ValueError(f"matrix is not Hermitian (deviation {herm})")
+        tr = m.trace()
+        if abs(tr - 1.0) > TOL_STRUCTURAL:
+            raise ValueError(f"trace is {tr}, not 1")
+        lo = float(np.linalg.eigvalsh(m).min())
+        if lo < -TOL_STRUCTURAL:
+            raise ValueError(f"matrix has negative eigenvalue {lo}")
+        m = np.array(m)
+        m.setflags(write=False)
+        object.__setattr__(self, "mat", m)
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
+
+
+def ensemble_density(ens: Ensemble) -> DensityMatrix:
+    """The derived density matrix sum_i p_i |b_i><b_i|."""
+    mat = np.zeros((ens.dim, ens.dim), dtype=complex)
+    for p, s in zip(ens.weights, ens.states):
+        mat += p * s.projector()
+    mat = (mat + mat.conj().T) / 2.0
+    return DensityMatrix(mat)
+
+
+def density_equal(r1: DensityMatrix, r2: DensityMatrix) -> tuple[bool, float]:
+    """Frobenius comparison; returns (equal within TOL_DERIVED, distance)."""
+    if r1.dim != r2.dim:
+        raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
+    dist = float(np.linalg.norm(r1.mat - r2.mat))
+    return dist < TOL_DERIVED, dist

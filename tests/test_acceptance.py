@@ -10,7 +10,6 @@ from eprsignal import (
     affinity_scan,
     channel_capacity,
     conditional_ensemble,
-    ensemble_density,
     exact_gap,
     gleason_certify,
     monte_carlo_report,
@@ -28,6 +27,7 @@ from helpers import (
     PROJ0_2,
     bell_power_scenario,
     counting,
+    ensemble_density,
     projector_matrix,
     random_entangled,
     random_hermitian,

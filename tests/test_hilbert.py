@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eprsignal import (
@@ -18,11 +18,13 @@ from eprsignal import (
     tensor,
 )
 from eprsignal.hilbert import (
+    _row_edges,
     as_matrix,
     as_vector,
     bloch_states,
     orthonormal_rows,
     random_pure_batch,
+    serial_matmul,
 )
 
 from helpers import E0, E1, PLUS, SQRT_HALF, ball_density, bloch_point
@@ -287,3 +289,61 @@ def test_orthonormal_rows_accepts_unitaries_and_names_a_perturbed_basis(seed, d,
             pattern = f"^{re.escape(noun)} is not orthonormal \\(max deviation"
             with pytest.raises(ValueError, match=pattern):
                 check(bent)
+
+
+_LAYOUTS = ("contiguous", "row-sliced", "strided", "transposed")
+
+
+def _factor(rng, rows, cols, layout):
+    def draw(r, c):
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+    if layout == "row-sliced":
+        return draw(rows + 7, cols + 3)[5:5 + rows, 2:2 + cols]
+    if layout == "strided":
+        return draw(2 * rows, 2 * cols)[::2, ::2]
+    if layout == "transposed":
+        return draw(cols, rows).T
+    return draw(rows, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 600),
+    k=st.integers(1, 128),
+    n=st.integers(1, 400),
+    layouts=st.tuples(st.sampled_from(_LAYOUTS), st.sampled_from(_LAYOUTS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=5, k=128, n=300, layouts=("contiguous",) * 2, seed=0)  # k n > 32,768: 2 + 3 rows
+@example(m=7, k=128, n=257, layouts=("row-sliced", "transposed"), seed=1)
+@example(m=226, k=24, n=24, layouts=("contiguous",) * 2, seed=2)  # 113 + 113 rows
+@example(m=600, k=128, n=1, layouts=("strided", "contiguous"), seed=3)  # 300 + 300 rows
+def test_serial_matmul_is_the_full_product_bit_for_bit(m, k, n, layouts, seed):
+    # complex factors with k <= 128 (the package's products up to d = 128),
+    # as the docstring states: for larger k a threaded full product splits
+    # its inner sums into other blocks, real products can round differently
+    # with the block size, and so does the matrix-vector kernel numpy uses
+    # for a one-column b and a column-major a
+    assume(not (n == 1 and layouts[0] == "transposed"))
+    rng = np.random.default_rng(seed)
+    a, b = _factor(rng, m, k, layouts[0]), _factor(rng, k, n, layouts[1])
+    assert serial_matmul(a, b).tobytes() == (a @ b).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 600), k=st.integers(1, 200), n=st.integers(1, 200))
+@example(m=3, k=200, n=200)
+@example(m=5, k=181, n=182)
+@example(m=599, k=181, n=182)
+def test_serial_matmul_blocks_stay_on_one_thread_and_above_one_row(m, k, n):
+    edges = _row_edges(m, k, n)
+    sizes = np.diff(edges)
+    allowed = 65_536 // (k * n)
+    assert edges[0] == 0 and edges[-1] == m
+    assert sizes.max() - sizes.min() <= 1
+    if m >= 2:
+        assert sizes.min() >= 2
+    for rows in sizes:
+        # above the bound only where the 2-row minimum forces it
+        assert rows <= allowed or (allowed < 3 and rows <= 3)

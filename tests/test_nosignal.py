@@ -27,6 +27,8 @@ from eprsignal.nosignal import (
     Certificate,
     ChordColumns,
     _chord_through,
+    _rotated_measures,
+    _rotation_name,
 )
 from eprsignal.serialize import certificate_to_json, dumps_canonical, witnesses_to_json
 from eprsignal.streams import substream
@@ -337,6 +339,25 @@ def test_rotation_family_matches_dense_reference(n, extra, kind, resamples, seed
         f, rows[:m], rows[m:], np.random.default_rng(seed), resamples=resamples
     )
     assert abs(worst - np.abs(mu_parts - ref).max()) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_rotation_name_matches_the_full_name_table(n):
+    # the table of every measure's name, as it was built for each n before
+    # names were computed on demand
+    a, b = np.triu_indices(n, k=1)
+    structured = [("base",)]
+    if n >= 2:
+        structured += [(mix, int(p), int(q)) for mix in ("real", "phase") for p, q in zip(a, b)]
+        structured.append(("fourier",))
+    f = quadratic(np.eye(n, dtype=complex))
+    for resamples in range(2, 7):
+        table = structured + [("haar", j) for j in range(resamples)]
+        rotations = haar_unitaries(n, resamples, np.random.default_rng(n))
+        assert len(_rotated_measures(f, np.eye(n, dtype=complex), rotations)) == len(table)
+        names = [_rotation_name(n, i) for i in range(len(table))]
+        assert names == table
+        assert all(type(x) is int for name in names for x in name[1:])
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -10,7 +10,6 @@ from eprsignal import (
     affinity_scan,
     custom,
     ensemble_average,
-    ensemble_density,
     gleason_certify,
     polarization_reconstruct,
     power,
@@ -20,7 +19,16 @@ from eprsignal import (
 from eprsignal.hilbert import random_pure_batch
 from eprsignal.zoo import builtin_observables
 
-from helpers import E0, E1, PLUS, PROJ0_2, counting, random_hermitian, random_projector
+from helpers import (
+    E0,
+    E1,
+    PLUS,
+    PROJ0_2,
+    counting,
+    ensemble_density,
+    random_hermitian,
+    random_projector,
+)
 
 
 def test_quadratic_basics():

@@ -4,24 +4,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprsignal import (
-    DensityMatrix,
     Ensemble,
     PureState,
     build_entangled,
     conditional_ensemble,
-    density_equal,
-    ensemble_density,
     partial_trace_a,
     rebase_alice,
 )
 
 from helpers import (
+    DensityMatrix,
     E0,
     E1,
     MINUS,
     PLUS,
     SQRT_HALF,
     bell_state,
+    density_equal,
+    ensemble_density,
     random_entangled,
     rotated_alice_basis,
 )
