@@ -1,14 +1,7 @@
 """EPR signaling simulator and quadraticity certifiers for functional
 observables on quantum states."""
 
-from .hilbert import (
-    gram_schmidt,
-    haar_unitary,
-    inner,
-    partial_trace_a,
-    random_pure,
-    tensor,
-)
+from .hilbert import haar_unitary
 from .nosignal import (
     Certificate,
     ChordColumns,
@@ -16,14 +9,12 @@ from .nosignal import (
     affinity_scan,
     basis_independence,
     gleason_certify,
-    orthoadditivity_check,
     subspace_measure,
 )
 from .observables import (
     FunctionalObservable,
     combine,
     custom,
-    ensemble_average,
     polarization_reconstruct,
     power,
     quadratic,
@@ -35,7 +26,6 @@ from .signaling import (
     channel_capacity,
     exact_gap,
     monte_carlo_report,
-    random_scenario,
 )
 from .states import (
     Ensemble,
@@ -66,21 +56,13 @@ __all__ = [
     "combine",
     "conditional_ensemble",
     "custom",
-    "ensemble_average",
     "exact_gap",
     "gleason_certify",
-    "gram_schmidt",
     "haar_unitary",
-    "inner",
     "monte_carlo_report",
-    "orthoadditivity_check",
-    "partial_trace_a",
     "polarization_reconstruct",
     "power",
     "quadratic",
-    "random_pure",
-    "random_scenario",
     "rebase_alice",
     "subspace_measure",
-    "tensor",
 ]

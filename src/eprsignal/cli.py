@@ -87,6 +87,10 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
+# the top-level keys a config may hold
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+
+
 def bundled_config_names() -> list[str]:
     base = resources.files("eprsignal").joinpath("configs")
     return sorted(p.name.removesuffix(".json") for p in base.iterdir())
@@ -123,7 +127,11 @@ def _require_int(data: dict, key: str, minimum: int) -> int:
 
 
 def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
-    """Validate a raw config dict (plus CLI overrides) into a RunConfig."""
+    """Validate a raw config dict (plus CLI overrides) into a RunConfig.
+    A top-level key that names no RunConfig field is an error."""
+    for key in data:
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"config: unknown key {key!r}")
     merged = {**_DEFAULTS, "workers": 1, "format": "json", **data}
     for key, val in (overrides or {}).items():
         if val is not None:

@@ -73,48 +73,9 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def inner(u, v) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.size != v.size:
-        raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
-    return complex(np.vdot(u, v))
-
-
 def is_hermitian(m) -> bool:
     m = as_matrix(m)
     return bool(np.max(np.abs(m - m.conj().T)) <= TOL_STRUCTURAL)
-
-
-def projector(v) -> np.ndarray:
-    """Rank-1 projector |v><v| of a unit vector."""
-    v = as_vector(v)
-    return np.outer(v, v.conj())
-
-
-def gram_schmidt(vectors) -> list[np.ndarray]:
-    """Orthonormalize a linearly independent family of vectors.
-
-    Uses modified Gram-Schmidt with one re-orthogonalization pass, which keeps
-    pairwise inner products at the 1e-15 level for the small dimensions used
-    here.  Raises ``ValueError`` when a vector's residual norm after projection
-    drops below TOL_DERIVED (rank deficiency).
-    """
-    vs = [as_vector(v) for v in vectors]
-    if any(v.size != vs[0].size for v in vs):
-        raise ValueError("vectors must share one dimension")
-    out: list[np.ndarray] = []
-    for v in vs:
-        w = v.astype(complex)
-        for _ in range(2):
-            for q in out:
-                w = w - np.vdot(q, w) * q
-        r = np.linalg.norm(w)
-        if r < TOL_DERIVED:
-            raise ValueError("input family is rank deficient within tolerance")
-        out.append(w / r)
-    return out
 
 
 def orthonormal_rows(rows, tol: float, what: str) -> np.ndarray:
@@ -154,14 +115,6 @@ def haar_from_normals(z: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform unit vector in dimension d."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 def random_pure_batch(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """m Haar-uniform unit vectors in dimension d, one per row, from a single
     (m, d) complex Gaussian draw."""
@@ -169,27 +122,6 @@ def random_pure_batch(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     v = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def tensor(a, b) -> np.ndarray:
-    """Tensor product of two vectors; dim multiplies, inner products factor."""
-    return np.kron(as_vector(a), as_vector(b))
-
-
-def partial_trace_a(psi, dim_a: int, dim_b: int) -> np.ndarray:
-    """Reduced operator on the B factor after tracing out A.
-
-    ``psi`` is a unit vector in the ``dim_a * dim_b`` product space with the
-    A index slowest (kron convention).  The result is Hermitian, positive
-    semidefinite and trace-1 to within TOL_STRUCTURAL.
-    """
-    psi = as_vector(psi)
-    if dim_a < 1 or dim_b < 1 or psi.size != dim_a * dim_b:
-        raise ValueError(
-            f"vector of size {psi.size} does not factor as {dim_a}x{dim_b}"
-        )
-    m = psi.reshape(dim_a, dim_b)
-    return m.T @ m.conj()
 
 
 def bloch_states(points) -> np.ndarray:

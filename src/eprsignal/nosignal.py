@@ -7,8 +7,7 @@ Two certifiers, each returning a pass/fail certificate:
 * the subspace-measure route for dim >= 3: basis independence of the summed
   observable on sampled subspaces, and reconstruction of the unique
   compatible operator F with the fit mu(X) = Tr(F P_X), which implies
-  additivity on the sampled subspaces.  ``orthoadditivity_check`` tests
-  additivity directly, as a separate library function.
+  additivity on the sampled subspaces, so no separate additivity check runs.
 
 A quadratic observable passes every check to numerical precision; any
 non-quadratic observable produces a concrete witness.
@@ -28,7 +27,6 @@ from .hilbert import (
     TOL_DERIVED,
     bloch_states,
     haar_from_normals,
-    haar_unitaries,
     haar_unitary,  # unused here; bench/selftest.py looks it up in this module
     orthonormal_rows,
     serial_matmul,
@@ -443,33 +441,6 @@ def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
     )
 
 
-def orthoadditivity_check(
-    f,
-    basis_y,
-    basis_z,
-    rng: np.random.Generator,
-    resamples: int = 8,
-) -> float:
-    """Violation of mu(Y) + mu(Z) = mu(Y + Z) for orthogonal subspaces.
-
-    With the concatenated basis the identity holds termwise, as
-    ``subspace_measure`` sums over the basis rows; the reported violation
-    therefore comes from the rebased evaluations of the direct sum (the
-    structured family plus ``resamples`` Haar rotations), i.e. the basis
-    spread of the joint subspace.  ``gleason_certify`` does not call this
-    check: its trace fit implies additivity on the subspaces it samples.
-    """
-    rows_y = _basis_rows(basis_y)
-    rows_z = _basis_rows(basis_z)
-    cross = np.max(np.abs(rows_y.conj() @ rows_z.T))
-    if cross > TOL_DERIVED:
-        raise ValueError(f"subspaces are not orthogonal (max overlap {cross})")
-    mu_parts = subspace_measure(f, rows_y) + subspace_measure(f, rows_z)
-    joint = _basis_rows(np.vstack([rows_y, rows_z]))
-    mus = _rotated_measures(f, joint, haar_unitaries(len(joint), resamples, rng))
-    return float(np.max(np.abs(mu_parts - mus)))
-
-
 def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> list:
     """``basis_independence`` records of ``subspaces_per_dim`` sampled
     subspaces of each dimension m < d, then of the full space.
@@ -512,7 +483,8 @@ def gleason_certify(
     dimension (always including the full space with its computational
     basis), reconstructs the only operator a quadratic observable could
     have, and verifies mu(X) = Tr(F P_X) on 8 random subspaces, which implies
-    additivity on them.  Positive semidefiniteness of the operator is
+    additivity on them; additivity has no check of its own.  Positive
+    semidefiniteness of the operator is
     additionally required when ``f.counting`` is set, as a counting measure
     is non-negative.  The checks are ``basis_spread`` (the subspace records),
     ``trace_fit`` (the trace records, run only while the spread passes) and,

@@ -17,11 +17,10 @@ from .hilbert import (
     TOL_STRUCTURAL,
     as_matrix,
     is_hermitian,
-    random_pure,
     random_pure_batch,
     serial_matmul,
 )
-from .states import Ensemble, PureState
+from .states import PureState
 
 # Construction-time spot checks (ray invariance of opaque evaluators, range of
 # observables flagged ``counting``) draw from this fixed stream so construction is
@@ -199,22 +198,13 @@ def combine(coeffs, observables) -> FunctionalObservable:
 
 def _check_ray_invariance(obs: FunctionalObservable):
     rng = np.random.default_rng(_SPOT_CHECK_SEED)
-    for _ in range(_PHASE_CHECKS):
-        psi = random_pure(obs.dim, rng)
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        delta = abs(obs(np.exp(1j * theta) * psi) - obs(psi))
-        if delta > TOL_STRUCTURAL:
-            raise ValueError(
-                f"evaluator is not ray-invariant (phase deviation {delta})"
-            )
-
-
-def ensemble_average(f, ens: Ensemble) -> float:
-    """Exact statistical average sum_i p_i f(b_i) over an ensemble."""
-    if f.dim != ens.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {ens.dim}")
-    vals = f.values(np.array([s.vec for s in ens.states]))
-    return float(np.dot(ens.weights, vals))
+    psis = random_pure_batch(_PHASE_CHECKS, obs.dim, rng)
+    phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, _PHASE_CHECKS))
+    delta = np.max(np.abs(obs.values(phases[:, None] * psis) - obs.values(psis)))
+    if delta > TOL_STRUCTURAL:
+        raise ValueError(
+            f"evaluator is not ray-invariant (phase deviation {delta})"
+        )
 
 
 def polarization_reconstruct(f) -> np.ndarray:

@@ -27,11 +27,6 @@ from .signaling import ChannelReport, Scenario, SignalReport
 from .states import EntangledState, PureState, build_entangled
 
 
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def complex_from_json(data) -> complex:
     """A complex number from an [re, im] pair of JSON numbers: the type of
     each part is int or float, so a string or a bool is rejected."""
@@ -43,8 +38,8 @@ def complex_from_json(data) -> complex:
 
 def vector_to_json(v) -> list:
     """[re, im] pairs of a complex array, built in one pass: a vector gives a
-    list of pairs, a matrix a list of rows of pairs.  The floats are those
-    ``complex_to_json`` gives entry by entry, signed zeros included."""
+    list of pairs, a matrix a list of rows of pairs.  The floats are each
+    entry's ``[z.real, z.imag]``, signed zeros included."""
     a = np.asarray(v, dtype=complex)
     return np.stack([a.real, a.imag], axis=-1).tolist()
 

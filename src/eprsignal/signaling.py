@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import haar_unitary, random_pure
 from .observables import FunctionalObservable
-from .states import Ensemble, EntangledState, PureState, build_entangled
+from .states import Ensemble, EntangledState, PureState
 from .states import conditional_ensemble, rebase_alice
 from .streams import STREAM_VERSION, chunk_sizes, count_moments, substream
 
@@ -275,29 +274,3 @@ def channel_capacity(
         stream_version=STREAM_VERSION,
     )
 
-
-def random_scenario(
-    observable: FunctionalObservable,
-    dim_a: int,
-    branches: int,
-    rng: np.random.Generator,
-) -> Scenario:
-    """A random scenario for the given observable: Haar bases, random
-    coefficients, independent (generally non-orthogonal) B states."""
-    if not 1 <= branches <= dim_a:
-        raise ValueError("need 1 <= branches <= dim_a")
-    dim_b = observable.dim
-    alphas = rng.standard_normal(branches) + 1j * rng.standard_normal(branches)
-    alphas = alphas / np.linalg.norm(alphas)
-    rotation = haar_unitary(dim_a, rng)
-    alice = [rotation[:, i] for i in range(branches)]
-    bob = [random_pure(dim_b, rng) for _ in range(branches)]
-    state = build_entangled(alphas, alice, bob)
-    span = np.array([s.vec for s in state.alice_basis])
-    basis_a = tuple(
-        PureState(v) for v in (haar_unitary(branches, rng) @ span)
-    )
-    basis_a_prime = tuple(
-        PureState(v) for v in (haar_unitary(branches, rng) @ span)
-    )
-    return Scenario(state, basis_a, basis_a_prime, observable)

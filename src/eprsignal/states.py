@@ -16,7 +16,6 @@ from .hilbert import (
     TOL_DERIVED,
     as_vector,
     orthonormal_rows,
-    projector,
 )
 
 
@@ -42,15 +41,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.vec.size
-
-    def projector(self) -> np.ndarray:
-        return projector(self.vec)
-
-
-def basis_state(dim: int, index: int) -> PureState:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return PureState(v)
 
 
 @dataclass(frozen=True)
@@ -101,13 +91,6 @@ class EntangledState:
     def dim_b(self) -> int:
         return self.bob_states[0].dim
 
-    def vector(self) -> np.ndarray:
-        """Flattened vector in the product space (A index slowest)."""
-        out = np.zeros(self.dim_a * self.dim_b, dtype=complex)
-        for a, s_a, s_b in zip(self.alphas, self.alice_basis, self.bob_states):
-            out += a * np.kron(s_a.vec, s_b.vec)
-        return out
-
     def alice_span_projector(self) -> np.ndarray:
         mat = np.array([s.vec for s in self.alice_basis])
         return mat.T @ mat.conj()
@@ -154,7 +137,7 @@ def build_entangled(alphas, alice_basis, bob_states) -> EntangledState:
 # A zero-probability branch keeps this placeholder B state so the branch count
 # of a rebased state stays stable; the vector itself is physically meaningless.
 def _placeholder_state(dim: int) -> PureState:
-    return basis_state(dim, 0)
+    return PureState(np.eye(dim, dtype=complex)[0])
 
 
 def rebase_alice(state: EntangledState, new_basis) -> EntangledState:

@@ -1,4 +1,5 @@
-"""Shared construction helpers for the test suite."""
+"""Shared construction helpers for the test suite, and the reference
+functions the tests check the package against."""
 
 import dataclasses
 
@@ -7,15 +8,24 @@ import numpy as np
 from eprsignal import (
     Ensemble,
     EntangledState,
+    FunctionalObservable,
     PureState,
     Scenario,
     build_entangled,
+    custom,
     haar_unitary,
     power,
     quadratic,
-    random_pure,
+    subspace_measure,
 )
-from eprsignal.hilbert import TOL_DERIVED, TOL_STRUCTURAL, as_matrix
+from eprsignal.hilbert import (
+    TOL_DERIVED,
+    TOL_STRUCTURAL,
+    as_matrix,
+    as_vector,
+    haar_unitaries,
+)
+from eprsignal.nosignal import _basis_rows, _rotated_measures
 from eprsignal.serialize import state_from_json, state_to_json
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -26,6 +36,125 @@ PLUS = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
 MINUS = np.array([SQRT_HALF, -SQRT_HALF], dtype=complex)
 
 PROJ0_2 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
+def inner(u, v) -> complex:
+    """Inner product, conjugate-linear in the first argument."""
+    u = as_vector(u)
+    v = as_vector(v)
+    if u.size != v.size:
+        raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
+    return complex(np.vdot(u, v))
+
+
+def projector(v) -> np.ndarray:
+    """Rank-1 projector |v><v| of a unit vector."""
+    v = as_vector(v)
+    return np.outer(v, v.conj())
+
+
+def gram_schmidt(vectors) -> list[np.ndarray]:
+    """Orthonormalize a linearly independent family of vectors.
+
+    Uses modified Gram-Schmidt with one re-orthogonalization pass, which keeps
+    pairwise inner products at the 1e-15 level for the small dimensions used
+    here.  Raises ``ValueError`` when a vector's residual norm after projection
+    drops below TOL_DERIVED (rank deficiency).
+    """
+    vs = [as_vector(v) for v in vectors]
+    if any(v.size != vs[0].size for v in vs):
+        raise ValueError("vectors must share one dimension")
+    out: list[np.ndarray] = []
+    for v in vs:
+        w = v.astype(complex)
+        for _ in range(2):
+            for q in out:
+                w = w - np.vdot(q, w) * q
+        r = np.linalg.norm(w)
+        if r < TOL_DERIVED:
+            raise ValueError("input family is rank deficient within tolerance")
+        out.append(w / r)
+    return out
+
+
+def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-uniform unit vector in dimension d."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def tensor(a, b) -> np.ndarray:
+    """Tensor product of two vectors; dim multiplies, inner products factor."""
+    return np.kron(as_vector(a), as_vector(b))
+
+
+def partial_trace_a(psi, dim_a: int, dim_b: int) -> np.ndarray:
+    """Reduced operator on the B factor after tracing out A.
+
+    ``psi`` is a unit vector in the ``dim_a * dim_b`` product space with the
+    A index slowest (kron convention).  The result is Hermitian, positive
+    semidefinite and trace-1 to within TOL_STRUCTURAL.
+    """
+    psi = as_vector(psi)
+    if dim_a < 1 or dim_b < 1 or psi.size != dim_a * dim_b:
+        raise ValueError(
+            f"vector of size {psi.size} does not factor as {dim_a}x{dim_b}"
+        )
+    m = psi.reshape(dim_a, dim_b)
+    return m.T @ m.conj()
+
+
+def state_vector(state: EntangledState) -> np.ndarray:
+    """Flattened vector of an entangled state in the product space (A index
+    slowest)."""
+    out = np.zeros(state.dim_a * state.dim_b, dtype=complex)
+    for a, s_a, s_b in zip(state.alphas, state.alice_basis, state.bob_states):
+        out += a * np.kron(s_a.vec, s_b.vec)
+    return out
+
+
+def complex_to_json(z: complex) -> list[float]:
+    """The [re, im] pair of one complex number: the per-entry reference for
+    ``serialize.vector_to_json``."""
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def ensemble_average(f, ens: Ensemble) -> float:
+    """Exact statistical average sum_i p_i f(b_i) over an ensemble."""
+    if f.dim != ens.dim:
+        raise ValueError(f"dimension mismatch: {f.dim} vs {ens.dim}")
+    vals = f.values(np.array([s.vec for s in ens.states]))
+    return float(np.dot(ens.weights, vals))
+
+
+def orthoadditivity_check(
+    f,
+    basis_y,
+    basis_z,
+    rng: np.random.Generator,
+    resamples: int = 8,
+) -> float:
+    """Violation of mu(Y) + mu(Z) = mu(Y + Z) for orthogonal subspaces.
+
+    With the concatenated basis the identity holds termwise, as
+    ``subspace_measure`` sums over the basis rows; the reported violation
+    therefore comes from the rebased evaluations of the direct sum (the
+    structured family plus ``resamples`` Haar rotations), i.e. the basis
+    spread of the joint subspace.  ``gleason_certify`` runs no such check:
+    its trace fit implies additivity on the subspaces it samples.
+    """
+    rows_y = _basis_rows(basis_y)
+    rows_z = _basis_rows(basis_z)
+    cross = np.max(np.abs(rows_y.conj() @ rows_z.T))
+    if cross > TOL_DERIVED:
+        raise ValueError(f"subspaces are not orthogonal (max overlap {cross})")
+    mu_parts = subspace_measure(f, rows_y) + subspace_measure(f, rows_z)
+    joint = _basis_rows(np.vstack([rows_y, rows_z]))
+    mus = _rotated_measures(f, joint, haar_unitaries(len(joint), resamples, rng))
+    return float(np.max(np.abs(mu_parts - mus)))
 
 
 def bloch_point(psi) -> np.ndarray:
@@ -70,6 +199,25 @@ def rotated_alice_basis(state: EntangledState, rng: np.random.Generator):
     span = np.array([s.vec for s in state.alice_basis])
     mix = haar_unitary(state.branches, rng)
     return tuple(PureState(v) for v in mix @ span)
+
+
+def random_scenario(
+    observable: FunctionalObservable,
+    dim_a: int,
+    branches: int,
+    rng: np.random.Generator,
+) -> Scenario:
+    """A random scenario for the given observable: Haar bases, random
+    coefficients, independent (generally non-orthogonal) B states."""
+    if not 1 <= branches <= dim_a:
+        raise ValueError("need 1 <= branches <= dim_a")
+    state = random_entangled(rng, dim_a, observable.dim, branches)
+    return Scenario(
+        state,
+        rotated_alice_basis(state, rng),
+        rotated_alice_basis(state, rng),
+        observable,
+    )
 
 
 def bell_state() -> EntangledState:
@@ -157,7 +305,7 @@ def ensemble_density(ens: Ensemble) -> DensityMatrix:
     """The derived density matrix sum_i p_i |b_i><b_i|."""
     mat = np.zeros((ens.dim, ens.dim), dtype=complex)
     for p, s in zip(ens.weights, ens.states):
-        mat += p * s.projector()
+        mat += p * projector(s.vec)
     mat = (mat + mat.conj().T) / 2.0
     return DensityMatrix(mat)
 
@@ -168,3 +316,51 @@ def density_equal(r1: DensityMatrix, r2: DensityMatrix) -> tuple[bool, float]:
         raise ValueError(f"dimension mismatch: {r1.dim} vs {r2.dim}")
     dist = float(np.linalg.norm(r1.mat - r2.mat))
     return dist < TOL_DERIVED, dist
+
+
+@dataclasses.dataclass(frozen=True)
+class ZooEntry:
+    name: str
+    observable: FunctionalObservable
+    is_quadratic: bool
+
+
+def _spread_diag(dim: int) -> np.ndarray:
+    w = np.arange(1, dim + 1, dtype=float)
+    return np.diag(w / w.sum()).astype(complex)
+
+
+def _offdiag_hermitian(dim: int) -> np.ndarray:
+    m = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        m[j, j] = 0.1 * (j + 1)
+        for k in range(j + 1, dim):
+            m[j, k] = 0.2 + 0.1j * (j - k)
+            m[k, j] = np.conj(m[j, k])
+    return m
+
+
+def builtin_observables(dim: int) -> list[ZooEntry]:
+    """Named observables of one dimension with known ground truth, tagged
+    quadratic or not: the certifier cross-checks run over them."""
+    if dim < 2:
+        raise ValueError("zoo entries need dimension >= 2")
+    p0 = projector_matrix(dim, 0)
+    p1 = projector_matrix(dim, 1)
+
+    def product_eval(batch: np.ndarray) -> np.ndarray:
+        a = np.abs(batch[:, 0]) ** 2
+        b = np.abs(batch[:, 1]) ** 2
+        return a * b
+
+    entries = [
+        ZooEntry("identity", quadratic(np.eye(dim, dtype=complex)), True),
+        ZooEntry("spread-diagonal", quadratic(_spread_diag(dim)), True),
+        ZooEntry("rank1-projector", quadratic(p0), True),
+        ZooEntry("offdiag-hermitian", quadratic(_offdiag_hermitian(dim)), True),
+        ZooEntry("power2-projector", power(p0, 2), False),
+        ZooEntry("power3-projector", power(p0, 3), False),
+        ZooEntry("projection-product", custom(product_eval, dim, batch=True), False),
+        ZooEntry("power2-plane", power(p0 + p1, 2), False) if dim >= 3 else None,
+    ]
+    return [e for e in entries if e is not None]

@@ -13,11 +13,9 @@ from eprsignal import (
     exact_gap,
     gleason_certify,
     monte_carlo_report,
-    partial_trace_a,
     polarization_reconstruct,
     power,
     quadratic,
-    random_scenario,
     rebase_alice,
 )
 from eprsignal.cli import bundled_config_names, load_config, parse_config, run
@@ -28,10 +26,13 @@ from helpers import (
     bell_power_scenario,
     counting,
     ensemble_density,
+    partial_trace_a,
     projector_matrix,
     random_entangled,
     random_hermitian,
+    random_scenario,
     rotated_alice_basis,
+    state_vector,
 )
 
 
@@ -53,7 +54,7 @@ def test_criterion_1_density_coincidence():
         rebased = rebase_alice(state, rotated_alice_basis(state, rng))
         rho_a = ensemble_density(conditional_ensemble(state)).mat
         rho_b = ensemble_density(conditional_ensemble(rebased)).mat
-        rho_pt = partial_trace_a(state.vector(), da, db)
+        rho_pt = partial_trace_a(state_vector(state), da, db)
         worst_pair = max(worst_pair, float(np.linalg.norm(rho_a - rho_b)))
         worst_pt = max(
             worst_pt,

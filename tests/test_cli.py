@@ -55,6 +55,19 @@ def test_parse_config_field_errors():
         parse_config({"command": "gleason"})
 
 
+def test_unknown_config_key_is_an_error(tmp_path, capsys):
+    # a misspelt key must not fall back silently to the default it meant to set
+    with pytest.raises(ConfigError, match="^config: unknown key 'n_sampels'$"):
+        parse_config({**load_config("bell-power"), "n_sampels": 5})
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({**load_config("bell-power"), "command": "simulate",
+                                "n_sampels": 5}))
+    assert main(["simulate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: config: unknown key 'n_sampels'\n"
+    assert captured.out == ""
+
+
 def test_simulate_needs_two_samples_per_letter(capsys):
     assert main(["simulate", "--config", "bell-power", "--samples", "1"]) == 1
     captured = capsys.readouterr()

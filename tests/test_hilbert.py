@@ -7,15 +7,10 @@ from hypothesis import strategies as st
 
 from eprsignal import (
     build_entangled,
-    gram_schmidt,
     haar_unitary,
-    inner,
-    partial_trace_a,
     quadratic,
-    random_pure,
     rebase_alice,
     subspace_measure,
-    tensor,
 )
 from eprsignal.hilbert import (
     _row_edges,
@@ -27,7 +22,19 @@ from eprsignal.hilbert import (
     serial_matmul,
 )
 
-from helpers import E0, E1, PLUS, SQRT_HALF, ball_density, bloch_point
+from helpers import (
+    E0,
+    E1,
+    PLUS,
+    SQRT_HALF,
+    ball_density,
+    bloch_point,
+    gram_schmidt,
+    inner,
+    partial_trace_a,
+    random_pure,
+    tensor,
+)
 
 
 def test_inner_basis_cases():
@@ -119,10 +126,13 @@ def test_random_pure_unit_and_deterministic():
 
 
 def test_random_pure_haar_moment():
-    # analytic first moment of |<e0|psi>|^2 in d=2 is 1/2
+    # analytic first moment of |<e0|psi>|^2 in d=2 is 1/2, for the one-state
+    # reference sampler and for the batch sampler the package uses
     rng = np.random.default_rng(7)
     vals = np.array([abs(random_pure(2, rng)[0]) ** 2 for _ in range(100000)])
     assert vals.mean() == pytest.approx(0.5, abs=0.01)
+    batch = random_pure_batch(100000, 2, np.random.default_rng(7))
+    assert np.mean(np.abs(batch[:, 0]) ** 2) == pytest.approx(0.5, abs=0.01)
 
 
 def test_tensor_layout_and_bilinearity():

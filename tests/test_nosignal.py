@@ -14,10 +14,8 @@ from eprsignal import (
     exact_gap,
     gleason_certify,
     haar_unitary,
-    orthoadditivity_check,
     power,
     quadratic,
-    random_scenario,
     subspace_measure,
 )
 from eprsignal.hilbert import bloch_states, haar_unitaries
@@ -32,15 +30,17 @@ from eprsignal.nosignal import (
 )
 from eprsignal.serialize import certificate_to_json, dumps_canonical, witnesses_to_json
 from eprsignal.streams import substream
-from eprsignal.zoo import builtin_observables
 
 from helpers import (
     PROJ0_2,
     ball_density,
+    builtin_observables,
     counting,
+    orthoadditivity_check,
     projector_matrix,
     random_hermitian,
     random_projector,
+    random_scenario,
 )
 
 

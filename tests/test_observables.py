@@ -9,25 +9,25 @@ from eprsignal import (
     combine,
     affinity_scan,
     custom,
-    ensemble_average,
     gleason_certify,
     polarization_reconstruct,
     power,
     quadratic,
-    random_pure,
 )
 from eprsignal.hilbert import random_pure_batch
-from eprsignal.zoo import builtin_observables
 
 from helpers import (
     E0,
     E1,
     PLUS,
     PROJ0_2,
+    builtin_observables,
     counting,
+    ensemble_average,
     ensemble_density,
     random_hermitian,
     random_projector,
+    random_pure,
 )
 
 

@@ -14,12 +14,10 @@ from eprsignal import (
     monte_carlo_report,
     power,
     quadratic,
-    random_pure,
 )
 from eprsignal.serialize import (
     certificate_to_json,
     complex_from_json,
-    complex_to_json,
     dumps_canonical,
     entangled_from_json,
     entangled_to_json,
@@ -40,12 +38,15 @@ from eprsignal.nosignal import SubspaceMeasureRecord
 from helpers import (
     PROJ0_2,
     bell_power_scenario,
+    complex_to_json,
     counting,
     ensemble_from_json,
     ensemble_to_json,
     random_projector,
     random_entangled,
     random_hermitian,
+    random_pure,
+    state_vector,
 )
 
 
@@ -119,7 +120,7 @@ def test_ensemble_weights_must_be_numbers(weights):
 def test_entangled_round_trip():
     s = random_entangled(np.random.default_rng(72), 3, 2, 2)
     back = entangled_from_json(entangled_to_json(s))
-    np.testing.assert_allclose(back.vector(), s.vector(), atol=1e-15)
+    np.testing.assert_allclose(state_vector(back), state_vector(s), atol=1e-15)
 
 
 def test_observable_descriptors():

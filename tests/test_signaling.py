@@ -12,7 +12,6 @@ from eprsignal import (
     monte_carlo_report,
     power,
     quadratic,
-    random_scenario,
 )
 from eprsignal import signaling
 from eprsignal.signaling import binary_entropy, per_sample_values
@@ -28,6 +27,7 @@ from helpers import (
     bell_state,
     projector_matrix,
     random_hermitian,
+    random_scenario,
 )
 
 
