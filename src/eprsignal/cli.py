@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__
@@ -386,9 +387,11 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
 
 def _dump_samples(sc, config: RunConfig, path: str):
     lines = ["letter,index,f_value"]
+    index = list(map(str, range(config.n_samples)))
     for letter in (0, 1):
         vals = per_sample_values(sc, letter, config.n_samples, config.seed)
-        lines.extend(f"{letter},{i},{float(v)!r}" for i, v in enumerate(vals))
+        values = map(repr, vals.astype(float, copy=False).tolist())
+        lines.extend(map(",".join, zip(repeat(str(letter)), index, values)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -401,30 +404,37 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="eprsignal", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True,
-                       help="config file path or bundled config name")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None, dest="n_samples")
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted for compatibility; runs are serial")
-        if name == "simulate":
-            p.add_argument("--dump-samples", default=None,
-                           help="also write per-sample observable values (CSV)")
-        if name in CERTIFIERS:
-            p.add_argument("--witnesses", default=None,
-                           help="also write the full witness table (JSON)")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True,
+                        help="config file path or bundled config name")
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--samples", type=int, default=None, dest="n_samples")
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--format", choices=("json", "csv"), default=None)
+    parser.add_argument("--tolerance", type=float, default=None)
+    parser.add_argument("--workers", type=int, default=None,
+                        help="accepted for compatibility; runs are serial")
+    parser.add_argument("--dump-samples", default=None,
+                        help="simulate only: also write per-sample observable values (CSV)")
+    parser.add_argument("--witnesses", default=None,
+                        help="affinity, gleason and certify only: also write the "
+                             "full witness table (JSON)")
     return parser
+
+
+# the options that only some commands take, with the commands that take them
+_COMMAND_FLAGS = (
+    ("dump_samples", "--dump-samples", ("simulate",)),
+    ("witnesses", "--witnesses", CERTIFIERS),
+)
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        for dest, flag, commands in _COMMAND_FLAGS:
+            if getattr(args, dest) is not None and args.command not in commands:
+                raise ConfigError(f"{flag}: not an option of command {args.command!r}")
         data = load_config(args.config)
         overrides = {
             "command": args.command,
@@ -434,10 +444,10 @@ def main(argv=None) -> int:
             "format": args.format,
             "tolerance": args.tolerance,
             "workers": args.workers,
-            "witnesses": getattr(args, "witnesses", None),
+            "witnesses": args.witnesses,
         }
         config = parse_config(data, overrides)
-        return run(config, getattr(args, "dump_samples", None))[0]
+        return run(config, args.dump_samples)[0]
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

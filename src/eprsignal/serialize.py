@@ -11,7 +11,9 @@ import dataclasses
 import io
 import math
 import struct
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -71,7 +73,18 @@ def entangled_to_json(s: EntangledState) -> dict:
     }
 
 
+def _only_keys(data, keys, where: str = "") -> None:
+    """Reject an object, or a key of it outside ``keys``: a misspelt
+    optional key would otherwise drop its setting silently."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}must be an object, got {data!r}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"{where}unknown key {key!r}")
+
+
 def entangled_from_json(data) -> EntangledState:
+    _only_keys(data, ("alphas", "alice_basis", "bob_states"), "state: ")
     return build_entangled(
         vector_from_json(data["alphas"]),
         [vector_from_json(v) for v in data["alice_basis"]],
@@ -92,14 +105,17 @@ def observable_to_json(f) -> dict:
 
 
 def observable_from_json(data):
-    """The observable of a descriptor: an object whose ``k`` is an integer
-    and whose ``counting``, when present, is true or false."""
+    """The observable of a descriptor: an object whose ``k`` is an integer,
+    whose ``counting``, when present, is true or false, and which holds no
+    key its kind does not take."""
     if not isinstance(data, dict):
         raise ValueError(f"an observable must be an object, got {data!r}")
     kind = data.get("kind")
     if kind == "quadratic":
+        _only_keys(data, ("kind", "F", "counting"))
         obs = quadratic(matrix_from_json(data["F"]))
     elif kind == "power":
+        _only_keys(data, ("kind", "P", "k", "counting"))
         k = data["k"]
         if not isinstance(k, int) or isinstance(k, bool):
             raise ValueError(f"k must be an integer, got {k!r}")
@@ -122,11 +138,18 @@ def scenario_to_json(sc: Scenario) -> dict:
 
 
 def scenario_from_json(data) -> Scenario:
+    """The scenario of an object with no key but its four fields; an error
+    in its observable names it (``observable: unknown key 'countng'``)."""
+    _only_keys(data, ("state", "basis_a", "basis_a_prime", "observable"))
+    try:
+        observable = observable_from_json(data["observable"])
+    except ValueError as err:
+        raise ValueError(f"observable: {err}") from err
     return Scenario(
         state=entangled_from_json(data["state"]),
         basis_a=tuple(state_from_json(v) for v in data["basis_a"]),
         basis_a_prime=tuple(state_from_json(v) for v in data["basis_a_prime"]),
-        observable=observable_from_json(data["observable"]),
+        observable=observable,
     )
 
 
@@ -277,6 +300,37 @@ def _finite(text: str) -> str:
     return text
 
 
+def _scalar(o) -> str:
+    """The JSON text of a str, None, bool, int or float."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _finite(float.__repr__(o))
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _column(values: list, types: set):
+    """The JSON texts of one column of scalars, whose value types are
+    ``types``: floats by one ``float.__repr__`` map checked once for NaN and
+    infinities, exact ints by one ``int.__repr__`` map, anything else value
+    by value."""
+    if all(issubclass(t, float) for t in types):
+        text = list(map(float.__repr__, values))
+        _finite("".join(text))
+        return text
+    if types == {int}:
+        return map(int.__repr__, values)
+    return map(_scalar, values)
+
+
 def dumps_canonical(obj) -> str:
     """Deterministic, strict JSON text: sorted keys, one space of indent per
     level, shortest round-trip floats, newline end.
@@ -287,6 +341,8 @@ def dumps_canonical(obj) -> str:
     ``TypeError`` and NaN or an infinity raises ``ValueError``.  The text is
     streamed into one buffer.  Each key order is sorted, and its ``"key": ``
     prefixes encoded, once per call; a list of floats is formatted by one join.
+    A row table, a list of dicts that share one non-empty key set and hold
+    only scalars, is built column by column and its rows joined at once.
     """
     buf = io.StringIO()
     write = buf.write
@@ -303,6 +359,30 @@ def dumps_canonical(obj) -> str:
             layouts[names] = found
         return found
 
+    def table(o: list, pad: str) -> str | None:
+        # the text of a row table, or None for any other list
+        first = o[0]
+        if not first or any(isinstance(v, (dict, list, tuple)) for v in first.values()):
+            return None
+        if set(map(type, o)) != {dict} or set(map(len, o)) != {len(first)}:
+            return None
+        fields = layout(first)
+        try:  # rows of one length lack a key of the first row iff their keys differ
+            columns = [list(map(itemgetter(key), o)) for key, _ in fields]
+        except KeyError:
+            return None
+        types = [set(map(type, column)) for column in columns]
+        if any(issubclass(t, (dict, list, tuple)) for ts in types for t in ts):
+            return None
+        inner = pad + " "
+        lead = "{" + inner + " "
+        parts = []
+        for (_, prefix), column, ts in zip(fields, columns, types):
+            parts += (repeat(lead + prefix), _column(column, ts))
+            lead = "," + inner + " "
+        rows = map("".join, zip(*parts, repeat(inner + "}")))
+        return "[" + inner + ("," + inner).join(rows) + pad + "]"
+
     def encode(o, pad: str) -> None:
         # pad: newline plus the indent of the line that o starts on
         if isinstance(o, dict):
@@ -316,9 +396,11 @@ def dumps_canonical(obj) -> str:
                 item = o[key]
                 if type(item) is float:
                     write(sep + prefix + _finite(float.__repr__(item)))
-                else:
+                elif isinstance(item, (dict, list, tuple)):
                     write(sep + prefix)
                     encode(item, inner)
+                else:
+                    write(sep + prefix + _scalar(item))
                 sep = comma
             write(pad + "}")
         elif isinstance(o, (list, tuple)):
@@ -330,6 +412,10 @@ def dumps_canonical(obj) -> str:
             try:  # float.__repr__ raises TypeError on an item that is not a float
                 text = comma.join(map(float.__repr__, o))
             except TypeError:
+                text = table(o, pad) if type(o[0]) is dict else None
+                if text is not None:
+                    write(text)
+                    return
                 sep = "[" + inner
                 for item in o:
                     write(sep)
@@ -338,20 +424,8 @@ def dumps_canonical(obj) -> str:
                 write(pad + "]")
             else:
                 write("[" + inner + _finite(text) + pad + "]")
-        elif isinstance(o, str):
-            write(encode_basestring_ascii(o))
-        elif o is None:
-            write("null")
-        elif o is True:
-            write("true")
-        elif o is False:
-            write("false")
-        elif isinstance(o, int):
-            write(int.__repr__(o))
-        elif isinstance(o, float):
-            write(_finite(float.__repr__(o)))
         else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            write(_scalar(o))
 
     encode(obj, "\n")
     write("\n")

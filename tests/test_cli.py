@@ -415,10 +415,12 @@ def test_witness_table_only_for_certifiers(capsys):
 
 # SHA-256 of the report bytes at the config seed: the JSON report of every
 # bundled config under its own command and of certify on the observable
-# configs, and the CSV plot data of the certifier configs (as written when
+# configs, the CSV plot data of the certifier configs (as written when
 # every witness was part of the JSON report; the CSV is built from the same
-# table)
+# table), and simulate's convergence CSV (as written one f-string per row)
 _REPORT_SHA256 = {
+    ("simulate", "bell-power", "csv"):
+        "150f8a483af6042bf6d16d95da7b190ba2ca62d599b3abeecbb790536cc47f58",
     ("simulate", "bell-power", "json"):
         "227663896705ec9beea4f452e64638328a8b1f774f65c95ed3d83adb23fcee7c",
     ("simulate", "bell-quadratic", "json"):
@@ -537,3 +539,156 @@ def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
         built.clear()
         run(parse_config(load_config(name), {**overrides, **out}))
         assert built == paths
+
+
+def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
+    # SHA-256 of the 1e7-sample report (1,221 convergence rows, the
+    # benchmark's simulate-bell scale), its convergence CSV and the
+    # per-sample CSV at the bundled 1e5 samples, as written before row
+    # tables were encoded column by column
+    out, csv, dump = (tmp_path / n for n in ("report.json", "conv.csv", "dump.csv"))
+    argv = ["simulate", "--config", "bell-power", "--samples", "10000000"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["result"]["convergence"]) == 1221
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "5bebfe1d6e134cf549babd56b60094750d90c405e559184ce425c6bee1df718e")
+    assert main([*argv, "--format", "csv", "--out", str(csv)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "b9f0f20703abd1112c2e53190b96cf64692587ebfed0cb9b0ac89dfe88c1b20c")
+    assert main(["simulate", "--config", "bell-power", "--out", str(out),
+                 "--dump-samples", str(dump)]) == 0
+    assert len(dump.read_text().splitlines()) == 1 + 2 * 100000
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == (
+        "5bfdc13294a0d625df7f0fb5af1901990c5cd1baab43075789e8b8c279049dbd")
+
+
+@pytest.mark.parametrize(
+    "route, path, extra, message",
+    [
+        ("observable", (), {"countng": True}, "observable: unknown key 'countng'"),
+        ("observable", (), {"k": 2}, "observable: unknown key 'k'"),
+        ("scenario", ("observable",), {"countng": True},
+         "scenario: observable: unknown key 'countng'"),
+        ("scenario", (), {"basis_b": []}, "scenario: unknown key 'basis_b'"),
+        ("scenario", ("state",), {"alpha": []}, "scenario: state: unknown key 'alpha'"),
+    ],
+    ids=["observable-typo", "quadratic-with-k", "scenario-observable", "scenario",
+         "state"],
+)
+def test_unknown_nested_key_is_an_error(route, path, extra, message, tmp_path, capsys):
+    # a misspelt optional key, such as counting, must not drop its setting
+    # silently: gleason would then skip the psd_deficit check
+    if route == "observable":
+        config = load_config("d3-gleason-pass")
+        command = "gleason"
+    else:
+        config = load_config("bell-power")
+        command = "gap"
+    obj = config[route]
+    for key in path:
+        obj = obj[key]
+    obj.update(extra)
+    file = tmp_path / "config.json"
+    file.write_text(json.dumps(config))
+    assert main([command, "--config", str(file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def _parsed(monkeypatch, argv):
+    # main's parse of argv, up to the run it hands the config to
+    from eprsignal import cli
+
+    seen = []
+
+    def record(config, dump_samples=None):
+        seen.append((config, dump_samples))
+        return 0, {}
+
+    monkeypatch.setattr(cli, "run", record)
+    code = main(argv)
+    return code, seen[0] if seen else None
+
+
+# each flag: a value, the RunConfig field it sets ("dump": run's
+# dump_samples argument), the parsed value, and the commands that take it
+# (None: all six), as under the parent's one subparser per command
+_FLAGS = {
+    "--seed": ("3", "seed", 3, None),
+    "--samples": ("5", "n_samples", 5, None),
+    "--out": ("o.json", "out", "o.json", None),
+    "--format": ("csv", "format", "csv", None),
+    "--tolerance": ("0.5", "tolerance", 0.5, None),
+    "--workers": ("2", "workers", 2, None),
+    "--dump-samples": ("s.csv", "dump", "s.csv", ("simulate",)),
+    "--witnesses": ("w.json", "witnesses", "w.json", ("affinity", "gleason", "certify")),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAGS))
+@pytest.mark.parametrize("command", ["gap", "simulate", "capacity", "affinity",
+                                     "gleason", "certify"])
+def test_each_command_takes_its_own_flags(command, flag, monkeypatch, capsys):
+    value, field, parsed, commands = _FLAGS[flag]
+    code, seen = _parsed(monkeypatch, [command, "--config", "bell-power", flag, value])
+    captured = capsys.readouterr()
+    if commands is None or command in commands:
+        assert code == 0 and captured.err == ""
+        config, dump = seen
+        assert config.command == command
+        assert (dump if field == "dump" else getattr(config, field)) == parsed
+    else:
+        assert code == 1 and seen is None
+        assert captured.err.startswith("error: ") and flag in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["--config", "bell-power"],
+                                  ["noop", "--config", "bell-power"],
+                                  ["gap"], ["gap", "--config", "bell-power", "--nope", "1"]],
+                         ids=["empty", "no-command", "unknown-command", "no-config",
+                              "unknown-flag"])
+def test_usage_errors_exit_one(argv, monkeypatch, capsys):
+    code, seen = _parsed(monkeypatch, argv)
+    captured = capsys.readouterr()
+    assert code == 1 and seen is None
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["gap", "simulate", "capacity", "affinity",
+                                     "gleason", "certify"])
+def test_flag_abbreviations_span_every_flag(command, monkeypatch, capsys):
+    # one parser matches a prefix against all its flags: "--w" could be
+    # --workers or --witnesses on every command, while "--work" is --workers
+    code, seen = _parsed(monkeypatch, [command, "--config", "bell-power", "--w", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and seen is None
+    assert captured.err.startswith("error: ambiguous option: --w")
+    code, seen = _parsed(monkeypatch, [command, "--config", "bell-power", "--work", "2"])
+    assert code == 0 and seen[0].workers == 2
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("gap", "simulate", "capacity", "affinity", "gleason", "certify"):
+        assert command in out
+    assert "--dump-samples" in out and "--witnesses" in out
+
+
+def test_main_builds_one_argument_parser(monkeypatch, tmp_path):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["gap", "--config", "bell-power", "--out", str(tmp_path / "r.json")]) == 0
+    assert len(built) == 1

@@ -142,6 +142,8 @@ def test_observable_descriptors():
 
     with pytest.raises(ValueError):
         observable_from_json({"kind": "mystery"})
+    with pytest.raises(ValueError, match="^unknown key 'countng'$"):
+        observable_from_json({**desc, "countng": True})
 
 
 @settings(max_examples=30, deadline=None)
@@ -272,6 +274,75 @@ def test_dumps_canonical_rejects_non_finite(bad, wrap):
 def test_dumps_canonical_rejects_unsupported_types(bad):
     with pytest.raises(TypeError):
         dumps_canonical({"a": [bad]})
+
+
+# row tables: lists of dicts with one key set, encoded column by column.
+# Keys hold the characters a %-format or a naive quote would break on.
+_ROW_KEYS = st.text(alphabet=st.sampled_from('ab%s"\\é\n\u2028\U0001f600'), max_size=4)
+_ROW_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**70), 2**70),
+                         _FLOATS, st.text(max_size=5))
+# a column of one type takes the one-map paths; a mixed one goes value by value
+_ROW_COLUMNS = st.sampled_from([_FLOATS, st.integers(-(2**70), 2**70), st.booleans(),
+                                st.none(), st.text(max_size=5), _ROW_SCALARS])
+
+
+@st.composite
+def _row_tables(draw):
+    keys = draw(st.lists(_ROW_KEYS, min_size=1, max_size=5, unique=True))
+    columns = {key: draw(_ROW_COLUMNS) for key in keys}
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        order = draw(st.permutations(keys))  # rows need not share an insertion order
+        rows.append({key: draw(columns[key]) for key in order})
+    tail = draw(st.sampled_from(["none", "ragged", "non-dict", "nested", "empty"]))
+    if tail == "ragged":  # one row with another key set
+        rows.append({**rows[0], draw(_ROW_KEYS.filter(lambda k: k not in keys)): 1.5})
+    elif tail == "non-dict":
+        rows.append(draw(st.sampled_from([1.0, "s", None, [1.0], (2, 3)])))
+    elif tail == "nested":  # a value that is not a scalar
+        rows.append({**rows[0], keys[0]: draw(st.sampled_from([[0.5], {"a": 1}, (), {}]))})
+    elif tail == "empty":
+        rows.append({})
+    for _ in range(draw(st.integers(0, 2))):  # at some depth of a report
+        rows = draw(st.sampled_from([{"t": rows}, [rows], [0.5, rows]]))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_tables())
+def test_dumps_canonical_equals_json_dumps_on_row_tables(obj):
+    assert dumps_canonical(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [{}], [{}, {}], [{"a": 1}, {}], [{"a": 1}, {"b": 1}], [{"a": 1, "b": 2}, {"a": 1}],
+    [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1.5}, 2.5], [{"a": 1}, [1]],
+    [{"%s": -0.0, 'x"y': 5e-324, "é": np.float64(0.1)}] * 3,
+    [{"n": True, "m": 1}, {"n": 2, "m": False}],
+], ids=repr)
+def test_dumps_canonical_row_table_edge_cases_match_json_dumps(obj):
+    assert dumps_canonical(obj) == _reference(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+@pytest.mark.parametrize("row", [0, 1, 2])
+@pytest.mark.parametrize("column", ["floats", "mixed"])
+def test_dumps_canonical_rejects_non_finite_in_row_tables(bad, row, column):
+    rows = [{"f": 0.5, "m": None if i % 2 else "s"} for i in range(3)]
+    rows[row]["f" if column == "floats" else "m"] = bad
+    with pytest.raises(ValueError):
+        dumps_canonical(rows)
+    with pytest.raises(ValueError):
+        dumps_canonical({"t": rows})
+
+
+@pytest.mark.parametrize("row", [0, 2])
+@pytest.mark.parametrize("others", [1, 1.5, None], ids=["ints", "floats", "nulls"])
+def test_dumps_canonical_rejects_numpy_ints_in_row_tables(row, others):
+    rows = [{"a": others, "b": "s"} for _ in range(3)]
+    rows[row]["a"] = np.int64(1)
+    with pytest.raises(TypeError):
+        dumps_canonical(rows)
 
 
 def _refuse(token):
