@@ -48,17 +48,6 @@ REPORT_VERSION = 2
 # meta block leaves them out, so its bytes do not depend on them
 _OUTPUT_FIELDS = ("out", "format", "workers", "witnesses")
 
-_DEFAULTS = {
-    "n_samples": 10000,
-    "n_chords": 1000,
-    "block": 1000,
-    "trials": 200,
-    "subspaces_per_dim": 3,
-    "resamples": 6,
-    "seed": 0,
-    "tolerance": TOL_DECISION,
-}
-
 
 class ConfigError(ValueError):
     """Malformed config; the message carries the offending field path."""
@@ -69,12 +58,12 @@ class RunConfig:
     command: str
     scenario: dict | None = None
     observable: dict | None = None
-    n_samples: int = _DEFAULTS["n_samples"]
-    n_chords: int = _DEFAULTS["n_chords"]
-    block: int = _DEFAULTS["block"]
-    trials: int = _DEFAULTS["trials"]
-    subspaces_per_dim: int = _DEFAULTS["subspaces_per_dim"]
-    resamples: int = _DEFAULTS["resamples"]
+    n_samples: int = 10000
+    n_chords: int = 1000
+    block: int = 1000
+    trials: int = 200
+    subspaces_per_dim: int = 3
+    resamples: int = 6
     seed: int = 0
     tolerance: float = TOL_DECISION
     expect: str | None = None
@@ -90,6 +79,10 @@ class RunConfig:
 
 # the top-level keys a config may hold
 _CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+# the least value of each integer field, in the order they are checked;
+# simulate reports a sample variance per letter, so it needs n_samples >= 2
+_INT_MINIMUMS = {"n_samples": 1, "n_chords": 1, "block": 1, "trials": 1,
+                 "subspaces_per_dim": 1, "workers": 1, "resamples": 2, "seed": 0}
 
 
 def bundled_config_names() -> list[str]:
@@ -120,35 +113,27 @@ def load_config(path_or_name: str) -> dict:
     return data
 
 
-def _require_int(data: dict, key: str, minimum: int) -> int:
-    val = data[key]
-    if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-        raise ConfigError(f"{key}: must be an integer >= {minimum}, got {val!r}")
-    return val
-
-
 def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
-    """Validate a raw config dict (plus CLI overrides) into a RunConfig.
-    A top-level key that names no RunConfig field is an error."""
-    for key in data:
+    """Validate a raw config dict (plus CLI overrides, of which None values
+    are left out) into a RunConfig.  A key of either that names no RunConfig
+    field is an error."""
+    given = {k: v for k, v in (overrides or {}).items() if v is not None}
+    for key in (*data, *given):
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"config: unknown key {key!r}")
-    merged = {**_DEFAULTS, "workers": 1, "format": "json", **data}
-    for key, val in (overrides or {}).items():
-        if val is not None:
-            merged[key] = val
-
+    merged = {**data, **given}
     command = merged.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command: must be one of {COMMANDS}, got {command!r}")
+    config = RunConfig(**merged)
 
-    # simulate reports a sample variance per letter, which needs two samples
-    _require_int(merged, "n_samples", 2 if command == "simulate" else 1)
-    for key in ("n_chords", "block", "trials", "subspaces_per_dim", "workers"):
-        _require_int(merged, key, 1)
-    _require_int(merged, "resamples", 2)
-    _require_int(merged, "seed", 0)
-    tolerance = merged["tolerance"]
+    for key, minimum in _INT_MINIMUMS.items():
+        if key == "n_samples" and command == "simulate":
+            minimum = 2
+        val = getattr(config, key)
+        if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
+            raise ConfigError(f"{key}: must be an integer >= {minimum}, got {val!r}")
+    tolerance = config.tolerance
     # the bound is False for NaN, infinities and ints beyond the float range
     finite = (
         isinstance(tolerance, (int, float))
@@ -157,19 +142,14 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     )
     if not finite:
         raise ConfigError(f"tolerance: must be a finite number > 0, got {tolerance!r}")
-
-    expect = merged.get("expect")
-    if expect not in (None, "signal", "no-signal"):
+    if config.expect not in (None, "signal", "no-signal"):
         raise ConfigError(
-            f"expect: must be 'signal', 'no-signal' or omitted, got {expect!r}"
+            f"expect: must be 'signal', 'no-signal' or omitted, got {config.expect!r}"
         )
+    if config.format not in ("json", "csv"):
+        raise ConfigError(f"format: must be 'json' or 'csv', got {config.format!r}")
 
-    fmt = merged.get("format")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format: must be 'json' or 'csv', got {fmt!r}")
-
-    scenario = merged.get("scenario")
-    observable = merged.get("observable")
+    scenario, observable = config.scenario, config.observable
     if command in CERTIFIERS and observable is None and isinstance(scenario, dict):
         observable = scenario.get("observable")
     if command in ("gap", "simulate", "capacity"):
@@ -178,27 +158,13 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
     else:
         if not isinstance(observable, dict):
             raise ConfigError(f"observable: required for command {command!r}")
-    if merged.get("witnesses") is not None and command not in CERTIFIERS:
+    for key in ("out", "witnesses"):
+        val = getattr(config, key)
+        if val is not None and not isinstance(val, str):
+            raise ConfigError(f"{key}: must be a path string, got {val!r}")
+    if config.witnesses is not None and command not in CERTIFIERS:
         raise ConfigError(f"witnesses: no witness table for command {command!r}")
-
-    return RunConfig(
-        command=command,
-        scenario=scenario,
-        observable=observable,
-        n_samples=merged["n_samples"],
-        n_chords=merged["n_chords"],
-        block=merged["block"],
-        trials=merged["trials"],
-        subspaces_per_dim=merged["subspaces_per_dim"],
-        resamples=merged["resamples"],
-        seed=merged["seed"],
-        tolerance=float(tolerance),
-        expect=expect,
-        out=merged.get("out"),
-        format=fmt,
-        workers=merged["workers"],
-        witnesses=merged.get("witnesses"),
-    )
+    return dataclasses.replace(config, observable=observable, tolerance=float(tolerance))
 
 
 def _build_scenario(config: RunConfig):
@@ -436,16 +402,7 @@ def main(argv=None) -> int:
             if getattr(args, dest) is not None and args.command not in commands:
                 raise ConfigError(f"{flag}: not an option of command {args.command!r}")
         data = load_config(args.config)
-        overrides = {
-            "command": args.command,
-            "seed": args.seed,
-            "n_samples": args.n_samples,
-            "out": args.out,
-            "format": args.format,
-            "tolerance": args.tolerance,
-            "workers": args.workers,
-            "witnesses": args.witnesses,
-        }
+        overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
         config = parse_config(data, overrides)
         return run(config, args.dump_samples)[0]
     except ConfigError as err:

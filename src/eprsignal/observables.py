@@ -48,10 +48,10 @@ class FunctionalObservable:
     """A real function on unit state vectors of a fixed dimension.
 
     ``values`` evaluates a batch (m, d) -> (m,); evaluation must be pure and
-    ray-invariant, and a NaN or infinite value is an error.  Scalar
-    multiplication and addition build linear combinations; combinations of
-    quadratics stay quadratic with the combined matrix, anything else
-    degrades to the custom kind (and drops ``counting``).
+    ray-invariant, and a NaN or infinite value is an error.  ``combine``
+    builds linear combinations; combinations of quadratics stay quadratic
+    with the combined matrix, anything else degrades to the custom kind (and
+    drops ``counting``).
 
     ``counting`` marks an observable valued in [0, 1], a detector that fires
     or not.  The range is sampled, not proven: 1000 Haar-random states are
@@ -92,23 +92,6 @@ class FunctionalObservable:
         if isinstance(psi, PureState):
             psi = psi.vec
         return float(self.values(np.asarray(psi, dtype=complex)[None, :])[0])
-
-    def __add__(self, other: "FunctionalObservable") -> "FunctionalObservable":
-        if not isinstance(other, FunctionalObservable):
-            return NotImplemented
-        return combine([1.0, 1.0], [self, other])
-
-    def __mul__(self, scalar) -> "FunctionalObservable":
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return combine([float(scalar)], [self])
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other: "FunctionalObservable") -> "FunctionalObservable":
-        if not isinstance(other, FunctionalObservable):
-            return NotImplemented
-        return combine([1.0, -1.0], [self, other])
 
 
 def _expectation_batch(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -1,11 +1,16 @@
+import dataclasses
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eprsignal.cli import (
+    _INT_MINIMUMS,
     ConfigError,
+    RunConfig,
     bundled_config_names,
     emit_plot_data,
     load_config,
@@ -66,6 +71,89 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: config: unknown key 'n_sampels'\n"
     assert captured.out == ""
+
+
+def test_unknown_override_key_is_an_error():
+    base = load_config("bell-power")
+    with pytest.raises(ConfigError, match="^config: unknown key 'n_sampels'$"):
+        parse_config(base, {"command": "simulate", "n_sampels": 5})
+    # a None override is a flag that was not given, so it is left out
+    assert parse_config(base, {"command": "simulate", "n_sampels": None}).n_samples == 100000
+
+
+@pytest.mark.parametrize("command, name, key, value", [
+    ("gleason", "d3-gleason-pass", "witnesses", 7),
+    ("certify", "power2-affinity", "witnesses", True),
+    ("gap", "bell-power", "out", ["a"]),
+    ("simulate", "bell-power", "out", 1.5),
+])
+def test_output_paths_must_be_strings(command, name, key, value, tmp_path, capsys):
+    config = {**load_config(name), key: value}
+    if key == "witnesses":
+        config["out"] = str(tmp_path / "report.json")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {key}: must be a path string, got {value!r}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+_MINIMUMS = {"n_samples": 1, "n_chords": 1, "block": 1, "trials": 1,
+             "subspaces_per_dim": 1, "workers": 1, "resamples": 2, "seed": 0}
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field, minimum in _MINIMUMS.items()
+    for value in (minimum - 1, True, 2.5, "3")
+])
+def test_integer_fields_are_bounded(field, value, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**load_config("bell-power"), field: value}))
+    assert main(["gap", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {field}: must be an integer >= {_MINIMUMS[field]}, got {value!r}\n"
+    )
+    assert captured.out == ""
+
+
+def test_every_integer_field_has_a_bound():
+    # a new int field of RunConfig must come with its least value; the
+    # order is the order of the checks, so it picks the error reported
+    assert list(_INT_MINIMUMS.items()) == list(_MINIMUMS.items())
+    ints = [f.name for f in dataclasses.fields(RunConfig) if f.type in ("int", int)]
+    assert sorted(_INT_MINIMUMS) == sorted(ints)
+
+
+def test_defaults_are_pinned():
+    scenario = load_config("bell-power")["scenario"]
+    assert parse_config({"command": "gap", "scenario": scenario}).to_dict() == {
+        "command": "gap",
+        "scenario": scenario,
+        "observable": None,
+        "n_samples": 10000,
+        "n_chords": 1000,
+        "block": 1000,
+        "trials": 200,
+        "subspaces_per_dim": 3,
+        "resamples": 6,
+        "seed": 0,
+        "tolerance": 1e-8,
+        "expect": None,
+        "out": None,
+        "format": "json",
+        "workers": 1,
+        "witnesses": None,
+    }
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    intro = "The top-level keys of a config are the fields of `RunConfig`:"
+    listed = readme.split(intro, 1)[1].split("Any other key", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == [f.name for f in dataclasses.fields(RunConfig)]
 
 
 def test_simulate_needs_two_samples_per_letter(capsys):

@@ -161,7 +161,7 @@ def test_counting_flag_rejects_values_outside_unit_interval(d, c):
     with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
         counting(f)
     with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
-        counting(power(np.eye(d, dtype=complex), 2) * c)
+        counting(combine([c], [power(np.eye(d, dtype=complex), 2)]))
 
 
 def test_polarization_recovers_diagonal():
