@@ -515,6 +515,12 @@ _REPORT_SHA256 = {
         "b475c5b5d96dd244a4bed1c61aac739217b5d903f9a8318d655d2b892e612121",
     ("capacity", "bell-power", "json"):
         "2b389e07010fb5baaa73ef703b5dd545e7af7dcb43b8ec9cde1ab2f160ea5e17",
+    ("capacity", "bell-quadratic", "json"):
+        "47c5f681e416ef90ceebfbcf86896fec050136cdac3615884cef7d3b7ec9deed",
+    ("gap", "bell-power", "json"):
+        "6398f3216d964afa1b01289d56e7ea84ecd033735b7637809f6a499d75d6a793",
+    ("gap", "bell-quadratic", "json"):
+        "3bc7a4dc31451f00a071596adba21b2dbbcbcf34c28554c69f7a76d49f32bfb6",
     ("gleason", "d3-gleason-fail", "json"):
         "7dac0124c4185e917212b7ccb9881488473c778738a54c4427783e78af0abecf",
     ("gleason", "d3-gleason-pass", "json"):
