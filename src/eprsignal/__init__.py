@@ -30,8 +30,6 @@ from .signaling import (
 from .states import (
     Ensemble,
     EntangledState,
-    PureState,
-    build_entangled,
     conditional_ensemble,
     rebase_alice,
 )
@@ -45,13 +43,11 @@ __all__ = [
     "Ensemble",
     "EntangledState",
     "FunctionalObservable",
-    "PureState",
     "Scenario",
     "SignalReport",
     "SubspaceMeasureRecord",
     "affinity_scan",
     "basis_independence",
-    "build_entangled",
     "channel_capacity",
     "combine",
     "conditional_ensemble",

@@ -160,7 +160,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"observable: required for command {command!r}")
     for key in ("out", "witnesses"):
         val = getattr(config, key)
-        if val is not None and not isinstance(val, str):
+        if val is not None and not (isinstance(val, str) and val):
             raise ConfigError(f"{key}: must be a path string, got {val!r}")
     if config.witnesses is not None and command not in CERTIFIERS:
         raise ConfigError(f"witnesses: no witness table for command {command!r}")

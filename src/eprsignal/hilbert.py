@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small finite-dimensional Hilbert spaces.
 
 Everything here operates on plain numpy arrays: vectors are 1-d complex
-arrays, operators are square 2-d complex arrays.  All functions are pure;
-randomized ones take an explicit ``numpy.random.Generator``.
+arrays, lists of states are 2-d arrays with one state per row, operators are
+square 2-d complex arrays.  All functions are pure; randomized ones take an
+explicit ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -85,9 +86,26 @@ def orthonormal_rows(rows, tol: float, what: str) -> np.ndarray:
     rows = np.asarray(rows, dtype=complex)
     if rows.ndim != 2:
         raise ValueError(f"{what} must be a list of equal-length vectors")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"{what} has non-finite entries")
     err = np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows))))
     if not err <= tol:
         raise ValueError(f"{what} is not orthonormal (max deviation {err})")
+    return rows
+
+
+def unit_rows(rows, tol: float) -> np.ndarray:
+    """The rows as a 2-d complex array, once checked to be finite unit
+    vectors: each row's norm lies within ``tol`` of 1."""
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2:
+        raise ValueError(f"expected states of shape (m, d), got {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("vector has non-finite entries")
+    norms = np.linalg.norm(rows, axis=1)
+    bad = np.abs(norms - 1.0) > tol
+    if bad.any():
+        raise ValueError(f"state norm {norms[bad][0]} is not 1 within {tol}")
     return rows
 
 

@@ -326,19 +326,13 @@ def affinity_scan(
     )
 
 
-def _basis_rows(basis) -> np.ndarray:
-    return orthonormal_rows(
-        [b.vec if hasattr(b, "vec") else b for b in basis], TOL_DERIVED, "basis"
-    )
-
-
 def subspace_measure(f, basis) -> float:
     """Sum of the observable over an orthonormal basis of a subspace.
 
     For a counting observable this lies in [0, n]; when the measure is basis
     independent it is a function of the subspace alone.
     """
-    rows = _basis_rows(basis)
+    rows = orthonormal_rows(basis, TOL_DERIVED, "basis")
     return float(np.sum(f.values(rows)))
 
 
@@ -425,7 +419,7 @@ def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
     ("base",), ("real", a, b), ("phase", a, b), ("fourier",) or ("haar", j),
     indexed as ``_rotation_name`` gives.
     """
-    rows = _basis_rows(basis)
+    rows = orthonormal_rows(basis, TOL_DERIVED, "basis")
     n = rows.shape[0]
     rotations = np.asarray(rotations, dtype=complex)
     if rotations.ndim != 3 or rotations.shape[1:] != (n, n) or len(rotations) < 2:

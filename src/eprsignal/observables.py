@@ -20,7 +20,6 @@ from .hilbert import (
     random_pure_batch,
     serial_matmul,
 )
-from .states import PureState
 
 # Construction-time spot checks (ray invariance of opaque evaluators, range of
 # observables flagged ``counting``) draw from this fixed stream so construction is
@@ -89,8 +88,6 @@ class FunctionalObservable:
         return out
 
     def __call__(self, psi) -> float:
-        if isinstance(psi, PureState):
-            psi = psi.vec
         return float(self.values(np.asarray(psi, dtype=complex)[None, :])[0])
 
 

@@ -26,7 +26,7 @@ from .nosignal import (
 )
 from .observables import power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
-from .states import EntangledState, PureState, build_entangled
+from .states import EntangledState
 
 
 def complex_from_json(data) -> complex:
@@ -54,22 +54,18 @@ matrix_to_json = vector_to_json
 
 
 def matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex_from_json(z) for z in row] for row in data])
-
-
-def state_to_json(s: PureState) -> list:
-    return vector_to_json(s.vec)
-
-
-def state_from_json(data) -> PureState:
-    return PureState(vector_from_json(data))
+    rows = [[complex_from_json(z) for z in row] for row in data]
+    lengths = [len(row) for row in rows]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"matrix rows must share one length, got {lengths}")
+    return np.array(rows)
 
 
 def entangled_to_json(s: EntangledState) -> dict:
     return {
         "alphas": vector_to_json(s.alphas),
-        "alice_basis": [state_to_json(a) for a in s.alice_basis],
-        "bob_states": [state_to_json(b) for b in s.bob_states],
+        "alice_basis": matrix_to_json(s.alice_basis),
+        "bob_states": matrix_to_json(s.bob_states),
     }
 
 
@@ -85,10 +81,10 @@ def _only_keys(data, keys, where: str = "") -> None:
 
 def entangled_from_json(data) -> EntangledState:
     _only_keys(data, ("alphas", "alice_basis", "bob_states"), "state: ")
-    return build_entangled(
+    return EntangledState(
         vector_from_json(data["alphas"]),
-        [vector_from_json(v) for v in data["alice_basis"]],
-        [vector_from_json(v) for v in data["bob_states"]],
+        matrix_from_json(data["alice_basis"]),
+        matrix_from_json(data["bob_states"]),
     )
 
 
@@ -131,8 +127,8 @@ def observable_from_json(data):
 def scenario_to_json(sc: Scenario) -> dict:
     return {
         "state": entangled_to_json(sc.state),
-        "basis_a": [state_to_json(s) for s in sc.basis_a],
-        "basis_a_prime": [state_to_json(s) for s in sc.basis_a_prime],
+        "basis_a": matrix_to_json(sc.basis_a),
+        "basis_a_prime": matrix_to_json(sc.basis_a_prime),
         "observable": observable_to_json(sc.observable),
     }
 
@@ -147,8 +143,8 @@ def scenario_from_json(data) -> Scenario:
         raise ValueError(f"observable: {err}") from err
     return Scenario(
         state=entangled_from_json(data["state"]),
-        basis_a=tuple(state_from_json(v) for v in data["basis_a"]),
-        basis_a_prime=tuple(state_from_json(v) for v in data["basis_a_prime"]),
+        basis_a=matrix_from_json(data["basis_a"]),
+        basis_a_prime=matrix_from_json(data["basis_a_prime"]),
         observable=observable,
     )
 

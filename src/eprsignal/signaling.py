@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .observables import FunctionalObservable
-from .states import Ensemble, EntangledState, PureState
-from .states import conditional_ensemble, rebase_alice
+from .states import Ensemble, EntangledState, conditional_ensemble, rebase_alice
 from .streams import STREAM_VERSION, chunk_sizes, count_moments, substream
 
 # Stream paths: letters 0 and 1 sample on paths 0 and 1, channel trials on 2.
@@ -28,12 +27,12 @@ Z_THRESHOLD = 5.0
 
 @dataclass(frozen=True)
 class Scenario:
-    """An entangled state, two A-side bases (letters 0 and 1), and the B-side
-    observable."""
+    """An entangled state, two A-side bases (letters 0 and 1) given as rows,
+    and the B-side observable."""
 
     state: EntangledState
-    basis_a: tuple[PureState, ...]
-    basis_a_prime: tuple[PureState, ...]
+    basis_a: np.ndarray
+    basis_a_prime: np.ndarray
     observable: FunctionalObservable
     # per letter, built once: the B-side ensemble and the observable's value
     # on each of its members
@@ -41,21 +40,22 @@ class Scenario:
     member_values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis_a", tuple(self.basis_a))
-        object.__setattr__(self, "basis_a_prime", tuple(self.basis_a_prime))
         if self.observable.dim != self.state.dim_b:
             raise ValueError(
                 f"observable dim {self.observable.dim} does not match the B side "
                 f"dim {self.state.dim_b}"
             )
-        # rebasing validates orthonormality and span agreement of both bases
-        ensembles = tuple(
-            conditional_ensemble(rebase_alice(self.state, basis))
-            for basis in (self.basis_a, self.basis_a_prime)
+        # rebasing checks each basis's span, the rebased state its
+        # orthonormality; the bases kept are the rebased states' frozen rows
+        rebased = tuple(
+            rebase_alice(self.state, basis) for basis in (self.basis_a, self.basis_a_prime)
         )
-        values = tuple(self.observable.values([s.vec for s in e.states]) for e in ensembles)
+        ensembles = tuple(conditional_ensemble(r) for r in rebased)
+        values = tuple(self.observable.values(e.states) for e in ensembles)
         for v in values:
             v.setflags(write=False)
+        object.__setattr__(self, "basis_a", rebased[0].alice_basis)
+        object.__setattr__(self, "basis_a_prime", rebased[1].alice_basis)
         object.__setattr__(self, "ensembles", ensembles)
         object.__setattr__(self, "member_values", values)
 

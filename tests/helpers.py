@@ -9,9 +9,7 @@ from eprsignal import (
     Ensemble,
     EntangledState,
     FunctionalObservable,
-    PureState,
     Scenario,
-    build_entangled,
     custom,
     haar_unitary,
     power,
@@ -24,9 +22,10 @@ from eprsignal.hilbert import (
     as_matrix,
     as_vector,
     haar_unitaries,
+    orthonormal_rows,
 )
-from eprsignal.nosignal import _basis_rows, _rotated_measures
-from eprsignal.serialize import state_from_json, state_to_json
+from eprsignal.nosignal import _rotated_measures
+from eprsignal.serialize import matrix_from_json, matrix_to_json
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -111,7 +110,7 @@ def state_vector(state: EntangledState) -> np.ndarray:
     slowest)."""
     out = np.zeros(state.dim_a * state.dim_b, dtype=complex)
     for a, s_a, s_b in zip(state.alphas, state.alice_basis, state.bob_states):
-        out += a * np.kron(s_a.vec, s_b.vec)
+        out += a * np.kron(s_a, s_b)
     return out
 
 
@@ -126,7 +125,7 @@ def ensemble_average(f, ens: Ensemble) -> float:
     """Exact statistical average sum_i p_i f(b_i) over an ensemble."""
     if f.dim != ens.dim:
         raise ValueError(f"dimension mismatch: {f.dim} vs {ens.dim}")
-    vals = f.values(np.array([s.vec for s in ens.states]))
+    vals = f.values(ens.states)
     return float(np.dot(ens.weights, vals))
 
 
@@ -146,13 +145,13 @@ def orthoadditivity_check(
     spread of the joint subspace.  ``gleason_certify`` runs no such check:
     its trace fit implies additivity on the subspaces it samples.
     """
-    rows_y = _basis_rows(basis_y)
-    rows_z = _basis_rows(basis_z)
+    rows_y = orthonormal_rows(basis_y, TOL_DERIVED, "basis")
+    rows_z = orthonormal_rows(basis_z, TOL_DERIVED, "basis")
     cross = np.max(np.abs(rows_y.conj() @ rows_z.T))
     if cross > TOL_DERIVED:
         raise ValueError(f"subspaces are not orthogonal (max overlap {cross})")
     mu_parts = subspace_measure(f, rows_y) + subspace_measure(f, rows_z)
-    joint = _basis_rows(np.vstack([rows_y, rows_z]))
+    joint = orthonormal_rows(np.vstack([rows_y, rows_z]), TOL_DERIVED, "basis")
     mus = _rotated_measures(f, joint, haar_unitaries(len(joint), resamples, rng))
     return float(np.max(np.abs(mu_parts - mus)))
 
@@ -189,16 +188,44 @@ def random_entangled(
     alphas = rng.standard_normal(branches) + 1j * rng.standard_normal(branches)
     alphas /= np.linalg.norm(alphas)
     rotation = haar_unitary(dim_a, rng)
-    alice = [rotation[:, i] for i in range(branches)]
     bob = [random_pure(dim_b, rng) for _ in range(branches)]
-    return build_entangled(alphas, alice, bob)
+    return EntangledState(alphas, rotation[:, :branches].T, bob)
 
 
 def rotated_alice_basis(state: EntangledState, rng: np.random.Generator):
-    """A fresh orthonormal basis of the state's A-side span."""
-    span = np.array([s.vec for s in state.alice_basis])
-    mix = haar_unitary(state.branches, rng)
-    return tuple(PureState(v) for v in mix @ span)
+    """A fresh orthonormal basis of the state's A-side span, one row each."""
+    return haar_unitary(state.branches, rng) @ state.alice_basis
+
+
+def reference_rebase(state: EntangledState, new_basis) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients and B rows of ``rebase_alice(state, new_basis)``,
+    computed one branch at a time: a branch below TOL_STRUCTURAL gets
+    coefficient 0 and the placeholder B state e_0, any other its branch
+    vector over its norm."""
+    new_mat = np.array([np.asarray(v, dtype=complex) for v in new_basis])
+    old_mat = np.array([np.array(v) for v in state.alice_basis])
+    overlaps = new_mat.conj() @ old_mat.T
+    bob_mat = np.array([np.array(v) for v in state.bob_states])
+    branch_vecs = (overlaps * state.alphas) @ bob_mat
+    new_alphas = np.linalg.norm(branch_vecs, axis=1)
+    new_bob = []
+    for j in range(state.branches):
+        if new_alphas[j] < TOL_STRUCTURAL:
+            new_alphas[j] = 0.0
+            new_bob.append(np.eye(state.dim_b, dtype=complex)[0])
+        else:
+            new_bob.append(np.array(branch_vecs[j] / new_alphas[j]))
+    new_alphas = new_alphas / np.linalg.norm(new_alphas)
+    return new_alphas.astype(complex), np.array(new_bob)
+
+
+def reference_conditional_ensemble(alphas, bob_rows) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and member rows of ``conditional_ensemble``, one branch at
+    a time: each branch of positive weight |alpha|^2, renormalized."""
+    w = np.abs(alphas) ** 2
+    keep = w > 0.0
+    w = w[keep]
+    return w / w.sum(), np.array([b for b, k in zip(bob_rows, keep) if k])
 
 
 def random_scenario(
@@ -221,14 +248,14 @@ def random_scenario(
 
 
 def bell_state() -> EntangledState:
-    return build_entangled([SQRT_HALF, SQRT_HALF], [E0, E1], [E0, E1])
+    return EntangledState([SQRT_HALF, SQRT_HALF], [E0, E1], [E0, E1])
 
 
 def bell_power_scenario() -> Scenario:
     return Scenario(
         state=bell_state(),
-        basis_a=(PureState(E0), PureState(E1)),
-        basis_a_prime=(PureState(PLUS), PureState(MINUS)),
+        basis_a=[E0, E1],
+        basis_a_prime=[PLUS, MINUS],
         observable=power(PROJ0_2, 2),
     )
 
@@ -236,8 +263,8 @@ def bell_power_scenario() -> Scenario:
 def bell_quadratic_scenario() -> Scenario:
     return Scenario(
         state=bell_state(),
-        basis_a=(PureState(E0), PureState(E1)),
-        basis_a_prime=(PureState(PLUS), PureState(MINUS)),
+        basis_a=[E0, E1],
+        basis_a_prime=[PLUS, MINUS],
         observable=quadratic(PROJ0_2),
     )
 
@@ -256,8 +283,8 @@ def projector_matrix(dim: int, index: int = 0) -> np.ndarray:
 def ensemble_to_json(e: Ensemble) -> dict:
     return {
         "members": [
-            {"weight": float(w), "state": state_to_json(s)}
-            for w, s in zip(e.weights, e.states)
+            {"weight": float(w), "state": s}
+            for w, s in zip(e.weights, matrix_to_json(e.states))
         ]
     }
 
@@ -271,7 +298,7 @@ def ensemble_from_json(data) -> Ensemble:
         raise ValueError(f"ensemble weights must be numbers, got {weights!r}")
     return Ensemble(
         np.array(weights, dtype=float),
-        tuple(state_from_json(m["state"]) for m in members),
+        matrix_from_json([m["state"] for m in members]),
     )
 
 
@@ -305,7 +332,7 @@ def ensemble_density(ens: Ensemble) -> DensityMatrix:
     """The derived density matrix sum_i p_i |b_i><b_i|."""
     mat = np.zeros((ens.dim, ens.dim), dtype=complex)
     for p, s in zip(ens.weights, ens.states):
-        mat += p * projector(s.vec)
+        mat += p * projector(s)
     mat = (mat + mat.conj().T) / 2.0
     return DensityMatrix(mat)
 

@@ -86,6 +86,9 @@ def test_unknown_override_key_is_an_error():
     ("certify", "power2-affinity", "witnesses", True),
     ("gap", "bell-power", "out", ["a"]),
     ("simulate", "bell-power", "out", 1.5),
+    # an empty path would send the report to stdout or drop the table
+    ("gap", "bell-power", "out", ""),
+    ("affinity", "power2-affinity", "witnesses", ""),
 ])
 def test_output_paths_must_be_strings(command, name, key, value, tmp_path, capsys):
     config = {**load_config(name), key: value}
@@ -242,6 +245,34 @@ def test_matrix_entries_must_be_numbers(route, entry, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {route}: a complex number must be")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+_BAD_ROWS = {
+    "non-unit": [[1, 0], [1, 0]],
+    "nan": [[float("nan"), 0], [1, 0]],
+    "inf": [[float("inf"), 0], [0, 0]],
+    "ragged": [[0, 0], [1, 0], [0, 0]],
+    "not-a-row": 5,
+}
+
+
+@pytest.mark.parametrize("fault", list(_BAD_ROWS))
+@pytest.mark.parametrize("field", ["alice_basis", "bob_states", "basis_a", "basis_a_prime"])
+@pytest.mark.filterwarnings("error")
+def test_state_rows_are_validated(field, fault, tmp_path, capsys):
+    # a bad second row of any list of states is one error line, raised
+    # before any arithmetic can warn, and nothing is written
+    config = load_config("bell-power")
+    scenario = config["scenario"]
+    rows = scenario["state"][field] if field in scenario["state"] else scenario[field]
+    rows[1] = _BAD_ROWS[fault]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["gap", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: scenario: ")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_gap_command_reports_bell_power_gap(tmp_path):

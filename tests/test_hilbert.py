@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eprsignal import (
-    build_entangled,
+    EntangledState,
     haar_unitary,
     quadratic,
     rebase_alice,
@@ -268,10 +268,10 @@ def _orthonormal_callers(d: int, rng: np.random.Generator):
     takes the rows of d vectors in dimension d."""
     alphas = np.full(d, 1.0 / np.sqrt(d))
     bob = [random_pure(2, rng) for _ in range(d)]
-    state = build_entangled(alphas, list(np.eye(d, dtype=complex)), bob)
+    state = EntangledState(alphas, np.eye(d, dtype=complex), bob)
     return [
-        ("the A-side basis", 1e-12, lambda rows: build_entangled(alphas, list(rows), bob)),
-        ("the new A-side basis", 1e-12, lambda rows: rebase_alice(state, list(rows))),
+        ("the A-side basis", 1e-12, lambda rows: EntangledState(alphas, rows, bob)),
+        ("the A-side basis", 1e-12, lambda rows: rebase_alice(state, rows)),
         ("basis", 1e-10, lambda rows: subspace_measure(quadratic(np.eye(d)), rows)),
     ]
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from eprsignal import (
     Ensemble,
-    PureState,
     combine,
     affinity_scan,
     custom,
@@ -68,13 +67,12 @@ def test_power_rejects_small_exponent():
 
 def test_ensemble_average_hand_cases():
     f = power(PROJ0_2, 2)
-    single = Ensemble(np.array([1.0]), (PureState(PLUS),))
+    single = Ensemble(np.array([1.0]), [PLUS])
     assert ensemble_average(f, single) == pytest.approx(f(PLUS))
-    z_mix = Ensemble(np.array([0.5, 0.5]), (PureState(E0), PureState(E1)))
+    z_mix = Ensemble(np.array([0.5, 0.5]), [E0, E1])
     assert ensemble_average(f, z_mix) == pytest.approx(0.5)
     x_mix = Ensemble(
-        np.array([0.5, 0.5]),
-        (PureState(PLUS), PureState(np.array([1, -1], dtype=complex) / np.sqrt(2))),
+        np.array([0.5, 0.5]), [PLUS, np.array([1, -1], dtype=complex) / np.sqrt(2)]
     )
     assert ensemble_average(f, x_mix) == pytest.approx(0.25)
 
@@ -82,14 +80,14 @@ def test_ensemble_average_hand_cases():
 def test_ensemble_average_dim_mismatch():
     f = power(PROJ0_2, 2)
     with pytest.raises(ValueError):
-        ensemble_average(f, Ensemble(np.array([1.0]), (PureState([1, 0, 0]),)))
+        ensemble_average(f, Ensemble(np.array([1.0]), [[1, 0, 0]]))
 
 
 def test_average_is_linear_in_the_observable():
     rng = np.random.default_rng(1)
     f = quadratic(random_hermitian(3, rng))
     g = power(np.diag([1.0, 0, 0]).astype(complex), 2)
-    states = tuple(PureState(random_pure(3, rng)) for _ in range(4))
+    states = [random_pure(3, rng) for _ in range(4)]
     w = rng.random(4)
     ens = Ensemble(w / w.sum(), states)
     lhs = ensemble_average(combine([2.0, -0.5], [f, g]), ens)
@@ -114,9 +112,7 @@ def test_quadratic_average_matches_density_trace():
         f = quadratic(random_hermitian(d, rng))
         k = int(rng.integers(1, 5))
         w = rng.random(k)
-        ens = Ensemble(
-            w / w.sum(), tuple(PureState(random_pure(d, rng)) for _ in range(k))
-        )
+        ens = Ensemble(w / w.sum(), [random_pure(d, rng) for _ in range(k)])
         via_trace = np.trace(f.matrix @ ensemble_density(ens).mat).real
         assert ensemble_average(f, ens) == pytest.approx(via_trace, abs=1e-10)
 

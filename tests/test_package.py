@@ -29,13 +29,11 @@ def test_all_is_the_api_the_commands_and_the_bench_use():
         "Ensemble",
         "EntangledState",
         "FunctionalObservable",
-        "PureState",
         "Scenario",
         "SignalReport",
         "SubspaceMeasureRecord",
         "affinity_scan",
         "basis_independence",
-        "build_entangled",
         "channel_capacity",
         "combine",
         "conditional_ensemble",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from eprsignal import (
     Ensemble,
-    PureState,
     affinity_scan,
     monte_carlo_report,
     power,
@@ -101,11 +100,11 @@ def test_array_encoding_matches_per_entry_pairs():
 def test_ensemble_round_trip():
     rng = np.random.default_rng(71)
     w = rng.random(3)
-    ens = Ensemble(w / w.sum(), tuple(PureState(random_pure(2, rng)) for _ in range(3)))
+    ens = Ensemble(w / w.sum(), [random_pure(2, rng) for _ in range(3)])
     back = ensemble_from_json(ensemble_to_json(ens))
     np.testing.assert_array_equal(back.weights, ens.weights)
     for a, b in zip(back.states, ens.states):
-        np.testing.assert_array_equal(a.vec, b.vec)
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("weights", [("0.5", 0.5), (True, False)])

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprsignal import (
-    PureState,
+    EntangledState,
     Scenario,
-    build_entangled,
     channel_capacity,
     exact_gap,
     monte_carlo_report,
@@ -38,12 +37,12 @@ def test_scenario_rejects_wrong_span():
     f1 = np.array([0, 1, 0], dtype=complex)
     f2 = np.array([0, 0, 1], dtype=complex)
     s = 1 / np.sqrt(2)
-    state = build_entangled([s, s], [f0, f1], [E0, E1])
+    state = EntangledState([s, s], [f0, f1], [E0, E1])
     with pytest.raises(ValueError):
         Scenario(
             state=state,
-            basis_a=(PureState(f0), PureState(f1)),
-            basis_a_prime=(PureState(f0), PureState(f2)),
+            basis_a=[f0, f1],
+            basis_a_prime=[f0, f2],
             observable=quadratic(np.eye(2, dtype=complex)),
         )
 
@@ -52,8 +51,8 @@ def test_scenario_rejects_dim_mismatch():
     with pytest.raises(ValueError):
         Scenario(
             state=bell_state(),
-            basis_a=(PureState(E0), PureState(E1)),
-            basis_a_prime=(PureState(PLUS), PureState(MINUS)),
+            basis_a=[E0, E1],
+            basis_a_prime=[PLUS, MINUS],
             observable=quadratic(np.eye(3, dtype=complex)),
         )
 
