@@ -585,6 +585,21 @@ def test_csv_plot_data_bytes_are_unchanged(command, name, fmt, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_SHA256[command, name, fmt]
 
 
+@pytest.mark.parametrize("seed", [0, 11, 12])
+def test_gleason_fail_semantics_are_pinned(seed, tmp_path):
+    # what the d3-gleason-fail report decides, apart from its bytes: the worst
+    # spread is the full space's, 1 at the base minus 1/3 at the Fourier mix
+    out = tmp_path / "report.json"
+    assert main(["gleason", "--config", "d3-gleason-fail", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["verdict"] == "non-quadratic"
+    assert result["worst_check"] == "basis_spread"
+    assert result["worst_violation"] == 0.6666666666666665
+    rotations = result["checks"]["basis_spread"]["rotations"]
+    assert rotations == {"max": ["base"], "min": ["fourier"]}
+
+
 def _counting_config(d: int, seed: int) -> dict:
     # gleason on F = U diag(linspace(0, 1, d)) U^dagger, U Haar from the seed:
     # the recipe of the benchmark's gleason-counting24 workload
