@@ -367,26 +367,53 @@ def _rotation_name(n: int, i: int) -> tuple:
     return ("real" if i <= pairs else "phase", int(a[p]), int(b[p]))
 
 
-def _pair_mix_measures(f, rows: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Measures of the 2 * n(n-1)/2 bases in which one pair of rows a < b is
-    mixed, by the real mix (r_a + r_b, r_a - r_b)/sqrt(2) and then the phase
-    mix (r_a + i r_b, i r_a + r_b)/sqrt(2), pairs in ``np.triu_indices`` order.
-
-    Only rows a and b change, so the 4 new rows of every pair go through one
-    ``values`` call, and each measure is the row sum of the base values
-    ``base`` with entries a and b replaced.
-    """
-    n = rows.shape[0]
-    a, b = _structured_family(n)[:2]
+def _mixed_rows(rows: np.ndarray) -> np.ndarray:
+    """The 4 new rows of every pair a < b of ``rows``, in ``np.triu_indices``
+    order: the real mix (r_a + r_b, r_a - r_b)/sqrt(2) of every pair, then the
+    phase mix (r_a + i r_b, i r_a + r_b)/sqrt(2), as stacks of first and then
+    second rows."""
+    a, b = _structured_family(rows.shape[0])[:2]
     ra, rb = rows[a], rows[b]
     s = 1.0 / math.sqrt(2.0)
-    mixed = np.concatenate([ra + rb, ra - rb, ra + 1j * rb, 1j * ra + rb]) * s
-    new_a, new_b = f.values(mixed).reshape(2, 2, len(a)).transpose(1, 0, 2)
+    return np.concatenate([ra + rb, ra - rb, ra + 1j * rb, 1j * ra + rb]) * s
+
+
+def _pair_mix_measures(base: np.ndarray, mixed: np.ndarray) -> np.ndarray:
+    """Measures of the 2 * n(n-1)/2 bases in which one pair of rows a < b is
+    mixed, real mixes first, from the n base values ``base`` and the values
+    ``mixed`` of the new rows, stacked as ``_mixed_rows`` stacks them.
+
+    Only rows a and b change, so each measure is the row sum of ``base`` with
+    entries a and b replaced.
+    """
+    n = len(base)
+    a, b = _structured_family(n)[:2]
+    new_a, new_b = mixed.reshape(2, 2, len(a)).transpose(1, 0, 2)
     table = np.tile(base, (2, len(a), 1))
     pair = np.arange(len(a))
     table[:, pair, a] = new_a
     table[:, pair, b] = new_b
     return table.reshape(-1, n).sum(axis=1)
+
+
+def _restricted_values(f, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """f at the ``_mixed_rows`` of ``rows``, then at the rows of w @ rows, for
+    an f with a matrix A: f(v R) = g(Re v* M v^T), with g(x) = x^k for
+    k = ``f.exponent`` or 1, on the n x n compression M = conj(R) A R^T.
+
+    A pair's 4 mixes are g(h + Re M_ab), g(h - Re M_ab), g(h - Im M_ab) and
+    g(h + Im M_ab), h = (M_aa + M_bb)/2, and a rotation costs O(n^3), not
+    rows of length d.
+    """
+    m = serial_matmul(serial_matmul(rows.conj(), f.matrix), rows.T)
+    a, b = _structured_family(rows.shape[0])[:2]
+    h = (m[a, a].real + m[b, b].real) / 2.0
+    re, im = m[a, b].real, m[a, b].imag
+    rotated = np.einsum("ij,ij->i", serial_matmul(w.conj(), m), w).real
+    out = np.concatenate([h + re, h - re, h - im, h + im, rotated]) ** (f.exponent or 1)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("evaluator returned a non-finite value")
+    return out
 
 
 def _rotated_measures(f, rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
@@ -395,17 +422,25 @@ def _rotated_measures(f, rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
     mix, then the (r, n, n) stack ``rotations``; ``_rotation_name`` names
     them in this order.
 
-    Makes at most three ``values`` calls: the base rows, the pair mixes, and
-    the Fourier and stacked rotations as one (r n, n) @ (n, d) product.
+    An f with a matrix makes one ``values`` call, of the base rows, and scores
+    every rotation by ``_restricted_values``.  Any other f makes at most
+    three: the base rows, the pair mixes, and the Fourier and stacked
+    rotations as one (r n, n) @ (n, d) product.
     """
     n = rows.shape[0]
     base = f.values(rows)
-    mus = [np.array([np.sum(base)])]
     if n >= 2:
         rotations = np.concatenate([_structured_family(n)[2], rotations])
-        mus.append(_pair_mix_measures(f, rows, base))
-    rotated = serial_matmul(rotations.reshape(-1, n), rows)
-    mus.append(f.values(rotated).reshape(len(rotations), n).sum(axis=1))
+    w = rotations.reshape(-1, n)
+    if f.matrix is not None:
+        mixed, rotated = np.split(_restricted_values(f, rows, w), [2 * n * (n - 1)])
+    else:
+        mixed = f.values(_mixed_rows(rows)) if n >= 2 else None
+        rotated = f.values(serial_matmul(w, rows))
+    mus = [np.array([np.sum(base)])]
+    if n >= 2:
+        mus.append(_pair_mix_measures(base, mixed))
+    mus.append(rotated.reshape(len(rotations), n).sum(axis=1))
     return np.concatenate(mus)
 
 

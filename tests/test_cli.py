@@ -553,23 +553,23 @@ _REPORT_SHA256 = {
     ("gap", "bell-quadratic", "json"):
         "3bc7a4dc31451f00a071596adba21b2dbbcbcf34c28554c69f7a76d49f32bfb6",
     ("gleason", "d3-gleason-fail", "json"):
-        "7dac0124c4185e917212b7ccb9881488473c778738a54c4427783e78af0abecf",
+        "1b057daeaf302869a0872a91378acd77270cfab54459c7abff623cfb8296699f",
     ("gleason", "d3-gleason-pass", "json"):
-        "3531e795425cfffbb58fa5a81802a6973d095245b054fec6fe7f2e8838db6d92",
+        "9ac087cf95815ad98ec3d1a4b21e7cbef6c1253ceb3a2dcb0d6a2ae69ec1defd",
     ("affinity", "power2-affinity", "json"):
         "d1fd6faa6a136ed195f0bbf27d4f53cb7d15ba7f7d62290e8f3e2443060fe4db",
     ("certify", "d3-gleason-fail", "json"):
-        "0dafa032ec96a582e6457cd6fe93034901354810370a4fe20e5b93103ed1323f",
+        "54d706cbafb895a3b3a76a77da42a8ce93f10920f8036cfe7c93946827bfbd37",
     ("certify", "d3-gleason-pass", "json"):
-        "4f54ef5d4ca2261563673a54987005785ddb5688a7ef9affd81d70c0865d0f07",
+        "246f4520b9e294b12a62176a0abfbe4ecc7ceabecb05cce74835986543872b78",
     ("certify", "power2-affinity", "json"):
         "eeab133f06878590dbdae115cceffd48c7e4c22f4a0548301fa990d9bfbd6827",
     ("affinity", "power2-affinity", "csv"):
         "7a401a5339501e170665ffaaa08a0c18e89a20e0d60eb237a0776d02875da4fe",
     ("gleason", "d3-gleason-fail", "csv"):
-        "74d2ce03eac03982c178df1e4a1ab430a2c9b686787ecb55c27f079f89e01b6b",
+        "822585320a39c4e2817f99274582024d418dc59d834503756bdbb988a93d5a39",
     ("gleason", "d3-gleason-pass", "csv"):
-        "9fd321509d680b9470c309dc4544ef696186fa6b9781524b614a77f3fea00125",
+        "0f84b4ac608e0ea99c90c29cd8f67aab3a38079e1b55e51b38d60e21e4325a5d",
 }
 
 
@@ -615,17 +615,17 @@ def _counting_config(d: int, seed: int) -> dict:
 
 def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
     # SHA-256 of the JSON report and the --witnesses table of a d = 24
-    # counting quadratic at seed 0, as written before the subspace scan's
-    # QRs were stacked
+    # counting quadratic at seed 0, as written since the subspace scan
+    # scores each rotation on the observable restricted to the subspace
     config = tmp_path / "counting24.json"
     config.write_text(json.dumps(_counting_config(24, 0), sort_keys=True) + "\n")
     out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
     assert main(["gleason", "--config", str(config), "--out", str(out),
                  "--witnesses", str(side)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "9297d382565a778e5101ab0a520a24aba55dbcad082a9456078c25535833ec6d")
+        "1a9fc28f83774716cbbc03dd271518b4c2daad6a9872ebf139b4d66e9cf59979")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
-        "4238930e9d59a4f95fa2044bebcf51ee7d0a31ed6fa0c25ff5e1e61f5cab74f0")
+        "a3cae20a135006e822d09034a0c782eca4730812d4932f1a04c086c06b03acf0")
 
 
 def test_capacity_report_bytes_at_block_10(tmp_path):

@@ -360,6 +360,12 @@ def test_rotation_name_matches_the_full_name_table(n):
         assert all(type(x) is int for name in names for x in name[1:])
 
 
+def _row_path(f):
+    # the same evaluator without its matrix, so the scan evaluates every
+    # rotated row as a custom observable's
+    return dataclasses.replace(f, kind="custom", matrix=None, exponent=None)
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_basis_independence_makes_at_most_three_values_calls(n, monkeypatch):
     f = power(projector_matrix(max(n, 3)), 2)
@@ -372,12 +378,51 @@ def test_basis_independence_makes_at_most_three_values_calls(n, monkeypatch):
 
     monkeypatch.setattr(type(f), "values", counted)
     rows = np.eye(max(n, 3), dtype=complex)[:n]
-    basis_independence(f, rows, haar_unitaries(n, 6, np.random.default_rng(n)))
+    rotations = haar_unitaries(n, 6, np.random.default_rng(n))
+    basis_independence(_row_path(f), rows, rotations)
     assert len(calls) <= 3
     # base rows, then the four new rows of each pair mix, then the stacked
     # Fourier (n >= 2 only) and Haar rotations
     fourier = 1 if n >= 2 else 0
     assert sum(calls) == n + 2 * n * (n - 1) + n * (fourier + 6)
+
+    # with a matrix, only the base rows are evaluated as rows
+    calls.clear()
+    basis_independence(f, rows, rotations)
+    assert calls == [n]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 13),
+    k=st.integers(1, 3),
+    log_scale=st.floats(-3.0, 3.0),
+    resamples=st.integers(2, 6),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restricted_measures_match_the_row_path(d, k, log_scale, resamples, data, seed):
+    n = data.draw(st.integers(1, d), label="n")
+    rng = np.random.default_rng(seed)
+    matrix = random_hermitian(d, rng) * 10.0**log_scale
+    f = quadratic(matrix) if k == 1 else power(matrix, k)
+    rows = np.ascontiguousarray(haar_unitaries(d, 1, rng)[0][:, :n].T)
+    rotations = haar_unitaries(n, resamples, rng)
+
+    mus = _rotated_measures(f, rows, rotations)
+    ref = _rotated_measures(_row_path(f), rows, rotations)
+    assert mus[0] == ref[0]
+    scale = max(1.0, np.linalg.norm(matrix, 2) ** k)
+    assert np.max(np.abs(mus - ref)) <= 1e-12 * scale
+
+
+def test_non_finite_restricted_value_fails_loudly():
+    # every base value is 0, but the real mix of rows 0 and 1 is (1e103)^3
+    f = power([[0, 1e103, 0], [1e103, 0, 0], [0, 0, 0]], 3)
+    rotations = haar_unitaries(3, 2, np.random.default_rng(0))
+    for g in (f, _row_path(f)):
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            basis_independence(g, np.eye(3, dtype=complex), rotations)
 
 
 def test_subspace_measure_matches_projector_trace():
