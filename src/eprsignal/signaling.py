@@ -25,7 +25,7 @@ _PATH_CHANNEL = 2
 Z_THRESHOLD = 5.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """An entangled state, two A-side bases (letters 0 and 1) given as rows,
     and the B-side observable."""
@@ -36,8 +36,8 @@ class Scenario:
     observable: FunctionalObservable
     # per letter, built once: the B-side ensemble and the observable's value
     # on each of its members
-    ensembles: tuple[Ensemble, ...] = field(init=False, repr=False, compare=False)
-    member_values: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    ensembles: tuple[Ensemble, ...] = field(init=False, repr=False)
+    member_values: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.observable.dim != self.state.dim_b:

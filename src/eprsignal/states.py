@@ -29,7 +29,7 @@ def _frozen_array(a) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntangledState:
     """A correlated state: coefficients, an orthonormal A-side basis, and unit
     (not necessarily orthogonal) B-side states, one row per branch.
@@ -71,7 +71,7 @@ class EntangledState:
         return self.bob_states.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     """A probability-weighted list of pure states of one dimension, one row
     per member."""

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,17 @@ from helpers import (
     random_hermitian,
     random_scenario,
 )
+
+
+def test_states_and_scenarios_compare_by_identity():
+    # their fields are arrays, which have no single truth value, so equality
+    # and hashing go by identity
+    scenario = bell_power_scenario()
+    for a in (scenario, scenario.state, scenario.ensembles[0]):
+        assert a == a
+        assert a != copy.copy(a)
+        assert hash(a) == hash(a)
+    assert scenario != bell_power_scenario()
 
 
 def test_scenario_rejects_wrong_span():
