@@ -396,10 +396,11 @@ def _pair_mix_measures(base: np.ndarray, mixed: np.ndarray) -> np.ndarray:
     return table.reshape(-1, n).sum(axis=1)
 
 
-def _restricted_values(f, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """f at the ``_mixed_rows`` of ``rows``, then at the rows of w @ rows, for
-    an f with a matrix A: f(v R) = g(Re v* M v^T), with g(x) = x^k for
-    k = ``f.exponent`` or 1, on the n x n compression M = conj(R) A R^T.
+def _restricted_values(f, rows: np.ndarray, w: np.ndarray) -> list:
+    """f at the ``_mixed_rows`` of ``rows`` and at the rows of w @ rows, as
+    two arrays, for an f with a matrix A: f(v R) = g(Re v* M v^T), with
+    g(x) = x^k for k = ``f.exponent`` or 1, on the n x n compression
+    M = conj(R) A R^T.
 
     A pair's 4 mixes are g(h + Re M_ab), g(h - Re M_ab), g(h - Im M_ab) and
     g(h + Im M_ab), h = (M_aa + M_bb)/2, and a rotation costs O(n^3), not
@@ -413,7 +414,7 @@ def _restricted_values(f, rows: np.ndarray, w: np.ndarray) -> np.ndarray:
     out = np.concatenate([h + re, h - re, h - im, h + im, rotated]) ** (f.exponent or 1)
     if not np.all(np.isfinite(out)):
         raise ValueError("evaluator returned a non-finite value")
-    return out
+    return np.split(out, [4 * len(a)])
 
 
 def _rotated_measures(f, rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
@@ -433,7 +434,7 @@ def _rotated_measures(f, rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
         rotations = np.concatenate([_structured_family(n)[2], rotations])
     w = rotations.reshape(-1, n)
     if f.matrix is not None:
-        mixed, rotated = np.split(_restricted_values(f, rows, w), [2 * n * (n - 1)])
+        mixed, rotated = _restricted_values(f, rows, w)
     else:
         mixed = f.values(_mixed_rows(rows)) if n >= 2 else None
         rotated = f.values(serial_matmul(w, rows))
