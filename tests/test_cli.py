@@ -702,6 +702,77 @@ def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
         "5bfdc13294a0d625df7f0fb5af1901990c5cd1baab43075789e8b8c279049dbd")
 
 
+# What the 1e7-sample simulate reports at seed 0 say, apart from their bytes:
+# the exact gap, the letter means and standard errors, z, and the convergence
+# rows at n = 8192 * 2^j (j = 0..10) and at n = 1e7, as written when every
+# 8,192-sample chunk had a row
+_SIMULATE_1E7_SEED_0 = {
+    "bell-power": (
+        {
+            "gap": 0.2499999999999999,
+            "mc_fb": 0.499998,
+            "mc_fbprime": 0.2500000000000001,
+            "stderr_b": 0.00015811389091284882,
+            "stderr_bprime": 0.0,
+            "z": 1581.126101929886,
+        },
+        [
+            (8192, 0.2569580078124999, 0.005524073972352128),
+            (16384, 0.2537231445312499, 0.003906260914587348),
+            (32768, 0.2514953613281249, 0.0027621656587526315),
+            (65536, 0.2516937255859374, 0.0019531286953298637),
+            (131072, 0.25176239013671864, 0.0013810646210853528),
+            (262144, 0.25034332275390614, 0.0009765641324341657),
+            (524288, 0.24986839294433583, 0.000690534600627242),
+            (1048576, 0.2498025894165038, 0.0004882814447732335),
+            (2097152, 0.2501277923583983, 0.0003452670540423019),
+            (4194304, 0.2500779628753661, 0.00024414065113595934),
+            (8388608, 0.24996685981750477, 0.00017263350141118384),
+            (10000000, 0.2499979999999999, 0.00015811389091284882),
+        ],
+    ),
+    "bell-quadratic": (
+        {
+            "gap": -1.1102230246251565e-16,
+            "mc_fb": 0.499998,
+            "mc_fbprime": 0.5000000000000001,
+            "stderr_b": 0.00015811389091284882,
+            "stderr_bprime": 0.0,
+            "z": 0.012649110009033978,
+        },
+        [
+            (8192, 0.006958007812499889, 0.005524073972352128),
+            (16384, 0.003723144531249889, 0.003906260914587348),
+            (32768, 0.001495361328124889, 0.0027621656587526315),
+            (65536, 0.001693725585937389, 0.0019531286953298637),
+            (131072, 0.001762390136718639, 0.0013810646210853528),
+            (262144, 0.000343322753906139, 0.0009765641324341657),
+            (524288, -0.00013160705566417352, 0.000690534600627242),
+            (1048576, -0.00019741058349620477, 0.0004882814447732335),
+            (2097152, 0.00012779235839832648, 0.0003452670540423019),
+            (4194304, 7.796287536609992e-05, 0.00024414065113595934),
+            (8388608, -3.314018249522821e-05, 0.00017263350141118384),
+            (10000000, -2.0000000001130225e-06, 0.00015811389091284882),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIMULATE_1E7_SEED_0))
+def test_simulate_semantics_are_pinned(name, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--config", name, "--samples", "10000000", "--seed", "0",
+                 "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    summary, rows = _SIMULATE_1E7_SEED_0[name]
+    assert result["gap"] == summary["gap"]
+    for key in ("mc_fb", "mc_fbprime", "stderr_b", "stderr_bprime", "z"):
+        assert result[key] == pytest.approx(summary[key], rel=1e-12, abs=0), key
+    kept = {row["n"]: (row["mc_gap"], row["pooled_stderr"]) for row in result["convergence"]}
+    for n, gap, stderr in rows:
+        assert kept[n] == pytest.approx((gap, stderr), rel=1e-12, abs=0), n
+
+
 @pytest.mark.parametrize(
     "route, path, extra, message",
     [
