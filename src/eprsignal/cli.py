@@ -43,7 +43,7 @@ from .streams import STREAM_VERSION
 
 COMMANDS = ("gap", "simulate", "capacity", "affinity", "gleason", "certify")
 CERTIFIERS = ("affinity", "gleason", "certify")
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 # RunConfig fields that only say where and how output goes; the report's
 # meta block leaves them out, so its bytes do not depend on them
 _OUTPUT_FIELDS = ("out", "format", "workers", "witnesses")
@@ -264,7 +264,7 @@ def emit_plot_data(result: dict, kind: str) -> str:
 
     Kinds: ``bloch`` (sphere points of chord witnesses with their observable
     values and violations), ``convergence`` (cumulative Monte-Carlo gap versus
-    sample count), ``violation-histogram`` (one violation per witness).
+    log-spaced sample counts), ``violation-histogram`` (one violation per witness).
     """
     lines: list[str] = []
     if kind == "bloch":

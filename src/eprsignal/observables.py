@@ -42,7 +42,7 @@ def _as_batch(psis) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionalObservable:
     """A real function on unit state vectors of a fixed dimension.
 

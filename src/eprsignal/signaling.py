@@ -74,6 +74,7 @@ class SignalReport:
     z: float | None = None
     n_samples: int | None = None
     seed: int | None = None
+    # (n, gap, pooled standard error) after 1, 2, 4, ..., 2^j chunks and all
     convergence: tuple[tuple[int, float, float], ...] | None = None
     stream_version: int | None = None
 
@@ -139,7 +140,7 @@ def per_sample_values(sc: Scenario, letter: int, n: int, seed: int) -> np.ndarra
 def _letter_moments(
     sc: Scenario, letter: int, n: int, seed: int
 ) -> list[tuple[int, float, float]]:
-    """Running (n, mean, sample variance) of f over the chunks of n draws."""
+    """Running (n, mean, sample variance) of f at ``count_moments``' rows."""
     counts = _chunk_counts(sc, letter, n, substream(seed, letter))
     return count_moments(counts, sc.member_values[letter])
 
@@ -174,7 +175,9 @@ def monte_carlo_report(
     generator, ``substream(seed, letter)`` (since stream version 3); the
     moments follow from the counts.  The detection statistic z compares the two
     letter means against their pooled standard error.  The convergence rows,
-    when tracked, hold the gap and pooled standard error after each chunk.
+    when tracked, hold the gap and pooled standard error after 1, 2, 4, ...,
+    2^j chunks and after the last: O(log n) rows for a log-x plot.  Replay
+    ``per_sample_values`` for the gap after any other prefix.
     ``workers`` is accepted for compatibility and ignored.
     """
     if n < 2:
@@ -186,7 +189,7 @@ def monte_carlo_report(
 
     convergence = None
     if track_convergence:
-        # both letters share one chunk partition, so the rows pair up
+        # both letters share one chunk partition, so their kept rows pair up
         convergence = tuple(
             (k, m0 - m1, math.sqrt(v0 / k + v1 / k))
             for (k, m0, v0), (_, m1, v1) in zip(*runs)

@@ -42,21 +42,25 @@ def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
 
 
 def count_moments(counts: np.ndarray, values: np.ndarray) -> list[tuple[int, float, float]]:
-    """Running (n, mean, sample variance; 0 when n < 2) of chunks 0..k, chunk k
-    having drawn ``values[i]`` ``counts[k, i]`` times.
+    """Running (n, mean, sample variance; 0 when n < 2) of the first 1, 2, 4,
+    ..., 2^j chunks and of all k chunks, chunk i having drawn ``values[m]``
+    ``counts[i, m]`` times: O(log k) rows.
 
-    Every row follows exactly from the cumulative counts of chunks 0..k by a
-    two-pass sum, so no row inherits the rounding of the rows before it.  Both
-    passes run on values shifted by the overall sample mean, so their rounding
-    error does not grow with the values' common offset.
+    Every row follows exactly from the cumulative counts of its prefix by a
+    two-pass sum, so no row inherits the rounding of the rows before it, and
+    each row sums on its own, so its bits do not depend on which rows are
+    kept.  Both passes run on values shifted by the overall sample mean, so
+    their rounding error does not grow with the values' common offset.
     """
     cum = np.cumsum(counts, axis=0)
     if cum.size == 0 or cum[0].sum() < 1:
         raise ValueError("no samples to pool")
+    k = len(cum)
+    cum = cum[sorted({k - 1, *(2**j - 1 for j in range(k.bit_length()))})]
     n = cum.sum(axis=1)
     shift = float(cum[-1] @ values / n[-1])
     centred = values - shift
-    means = cum @ centred / n
+    means = (cum * centred).sum(axis=1) / n
     m2 = (cum * (centred - means[:, None]) ** 2).sum(axis=1)
     var = m2 / np.maximum(n - 1, 1)
     return list(zip(n.tolist(), (shift + means).tolist(), var.tolist()))

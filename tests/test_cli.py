@@ -1,12 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eprsignal
 from eprsignal.cli import (
     _INT_MINIMUMS,
     ConfigError,
@@ -510,7 +514,7 @@ def test_report_meta_and_sidecar_do_not_depend_on_output_settings(tmp_path):
         tables.add(side.read_bytes())
     assert len(reports) == len(tables) == 1
     meta = json.loads(reports.pop())["meta"]
-    assert meta["report_version"] == 2 and "stream_version" not in meta
+    assert meta["report_version"] == 3 and "stream_version" not in meta
     from eprsignal import __version__
 
     assert meta["version"] == __version__
@@ -534,36 +538,37 @@ def test_witness_table_only_for_certifiers(capsys):
 
 # SHA-256 of the report bytes at the config seed: the JSON report of every
 # bundled config under its own command and of certify on the observable
-# configs, the CSV plot data of the certifier configs (as written when
-# every witness was part of the JSON report; the CSV is built from the same
-# table), and simulate's convergence CSV (as written one f-string per row)
+# configs (report version 3: simulate keeps log-spaced convergence rows), the
+# CSV plot data of the certifier configs (as written when every witness was
+# part of the JSON report; the CSV is built from the same table), and
+# simulate's convergence CSV (as written one f-string per row)
 _REPORT_SHA256 = {
     ("simulate", "bell-power", "csv"):
-        "150f8a483af6042bf6d16d95da7b190ba2ca62d599b3abeecbb790536cc47f58",
+        "def0e0ba0f40884dda816c42dddb4e812c69405bf8371941697e949ded63ebb5",
     ("simulate", "bell-power", "json"):
-        "227663896705ec9beea4f452e64638328a8b1f774f65c95ed3d83adb23fcee7c",
+        "76bd42d5b364c8ee3f100ef4e0d012355424d16fdb04938d7d5e29da616834b7",
     ("simulate", "bell-quadratic", "json"):
-        "b475c5b5d96dd244a4bed1c61aac739217b5d903f9a8318d655d2b892e612121",
+        "ffd38219d02d3fe8f0981f64df9f37791e65f47e3c4bea64a107a0db84c9b0ae",
     ("capacity", "bell-power", "json"):
-        "2b389e07010fb5baaa73ef703b5dd545e7af7dcb43b8ec9cde1ab2f160ea5e17",
+        "fb90efe61cbc5299456023b75222cc439e13978fc8f0b79d9995dc0a390464f5",
     ("capacity", "bell-quadratic", "json"):
-        "47c5f681e416ef90ceebfbcf86896fec050136cdac3615884cef7d3b7ec9deed",
+        "86cb36932b51ae71b8d874f64a6ccc080cad4c2bd632ba773467a955abbb9573",
     ("gap", "bell-power", "json"):
-        "6398f3216d964afa1b01289d56e7ea84ecd033735b7637809f6a499d75d6a793",
+        "e66149dadc0777796c52ea5c305f4db88988fc0482097b0beabf9677e707c4fb",
     ("gap", "bell-quadratic", "json"):
-        "3bc7a4dc31451f00a071596adba21b2dbbcbcf34c28554c69f7a76d49f32bfb6",
+        "c797c500ba5a7b7badc702ec6d2f6d717f3707978024a45b50a7764b3b90179e",
     ("gleason", "d3-gleason-fail", "json"):
-        "1b057daeaf302869a0872a91378acd77270cfab54459c7abff623cfb8296699f",
+        "27970aa0a82e68d8768496437dfd9b3a47c9a57f3240f396e3758ad8fd2ca14b",
     ("gleason", "d3-gleason-pass", "json"):
-        "9ac087cf95815ad98ec3d1a4b21e7cbef6c1253ceb3a2dcb0d6a2ae69ec1defd",
+        "f2c1d46aac6baa81031de860cb3d7080ae258719f4e3c36ef0e57a2b1f2edc3b",
     ("affinity", "power2-affinity", "json"):
-        "d1fd6faa6a136ed195f0bbf27d4f53cb7d15ba7f7d62290e8f3e2443060fe4db",
+        "b095db6683711328ac45852f2aadab79cb930be9d77d593df152c11402794680",
     ("certify", "d3-gleason-fail", "json"):
-        "54d706cbafb895a3b3a76a77da42a8ce93f10920f8036cfe7c93946827bfbd37",
+        "93ff2b455891d29568e88d022c6959b7123590b85debfd32cc3c6833fb38e190",
     ("certify", "d3-gleason-pass", "json"):
-        "246f4520b9e294b12a62176a0abfbe4ecc7ceabecb05cce74835986543872b78",
+        "24e0c45947c527d4fd6312d48accff70fc5cc1ca99feedba62d681ef0c2b5b66",
     ("certify", "power2-affinity", "json"):
-        "eeab133f06878590dbdae115cceffd48c7e4c22f4a0548301fa990d9bfbd6827",
+        "266abc5d48e990b2a5634f98e5bef38df3cb30fa84235d778a8cd26cf6f70717",
     ("affinity", "power2-affinity", "csv"):
         "7a401a5339501e170665ffaaa08a0c18e89a20e0d60eb237a0776d02875da4fe",
     ("gleason", "d3-gleason-fail", "csv"):
@@ -617,13 +622,14 @@ def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
     # SHA-256 of the JSON report and the --witnesses table of a d = 24
     # counting quadratic at seed 0, as written since the subspace scan
     # scores each rotation on the observable restricted to the subspace
+    # (report version 3)
     config = tmp_path / "counting24.json"
     config.write_text(json.dumps(_counting_config(24, 0), sort_keys=True) + "\n")
     out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
     assert main(["gleason", "--config", str(config), "--out", str(out),
                  "--witnesses", str(side)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "1a9fc28f83774716cbbc03dd271518b4c2daad6a9872ebf139b4d66e9cf59979")
+        "df54be14366e14a765736f38b8d245da9ef8ee00477b7fc706183acd5be88a32")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
         "a3cae20a135006e822d09034a0c782eca4730812d4932f1a04c086c06b03acf0")
 
@@ -632,7 +638,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     # at the library's block of 1000 every trial decodes, so the pinned
     # capacity report above does not see the trial draws; at block 10 about
     # one trial in twelve fails (exactly 176/2048), and which ones depends on
-    # the stream layout (version 4: 8,192 trials per chunk)
+    # the stream layout (version 4: 8,192 trials per chunk); report version 3
     config = tmp_path / "capacity.json"
     raw = {**load_config("bell-power"), "command": "capacity", "block": 10, "trials": 20000}
     config.write_text(json.dumps(raw, sort_keys=True) + "\n")
@@ -640,7 +646,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     assert main(["capacity", "--config", str(config), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["result"]["bit_error_rate"] == 0.08755
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "76747b64205f073219ecab871f98d8dceacc653c98ff87ea246d141b5d0a4c5c")
+        "a2620a30081f621fd8ffadf29b9fe85dcf091508661dacf7cbe763ccb0bbbca7")
 
 
 def test_certify_csv_plots_what_it_dispatched_to(tmp_path):
@@ -682,19 +688,21 @@ def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
 
 
 def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
-    # SHA-256 of the 1e7-sample report (1,221 convergence rows, the
-    # benchmark's simulate-bell scale), its convergence CSV and the
-    # per-sample CSV at the bundled 1e5 samples, as written before row
-    # tables were encoded column by column
+    # SHA-256 of the 1e7-sample report (the benchmark's simulate-bell scale;
+    # report version 3: 12 convergence rows, at 1, 2, 4, ..., 1024 and all
+    # 1,221 chunks) and its convergence CSV, and of the per-sample CSV at the
+    # bundled 1e5 samples, as written before row tables were encoded column
+    # by column
     out, csv, dump = (tmp_path / n for n in ("report.json", "conv.csv", "dump.csv"))
     argv = ["simulate", "--config", "bell-power", "--samples", "10000000"]
     assert main([*argv, "--out", str(out)]) == 0
-    assert len(json.loads(out.read_text())["result"]["convergence"]) == 1221
+    assert len(json.loads(out.read_text())["result"]["convergence"]) == 12
+    assert out.stat().st_size < 4096
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5bebfe1d6e134cf549babd56b60094750d90c405e559184ce425c6bee1df718e")
+        "4d39581c7d0dacea9e481b51d400e7a64f049413d37ba83707d09c97f528070f")
     assert main([*argv, "--format", "csv", "--out", str(csv)]) == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
-        "b9f0f20703abd1112c2e53190b96cf64692587ebfed0cb9b0ac89dfe88c1b20c")
+        "07f7c24a8a73771f53b5e89b00cb43ec8a389ebb2021c5d9cd3b404071bee765")
     assert main(["simulate", "--config", "bell-power", "--out", str(out),
                  "--dump-samples", str(dump)]) == 0
     assert len(dump.read_text().splitlines()) == 1 + 2 * 100000
@@ -772,6 +780,27 @@ def test_simulate_semantics_are_pinned(name, tmp_path):
     for n, gap, stderr in rows:
         assert kept[n] == pytest.approx((gap, stderr), rel=1e-12, abs=0), n
 
+
+
+@pytest.mark.parametrize("command, name", [
+    ("gap", "bell-power"),
+    ("simulate", "bell-power"),
+    ("capacity", "bell-power"),
+    ("affinity", "power2-affinity"),
+    ("gleason", "d3-gleason-fail"),
+    ("certify", "d3-gleason-pass"),
+])
+def test_commands_do_not_import_numpy_ma(command, name, tmp_path):
+    # numpy imports numpy.ma lazily, on the first call of np.unique, np.isin
+    # and the like; that import costs 14-19 ms of a command's run
+    code = ("import sys; from eprsignal.cli import main; main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(eprsignal.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, command, "--config", name, "--out", str(tmp_path / "r")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "False"
 
 @pytest.mark.parametrize(
     "route, path, extra, message",

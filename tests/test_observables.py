@@ -38,6 +38,15 @@ def test_quadratic_basics():
     assert g(PLUS) == pytest.approx(0.5)
 
 
+
+def test_observables_compare_by_identity():
+    # the matrix field is an array, which has no single truth value or hash,
+    # so equality and hashing go by identity
+    f = quadratic(np.eye(3))
+    assert f == f
+    assert f != quadratic(np.eye(3))
+    assert hash(f) == hash(f)
+
 def test_quadratic_extremes_are_eigenvalues():
     # the functional's range over the sphere is the spectrum's hull
     f = quadratic(np.diag([0.7, 0.2]).astype(complex))

@@ -219,6 +219,15 @@ def test_convergence_series_shape():
     assert ns == sorted(ns)
 
 
+def test_convergence_rows_are_log_spaced_at_1e8_samples():
+    # 12,208 chunks: rows after 1, 2, 4, ..., 8,192 chunks and after all
+    report = monte_carlo_report(bell_power_scenario(), 10**8, seed=4,
+                                track_convergence=True)
+    assert len(report.convergence) == 15
+    assert [row[0] for row in report.convergence] == [
+        *(CHUNK * 2**j for j in range(14)), 10**8]
+
+
 def test_channel_bell_power_decodes_cleanly():
     ch = channel_capacity(bell_power_scenario(), 1000, 200, seed=11)
     assert ch.bit_error_rate < 0.01

@@ -32,8 +32,10 @@ def test_count_moments_match_two_pass_on_expanded_samples(
     rng = np.random.default_rng(seed)
     counts = np.array([rng.multinomial(size, w) for size in sizes])
     scale = float(np.abs(values).max()) or 1.0
-    for k, (n, mean, var) in enumerate(count_moments(counts, values)):
-        samples = np.repeat(values, counts[: k + 1].sum(axis=0))
+    # the rows are kept prefixes of the chunks; each one's n names its prefix
+    prefix = {n: k + 1 for k, n in enumerate(np.cumsum(sizes).tolist())}
+    for n, mean, var in count_moments(counts, values):
+        samples = np.repeat(values, counts[: prefix[n]].sum(axis=0))
         assert n == samples.size
         assert abs(mean - samples.mean()) <= 1e-12 * scale
         if n == 1:
@@ -41,3 +43,43 @@ def test_count_moments_match_two_pass_on_expanded_samples(
         else:
             ref = samples.var(ddof=1)
             assert abs(var - ref) <= 1e-12 * ref + (1e-12 * scale) ** 2
+
+
+def _per_chunk_moments(counts, values):
+    # one row per chunk, by count_moments' own arithmetic
+    cum = np.cumsum(counts, axis=0)
+    n = cum.sum(axis=1)
+    shift = float(cum[-1] @ values / n[-1])
+    centred = values - shift
+    means = (cum * centred).sum(axis=1) / n
+    m2 = (cum * (centred - means[:, None]) ** 2).sum(axis=1)
+    var = m2 / np.maximum(n - 1, 1)
+    return list(zip(n.tolist(), (shift + means).tolist(), var.tolist()))
+
+
+_CHUNK_COUNTS = [1, 2, 3, 4, 5, *(2**j + e for j in range(3, 11) for e in (0, 1))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    chunks=st.sampled_from(_CHUNK_COUNTS),
+    members=st.integers(1, 16),
+    spread=st.floats(1e-3, 1e8),
+    offset=st.floats(-1e8, 1e8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_moments_keep_log_spaced_rows_of_the_per_chunk_series(
+    chunks, members, spread, offset, seed
+):
+    rng = np.random.default_rng(seed)
+    values = offset + spread * rng.standard_normal(members)
+    sizes = rng.integers(1, 400, size=chunks)
+    counts = np.array([rng.multinomial(size, rng.dirichlet(np.ones(members)))
+                       for size in sizes])
+    kept = count_moments(counts, values)
+    # the first 1, 2, 4, ..., 2^j chunks and all of them
+    prefixes = [c for c in range(1, chunks + 1) if c & (c - 1) == 0 or c == chunks]
+    assert [n for n, _, _ in kept] == np.cumsum(sizes)[np.array(prefixes) - 1].tolist()
+    full = {row[0]: row for row in _per_chunk_moments(counts, values)}
+    for row in kept:
+        assert row == full[row[0]]
