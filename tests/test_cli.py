@@ -638,7 +638,8 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     # at the library's block of 1000 every trial decodes, so the pinned
     # capacity report above does not see the trial draws; at block 10 about
     # one trial in twelve fails (exactly 176/2048), and which ones depends on
-    # the stream layout (version 4: 8,192 trials per chunk); report version 3
+    # the stream layout (version 4: 8,192 trials per chunk); bytes of report
+    # version 3
     config = tmp_path / "capacity.json"
     raw = {**load_config("bell-power"), "command": "capacity", "block": 10, "trials": 20000}
     config.write_text(json.dumps(raw, sort_keys=True) + "\n")
@@ -688,11 +689,11 @@ def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
 
 
 def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
-    # SHA-256 of the 1e7-sample report (the benchmark's simulate-bell scale;
-    # report version 3: 12 convergence rows, at 1, 2, 4, ..., 1024 and all
-    # 1,221 chunks) and its convergence CSV, and of the per-sample CSV at the
-    # bundled 1e5 samples, as written before row tables were encoded column
-    # by column
+    # SHA-256 of the 1e7-sample report at report version 3 (the benchmark's
+    # simulate-bell scale; 12 convergence rows, after 1, 2, 4, ..., 1024 and
+    # all 1,221 chunks), its convergence CSV, and the per-sample CSV at the
+    # bundled 1e5 samples (as written before row tables were encoded column
+    # by column)
     out, csv, dump = (tmp_path / n for n in ("report.json", "conv.csv", "dump.csv"))
     argv = ["simulate", "--config", "bell-power", "--samples", "10000000"]
     assert main([*argv, "--out", str(out)]) == 0
