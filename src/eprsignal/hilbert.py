@@ -110,17 +110,11 @@ def unit_rows(rows, tol: float) -> np.ndarray:
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed d x d unitary: ``haar_unitaries(d, 1, rng)[0]``."""
-    return haar_unitaries(d, 1, rng)[0]
-
-
-def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-distributed d x d unitaries, shape (count, d, d).
-    Matrix j draws its real, then its imaginary d x d block, so the stack
-    equals ``count`` calls of ``haar_unitary`` in a row."""
+    """Haar-distributed d x d unitary from one draw of its real, then its
+    imaginary d x d block."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return haar_from_normals(rng.standard_normal((count, 2, d, d)))
+    return haar_from_normals(rng.standard_normal((1, 2, d, d)))[0]
 
 
 def haar_from_normals(z: np.ndarray) -> np.ndarray:

@@ -181,13 +181,15 @@ def _worst_row(violations, offset: int = 0) -> Check:
     return Check(float(violations[i]), len(violations), offset + i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Outcome of a scan: the worst violation found, and evidence.
 
     ``witnesses`` is a ``ChordColumns`` record for the chord scan and a tuple
     of subspace records for the subspace route.  ``checks`` maps each check
-    the scan ran to its ``Check``, in the order they ran.
+    the scan ran to its ``Check``, in the order they ran.  Certificates
+    compare by value, the ``operator`` arrays by ``np.array_equal``, and
+    are unhashable.
     """
 
     worst_violation: float
@@ -196,6 +198,15 @@ class Certificate:
     seed: int | None = None
     operator: np.ndarray | None = None
     checks: dict = field(default_factory=dict)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        rest = [f.name for f in fields(self) if f.name != "operator"]
+        # lists compare items by identity first: a NaN violation equals itself
+        return np.array_equal(self.operator, other.operator) and (
+            [getattr(self, n) for n in rest] == [getattr(other, n) for n in rest]
+        )
 
     @property
     def verdict(self) -> str:

@@ -11,9 +11,7 @@ import dataclasses
 import io
 import math
 import struct
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
@@ -313,20 +311,6 @@ def _scalar(o) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _column(values: list, types: set):
-    """The JSON texts of one column of scalars, whose value types are
-    ``types``: floats by one ``float.__repr__`` map checked once for NaN and
-    infinities, exact ints by one ``int.__repr__`` map, anything else value
-    by value."""
-    if all(issubclass(t, float) for t in types):
-        text = list(map(float.__repr__, values))
-        _finite("".join(text))
-        return text
-    if types == {int}:
-        return map(int.__repr__, values)
-    return map(_scalar, values)
-
-
 def dumps_canonical(obj) -> str:
     """Deterministic, strict JSON text: sorted keys, one space of indent per
     level, shortest round-trip floats, newline end.
@@ -335,10 +319,9 @@ def dumps_canonical(obj) -> str:
     separators=(",", ": "))`` plus the newline, for trees of str-keyed dicts,
     lists, tuples, str, int, float, bool and None; other types raise
     ``TypeError`` and NaN or an infinity raises ``ValueError``.  The text is
-    streamed into one buffer.  Each key order is sorted, and its ``"key": ``
-    prefixes encoded, once per call; a list of floats is formatted by one join.
-    A row table, a list of dicts that share one non-empty key set and hold
-    only scalars, is built column by column and its rows joined at once.
+    streamed into one buffer, with two speed paths: each key order is sorted,
+    and its ``"key": `` prefixes encoded, once per call; and a list of floats
+    is formatted by one join, checked once for NaN and infinities.
     """
     buf = io.StringIO()
     write = buf.write
@@ -354,30 +337,6 @@ def dumps_canonical(obj) -> str:
             found = [(key, encode_basestring_ascii(key) + ": ") for key in sorted(names)]
             layouts[names] = found
         return found
-
-    def table(o: list, pad: str) -> str | None:
-        # the text of a row table, or None for any other list
-        first = o[0]
-        if not first or any(isinstance(v, (dict, list, tuple)) for v in first.values()):
-            return None
-        if set(map(type, o)) != {dict} or set(map(len, o)) != {len(first)}:
-            return None
-        fields = layout(first)
-        try:  # rows of one length lack a key of the first row iff their keys differ
-            columns = [list(map(itemgetter(key), o)) for key, _ in fields]
-        except KeyError:
-            return None
-        types = [set(map(type, column)) for column in columns]
-        if any(issubclass(t, (dict, list, tuple)) for ts in types for t in ts):
-            return None
-        inner = pad + " "
-        lead = "{" + inner + " "
-        parts = []
-        for (_, prefix), column, ts in zip(fields, columns, types):
-            parts += (repeat(lead + prefix), _column(column, ts))
-            lead = "," + inner + " "
-        rows = map("".join, zip(*parts, repeat(inner + "}")))
-        return "[" + inner + ("," + inner).join(rows) + pad + "]"
 
     def encode(o, pad: str) -> None:
         # pad: newline plus the indent of the line that o starts on
@@ -408,10 +367,6 @@ def dumps_canonical(obj) -> str:
             try:  # float.__repr__ raises TypeError on an item that is not a float
                 text = comma.join(map(float.__repr__, o))
             except TypeError:
-                text = table(o, pad) if type(o[0]) is dict else None
-                if text is not None:
-                    write(text)
-                    return
                 sep = "[" + inner
                 for item in o:
                     write(sep)

@@ -21,7 +21,7 @@ from eprsignal.hilbert import (
     TOL_STRUCTURAL,
     as_matrix,
     as_vector,
-    haar_unitaries,
+    haar_from_normals,
     orthonormal_rows,
 )
 from eprsignal.nosignal import _rotated_measures
@@ -74,6 +74,15 @@ def gram_schmidt(vectors) -> list[np.ndarray]:
             raise ValueError("input family is rank deficient within tolerance")
         out.append(w / r)
     return out
+
+
+def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed d x d unitaries, shape (count, d, d).
+    Matrix j draws its real, then its imaginary d x d block, so the stack
+    equals ``count`` calls of ``haar_unitary`` in a row."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    return haar_from_normals(rng.standard_normal((count, 2, d, d)))
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

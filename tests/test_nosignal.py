@@ -18,7 +18,7 @@ from eprsignal import (
     quadratic,
     subspace_measure,
 )
-from eprsignal.hilbert import bloch_states, haar_unitaries
+from eprsignal.hilbert import bloch_states
 from eprsignal.nosignal import (
     VERDICT_NON_QUADRATIC,
     VERDICT_QUADRATIC,
@@ -36,6 +36,7 @@ from helpers import (
     ball_density,
     builtin_observables,
     counting,
+    haar_unitaries,
     orthoadditivity_check,
     projector_matrix,
     random_hermitian,
@@ -117,6 +118,21 @@ def test_affinity_independent_of_worker_count(seed, n):
     assert certs[0] == certs[1] == certs[2]
     texts = {dumps_canonical(certificate_to_json(c)) for c in certs}
     assert len(texts) == 1
+
+
+def test_certificates_compare_by_value_and_are_unhashable():
+    # a gleason certificate holds its reconstructed operator as an array
+    f = quadratic(np.diag([1.0, 0.2, -0.7]))
+    cert = gleason_certify(f, seed=0)
+    assert cert.operator is not None
+    assert cert == gleason_certify(f, seed=0)
+    assert cert != gleason_certify(f, seed=1)
+    assert cert != dataclasses.replace(cert, operator=cert.operator + 1e-3)
+    assert cert != dataclasses.replace(cert, operator=None)
+    chords = affinity_scan(power(PROJ0_2, 2), 50, seed=0)
+    for c in (cert, chords):
+        with pytest.raises(TypeError):
+            hash(c)
 
 
 @settings(max_examples=10, deadline=None)
@@ -595,7 +611,7 @@ def _gleason_texts(f, seed, **kwargs):
 
 def test_batched_haar_draws_match_one_qr_per_draw(monkeypatch):
     for n, count in ((1, 3), (3, 0), (4, 6), (24, 2)):
-        batch = hilbert.haar_unitaries(n, count, np.random.default_rng([n, count]))
+        batch = haar_unitaries(n, count, np.random.default_rng([n, count]))
         single = _haar_one_by_one(n, count, np.random.default_rng([n, count]))
         assert batch.tobytes() == single.tobytes()
 

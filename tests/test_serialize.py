@@ -14,6 +14,7 @@ from eprsignal import (
     power,
     quadratic,
 )
+from eprsignal.cli import bundled_config_names, load_config, parse_config, run
 from eprsignal.serialize import (
     certificate_to_json,
     complex_from_json,
@@ -206,12 +207,19 @@ def test_dumps_canonical_is_stable():
     assert a == b
 
 
-def test_dumps_canonical_matches_json_dumps():
+def test_dumps_canonical_matches_json_dumps(tmp_path):
     cert = affinity_scan(power(PROJ0_2, 2), 300, seed=74)
     data = {"result": certificate_to_json(cert), "witnesses": witnesses_to_json(cert),
             "name": "é", "none": None}
     reference = json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
     assert dumps_canonical(data) == reference + "\n"
+    # the report that the CLI writes for each bundled config: convergence
+    # rows, nested operators and bases, capacity and gap results
+    for name in bundled_config_names():
+        config = parse_config(load_config(name), {"out": str(tmp_path / f"{name}.json")})
+        report = run(config)[1]
+        reference = json.dumps(report, sort_keys=True, separators=(",", ": "), indent=1)
+        assert dumps_canonical(report) == reference + "\n", name
 
 
 def _reference(obj) -> str:
