@@ -605,6 +605,22 @@ def test_gleason_fail_semantics_are_pinned(seed, tmp_path):
     assert rotations == {"max": ["base"], "min": ["fourier"]}
 
 
+@pytest.mark.parametrize("seed", [0, 11, 12])
+def test_affinity_semantics_are_pinned(seed, tmp_path):
+    # what the power2-affinity report decides, apart from its bytes: the worst
+    # chord pair is the first center-diameter probe, the z and x diameters,
+    # whose two mixture averages of |<0|psi>|^4 are 1/2 and 1/4
+    out = tmp_path / "report.json"
+    assert main(["affinity", "--config", "power2-affinity", "--seed", str(seed),
+                 "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["verdict"] == "non-quadratic"
+    assert result["worst_check"] == "convex_chord"
+    assert result["worst_violation"] == pytest.approx(0.25, rel=0, abs=1e-15)
+    check = result["checks"]["convex_chord"]
+    assert (check["index"], check["count"]) == (0, 1021)
+
+
 def _counting_config(d: int, seed: int) -> dict:
     # gleason on F = U diag(linspace(0, 1, d)) U^dagger, U Haar from the seed:
     # the recipe of the benchmark's gleason-counting24 workload

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -108,6 +109,35 @@ def test_affinity_witness_rows_are_valid_decompositions(seed, n):
     rhs = w.p1p * w.values[:, 2] + w.p2p * w.values[:, 3]
     np.testing.assert_array_equal(w.violation, np.abs(lhs - rhs))
     assert cert.worst_violation == w.violation.max()
+
+
+@pytest.mark.parametrize("n, report, table", [
+    (1, "1a434323866cfda1399fecbf139ee58cfad8db206a98a40633f2eacb950a3d5f",
+     "8f4bd879b18026554a94c6a9aecad66be3c87b7f9efab7b78c1dfa8b7ef64482"),
+    (257, "048fc985e91f6e6271dc06f2affec107f4062d26685b23dd02e4cd11d3b1e666",
+     "93289c16fbc1a4cf535becc317229335fd9d3a262632ea28066e20760ad2e583"),
+    (10000, "a3c51abae7030551636c673c99ce0bcdab76c70481b22ea258c478900edf830c",
+     "346f7e685f4afb65c6e5c7f190ca9549789c154d735b068e16f4ae9983ccba6b"),
+])
+def test_custom_affinity_report_and_witness_bytes_are_unchanged(n, report, table):
+    # SHA-256 of the certificate JSON and the witness table of a batch custom
+    # twin of power(|0><0|, 2) at seed 0, as written when each chunk of 256
+    # chords was evaluated in its own values call: a custom observable's
+    # values come from its states, so they do not depend on how rows are batched
+    f = custom(power(PROJ0_2, 2).values, 2, batch=True)
+    cert = affinity_scan(f, n, seed=0)
+    text = dumps_canonical(certificate_to_json(cert)).encode()
+    assert hashlib.sha256(text).hexdigest() == report
+    text = dumps_canonical({"witnesses": witnesses_to_json(cert)}).encode()
+    assert hashlib.sha256(text).hexdigest() == table
+
+
+def test_non_finite_chord_value_fails_loudly():
+    # (1e200 |<0|psi>|^2)^2 overflows unless psi is nearly |1>
+    f = power(1e200 * PROJ0_2, 2)
+    with pytest.raises(ValueError, match="evaluator returned a non-finite value"), \
+            np.errstate(over="ignore"):
+        affinity_scan(f, 300)
 
 
 @settings(max_examples=5, deadline=None)
