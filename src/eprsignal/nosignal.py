@@ -225,9 +225,27 @@ class Certificate:
         )
 
 
+def _finite(out: np.ndarray) -> np.ndarray:
+    """``out``, once checked to hold no NaN or infinity, as ``values`` checks."""
+    if not np.all(np.isfinite(out)):
+        raise ValueError("evaluator returned a non-finite value")
+    return out
+
+
 def _sphere_values(f, points: np.ndarray) -> np.ndarray:
-    """f at the states of an (m, 3) array of sphere points, in one batch."""
-    return f.values(bloch_states(points))
+    """f at the states of an (m, 3) array of sphere points, in one batch.
+
+    An f with a matrix A is read off the points r = (x, y, z), as in
+    ``_restricted_values``: f = t^k, k = ``f.exponent`` or 1, with t = Tr(A (I
+    + r.sigma)/2) = (A00 + A11)/2 + (A00 - A11)/2 z + Re A01 x - Im A01 y.  Any
+    other f makes one ``values`` call on the points' ``bloch_states``.
+    """
+    if f.matrix is None:
+        return f.values(bloch_states(points))
+    (a00, a01), (_, a11) = f.matrix
+    x, y, z = points.T
+    t = (a00.real + a11.real) / 2.0 + (a00.real - a11.real) / 2.0 * z
+    return _finite((t + a01.real * x - a01.imag * y) ** (f.exponent or 1))
 
 
 def _chord_through(x: np.ndarray, direction: np.ndarray):
@@ -280,19 +298,18 @@ def _center_diameter_probes(f) -> dict:
     )
 
 
-def _ball_points(rng: np.random.Generator, k: int) -> np.ndarray:
-    """k uniform points of the unit ball: k direction vectors, then k radii."""
-    direction = rng.standard_normal((k, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    return direction * (rng.random(k) ** (1.0 / 3.0))[:, None]
+def _chord_draws(rng: np.random.Generator, k: int) -> tuple:
+    """k chord pairs' draws in stream order: ball directions, radii, two chords."""
+    return (rng.standard_normal((k, 3)), rng.random(k),
+            rng.standard_normal((k, 3)), rng.standard_normal((k, 3)))
 
 
-def _random_chords(f, rng: np.random.Generator, k: int) -> dict:
-    # k points drawn in the ball interior plus two random chord directions
-    # each: both chords pass through the point, so every pair intersects
-    x = _ball_points(rng, k)
-    e1, e2, p2 = _chord_through(x, rng.standard_normal((k, 3)))
-    g1, g2, q2 = _chord_through(x, rng.standard_normal((k, 3)))
+def _random_chords(f, direction, uniform, chord, chord_p) -> dict:
+    # uniform ball points, each with two chords through it: every pair intersects
+    direction = direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    x = direction * (uniform ** (1.0 / 3.0))[:, None]
+    e1, e2, p2 = _chord_through(x, chord)
+    g1, g2, q2 = _chord_through(x, chord_p)
     return _evaluate_chords(f, e1, e2, g1, g2, p2, q2, x)
 
 
@@ -306,23 +323,23 @@ def affinity_scan(
     """Chord-pair consistency scan for a dim-2 observable.
 
     Evaluates both mixture averages on deterministic center-diameter pairs
-    and on ``n_chords`` sampled intersecting pairs, drawn and evaluated as
-    arrays in chunks of 256.  The verdict compares the worst |lhs - rhs|
-    against ``tolerance``; in dimension 2, consistency of the convex
-    decompositions over the whole ball already decides affinity.  The one
-    check is ``convex_chord`` (the witness rows).  ``workers`` is accepted
-    for compatibility and ignored: chunks run serially.
+    and on ``n_chords`` sampled intersecting pairs, drawn in chunks of 256,
+    chunk k from stream (seed, 10, k), then built and evaluated in one pass
+    over all chunks.  The verdict compares the worst |lhs - rhs| against
+    ``tolerance``; in dimension 2, consistency of the convex decompositions
+    over the whole ball already decides affinity.  The one check is
+    ``convex_chord`` (the witness rows).  ``workers`` is ignored.
     """
     if f.dim != 2:
         raise ValueError("the chord scan is defined for dimension 2 only")
     if n_chords < 1:
         raise ValueError("need at least one chord pair")
 
-    sizes = chunk_sizes(n_chords, _WITNESS_CHUNK)
-    blocks = [_center_diameter_probes(f)] + [
-        _random_chords(f, substream(seed, _PATH_CHORDS, k), size)
-        for k, size in enumerate(sizes)
-    ]
+    draws = zip(*(
+        _chord_draws(substream(seed, _PATH_CHORDS, k), size)
+        for k, size in enumerate(chunk_sizes(n_chords, _WITNESS_CHUNK))
+    ))
+    blocks = [_center_diameter_probes(f), _random_chords(f, *map(np.concatenate, draws))]
     # one validating construction over all rows
     witnesses = ChordColumns(
         **{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
@@ -423,9 +440,7 @@ def _restricted_values(f, rows: np.ndarray, w: np.ndarray) -> list:
     re, im = m[a, b].real, m[a, b].imag
     rotated = np.einsum("ij,ij->i", serial_matmul(w.conj(), m), w).real
     out = np.concatenate([h + re, h - re, h - im, h + im, rotated]) ** (f.exponent or 1)
-    if not np.all(np.isfinite(out)):
-        raise ValueError("evaluator returned a non-finite value")
-    return np.split(out, [4 * len(a)])
+    return np.split(_finite(out), [4 * len(a)])
 
 
 def _rotated_measures(f, rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:

@@ -541,7 +541,8 @@ def test_witness_table_only_for_certifiers(capsys):
 # configs (report version 3: simulate keeps log-spaced convergence rows), the
 # CSV plot data of the certifier configs (as written when every witness was
 # part of the JSON report; the CSV is built from the same table), and
-# simulate's convergence CSV (as written one f-string per row)
+# simulate's convergence CSV (as written one f-string per row).  The
+# power2-affinity bytes are those of chord values read off Bloch coordinates
 _REPORT_SHA256 = {
     ("simulate", "bell-power", "csv"):
         "def0e0ba0f40884dda816c42dddb4e812c69405bf8371941697e949ded63ebb5",
@@ -562,15 +563,15 @@ _REPORT_SHA256 = {
     ("gleason", "d3-gleason-pass", "json"):
         "f2c1d46aac6baa81031de860cb3d7080ae258719f4e3c36ef0e57a2b1f2edc3b",
     ("affinity", "power2-affinity", "json"):
-        "b095db6683711328ac45852f2aadab79cb930be9d77d593df152c11402794680",
+        "80408e1f2329abe265feaaddb8e321addd5ff932946f75b99e25ecc1160b8a10",
     ("certify", "d3-gleason-fail", "json"):
         "93ff2b455891d29568e88d022c6959b7123590b85debfd32cc3c6833fb38e190",
     ("certify", "d3-gleason-pass", "json"):
         "24e0c45947c527d4fd6312d48accff70fc5cc1ca99feedba62d681ef0c2b5b66",
     ("certify", "power2-affinity", "json"):
-        "266abc5d48e990b2a5634f98e5bef38df3cb30fa84235d778a8cd26cf6f70717",
+        "1e47ffaf54be28d5450a38dcd3b2da94341f15d6fa5fc99fa1d8bcde4e4dc419",
     ("affinity", "power2-affinity", "csv"):
-        "7a401a5339501e170665ffaaa08a0c18e89a20e0d60eb237a0776d02875da4fe",
+        "9c8a1e2aa4cccd65733598dbe18ac4f90a7e1e09b246a73cde80057d3751dfea",
     ("gleason", "d3-gleason-fail", "csv"):
         "822585320a39c4e2817f99274582024d418dc59d834503756bdbb988a93d5a39",
     ("gleason", "d3-gleason-pass", "csv"):

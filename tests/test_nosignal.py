@@ -28,6 +28,7 @@ from eprsignal.nosignal import (
     _chord_through,
     _rotated_measures,
     _rotation_name,
+    _sphere_values,
 )
 from eprsignal.serialize import certificate_to_json, dumps_canonical, witnesses_to_json
 from eprsignal.streams import substream
@@ -130,6 +131,50 @@ def test_custom_affinity_report_and_witness_bytes_are_unchanged(n, report, table
     assert hashlib.sha256(text).hexdigest() == report
     text = dumps_canonical({"witnesses": witnesses_to_json(cert)}).encode()
     assert hashlib.sha256(text).hexdigest() == table
+
+
+def test_affinity_makes_at_most_two_values_calls(monkeypatch):
+    # a custom f is evaluated at the 21 probe pairs' endpoints, then at every
+    # sampled pair's in one batch; an f with a matrix makes no values call
+    f = power(PROJ0_2, 2)
+    twin = custom(f.values, 2, batch=True)
+    calls = []
+    values = type(f).values
+
+    def counted(self, psis):
+        calls.append(len(psis))
+        return values(self, psis)
+
+    monkeypatch.setattr(type(f), "values", counted)
+    affinity_scan(twin, 10000, seed=0)
+    assert calls == [4 * 21, 4 * 10000]
+    calls.clear()
+    for g in (f, quadratic(PROJ0_2)):
+        affinity_scan(g, 10000, seed=0)
+    assert calls == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 3), log_scale=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_sphere_values_match_the_states(k, log_scale, seed):
+    # Bloch coordinates against the states at random points, the poles and
+    # points of the equator; k = 1 is the quadratic kind.  The states path
+    # rounds t = <psi|A|psi> to a few eps ||A||, and t^k multiplies that by k
+    rng = np.random.default_rng(seed)
+    matrix = random_hermitian(2, rng) * 10.0**log_scale
+    f = quadratic(matrix) if k == 1 else power(matrix, k)
+    phi = rng.uniform(0.0, 2.0 * np.pi, 16)
+    points = rng.standard_normal((64, 3))
+    points = np.concatenate([
+        [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+        np.stack([np.cos(phi), np.sin(phi), np.zeros(16)], axis=1),
+        points / np.linalg.norm(points, axis=1, keepdims=True),
+    ])
+    got = _sphere_values(f, points)
+    want = f.values(bloch_states(points))
+    scale = max(1.0, np.linalg.norm(matrix, 2)) ** k
+    assert np.max(np.abs(got - want)) <= 16 * k * np.finfo(float).eps * scale
 
 
 def test_non_finite_chord_value_fails_loudly():
