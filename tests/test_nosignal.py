@@ -113,12 +113,13 @@ def test_affinity_witness_rows_are_valid_decompositions(seed, n):
 
 
 @pytest.mark.parametrize("n, report, table", [
-    (1, "1a434323866cfda1399fecbf139ee58cfad8db206a98a40633f2eacb950a3d5f",
-     "8f4bd879b18026554a94c6a9aecad66be3c87b7f9efab7b78c1dfa8b7ef64482"),
-    (257, "048fc985e91f6e6271dc06f2affec107f4062d26685b23dd02e4cd11d3b1e666",
-     "93289c16fbc1a4cf535becc317229335fd9d3a262632ea28066e20760ad2e583"),
-    (10000, "a3c51abae7030551636c673c99ce0bcdab76c70481b22ea258c478900edf830c",
-     "346f7e685f4afb65c6e5c7f190ca9549789c154d735b068e16f4ae9983ccba6b"),
+    pytest.param(1, "1a434323866cfda1399fecbf139ee58cfad8db206a98a40633f2eacb950a3d5f",
+                 "8f4bd879b18026554a94c6a9aecad66be3c87b7f9efab7b78c1dfa8b7ef64482", id="1"),
+    pytest.param(257, "048fc985e91f6e6271dc06f2affec107f4062d26685b23dd02e4cd11d3b1e666",
+                 "93289c16fbc1a4cf535becc317229335fd9d3a262632ea28066e20760ad2e583", id="257"),
+    pytest.param(10000, "a3c51abae7030551636c673c99ce0bcdab76c70481b22ea258c478900edf830c",
+                 "346f7e685f4afb65c6e5c7f190ca9549789c154d735b068e16f4ae9983ccba6b",
+                 id="10000"),
 ])
 def test_custom_affinity_report_and_witness_bytes_are_unchanged(n, report, table):
     # SHA-256 of the certificate JSON and the witness table of a batch custom
