@@ -13,10 +13,12 @@ import pytest
 import eprsignal
 from eprsignal.cli import (
     _INT_MINIMUMS,
+    COMMANDS,
     ConfigError,
     RunConfig,
     bundled_config_names,
     emit_plot_data,
+    execute,
     load_config,
     main,
     parse_config,
@@ -649,6 +651,70 @@ def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
         "df54be14366e14a765736f38b8d245da9ef8ee00477b7fc706183acd5be88a32")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
         "a3cae20a135006e822d09034a0c782eca4730812d4932f1a04c086c06b03acf0")
+
+
+def _subspace_semantics(cert) -> str:
+    # SHA-256 of what the subspace scan decides, apart from the witness-row
+    # layout: the operator, then each subspace row's basis (shape, then
+    # <c16), mu and basis_spread (<f8) and its extreme rotations' names
+    h = hashlib.sha256(np.ascontiguousarray(cert.operator, "<c16").tobytes())
+    for w in cert.witnesses:
+        if isinstance(w, eprsignal.SubspaceMeasureRecord):
+            basis = np.array(w.basis, dtype="<c16")
+            h.update(np.array(basis.shape, dtype="<i8").tobytes() + basis.tobytes())
+            h.update(np.array([w.mu, w.basis_spread], dtype="<f8").tobytes())
+            h.update(repr((w.max_rotation, w.min_rotation)).encode())
+    return h.hexdigest()
+
+
+_SUBSPACE_SEMANTICS = {
+    "d3-gleason-fail": "0952511774302be9ccdf330c21809a6d35ee8e93b8717fca190d81f6f977b810",
+    "d3-gleason-pass": "31cde37e7ba8789143c7f45d951daeb980252a04e1fb4a005780fd0f058afe09",
+    "counting24-seed0": "3adcfd081760ba48760a89bf9ed80368fb5db50dced0ea0342aedaa030417d4b",
+    "counting24-seed3": "ec8df226e00ed4d89905c34341e781b1c69a2e78c7d2b87c52dcf3d4188153c1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUBSPACE_SEMANTICS))
+def test_subspace_rows_and_operator_are_pinned(name, tmp_path):
+    # the subspace rows and the operator of gleason and certify on the
+    # bundled gleason configs and on the benchmark's d = 24 counting recipe
+    if name.startswith("counting24"):
+        raw = _counting_config(24, int(name.removeprefix("counting24-seed")))
+    else:
+        raw = load_config(name)
+    for command in ("gleason", "certify"):
+        _, _, cert, cmd = execute(parse_config({**raw, "command": command}))
+        assert cmd == "gleason"
+        assert _subspace_semantics(cert) == _SUBSPACE_SEMANTICS[name], command
+
+
+# the exit codes of the six commands, in COMMANDS order, on each bundled
+# config at its own seed: 1 where the config lacks what the command needs
+_EXIT_CODES = {
+    "bell-power": [0, 0, 0, 0, 1, 0],
+    "bell-quadratic": [0, 0, 0, 0, 1, 0],
+    "d3-gleason-fail": [1, 1, 1, 1, 0, 0],
+    "d3-gleason-pass": [1, 1, 1, 1, 0, 0],
+    "power2-affinity": [1, 1, 1, 0, 1, 0],
+}
+
+
+def test_exit_codes_on_the_bundled_configs_are_pinned(tmp_path):
+    out = ["--out", str(tmp_path / "r")]
+    codes = {
+        name: [main([command, "--config", name, *out]) for command in COMMANDS]
+        for name in bundled_config_names()
+    }
+    assert codes == _EXIT_CODES
+    # gleason's gate: 2 when a declared no-signal is contradicted, and the
+    # d = 24 counting quadratic passes
+    for raw, code in (({**load_config("d3-gleason-fail"), "expect": "no-signal"}, 2),
+                      ({**load_config("d3-gleason-pass"), "expect": "signal"}, 0),
+                      (_counting_config(24, 0), 0)):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        assert main(["gleason", "--config", str(config), *out]) == code
 
 
 def test_capacity_report_bytes_at_block_10(tmp_path):

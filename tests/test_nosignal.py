@@ -589,6 +589,17 @@ def test_certifiers_agree_with_ground_truth():
         assert (cert.verdict == VERDICT_QUADRATIC) == entry.is_quadratic, entry.name
 
 
+@pytest.mark.parametrize("seed", [0, 11, 12])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_builtin_verdicts_and_worst_checks_are_pinned(d, seed):
+    # every zoo entry gets its tagged verdict, and the basis spread is its
+    # worst check, quadratic entries included
+    for entry in builtin_observables(d):
+        cert = gleason_certify(entry.observable, seed=seed)
+        assert (cert.verdict == VERDICT_QUADRATIC) == entry.is_quadratic, entry.name
+        assert cert.worst_check == "basis_spread", entry.name
+
+
 def test_certified_kind_matches_signaling_behaviour():
     # non-quadratic observables admit a signaling scenario; quadratic ones
     # never produce an exact gap
