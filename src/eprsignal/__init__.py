@@ -9,7 +9,6 @@ from .nosignal import (
     affinity_scan,
     basis_independence,
     gleason_certify,
-    subspace_measure,
 )
 from .observables import (
     FunctionalObservable,
@@ -60,5 +59,4 @@ __all__ = [
     "power",
     "quadratic",
     "rebase_alice",
-    "subspace_measure",
 ]

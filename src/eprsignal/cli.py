@@ -43,7 +43,7 @@ from .streams import STREAM_VERSION
 
 COMMANDS = ("gap", "simulate", "capacity", "affinity", "gleason", "certify")
 CERTIFIERS = ("affinity", "gleason", "certify")
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 # RunConfig fields that only say where and how output goes; the report's
 # meta block leaves them out, so its bytes do not depend on them
 _OUTPUT_FIELDS = ("out", "format", "workers", "witnesses")
@@ -294,7 +294,7 @@ def emit_plot_data(result: dict, kind: str) -> str:
             raise ValueError("violation histogram needs a certificate result")
         lines.append("index,violation")
         for i, w in enumerate(witnesses):
-            v = w.get("violation", w.get("basis_spread", w.get("residual")))
+            v = w.get("violation", w.get("basis_spread"))
             lines.append(f"{i},{v!r}")
     else:
         raise ValueError(f"unknown plot kind {kind!r}")

@@ -6,8 +6,9 @@ Two certifiers, each returning a pass/fail certificate:
   interior point must give one mixture average (chord scan);
 * the subspace-measure route for dim >= 3: basis independence of the summed
   observable on sampled subspaces, and reconstruction of the unique
-  compatible operator F with the fit mu(X) = Tr(F P_X), which implies
-  additivity on the sampled subspaces, so no separate additivity check runs.
+  compatible operator F with the fit mu(X) = Tr(F P_X) on the same
+  subspaces, which implies additivity on them, so no separate additivity
+  check runs.
 
 A quadratic observable passes every check to numerical precision; any
 non-quadratic observable produces a concrete witness.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,14 +41,11 @@ VERDICT_NON_QUADRATIC = "non-quadratic"
 # chord-pair witnesses evaluated per substream
 _WITNESS_CHUNK = 256
 
-# stream path tags (affinity chords, subspace draws, trace fit); tag 11 is
-# retired with the affine scan, so no other stream reuses it
+# stream path tags (affinity chords, subspace draws); tags 11 (the affine
+# scan) and 21 (the trace fit's own subspaces) are retired, so no other
+# stream reuses them
 _PATH_CHORDS = 10
 _PATH_SUBSPACE = 20
-_PATH_TRACE = 21
-
-# random subspaces on which gleason_certify fits mu(X) = Tr(F P_X)
-_TRACE_CHECKS = 8
 
 # PSD slack for reconstructed operators; eigenvalues above -1e-10 count as
 # non-negative
@@ -135,23 +133,16 @@ class ChordColumns:
 class SubspaceMeasureRecord:
     """Measure of one subspace plus its spread over resampled bases, and the
     rotations that gave the largest and the smallest measure, named as in
-    ``basis_independence``."""
+    ``basis_independence``.  ``trace_value`` is Tr(F P_X) of the operator F
+    that ``gleason_certify`` reconstructs; ``basis_independence`` alone
+    leaves it None."""
 
     basis: tuple
     mu: float
     basis_spread: float
     max_rotation: tuple = ("base",)
     min_rotation: tuple = ("base",)
-
-
-@dataclass(frozen=True)
-class TraceFitRecord:
-    """One comparison of a subspace measure against Tr(F P_X)."""
-
-    subspace_dim: int
-    mu: float
-    trace_value: float
-    residual: float
+    trace_value: float | None = None
 
 
 class PsdDeficitRecord(NamedTuple):
@@ -172,13 +163,23 @@ class Check(NamedTuple):
     witness: object
 
 
-def _worst_row(violations, offset: int = 0) -> Check:
-    """Check over rows ``offset``, ``offset + 1``, ... of the witnesses with
-    these violations; the witness is the first row attaining the max."""
+def _worst_row(violations) -> Check:
+    """Check over the witness rows with these violations; the witness is the
+    first row attaining the max."""
     if len(violations) == 0:
         return Check(0.0, 0, None)
     i = int(np.argmax(violations))
-    return Check(float(violations[i]), len(violations), offset + i)
+    return Check(float(violations[i]), len(violations), i)
+
+
+def _decision_tolerance(tolerance) -> float:
+    """``tolerance`` as a float, once checked to be finite and > 0, as the
+    command line checks it: a NaN, negative or zero tolerance would make
+    every observable non-quadratic."""
+    tol = float(tolerance)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
+    return tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,6 +335,7 @@ def affinity_scan(
         raise ValueError("the chord scan is defined for dimension 2 only")
     if n_chords < 1:
         raise ValueError("need at least one chord pair")
+    tolerance = _decision_tolerance(tolerance)
 
     draws = zip(*(
         _chord_draws(substream(seed, _PATH_CHORDS, k), size)
@@ -348,20 +350,10 @@ def affinity_scan(
     return Certificate(
         worst_violation=check.worst,
         witnesses=witnesses,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         seed=seed,
         checks={"convex_chord": check},
     )
-
-
-def subspace_measure(f, basis) -> float:
-    """Sum of the observable over an orthonormal basis of a subspace.
-
-    For a counting observable this lies in [0, n]; when the measure is basis
-    independent it is a function of the subspace alone.
-    """
-    rows = orthonormal_rows(basis, TOL_DERIVED, "basis")
-    return float(np.sum(f.values(rows)))
 
 
 @functools.cache
@@ -497,9 +489,10 @@ def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
     )
 
 
-def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> list:
+def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> tuple:
     """``basis_independence`` records of ``subspaces_per_dim`` sampled
-    subspaces of each dimension m < d, then of the full space.
+    subspaces of each dimension m < d, then of the full space, and the basis
+    rows of all of them stacked in that order.
 
     Subspace k of dimension m draws its d x d Haar unitary from stream
     (seed, 20, m, i), i counting within m, and its Haar rotations from
@@ -522,7 +515,7 @@ def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> l
         z = np.array([g.standard_normal((resamples, 2, m, m)) for g in streams])
         haar = haar_from_normals(z.reshape(-1, 2, m, m)).reshape(len(ks), resamples, m, m)
         records += [basis_independence(f, bases[k], w) for k, w in zip(ks, haar)]
-    return records
+    return records, np.concatenate(bases)
 
 
 def gleason_certify(
@@ -535,17 +528,17 @@ def gleason_certify(
 ) -> Certificate:
     """Subspace-measure certification for dimension >= 3.
 
-    Checks basis independence of the measure on sampled subspaces of every
-    dimension (always including the full space with its computational
-    basis), reconstructs the only operator a quadratic observable could
-    have, and verifies mu(X) = Tr(F P_X) on 8 random subspaces, which implies
-    additivity on them; additivity has no check of its own.  Positive
-    semidefiniteness of the operator is
-    additionally required when ``f.counting`` is set, as a counting measure
-    is non-negative.  The checks are ``basis_spread`` (the subspace records),
-    ``trace_fit`` (the trace records, run only while the spread passes) and,
-    with ``f.counting``, ``psd_deficit``.  ``workers`` is accepted for
-    compatibility and ignored: subspaces run serially.
+    Checks basis independence of the measure on ``subspaces_per_dim`` >= 1
+    sampled subspaces of each dimension below d and on the full space with
+    its computational basis, reconstructs the only operator F a quadratic
+    observable could have, and verifies mu(X) = Tr(F P_X) on the same
+    subspaces, which implies additivity on them; additivity has no check of
+    its own.  Positive semidefiniteness of the operator is additionally
+    required when ``f.counting`` is set, as a counting measure is
+    non-negative.  The checks are ``basis_spread`` and ``trace_fit`` (both
+    over the subspace records; the fit is judged only while the spread
+    passes) and, with ``f.counting``, ``psd_deficit``.  ``workers`` is
+    accepted for compatibility and ignored: subspaces run serially.
     """
     d = f.dim
     if d < 3:
@@ -553,49 +546,40 @@ def gleason_certify(
             "the subspace-measure argument needs dimension >= 3; "
             "use affinity_scan for dimension 2"
         )
+    if subspaces_per_dim < 1:
+        raise ValueError(f"need at least one subspace per dimension, got {subspaces_per_dim}")
+    tolerance = _decision_tolerance(tolerance)
 
-    records = _subspace_records(f, seed, subspaces_per_dim, resamples)
-    witnesses: list = list(records)
+    records, rows = _subspace_records(f, seed, subspaces_per_dim, resamples)
+    operator = polarization_reconstruct(f)
+    # Tr(F P_X) is the sum of <r|F|r> over the basis rows r of X: one product
+    # over the rows of every subspace, then a sum per subspace
+    diag = np.einsum("ij,ij->i", serial_matmul(rows.conj(), operator), rows).real
+    starts = np.cumsum([0] + [len(r.basis) for r in records[:-1]])
+    records = [
+        replace(r, trace_value=float(t))
+        for r, t in zip(records, np.add.reduceat(diag, starts))
+    ]
     checks = {"basis_spread": _worst_row([r.basis_spread for r in records])}
     worst = checks["basis_spread"].worst
-
-    operator = polarization_reconstruct(f)
-
     if worst < tolerance:
-        # trace subspace i draws m, then (m < d) its Gaussian from stream
-        # (seed, 21, i); the m < d draws share one stacked QR
-        streams = [substream(seed, _PATH_TRACE, i) for i in range(_TRACE_CHECKS)]
-        dims = [int(g.integers(1, d + 1)) for g in streams]
-        spaces = iter(haar_from_normals(np.array([
-            g.standard_normal((2, d, d)) for g, m in zip(streams, dims) if m < d
-        ]).reshape(-1, 2, d, d)))
-        for m in dims:
-            rows = np.eye(d, dtype=complex) if m == d else next(spaces)[:, :m].T
-            mu = subspace_measure(f, rows)
-            p_x = rows.T @ rows.conj()
-            tr = float(np.trace(operator @ p_x).real)
-            res = abs(mu - tr)
-            witnesses.append(
-                TraceFitRecord(subspace_dim=m, mu=mu, trace_value=tr, residual=res)
-            )
-        residuals = [w.residual for w in witnesses[len(records):]]
-        checks["trace_fit"] = _worst_row(residuals, offset=len(records))
+        checks["trace_fit"] = _worst_row([abs(r.mu - r.trace_value) for r in records])
         worst = max(worst, checks["trace_fit"].worst)
 
     if f.counting:
-        low = float(np.linalg.eigvalsh(operator).min())
-        vector = np.linalg.eigh(operator)[1][:, 0]
+        eigenvalues, eigenvectors = np.linalg.eigh(operator)
+        low = float(eigenvalues[0])
         deficit = max(0.0, -low)
         checks["psd_deficit"] = Check(
-            deficit, 1, PsdDeficitRecord(low, tuple(vector.tolist()))
+            deficit, 1, PsdDeficitRecord(low, tuple(eigenvectors[:, 0].tolist()))
         )
         if deficit > _PSD_SLACK:
             worst = max(worst, deficit)
 
     return Certificate(
         worst_violation=float(worst),
-        witnesses=tuple(witnesses),
-        tolerance=float(tolerance),
+        witnesses=tuple(records),
+        tolerance=tolerance,
         seed=seed,
         operator=operator,
         checks=checks,

@@ -15,13 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .nosignal import (
-    Certificate,
-    ChordColumns,
-    PsdDeficitRecord,
-    SubspaceMeasureRecord,
-    TraceFitRecord,
-)
+from .nosignal import Certificate, ChordColumns, PsdDeficitRecord, SubspaceMeasureRecord
 from .observables import power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
 from .states import EntangledState
@@ -177,14 +171,7 @@ def witness_to_json(w) -> dict:
             "basis": matrix_to_json(w.basis),
             "mu": w.mu,
             "basis_spread": w.basis_spread,
-        }
-    if isinstance(w, TraceFitRecord):
-        return {
-            "type": "trace-fit",
-            "subspace_dim": w.subspace_dim,
-            "mu": w.mu,
             "trace_value": w.trace_value,
-            "residual": w.residual,
         }
     if isinstance(w, PsdDeficitRecord):
         return {
@@ -203,18 +190,10 @@ def witnesses_to_json(c: Certificate) -> list[dict]:
     return [witness_to_json(w) for w in c.witnesses]
 
 
-def _record_bytes(w) -> bytes:
-    if isinstance(w, SubspaceMeasureRecord):
-        basis = np.array(w.basis, dtype="<c16")
-        return (b"S" + struct.pack("<2q", *basis.shape) + basis.tobytes()
-                + struct.pack("<2d", w.mu, w.basis_spread))
-    return b"T" + struct.pack("<q3d", w.subspace_dim, w.mu, w.trace_value, w.residual)
-
-
 def witness_digest(c: Certificate) -> str:
     """SHA-256 (hex) of the witness table in the byte layout README gives:
     the 13 ``ChordColumns`` arrays in field order as C-contiguous ``<f8``, or
-    each subspace and trace record in order."""
+    each subspace record in order."""
     import hashlib  # only certificates pay for the import
 
     h = hashlib.sha256()
@@ -223,7 +202,9 @@ def witness_digest(c: Certificate) -> str:
             h.update(np.ascontiguousarray(getattr(c.witnesses, col.name), "<f8").tobytes())
     else:
         for w in c.witnesses:
-            h.update(_record_bytes(w))
+            basis = np.array(w.basis, dtype="<c16")
+            h.update(b"S" + struct.pack("<2q", *basis.shape) + basis.tobytes()
+                     + struct.pack("<3d", w.mu, w.basis_spread, w.trace_value))
     return h.hexdigest()
 
 

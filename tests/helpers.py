@@ -14,7 +14,6 @@ from eprsignal import (
     haar_unitary,
     power,
     quadratic,
-    subspace_measure,
 )
 from eprsignal.hilbert import (
     TOL_DERIVED,
@@ -83,6 +82,16 @@ def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return haar_from_normals(rng.standard_normal((count, 2, d, d)))
+
+
+def subspace_measure(f, basis) -> float:
+    """Sum of the observable over an orthonormal basis of a subspace.
+
+    For a counting observable this lies in [0, n]; when the measure is basis
+    independent it is a function of the subspace alone.
+    """
+    rows = orthonormal_rows(basis, TOL_DERIVED, "basis")
+    return float(np.sum(f.values(rows)))
 
 
 def random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

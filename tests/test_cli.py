@@ -516,7 +516,7 @@ def test_report_meta_and_sidecar_do_not_depend_on_output_settings(tmp_path):
         tables.add(side.read_bytes())
     assert len(reports) == len(tables) == 1
     meta = json.loads(reports.pop())["meta"]
-    assert meta["report_version"] == 3 and "stream_version" not in meta
+    assert meta["report_version"] == 4 and "stream_version" not in meta
     from eprsignal import __version__
 
     assert meta["version"] == __version__
@@ -540,44 +540,45 @@ def test_witness_table_only_for_certifiers(capsys):
 
 # SHA-256 of the report bytes at the config seed: the JSON report of every
 # bundled config under its own command and of certify on the observable
-# configs (report version 3: simulate keeps log-spaced convergence rows), the
-# CSV plot data of the certifier configs (as written when every witness was
-# part of the JSON report; the CSV is built from the same table), and
-# simulate's convergence CSV (as written one f-string per row).  The
-# power2-affinity bytes are those of chord values read off Bloch coordinates
+# configs (report version 4: simulate keeps log-spaced convergence rows, and
+# gleason fits the trace on the subspaces of its spread check), the CSV plot
+# data of the certifier configs (as written when every witness was part of
+# the JSON report; the CSV is built from the same table), and simulate's
+# convergence CSV (as written one f-string per row).  The power2-affinity
+# bytes are those of chord values read off Bloch coordinates
 _REPORT_SHA256 = {
     ("simulate", "bell-power", "csv"):
         "def0e0ba0f40884dda816c42dddb4e812c69405bf8371941697e949ded63ebb5",
     ("simulate", "bell-power", "json"):
-        "76bd42d5b364c8ee3f100ef4e0d012355424d16fdb04938d7d5e29da616834b7",
+        "171d0c11219e438d147adb5de4984b731bdaf3e471428064a422448faaebee13",
     ("simulate", "bell-quadratic", "json"):
-        "ffd38219d02d3fe8f0981f64df9f37791e65f47e3c4bea64a107a0db84c9b0ae",
+        "db3d7382f3aa64ae300bfd24405306523b68571fa6122b24f3fc6ba64ecd908e",
     ("capacity", "bell-power", "json"):
-        "fb90efe61cbc5299456023b75222cc439e13978fc8f0b79d9995dc0a390464f5",
+        "9b68246bc744ce13218c88de191abe6eae55a6cc53a9ed339b7a1732a5039ab6",
     ("capacity", "bell-quadratic", "json"):
-        "86cb36932b51ae71b8d874f64a6ccc080cad4c2bd632ba773467a955abbb9573",
+        "8a9a39762c147edd279c39af0f02bacd59ce26584b1a96d361d37557b1726b4b",
     ("gap", "bell-power", "json"):
-        "e66149dadc0777796c52ea5c305f4db88988fc0482097b0beabf9677e707c4fb",
+        "280c9bd2202aa5c9ef1616027fb305863bdec4c6a38f02ae102ec824ec517590",
     ("gap", "bell-quadratic", "json"):
-        "c797c500ba5a7b7badc702ec6d2f6d717f3707978024a45b50a7764b3b90179e",
+        "925ae6345bd99ba9369b6a97e8b97a3fba3e2cf767e8ce0f041f48860cf52304",
     ("gleason", "d3-gleason-fail", "json"):
-        "27970aa0a82e68d8768496437dfd9b3a47c9a57f3240f396e3758ad8fd2ca14b",
+        "9b7a287f8c3861160f68c690d5a770b2c1d0f2df3517c5d3287fa0183548fca7",
     ("gleason", "d3-gleason-pass", "json"):
-        "f2c1d46aac6baa81031de860cb3d7080ae258719f4e3c36ef0e57a2b1f2edc3b",
+        "c7adf58a587edbefeda755df59c9a4c413663d8fca8f37bc505ec54332fb8c56",
     ("affinity", "power2-affinity", "json"):
-        "80408e1f2329abe265feaaddb8e321addd5ff932946f75b99e25ecc1160b8a10",
+        "3775eeda28ec18c6978f216b29f2362817fccffb9bfed6c6d95cebf2bb98e2ef",
     ("certify", "d3-gleason-fail", "json"):
-        "93ff2b455891d29568e88d022c6959b7123590b85debfd32cc3c6833fb38e190",
+        "921ebd17c9ec133813c670e2274ffa1705c74379830d5ede723fc158a63fb0e8",
     ("certify", "d3-gleason-pass", "json"):
-        "24e0c45947c527d4fd6312d48accff70fc5cc1ca99feedba62d681ef0c2b5b66",
+        "377eb3e44ce39325895274cebddcdb113800bf06e63fdded4963a278c3de4d1b",
     ("certify", "power2-affinity", "json"):
-        "1e47ffaf54be28d5450a38dcd3b2da94341f15d6fa5fc99fa1d8bcde4e4dc419",
+        "f560bbecdcf8e46dfd944cd17234a0b2f9ac12bad25fa21122aef1bff1682994",
     ("affinity", "power2-affinity", "csv"):
         "9c8a1e2aa4cccd65733598dbe18ac4f90a7e1e09b246a73cde80057d3751dfea",
     ("gleason", "d3-gleason-fail", "csv"):
         "822585320a39c4e2817f99274582024d418dc59d834503756bdbb988a93d5a39",
     ("gleason", "d3-gleason-pass", "csv"):
-        "0f84b4ac608e0ea99c90c29cd8f67aab3a38079e1b55e51b38d60e21e4325a5d",
+        "2cad41253b1857cec085e16d888a3ccd3c1746a6da33c8aa711fb1dfddad75e1",
 }
 
 
@@ -641,16 +642,16 @@ def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
     # SHA-256 of the JSON report and the --witnesses table of a d = 24
     # counting quadratic at seed 0, as written since the subspace scan
     # scores each rotation on the observable restricted to the subspace
-    # (report version 3)
+    # (report version 4: 70 subspace rows, each with its trace value)
     config = tmp_path / "counting24.json"
     config.write_text(json.dumps(_counting_config(24, 0), sort_keys=True) + "\n")
     out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
     assert main(["gleason", "--config", str(config), "--out", str(out),
                  "--witnesses", str(side)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "df54be14366e14a765736f38b8d245da9ef8ee00477b7fc706183acd5be88a32")
+        "5e09d363fbb06a7f69d6d75af288ef9631a1f4bb1fcb0782cada6579d424ed79")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
-        "a3cae20a135006e822d09034a0c782eca4730812d4932f1a04c086c06b03acf0")
+        "fba3b79bacfe611d58deecd794b4d4e539b2750f58a353f93542749d8fff034e")
 
 
 def _subspace_semantics(cert) -> str:
@@ -722,7 +723,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     # capacity report above does not see the trial draws; at block 10 about
     # one trial in twelve fails (exactly 176/2048), and which ones depends on
     # the stream layout (version 4: 8,192 trials per chunk); bytes of report
-    # version 3
+    # version 4
     config = tmp_path / "capacity.json"
     raw = {**load_config("bell-power"), "command": "capacity", "block": 10, "trials": 20000}
     config.write_text(json.dumps(raw, sort_keys=True) + "\n")
@@ -730,7 +731,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     assert main(["capacity", "--config", str(config), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["result"]["bit_error_rate"] == 0.08755
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "a2620a30081f621fd8ffadf29b9fe85dcf091508661dacf7cbe763ccb0bbbca7")
+        "b40584fd3bcdb2d59eee699d608d6db9c646cbff9bfef95b816ca944fb993a0f")
 
 
 def test_certify_csv_plots_what_it_dispatched_to(tmp_path):
@@ -772,7 +773,7 @@ def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
 
 
 def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
-    # SHA-256 of the 1e7-sample report at report version 3 (the benchmark's
+    # SHA-256 of the 1e7-sample report at report version 4 (the benchmark's
     # simulate-bell scale; 12 convergence rows, after 1, 2, 4, ..., 1024 and
     # all 1,221 chunks), its convergence CSV, and the per-sample CSV at the
     # bundled 1e5 samples (as written before row tables were encoded column
@@ -783,7 +784,7 @@ def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
     assert len(json.loads(out.read_text())["result"]["convergence"]) == 12
     assert out.stat().st_size < 4096
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "4d39581c7d0dacea9e481b51d400e7a64f049413d37ba83707d09c97f528070f")
+        "9327fc06dfc494dfd8b6169f4df510425bed28555c679a678f54e2fbd0aa00dc")
     assert main([*argv, "--format", "csv", "--out", str(csv)]) == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
         "07f7c24a8a73771f53b5e89b00cb43ec8a389ebb2021c5d9cd3b404071bee765")

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from eprsignal import (
     EntangledState,
+    basis_independence,
     haar_unitary,
     quadratic,
     rebase_alice,
-    subspace_measure,
 )
 from eprsignal.hilbert import (
     _row_edges,
@@ -272,7 +272,8 @@ def _orthonormal_callers(d: int, rng: np.random.Generator):
     return [
         ("the A-side basis", 1e-12, lambda rows: EntangledState(alphas, rows, bob)),
         ("the A-side basis", 1e-12, lambda rows: rebase_alice(state, rows)),
-        ("basis", 1e-10, lambda rows: subspace_measure(quadratic(np.eye(d)), rows)),
+        ("basis", 1e-10, lambda rows: basis_independence(
+            quadratic(np.eye(d)), rows, np.array([np.eye(d)] * 2))),
     ]
 
 

@@ -11,13 +11,13 @@ from eprsignal import hilbert, nosignal
 from eprsignal import (
     affinity_scan,
     basis_independence,
+    combine,
     custom,
     exact_gap,
     gleason_certify,
     haar_unitary,
     power,
     quadratic,
-    subspace_measure,
 )
 from eprsignal.hilbert import bloch_states
 from eprsignal.nosignal import (
@@ -44,6 +44,7 @@ from helpers import (
     random_hermitian,
     random_projector,
     random_scenario,
+    subspace_measure,
 )
 
 
@@ -558,6 +559,22 @@ def test_gleason_rejects_dim_two():
         gleason_certify(quadratic(np.eye(2, dtype=complex)), seed=0)
 
 
+@pytest.mark.parametrize("subspaces_per_dim", [0, -1])
+def test_gleason_needs_a_subspace_per_dimension(subspaces_per_dim):
+    # with none, the full space alone would pass any observable
+    with pytest.raises(ValueError, match="at least one subspace per dimension"):
+        gleason_certify(quadratic(np.eye(3, dtype=complex)), subspaces_per_dim=subspaces_per_dim)
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
+def test_certifiers_reject_a_tolerance_the_command_line_rejects(tolerance):
+    # a tolerance <= 0 or NaN would call every observable non-quadratic
+    for scan in (lambda: affinity_scan(quadratic(np.eye(2, dtype=complex)), 10, tolerance=tolerance),
+                 lambda: gleason_certify(quadratic(np.eye(3, dtype=complex)), tolerance=tolerance)):
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            scan()
+
+
 def test_gleason_workers_identical():
     f = quadratic(random_hermitian(4, np.random.default_rng(57)))
     a = gleason_certify(f, seed=58, workers=1)
@@ -684,11 +701,12 @@ def _per_subspace_records(f, seed, subspaces_per_dim, resamples):
         for i in range(subspaces_per_dim)
     ]
     bases.append(np.eye(d, dtype=complex))
-    return [
+    records = [
         basis_independence(f, rows, _haar_one_by_one(
             len(rows), resamples, substream(seed, 20, len(rows), 1000 + k)))
         for k, rows in enumerate(bases)
     ]
+    return records, np.concatenate(bases)
 
 
 def _gleason_texts(f, seed, **kwargs):
@@ -718,12 +736,9 @@ def test_batched_haar_draws_match_one_qr_per_draw(monkeypatch):
     for module in (nosignal, hilbert):
         monkeypatch.setattr(module, "haar_from_normals", one_by_one)
     assert [_gleason_texts(f, 63) for f in observables] == batched
-    # d = 5: one QR for the 12 sampled subspaces, one per dimension for the
-    # rotations, then one for the trace-fit draws of dimension m < 5 (stream
-    # (63, 21, i) draws m first); d = 4 fails the spread, so it has no trace fit
-    trace_draws = sum(int(substream(63, 21, i).integers(1, 6)) < 5 for i in range(8))
-    assert calls[:6] == [12, 18, 18, 18, 18, 6] and calls[-5:] == [9, 18, 18, 18, 6]
-    assert calls[6:-5] == [trace_draws] and trace_draws > 1
+    # one QR for the 3 (d - 1) sampled subspaces and one per dimension for
+    # the rotations, at d = 5 and d = 4: the trace fit draws nothing
+    assert calls == [12, 18, 18, 18, 18, 6, 9, 18, 18, 18, 6]
 
 
 @settings(max_examples=40, deadline=None)
@@ -775,18 +790,13 @@ def test_subspace_scan_makes_one_plus_d_qr_calls(d, monkeypatch):
     assert [e for e in scans["stacked"] if e[0] == "values"] == [
         e for e in scans["reference"] if e[0] == "values"
     ]
-    # the certifier runs that scan once; this observable fails the spread,
-    # so no trace fit draws further subspaces
-    log.clear()
-    cert = gleason_certify(f, seed=11)
-    assert "trace_fit" not in cert.checks
-    assert sum(kind == "qr" for kind, _ in log) == 1 + d
-    # a quadratic observable passes the spread, and the trace fit adds at
-    # most one stacked QR for all its subspaces
-    log.clear()
-    cert = gleason_certify(quadratic(random_hermitian(d, np.random.default_rng(d))), seed=11)
-    assert "trace_fit" in cert.checks
-    assert sum(kind == "qr" for kind, _ in log) <= 2 + d
+    # the certifier runs that scan once, and the trace fit reuses its
+    # subspaces, whether the observable fails the spread or passes it
+    for g, fit in ((f, False), (quadratic(random_hermitian(d, np.random.default_rng(d))), True)):
+        log.clear()
+        cert = gleason_certify(g, seed=11)
+        assert ("trace_fit" in cert.checks) == fit
+        assert sum(kind == "qr" for kind, _ in log) == 1 + d
 
 
 def test_psd_deficit_check_records_the_lowest_eigenpair():
@@ -795,12 +805,64 @@ def test_psd_deficit_check_records_the_lowest_eigenpair():
     check = cert.checks["psd_deficit"]
     lam, vec = check.witness.eigenvalue, np.array(check.witness.eigenvector)
     assert check.count == 1 and check.worst == max(0.0, -lam)
-    assert lam == np.linalg.eigvalsh(cert.operator).min()
+    # the eigenvalue and the eigenvector come from one decomposition
+    eigenvalues, eigenvectors = np.linalg.eigh(cert.operator)
+    assert lam == eigenvalues[0] and np.array_equal(vec, eigenvectors[:, 0])
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
     assert np.linalg.norm(cert.operator @ vec - lam * vec) <= 1e-10
     plain = gleason_certify(quadratic(random_hermitian(3, np.random.default_rng(67))), seed=66)
     assert list(plain.checks) == ["basis_spread", "trace_fit"]
     assert plain.worst_check in plain.checks
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(3, 6),
+    kind=st.sampled_from(["quadratic", "power", "custom"]),
+    scale=st.floats(1e-3, 1e3),
+    subspaces_per_dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_value_is_the_projector_trace_of_the_operator(
+    d, kind, scale, subspaces_per_dim, seed
+):
+    # each subspace row's trace_value is Tr(F P_X), P_X = R^T conj(R) for the
+    # basis rows R, and the trace fit reads |mu - trace_value| off the same
+    # rows, judged only while the spread passes
+    f = _family_observable(kind, d, np.random.default_rng(seed))
+    f = combine([scale], [f])
+    cert = gleason_certify(f, seed=seed, subspaces_per_dim=subspaces_per_dim, resamples=2)
+    op = cert.operator
+    bound = 64 * np.finfo(float).eps * d * max(1.0, np.linalg.norm(op, 2))
+    assert len(cert.witnesses) == subspaces_per_dim * (d - 1) + 1
+    for r in cert.witnesses:
+        rows = np.array(r.basis)
+        assert abs(r.trace_value - np.trace(op @ rows.T @ rows.conj()).real) <= bound
+    spread = cert.checks["basis_spread"].worst
+    assert ("trace_fit" in cert.checks) == (spread < cert.tolerance)
+    if "trace_fit" in cert.checks:
+        fit = [abs(r.mu - r.trace_value) for r in cert.witnesses]
+        assert cert.checks["trace_fit"] == (max(fit), len(fit), fit.index(max(fit)))
+    if kind == "quadratic":
+        assert "trace_fit" in cert.checks
+
+
+def test_gleason_draws_only_from_the_subspace_streams(monkeypatch):
+    # the trace fit draws no subspaces of its own: no stream (seed, 21, ...)
+    paths = []
+
+    def recording(seed, *path):
+        paths.append(path)
+        return substream(seed, *path)
+
+    monkeypatch.setattr(nosignal, "substream", recording)
+    for f in (quadratic(random_hermitian(4, np.random.default_rng(68))),
+              counting(power(projector_matrix(4), 2))):
+        paths.clear()
+        cert = gleason_certify(f, seed=69)
+        assert {p[0] for p in paths} == {20}
+        # (20, m, i) per sampled subspace, (20, m, 1000 + k) per rotation stack
+        assert len(paths) == 3 * 3 + len(cert.witnesses)
 
 
 @settings(max_examples=10, deadline=None)

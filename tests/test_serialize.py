@@ -407,8 +407,12 @@ def test_report_encoding_matches_asdict():
 
 _CHORD_FIELDS = ("x1", "x2", "x1p", "x2p", "p1", "p2", "p1p", "p2p",
                  "x", "values", "lhs", "rhs", "violation")
-_ROW_VIOLATION = {"chord": "violation", "subspace-measure": "basis_spread",
-                  "trace-fit": "residual"}
+# the violation that each check reads off one row of the witness table
+_CHECK_VIOLATION = {
+    "convex_chord": lambda r: r["violation"],
+    "basis_spread": lambda r: r["basis_spread"],
+    "trace_fit": lambda r: abs(r["mu"] - r["trace_value"]),
+}
 
 
 def _digest_of_table(rows) -> str:
@@ -421,13 +425,9 @@ def _digest_of_table(rows) -> str:
             h.update(np.array([r[name] for r in rows], dtype="<f8").tobytes())
         return h.hexdigest()
     for r in rows:
-        if r["type"] == "subspace-measure":
-            basis = np.array([[complex(*z) for z in row] for row in r["basis"]], dtype="<c16")
-            h.update(b"S" + np.array(basis.shape, dtype="<i8").tobytes() + basis.tobytes())
-            h.update(np.array([r["mu"], r["basis_spread"]], dtype="<f8").tobytes())
-        else:
-            h.update(b"T" + np.array([r["subspace_dim"]], dtype="<i8").tobytes())
-            h.update(np.array([r["mu"], r["trace_value"], r["residual"]], dtype="<f8").tobytes())
+        basis = np.array([[complex(*z) for z in row] for row in r["basis"]], dtype="<c16")
+        h.update(b"S" + np.array(basis.shape, dtype="<i8").tobytes() + basis.tobytes())
+        h.update(np.array([r["mu"], r["basis_spread"], r["trace_value"]], dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -458,10 +458,8 @@ def test_report_digest_and_checks_replay_from_the_sidecar(route, size, seed):
     for name, check in report["checks"].items():
         row = check["witness"]
         assert table[check["index"]] == row, name
-        key = _ROW_VIOLATION[row["type"]]
-        same = [i for i, r in enumerate(table) if r["type"] == row["type"]]
-        worst = max(table[i][key] for i in same)
-        assert check["worst"] == row[key] == worst, name
-        assert check["index"] == next(i for i in same if table[i][key] == worst), name
-        assert check["count"] == len(same), name
+        violations = [_CHECK_VIOLATION[name](r) for r in table]
+        assert check["worst"] == _CHECK_VIOLATION[name](row) == max(violations), name
+        assert check["index"] == violations.index(check["worst"]), name
+        assert check["count"] == len(table), name
     assert report["checks"][report["worst_check"]]["worst"] == report["worst_violation"]
