@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
-import struct
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -203,8 +202,9 @@ def witness_digest(c: Certificate) -> str:
     else:
         for w in c.witnesses:
             basis = np.array(w.basis, dtype="<c16")
-            h.update(b"S" + struct.pack("<2q", *basis.shape) + basis.tobytes()
-                     + struct.pack("<3d", w.mu, w.basis_spread, w.trace_value))
+            # a trace_value of None, from basis_independence alone, is NaN
+            h.update(b"S" + np.array(basis.shape, "<i8").tobytes() + basis.tobytes()
+                     + np.array([w.mu, w.basis_spread, w.trace_value], "<f8").tobytes())
     return h.hexdigest()
 
 

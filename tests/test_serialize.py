@@ -463,3 +463,20 @@ def test_report_digest_and_checks_replay_from_the_sidecar(route, size, seed):
         assert check["index"] == violations.index(check["worst"]), name
         assert check["count"] == len(table), name
     assert report["checks"][report["worst_check"]]["worst"] == report["worst_violation"]
+
+
+def test_digest_of_records_without_a_trace_value_replays_from_the_sidecar():
+    # basis_independence alone leaves trace_value None: the table writes
+    # null, and the digest takes it as NaN
+    from eprsignal import Certificate, basis_independence
+
+    rotations = np.array([np.eye(2, dtype=complex)] * 2)
+    records = tuple(
+        basis_independence(quadratic(random_hermitian(3, np.random.default_rng(70))),
+                           rows, rotations)
+        for rows in (np.eye(3)[:2], np.eye(3)[1:])
+    )
+    cert = Certificate(worst_violation=0.0, witnesses=records, tolerance=1e-8)
+    table = json.loads(dumps_canonical({"witnesses": witnesses_to_json(cert)}))["witnesses"]
+    assert [r["trace_value"] for r in table] == [None, None]
+    assert certificate_to_json(cert)["witness_digest"] == _digest_of_table(table)
