@@ -677,7 +677,7 @@ _SUBSPACE_SEMANTICS = {
 
 
 @pytest.mark.parametrize("name", sorted(_SUBSPACE_SEMANTICS))
-def test_subspace_rows_and_operator_are_pinned(name, tmp_path):
+def test_subspace_rows_and_operator_are_pinned(name):
     # the subspace rows and the operator of gleason and certify on the
     # bundled gleason configs and on the benchmark's d = 24 counting recipe
     if name.startswith("counting24"):
