@@ -43,7 +43,7 @@ from .streams import STREAM_VERSION
 
 COMMANDS = ("gap", "simulate", "capacity", "affinity", "gleason", "certify")
 CERTIFIERS = ("affinity", "gleason", "certify")
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 # RunConfig fields that only say where and how output goes; the report's
 # meta block leaves them out, so its bytes do not depend on them
 _OUTPUT_FIELDS = ("out", "format", "workers", "witnesses")
@@ -264,7 +264,7 @@ def emit_plot_data(result: dict, kind: str) -> str:
 
     Kinds: ``bloch`` (sphere points of chord witnesses with their observable
     values and violations), ``convergence`` (cumulative Monte-Carlo gap versus
-    log-spaced sample counts), ``violation-histogram`` (one violation per witness).
+    log-spaced sample counts), ``violation-histogram`` (each subspace's spread).
     """
     lines: list[str] = []
     if kind == "bloch":
@@ -273,11 +273,8 @@ def emit_plot_data(result: dict, kind: str) -> str:
             raise ValueError("bloch plot data needs a certificate result")
         lines.append("x,y,z,f_value,violation")
         for w in witnesses:
-            if w.get("type") != "chord":
-                continue
             points = (w["x1"], w["x2"], w["x1p"], w["x2p"])
-            vals = w.get("values") or (None,) * 4
-            for point, val in zip(points, vals):
+            for point, val in zip(points, w["values"]):
                 lines.append(
                     f"{point[0]!r},{point[1]!r},{point[2]!r},{val!r},{w['violation']!r}"
                 )
@@ -294,8 +291,7 @@ def emit_plot_data(result: dict, kind: str) -> str:
             raise ValueError("violation histogram needs a certificate result")
         lines.append("index,violation")
         for i, w in enumerate(witnesses):
-            v = w.get("violation", w.get("basis_spread"))
-            lines.append(f"{i},{v!r}")
+            lines.append(f"{i},{w['basis_spread']!r}")
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     return "\n".join(lines) + "\n"

@@ -135,9 +135,8 @@ class SubspaceMeasureRecord:
     rotations that gave the largest and the smallest measure, named as in
     ``basis_independence``.  ``trace_value`` is Tr(F P_X) of the operator F
     that ``gleason_certify`` reconstructs; ``basis_independence`` alone
-    leaves it None."""
+    leaves it None.  No basis is kept: a certificate's row index names it."""
 
-    basis: tuple
     mu: float
     basis_spread: float
     max_rotation: tuple = ("base",)
@@ -471,7 +470,7 @@ def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
     pairwise mixes) that exposes basis dependence aligned with the given
     basis without sampling luck.  The records name the extreme rotations
     ("base",), ("real", a, b), ("phase", a, b), ("fourier",) or ("haar", j),
-    indexed as ``_rotation_name`` gives.
+    indexed as ``_rotation_name`` gives; the record leaves ``basis`` out.
     """
     rows = orthonormal_rows(basis, TOL_DERIVED, "basis")
     n = rows.shape[0]
@@ -481,7 +480,6 @@ def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
     mus = _rotated_measures(f, rows, rotations)
     hi, lo = int(mus.argmax()), int(mus.argmin())
     return SubspaceMeasureRecord(
-        basis=tuple(map(tuple, rows.tolist())),
         mu=float(mus[0]),
         basis_spread=float(mus[hi] - mus[lo]),
         max_rotation=_rotation_name(n, hi),
@@ -490,15 +488,15 @@ def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
 
 
 def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> tuple:
-    """``basis_independence`` records of ``subspaces_per_dim`` sampled
-    subspaces of each dimension m < d, then of the full space, and the basis
-    rows of all of them stacked in that order.
+    """``basis_independence`` records of ``subspaces_per_dim`` (spd) sampled
+    subspaces of each dimension m < d, then of the full space, and their bases.
 
-    Subspace k of dimension m draws its d x d Haar unitary from stream
-    (seed, 20, m, i), i counting within m, and its Haar rotations from
-    (seed, 20, m, 1000 + k).  The QRs run stacked, one for all sampled
-    subspaces and one per dimension m for the rotations.  The ``values``
-    calls stay per subspace: a BLAS product's last bits can depend on its row count.
+    Subspace k < spd (d - 1) is draw i = k mod spd of m = k // spd + 1: the
+    first m columns of a Haar unitary from stream (seed, 20, m, i), as rows.
+    Subspace k draws its Haar rotations from (seed, 20, m, 1000 + k).  The
+    QRs run stacked, one for all sampled subspaces and one per dimension m
+    for the rotations.  The ``values`` calls stay per subspace: a BLAS
+    product's last bits can depend on its row count.
     """
     d = f.dim
     drawn = [(m, i) for m in range(1, d) for i in range(subspaces_per_dim)]
@@ -515,7 +513,7 @@ def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> t
         z = np.array([g.standard_normal((resamples, 2, m, m)) for g in streams])
         haar = haar_from_normals(z.reshape(-1, 2, m, m)).reshape(len(ks), resamples, m, m)
         records += [basis_independence(f, bases[k], w) for k, w in zip(ks, haar)]
-    return records, np.concatenate(bases)
+    return records, bases
 
 
 def gleason_certify(
@@ -537,8 +535,8 @@ def gleason_certify(
     required when ``f.counting`` is set, as a counting measure is
     non-negative.  The checks are ``basis_spread`` and ``trace_fit`` (both
     over the subspace records; the fit is judged only while the spread
-    passes) and, with ``f.counting``, ``psd_deficit``.  ``workers`` is
-    accepted for compatibility and ignored: subspaces run serially.
+    passes) and, with ``f.counting``, ``psd_deficit``; ``resamples`` >= 2.
+    ``workers`` is accepted for compatibility and ignored.
     """
     d = f.dim
     if d < 3:
@@ -548,14 +546,17 @@ def gleason_certify(
         )
     if subspaces_per_dim < 1:
         raise ValueError(f"need at least one subspace per dimension, got {subspaces_per_dim}")
+    if resamples < 2:
+        raise ValueError(f"resamples must be an integer >= 2, got {resamples!r}")
     tolerance = _decision_tolerance(tolerance)
 
-    records, rows = _subspace_records(f, seed, subspaces_per_dim, resamples)
+    records, bases = _subspace_records(f, seed, subspaces_per_dim, resamples)
     operator = polarization_reconstruct(f)
     # Tr(F P_X) is the sum of <r|F|r> over the basis rows r of X: one product
     # over the rows of every subspace, then a sum per subspace
+    rows = np.concatenate(bases)
     diag = np.einsum("ij,ij->i", serial_matmul(rows.conj(), operator), rows).real
-    starts = np.cumsum([0] + [len(r.basis) for r in records[:-1]])
+    starts = np.cumsum([0] + [len(b) for b in bases[:-1]])
     records = [
         replace(r, trace_value=float(t))
         for r, t in zip(records, np.add.reduceat(diag, starts))

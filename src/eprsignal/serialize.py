@@ -156,7 +156,6 @@ def chords_to_json(w: ChordColumns, rows: slice = slice(None)) -> list[dict]:
             "x": x,
             "lhs": lhs, "rhs": rhs, "violation": violation,
             "values": values,
-            "affine": False,
         }
         for x1, x2, x1p, x2p, p1, p2, p1p, p2p, x, lhs, rhs, violation, values
         in rows
@@ -167,7 +166,6 @@ def witness_to_json(w) -> dict:
     if isinstance(w, SubspaceMeasureRecord):
         return {
             "type": "subspace-measure",
-            "basis": matrix_to_json(w.basis),
             "mu": w.mu,
             "basis_spread": w.basis_spread,
             "trace_value": w.trace_value,
@@ -192,7 +190,7 @@ def witnesses_to_json(c: Certificate) -> list[dict]:
 def witness_digest(c: Certificate) -> str:
     """SHA-256 (hex) of the witness table in the byte layout README gives:
     the 13 ``ChordColumns`` arrays in field order as C-contiguous ``<f8``, or
-    each subspace record in order."""
+    per subspace record the byte ``S`` and mu, spread and trace as ``<f8``."""
     import hashlib  # only certificates pay for the import
 
     h = hashlib.sha256()
@@ -201,10 +199,8 @@ def witness_digest(c: Certificate) -> str:
             h.update(np.ascontiguousarray(getattr(c.witnesses, col.name), "<f8").tobytes())
     else:
         for w in c.witnesses:
-            basis = np.array(w.basis, dtype="<c16")
             # a trace_value of None, from basis_independence alone, is NaN
-            h.update(b"S" + np.array(basis.shape, "<i8").tobytes() + basis.tobytes()
-                     + np.array([w.mu, w.basis_spread, w.trace_value], "<f8").tobytes())
+            h.update(b"S" + np.array([w.mu, w.basis_spread, w.trace_value], "<f8").tobytes())
     return h.hexdigest()
 
 

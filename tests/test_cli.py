@@ -516,7 +516,7 @@ def test_report_meta_and_sidecar_do_not_depend_on_output_settings(tmp_path):
         tables.add(side.read_bytes())
     assert len(reports) == len(tables) == 1
     meta = json.loads(reports.pop())["meta"]
-    assert meta["report_version"] == 4 and "stream_version" not in meta
+    assert meta["report_version"] == 5 and "stream_version" not in meta
     from eprsignal import __version__
 
     assert meta["version"] == __version__
@@ -540,8 +540,9 @@ def test_witness_table_only_for_certifiers(capsys):
 
 # SHA-256 of the report bytes at the config seed: the JSON report of every
 # bundled config under its own command and of certify on the observable
-# configs (report version 4: simulate keeps log-spaced convergence rows, and
-# gleason fits the trace on the subspaces of its spread check), the CSV plot
+# configs (report version 5: simulate keeps log-spaced convergence rows,
+# gleason fits the trace on the subspaces of its spread check, and no row
+# holds a subspace basis or a chord's "affine" flag), the CSV plot
 # data of the certifier configs (as written when every witness was part of
 # the JSON report; the CSV is built from the same table), and simulate's
 # convergence CSV (as written one f-string per row).  The power2-affinity
@@ -550,29 +551,29 @@ _REPORT_SHA256 = {
     ("simulate", "bell-power", "csv"):
         "def0e0ba0f40884dda816c42dddb4e812c69405bf8371941697e949ded63ebb5",
     ("simulate", "bell-power", "json"):
-        "171d0c11219e438d147adb5de4984b731bdaf3e471428064a422448faaebee13",
+        "45ae8a3bca6fbe698af183398954e15ab5ac6a310cfbb4f8492c7bfc2f6c93a9",
     ("simulate", "bell-quadratic", "json"):
-        "db3d7382f3aa64ae300bfd24405306523b68571fa6122b24f3fc6ba64ecd908e",
+        "1498f608e99fc33f9686d4e5f75045852e1e378b58606b0a678e2874d6b7577d",
     ("capacity", "bell-power", "json"):
-        "9b68246bc744ce13218c88de191abe6eae55a6cc53a9ed339b7a1732a5039ab6",
+        "2444b462fdcc66998f5381b98b716f4241a0c210e5e149734724074172b621e6",
     ("capacity", "bell-quadratic", "json"):
-        "8a9a39762c147edd279c39af0f02bacd59ce26584b1a96d361d37557b1726b4b",
+        "b139b46e888b1717896a489162dd74bdfd024c64c52a0203e90290487484e69b",
     ("gap", "bell-power", "json"):
-        "280c9bd2202aa5c9ef1616027fb305863bdec4c6a38f02ae102ec824ec517590",
+        "5da5d6c04be507b19f76e1808f5d70a35769b8ed3a09a0ad0b26dfad17dc2d6f",
     ("gap", "bell-quadratic", "json"):
-        "925ae6345bd99ba9369b6a97e8b97a3fba3e2cf767e8ce0f041f48860cf52304",
+        "6d90ec0036a7e4f3432ab6b981861f08e896615bd73502dde1b59c92716363fb",
     ("gleason", "d3-gleason-fail", "json"):
-        "9b7a287f8c3861160f68c690d5a770b2c1d0f2df3517c5d3287fa0183548fca7",
+        "106713dd8d0fe840d8607c8edb678298dda7e4851a5f59ff2438d83e69ede11a",
     ("gleason", "d3-gleason-pass", "json"):
-        "c7adf58a587edbefeda755df59c9a4c413663d8fca8f37bc505ec54332fb8c56",
+        "87201d986af1f7586cc80aed99d5052bf7b87f00bfe6786ab38070f2b29d502f",
     ("affinity", "power2-affinity", "json"):
-        "3775eeda28ec18c6978f216b29f2362817fccffb9bfed6c6d95cebf2bb98e2ef",
+        "9be43a75fb4f73e82b9777aaa9c992c99289987fcf8eb99e14212e9fab970498",
     ("certify", "d3-gleason-fail", "json"):
-        "921ebd17c9ec133813c670e2274ffa1705c74379830d5ede723fc158a63fb0e8",
+        "dc0d2d71d6bba884ba99a46bd82adb754673ebace95b8cbadbd686e098e436d3",
     ("certify", "d3-gleason-pass", "json"):
-        "377eb3e44ce39325895274cebddcdb113800bf06e63fdded4963a278c3de4d1b",
+        "051518b071cb5610b566c7b5aec905ca373ecad908bf3636dca52441045cfb0a",
     ("certify", "power2-affinity", "json"):
-        "f560bbecdcf8e46dfd944cd17234a0b2f9ac12bad25fa21122aef1bff1682994",
+        "42c382790c2adc1e75c81f5e1e81ea3e6f02efff704aee7d4711f02bc9123347",
     ("affinity", "power2-affinity", "csv"):
         "9c8a1e2aa4cccd65733598dbe18ac4f90a7e1e09b246a73cde80057d3751dfea",
     ("gleason", "d3-gleason-fail", "csv"):
@@ -642,29 +643,58 @@ def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
     # SHA-256 of the JSON report and the --witnesses table of a d = 24
     # counting quadratic at seed 0, as written since the subspace scan
     # scores each rotation on the observable restricted to the subspace
-    # (report version 4: 70 subspace rows, each with its trace value)
+    # (report version 5: 70 subspace rows, each with its trace value and
+    # named by its index, with no basis)
     config = tmp_path / "counting24.json"
     config.write_text(json.dumps(_counting_config(24, 0), sort_keys=True) + "\n")
     out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
     assert main(["gleason", "--config", str(config), "--out", str(out),
                  "--witnesses", str(side)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5e09d363fbb06a7f69d6d75af288ef9631a1f4bb1fcb0782cada6579d424ed79")
+        "5a0fd76aa43654750df35a8d4011fae6f301c66eca464003b8b0aca5ec1d94dd")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
-        "fba3b79bacfe611d58deecd794b4d4e539b2750f58a353f93542749d8fff034e")
+        "0c3851d7bbe57ed8c83bcaf7a38136b27d9895eb3a661a6fe251c46e1b8c1b9f")
 
 
-def _subspace_semantics(cert) -> str:
+def _json_keys(tree):
+    # every key of a parsed JSON tree, at any depth
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield key
+            yield from _json_keys(value)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from _json_keys(value)
+
+
+def test_subspace_rows_hold_no_basis(tmp_path):
+    # a subspace row is named by its index in the witness table, so no
+    # gleason or certify report or table holds a basis, and at d = 24 the
+    # report and its table stay small
+    config = tmp_path / "counting24.json"
+    config.write_text(json.dumps(_counting_config(24, 3)))
+    out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
+    for command in ("gleason", "certify"):
+        for name in ("d3-gleason-fail", "d3-gleason-pass", str(config)):
+            assert main([command, "--config", name, "--out", str(out),
+                         "--witnesses", str(side)]) == 0
+            for path in (out, side):
+                assert "basis" not in set(_json_keys(json.loads(path.read_text()))), name
+    assert out.stat().st_size <= 84 * 1024 and side.stat().st_size < 16 * 1024
+
+
+def _subspace_semantics(cert, bases) -> str:
     # SHA-256 of what the subspace scan decides, apart from the witness-row
     # layout: the operator, then each subspace row's basis (shape, then
-    # <c16), mu and basis_spread (<f8) and its extreme rotations' names
+    # <c16), mu and basis_spread (<f8) and its extreme rotations' names; the
+    # bases are those the scan drew, in row order
     h = hashlib.sha256(np.ascontiguousarray(cert.operator, "<c16").tobytes())
-    for w in cert.witnesses:
-        if isinstance(w, eprsignal.SubspaceMeasureRecord):
-            basis = np.array(w.basis, dtype="<c16")
-            h.update(np.array(basis.shape, dtype="<i8").tobytes() + basis.tobytes())
-            h.update(np.array([w.mu, w.basis_spread], dtype="<f8").tobytes())
-            h.update(repr((w.max_rotation, w.min_rotation)).encode())
+    assert len(bases) == len(cert.witnesses)
+    for w, rows in zip(cert.witnesses, bases):
+        basis = np.ascontiguousarray(rows, dtype="<c16")
+        h.update(np.array(basis.shape, dtype="<i8").tobytes() + basis.tobytes())
+        h.update(np.array([w.mu, w.basis_spread], dtype="<f8").tobytes())
+        h.update(repr((w.max_rotation, w.min_rotation)).encode())
     return h.hexdigest()
 
 
@@ -677,17 +707,27 @@ _SUBSPACE_SEMANTICS = {
 
 
 @pytest.mark.parametrize("name", sorted(_SUBSPACE_SEMANTICS))
-def test_subspace_rows_and_operator_are_pinned(name):
+def test_subspace_rows_and_operator_are_pinned(name, monkeypatch):
     # the subspace rows and the operator of gleason and certify on the
     # bundled gleason configs and on the benchmark's d = 24 counting recipe
     if name.startswith("counting24"):
         raw = _counting_config(24, int(name.removeprefix("counting24-seed")))
     else:
         raw = load_config(name)
+    scans = []
+
+    def recording(*args):
+        scans.append(scan(*args))
+        return scans[-1]
+
+    scan = eprsignal.nosignal._subspace_records
+    monkeypatch.setattr(eprsignal.nosignal, "_subspace_records", recording)
     for command in ("gleason", "certify"):
+        scans.clear()
         _, _, cert, cmd = execute(parse_config({**raw, "command": command}))
-        assert cmd == "gleason"
-        assert _subspace_semantics(cert) == _SUBSPACE_SEMANTICS[name], command
+        assert cmd == "gleason" and len(scans) == 1
+        bases = scans[0][1]
+        assert _subspace_semantics(cert, bases) == _SUBSPACE_SEMANTICS[name], command
 
 
 # the exit codes of the six commands, in COMMANDS order, on each bundled
@@ -723,7 +763,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     # capacity report above does not see the trial draws; at block 10 about
     # one trial in twelve fails (exactly 176/2048), and which ones depends on
     # the stream layout (version 4: 8,192 trials per chunk); bytes of report
-    # version 4
+    # version 5
     config = tmp_path / "capacity.json"
     raw = {**load_config("bell-power"), "command": "capacity", "block": 10, "trials": 20000}
     config.write_text(json.dumps(raw, sort_keys=True) + "\n")
@@ -731,7 +771,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     assert main(["capacity", "--config", str(config), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["result"]["bit_error_rate"] == 0.08755
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "b40584fd3bcdb2d59eee699d608d6db9c646cbff9bfef95b816ca944fb993a0f")
+        "fc76e43448c7e709c9a3214f6cf8376ae9491b80a320d934dabedbfbade1bea1")
 
 
 def test_certify_csv_plots_what_it_dispatched_to(tmp_path):
@@ -773,7 +813,7 @@ def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
 
 
 def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
-    # SHA-256 of the 1e7-sample report at report version 4 (the benchmark's
+    # SHA-256 of the 1e7-sample report at report version 5 (the benchmark's
     # simulate-bell scale; 12 convergence rows, after 1, 2, 4, ..., 1024 and
     # all 1,221 chunks), its convergence CSV, and the per-sample CSV at the
     # bundled 1e5 samples (as written before row tables were encoded column
@@ -784,7 +824,7 @@ def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
     assert len(json.loads(out.read_text())["result"]["convergence"]) == 12
     assert out.stat().st_size < 4096
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "9327fc06dfc494dfd8b6169f4df510425bed28555c679a678f54e2fbd0aa00dc")
+        "4e7b38fe996e75211d80c3bad9ac8dd23c2fe6e91695e88de135ddf372b6af7a")
     assert main([*argv, "--format", "csv", "--out", str(csv)]) == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
         "07f7c24a8a73771f53b5e89b00cb43ec8a389ebb2021c5d9cd3b404071bee765")

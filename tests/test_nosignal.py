@@ -114,12 +114,12 @@ def test_affinity_witness_rows_are_valid_decompositions(seed, n):
 
 
 @pytest.mark.parametrize("n, report, table", [
-    pytest.param(1, "1a434323866cfda1399fecbf139ee58cfad8db206a98a40633f2eacb950a3d5f",
-                 "8f4bd879b18026554a94c6a9aecad66be3c87b7f9efab7b78c1dfa8b7ef64482", id="1"),
-    pytest.param(257, "048fc985e91f6e6271dc06f2affec107f4062d26685b23dd02e4cd11d3b1e666",
-                 "93289c16fbc1a4cf535becc317229335fd9d3a262632ea28066e20760ad2e583", id="257"),
-    pytest.param(10000, "a3c51abae7030551636c673c99ce0bcdab76c70481b22ea258c478900edf830c",
-                 "346f7e685f4afb65c6e5c7f190ca9549789c154d735b068e16f4ae9983ccba6b",
+    pytest.param(1, "3439b541860c5efc7ba7f9816cc8067793221bf5c7e9e687b485cf08798fa1e1",
+                 "69cdae590a9588953133d7784680c31012efe5ccf3936143ade1bfc080eafa22", id="1"),
+    pytest.param(257, "71e374fb648683e22f366ba99f3659dba3171028367636e660e965f277e84689",
+                 "5248fd7fdda75d47f80e1409702efa058e2dd58cde1eb509b3bdd607b8175ea8", id="257"),
+    pytest.param(10000, "86d6de7d4c9554d0dda4e018cb19be6599e869b5fcd286383f32edbcf00b128a",
+                 "1c50929f2c66edc260192b8e6cfea23d457fcb3b166368a060c2e298c01c872c",
                  id="10000"),
 ])
 def test_custom_affinity_report_and_witness_bytes_are_unchanged(n, report, table):
@@ -566,6 +566,13 @@ def test_gleason_needs_a_subspace_per_dimension(subspaces_per_dim):
         gleason_certify(quadratic(np.eye(3, dtype=complex)), subspaces_per_dim=subspaces_per_dim)
 
 
+@pytest.mark.parametrize("resamples", [0, 1])
+def test_gleason_needs_two_resamples(resamples):
+    # the message names the argument, as the command line's does
+    with pytest.raises(ValueError, match="resamples must be an integer >= 2"):
+        gleason_certify(quadratic(np.eye(3, dtype=complex)), resamples=resamples)
+
+
 @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
 def test_certifiers_reject_a_tolerance_the_command_line_rejects(tolerance):
     # a tolerance <= 0 or NaN would call every observable non-quadratic
@@ -691,22 +698,29 @@ def _haar_from_normals_one_by_one(z):
     return np.array(out, dtype=complex).reshape(len(z), *z.shape[2:])
 
 
+def _subspace_address(seed, d, subspaces_per_dim, k):
+    # README's recipe for witness row k of a gleason table: the basis and the
+    # rotation stream, from the seed and the row index alone.  Row k < spd
+    # (d - 1) is draw i = k mod spd of dimension m = k // spd + 1; the last
+    # row is the full space, with the computational basis
+    if k == subspaces_per_dim * (d - 1):
+        m, basis = d, np.eye(d, dtype=complex)
+    else:
+        m, i = k // subspaces_per_dim + 1, k % subspaces_per_dim
+        basis = _haar_one_by_one(d, 1, substream(seed, 20, m, i))[0][:, :m].T
+    return basis, substream(seed, 20, m, 1000 + k)
+
+
 def _per_subspace_records(f, seed, subspaces_per_dim, resamples):
     # the subspace scan one subspace at a time, as before its QRs were
-    # stacked: one QR per Haar draw, each draw from its subspace's own stream
-    d = f.dim
-    bases = [
-        _haar_one_by_one(d, 1, substream(seed, 20, m, i))[0][:, :m].T
-        for m in range(1, d)
-        for i in range(subspaces_per_dim)
-    ]
-    bases.append(np.eye(d, dtype=complex))
+    # stacked: one QR per Haar draw, each row regenerated from its address
+    rows = [_subspace_address(seed, f.dim, subspaces_per_dim, k)
+            for k in range(subspaces_per_dim * (f.dim - 1) + 1)]
     records = [
-        basis_independence(f, rows, _haar_one_by_one(
-            len(rows), resamples, substream(seed, 20, len(rows), 1000 + k)))
-        for k, rows in enumerate(bases)
+        basis_independence(f, basis, _haar_one_by_one(len(basis), resamples, rng))
+        for basis, rng in rows
     ]
-    return records, np.concatenate(bases)
+    return records, [basis for basis, _ in rows]
 
 
 def _gleason_texts(f, seed, **kwargs):
@@ -835,8 +849,8 @@ def test_trace_value_is_the_projector_trace_of_the_operator(
     op = cert.operator
     bound = 64 * np.finfo(float).eps * d * max(1.0, np.linalg.norm(op, 2))
     assert len(cert.witnesses) == subspaces_per_dim * (d - 1) + 1
-    for r in cert.witnesses:
-        rows = np.array(r.basis)
+    for k, r in enumerate(cert.witnesses):
+        rows = _subspace_address(seed, d, subspaces_per_dim, k)[0]
         assert abs(r.trace_value - np.trace(op @ rows.T @ rows.conj()).real) <= bound
     spread = cert.checks["basis_spread"].worst
     assert ("trace_fit" in cert.checks) == (spread < cert.tolerance)

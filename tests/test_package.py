@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -111,3 +112,12 @@ def test_stream_path_tags_are_distinct_and_never_reuse_a_retired_tag():
     for module, arg in first_args:
         assert isinstance(arg, ast.Name), (module, ast.dump(arg))
         assert f"{module}.{arg.id}" in tags or (module, arg.id) == ("signaling", "letter")
+
+
+def test_readme_names_the_current_report_version():
+    # README's provenance paragraph opens its version history with the
+    # report_version that reports carry: "`report_version` (N: ..."
+    from eprsignal.cli import REPORT_VERSION
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert re.findall(r"`report_version` \((\d+):", readme) == [str(REPORT_VERSION)]

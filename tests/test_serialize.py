@@ -30,11 +30,8 @@ from eprsignal.serialize import (
     signal_report_to_json,
     vector_from_json,
     vector_to_json,
-    witness_to_json,
     witnesses_to_json,
 )
-from eprsignal.nosignal import SubspaceMeasureRecord
-
 from helpers import (
     PROJ0_2,
     bell_power_scenario,
@@ -92,10 +89,6 @@ def test_array_encoding_matches_per_entry_pairs():
     assert dumps_canonical(matrix_to_json(m)) == dumps_canonical(per_entry)
     for row, expected in zip(m, per_entry):
         assert dumps_canonical(vector_to_json(row)) == dumps_canonical(expected)
-    record = SubspaceMeasureRecord(
-        basis=tuple(map(tuple, m.tolist())), mu=0.5, basis_spread=0.0
-    )
-    assert dumps_canonical(witness_to_json(record)["basis"]) == dumps_canonical(per_entry)
 
 
 def test_ensemble_round_trip():
@@ -187,7 +180,7 @@ def test_certificate_serialization_contains_witnesses():
     assert len(chord["values"]) == 4
     assert list(chord) == [
         "type", "x1", "x2", "x1p", "x2p", "p1", "p2", "p1p", "p2p", "x",
-        "lhs", "rhs", "violation", "values", "affine",
+        "lhs", "rhs", "violation", "values",
     ]
     # one object per row of the columns, in row order
     cols = cert.witnesses
@@ -195,7 +188,7 @@ def test_certificate_serialization_contains_witnesses():
         w = data["witnesses"][i]
         assert w["x1p"] == cols.x1p[i].tolist() and w["p2"] == cols.p2[i]
         assert w["values"] == cols.values[i].tolist()
-        assert w["violation"] == cols.violation[i] and w["affine"] is False
+        assert w["violation"] == cols.violation[i]
     # serialized certificates must be canonical-JSON clean
     text = dumps_canonical(data)
     assert text.endswith("\n")
@@ -425,9 +418,7 @@ def _digest_of_table(rows) -> str:
             h.update(np.array([r[name] for r in rows], dtype="<f8").tobytes())
         return h.hexdigest()
     for r in rows:
-        basis = np.array([[complex(*z) for z in row] for row in r["basis"]], dtype="<c16")
-        h.update(b"S" + np.array(basis.shape, dtype="<i8").tobytes() + basis.tobytes())
-        h.update(np.array([r["mu"], r["basis_spread"], r["trace_value"]], dtype="<f8").tobytes())
+        h.update(b"S" + np.array([r["mu"], r["basis_spread"], r["trace_value"]], dtype="<f8").tobytes())
     return h.hexdigest()
 
 
