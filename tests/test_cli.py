@@ -714,13 +714,12 @@ def test_subspace_rows_and_operator_are_pinned(name, monkeypatch):
         raw = _counting_config(24, int(name.removeprefix("counting24-seed")))
     else:
         raw = load_config(name)
-    scans = []
+    scan, scans = eprsignal.nosignal._subspace_records, []
 
     def recording(*args):
         scans.append(scan(*args))
         return scans[-1]
 
-    scan = eprsignal.nosignal._subspace_records
     monkeypatch.setattr(eprsignal.nosignal, "_subspace_records", recording)
     for command in ("gleason", "certify"):
         scans.clear()
