@@ -35,23 +35,22 @@ def _row_edges(m: int, k: int, n: int) -> list[int]:
 
 
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of 2-d arrays, one ``_row_edges`` block at a time, so that
-    OpenBLAS keeps every block on the calling thread.
+    """``a @ b`` of 2-d arrays, or of stacks of them along a leading axis,
+    one ``_row_edges`` block of each slice's rows at a time, so that OpenBLAS
+    keeps every block on the calling thread.
 
     With OpenBLAS 0.3.31, for complex factors with k <= 128, each row is bit
-    for bit that of ``a @ b``.  That is why no block has one row: numpy
-    sends a 1-row product to a matrix-vector kernel that rounds
+    for bit that of ``a @ b``, and numpy multiplies a stack slice by slice,
+    each slice as a 2-d product of its shape.  That is why no block has one
+    row: numpy sends a 1-row product to a matrix-vector kernel that rounds
     differently.  The exceptions: a one-column b with a column-major a, whose
     matrix-vector kernel rounds differently with the row count; real
     products; and, for k > 128, a threaded ``a @ b``, which splits its inner
     sums differently."""
-    edges = _row_edges(a.shape[0], *b.shape)
+    edges = _row_edges(a.shape[-2], *b.shape[-2:])
     if len(edges) == 2:
         return a @ b
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for i, j in zip(edges[:-1], edges[1:]):
-        np.matmul(a[i:j], b, out=out[i:j])
-    return out
+    return np.concatenate([a[..., i:j, :] @ b for i, j in zip(edges[:-1], edges[1:])], axis=-2)
 
 
 def as_vector(v) -> np.ndarray:
@@ -80,18 +79,22 @@ def is_hermitian(m) -> bool:
 
 
 def orthonormal_rows(rows, tol: float, what: str) -> np.ndarray:
-    """The rows as a 2-d complex array, once checked to be orthonormal: every
-    entry of their Gram matrix lies within ``tol`` of the identity's.  Raises
-    ``ValueError`` naming ``what`` otherwise."""
-    rows = np.asarray(rows, dtype=complex)
-    if rows.ndim != 2:
+    """The rows as a 2-d complex array, once checked by ``orthonormal_bases``."""
+    return orthonormal_bases(np.asarray(rows, dtype=complex)[None], tol, what)[0]
+
+
+def orthonormal_bases(bases: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """An (s, n, d) stack of bases, once checked to be finite and orthonormal:
+    every entry of each Gram matrix lies within ``tol`` of the identity's.
+    Raises ``ValueError`` naming ``what`` otherwise."""
+    if bases.ndim != 3:
         raise ValueError(f"{what} must be a list of equal-length vectors")
-    if not np.all(np.isfinite(rows)):
+    if not np.all(np.isfinite(bases)):
         raise ValueError(f"{what} has non-finite entries")
-    err = np.max(np.abs(rows.conj() @ rows.T - np.eye(len(rows))))
+    err = np.max(np.abs(bases.conj() @ bases.transpose(0, 2, 1) - np.eye(bases.shape[1])))
     if not err <= tol:
         raise ValueError(f"{what} is not orthonormal (max deviation {err})")
-    return rows
+    return bases
 
 
 def unit_rows(rows, tol: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from .hilbert import (
     bloch_states,
     haar_from_normals,
     haar_unitary,  # unused here; bench/selftest.py looks it up in this module
-    orthonormal_rows,
+    orthonormal_bases,
     serial_matmul,
 )
 from .observables import polarization_reconstruct
@@ -398,72 +398,92 @@ def _mixed_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _pair_mix_measures(base: np.ndarray, mixed: np.ndarray) -> np.ndarray:
-    """Measures of the 2 * n(n-1)/2 bases in which one pair of rows a < b is
-    mixed, real mixes first, from the n base values ``base`` and the values
-    ``mixed`` of the new rows, stacked as ``_mixed_rows`` stacks them.
+    """Per subspace, the measures of the 2 * n(n-1)/2 bases in which one pair
+    of rows a < b is mixed, real mixes first, from the (s, n) base values
+    ``base`` and the values ``mixed`` of the new rows, as ``_mixed_rows``.
 
     Only rows a and b change, so each measure is the row sum of ``base`` with
     entries a and b replaced.
     """
-    n = len(base)
+    s, n = base.shape
     a, b = _structured_family(n)[:2]
-    new_a, new_b = mixed.reshape(2, 2, len(a)).transpose(1, 0, 2)
-    table = np.tile(base, (2, len(a), 1))
+    new_a, new_b = mixed.reshape(s, 2, 2, len(a)).transpose(2, 0, 1, 3)
+    table = np.tile(base[:, None, None], (1, 2, len(a), 1))
     pair = np.arange(len(a))
-    table[:, pair, a] = new_a
-    table[:, pair, b] = new_b
-    return table.reshape(-1, n).sum(axis=1)
+    table[:, :, pair, a] = new_a
+    table[:, :, pair, b] = new_b
+    return table.sum(axis=3).reshape(s, -1)
 
 
 def _restricted_values(f, rows: np.ndarray, w: np.ndarray) -> list:
-    """f at the ``_mixed_rows`` of ``rows`` and at the rows of w @ rows, as
-    two arrays, for an f with a matrix A: f(v R) = g(Re v* M v^T), with
-    g(x) = x^k for k = ``f.exponent`` or 1, on the n x n compression
-    M = conj(R) A R^T.
+    """f at the (s, n, d) stack ``rows``, at their ``_mixed_rows`` and at the
+    rows of w @ rows, w (s, q, n), as three (s, .) arrays, for an f with a
+    matrix A: the rows as ``values`` computes them, the rest f(v R) =
+    g(Re v* M v^T), g(x) = x^k for k = ``f.exponent`` or 1, on the n x n
+    compression M = conj(R) A R^T.
 
     A pair's 4 mixes are g(h + Re M_ab), g(h - Re M_ab), g(h - Im M_ab) and
     g(h + Im M_ab), h = (M_aa + M_bb)/2, and a rotation costs O(n^3), not
     rows of length d.
     """
-    m = serial_matmul(serial_matmul(rows.conj(), f.matrix), rows.T)
-    a, b = _structured_family(rows.shape[0])[:2]
-    h = (m[a, a].real + m[b, b].real) / 2.0
-    re, im = m[a, b].real, m[a, b].imag
-    rotated = np.einsum("ij,ij->i", serial_matmul(w.conj(), m), w).real
-    out = np.concatenate([h + re, h - re, h - im, h + im, rotated]) ** (f.exponent or 1)
-    return np.split(_finite(out), [4 * len(a)])
+    k = f.exponent or 1
+    ra = serial_matmul(rows.conj(), f.matrix)
+    base = _finite(np.einsum("sij,sij->si", ra, rows).real ** k)
+    m = serial_matmul(ra, rows.transpose(0, 2, 1))
+    a, b = _structured_family(rows.shape[1])[:2]
+    h = (m[:, a, a].real + m[:, b, b].real) / 2.0
+    re, im = m[:, a, b].real, m[:, a, b].imag
+    rotated = np.einsum("sij,sij->si", serial_matmul(w.conj(), m), w).real
+    out = np.concatenate([h + re, h - re, h - im, h + im, rotated], axis=1) ** k
+    return [base, *np.split(_finite(out), [4 * len(a)], axis=1)]
 
 
 def _rotated_measures(f, rows: np.ndarray, rotations: np.ndarray) -> np.ndarray:
-    """The subspace measure of ``rows`` first, then of each rotated basis
-    w @ rows: for n >= 2 the real and phase mix of every pair and the Fourier
-    mix, then the (r, n, n) stack ``rotations``; ``_rotation_name`` names
-    them in this order.
+    """The measures of each subspace of an (s, n, d) stack of bases ``rows``,
+    one row each: its own first, then of each rotated basis w @ rows, for
+    n >= 2 the real and phase mix of every pair and the Fourier mix, then its
+    (r, n, n) slice of the (s, r, n, n) ``rotations``; ``_rotation_name``
+    names them in this order.
 
-    An f with a matrix makes one ``values`` call, of the base rows, and scores
-    every rotation by ``_restricted_values``.  Any other f makes at most
-    three: the base rows, the pair mixes, and the Fourier and stacked
-    rotations as one (r n, n) @ (n, d) product.
+    An f with a matrix makes no ``values`` call: ``_restricted_values``
+    scores the whole stack.  Any other f makes at most three per subspace,
+    in stack order: the base rows, the pair mixes, and the Fourier and
+    stacked rotations as one (r n, n) @ (n, d) product.
     """
-    n = rows.shape[0]
-    base = f.values(rows)
+    s, n = rows.shape[:2]
     if n >= 2:
-        rotations = np.concatenate([_structured_family(n)[2], rotations])
-    w = rotations.reshape(-1, n)
+        fourier = np.broadcast_to(_structured_family(n)[2], (s, 1, n, n))
+        rotations = np.concatenate([fourier, rotations], axis=1)
+    w = rotations.reshape(s, -1, n)
     if f.matrix is not None:
-        mixed, rotated = _restricted_values(f, rows, w)
+        base, mixed, rotated = _restricted_values(f, rows, w)
     else:
-        mixed = f.values(_mixed_rows(rows)) if n >= 2 else None
-        rotated = f.values(serial_matmul(w, rows))
-    mus = [np.array([np.sum(base)])]
+        base, mixed, rotated = map(np.array, zip(*(
+            (f.values(r), f.values(_mixed_rows(r)) if n >= 2 else (),
+             f.values(serial_matmul(v, r))) for r, v in zip(rows, w))))
+    mus = [base.sum(axis=1, keepdims=True)]
     if n >= 2:
         mus.append(_pair_mix_measures(base, mixed))
-    mus.append(rotated.reshape(len(rotations), n).sum(axis=1))
-    return np.concatenate(mus)
+    mus.append(rotated.reshape(s, -1, n).sum(axis=2))
+    return np.concatenate(mus, axis=1)
+
+
+def _basis_records(f, rows: np.ndarray, rotations: np.ndarray) -> list:
+    """``basis_independence`` records of each subspace of an (s, n, d) stack
+    of bases, the rotations of subspace j being ``rotations[j]``: one
+    orthonormality check and one ``_rotated_measures`` call for the stack."""
+    n = rows.shape[1]
+    mus = _rotated_measures(f, orthonormal_bases(rows, TOL_DERIVED, "basis"), rotations)
+    return [
+        SubspaceMeasureRecord(float(mu[0]), float(mu[hi] - mu[lo]),
+                              _rotation_name(n, hi), _rotation_name(n, lo))
+        for mu, hi, lo in zip(mus, mus.argmax(axis=1).tolist(), mus.argmin(axis=1).tolist())
+    ]
 
 
 def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
-    """Spread of the subspace measure over rotated bases of one subspace.
+    """Spread of the subspace measure over rotated bases of one subspace,
+    scored as a stack of one by ``_basis_records``.
 
     Rotations are the (resamples, n, n) stack ``rotations`` of Haar draws,
     resamples >= 2, plus a deterministic structured family (Fourier and
@@ -472,19 +492,12 @@ def basis_independence(f, basis, rotations) -> SubspaceMeasureRecord:
     ("base",), ("real", a, b), ("phase", a, b), ("fourier",) or ("haar", j),
     indexed as ``_rotation_name`` gives; the record leaves ``basis`` out.
     """
-    rows = orthonormal_rows(basis, TOL_DERIVED, "basis")
-    n = rows.shape[0]
+    rows = np.asarray(basis, dtype=complex)[None]
+    n = rows.shape[1]
     rotations = np.asarray(rotations, dtype=complex)
     if rotations.ndim != 3 or rotations.shape[1:] != (n, n) or len(rotations) < 2:
         raise ValueError(f"need at least two {n} x {n} rotations, got {rotations.shape}")
-    mus = _rotated_measures(f, rows, rotations)
-    hi, lo = int(mus.argmax()), int(mus.argmin())
-    return SubspaceMeasureRecord(
-        mu=float(mus[0]),
-        basis_spread=float(mus[hi] - mus[lo]),
-        max_rotation=_rotation_name(n, hi),
-        min_rotation=_rotation_name(n, lo),
-    )
+    return _basis_records(f, rows, rotations[None])[0]
 
 
 def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> tuple:
@@ -495,24 +508,26 @@ def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> t
     first m columns of a Haar unitary from stream (seed, 20, m, i), as rows.
     Subspace k draws its Haar rotations from (seed, 20, m, 1000 + k).  The
     QRs run stacked, one for all sampled subspaces and one per dimension m
-    for the rotations.  The ``values`` calls stay per subspace: a BLAS
-    product's last bits can depend on its row count.
+    for the rotations, and ``_basis_records`` scores each dimension's
+    subspaces as one stack.  The stack holds each basis as the strided view
+    u[:, :m].T of its unitary u, as one subspace alone would: a product's
+    last bits can depend on its operands' strides.
     """
     d = f.dim
-    drawn = [(m, i) for m in range(1, d) for i in range(subspaces_per_dim)]
     spaces = haar_from_normals(np.array([
         substream(seed, _PATH_SUBSPACE, m, i).standard_normal((2, d, d))
-        for m, i in drawn
+        for m in range(1, d) for i in range(subspaces_per_dim)
     ]).reshape(-1, 2, d, d))
-    bases = [u[:, :m].T for u, (m, _) in zip(spaces, drawn)] + [np.eye(d, dtype=complex)]
-    dims = [m for m, _ in drawn] + [d]
-    records = []
+    records, bases = [], []
     for m in range(1, d + 1):
-        ks = [k for k, n in enumerate(dims) if n == m]
-        streams = [substream(seed, _PATH_SUBSPACE, m, 1000 + k) for k in ks]
+        k0 = (m - 1) * subspaces_per_dim
+        rows = (spaces[k0:k0 + subspaces_per_dim, :, :m].transpose(0, 2, 1) if m < d
+                else np.eye(d, dtype=complex)[None])
+        streams = [substream(seed, _PATH_SUBSPACE, m, 1000 + k) for k in range(k0, k0 + len(rows))]
         z = np.array([g.standard_normal((resamples, 2, m, m)) for g in streams])
-        haar = haar_from_normals(z.reshape(-1, 2, m, m)).reshape(len(ks), resamples, m, m)
-        records += [basis_independence(f, bases[k], w) for k, w in zip(ks, haar)]
+        haar = haar_from_normals(z.reshape(-1, 2, m, m)).reshape(len(rows), resamples, m, m)
+        records += _basis_records(f, rows, haar)
+        bases += list(rows)
     return records, bases
 
 

@@ -170,7 +170,8 @@ def orthoadditivity_check(
         raise ValueError(f"subspaces are not orthogonal (max overlap {cross})")
     mu_parts = subspace_measure(f, rows_y) + subspace_measure(f, rows_z)
     joint = orthonormal_rows(np.vstack([rows_y, rows_z]), TOL_DERIVED, "basis")
-    mus = _rotated_measures(f, joint, haar_unitaries(len(joint), resamples, rng))
+    rotations = haar_unitaries(len(joint), resamples, rng)
+    mus = _rotated_measures(f, joint[None], rotations[None])[0]
     return float(np.max(np.abs(mu_parts - mus)))
 
 

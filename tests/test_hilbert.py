@@ -342,6 +342,52 @@ def test_serial_matmul_is_the_full_product_bit_for_bit(m, k, n, layouts, seed):
     assert serial_matmul(a, b).tobytes() == (a @ b).tobytes()
 
 
+def _stacked_factor(rng, count, rows, cols, layout):
+    # a stack of count rows x cols factors: contiguous, or each slice a view
+    # of its own square-ish matrix, as the subspace scan takes its bases
+    # ("columns": the first rows columns, transposed) and their transposes
+    # ("row-sliced": the first cols columns)
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if layout == "columns":
+        return draw(count, cols, rows + 3)[:, :, :rows].transpose(0, 2, 1)
+    if layout == "row-sliced":
+        return draw(count, rows, cols + 3)[:, :, :cols]
+    return draw(count, rows, cols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.integers(1, 4),
+    m=st.integers(1, 40),
+    k=st.integers(1, 200),
+    n=st.integers(1, 200),
+    a_layout=st.sampled_from(["contiguous", "columns"]),
+    b_layout=st.sampled_from(["matrix", "contiguous", "columns", "row-sliced"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(count=3, m=1, k=24, n=24, a_layout="columns", b_layout="matrix", seed=0)
+@example(count=2, m=1, k=140, n=140, a_layout="columns", b_layout="matrix", seed=1)
+@example(count=2, m=40, k=140, n=140, a_layout="columns", b_layout="matrix", seed=2)
+@example(count=3, m=40, k=129, n=40, a_layout="columns", b_layout="row-sliced", seed=3)
+@example(count=3, m=23, k=200, n=181, a_layout="contiguous", b_layout="contiguous", seed=4)
+def test_stacked_serial_matmul_is_each_slice_bit_for_bit(count, m, k, n, a_layout, b_layout, seed):
+    # a stack is multiplied slice by slice, each in the row blocks of its
+    # own serial_matmul, with 1-row slices, the scan's transposed column
+    # views and inner sums above 128 terms, where a threaded product would
+    # split them differently; b is one matrix or a stack of them
+    rng = np.random.default_rng(seed)
+    a = _stacked_factor(rng, count, m, k, a_layout)
+    if b_layout == "matrix":
+        b = _stacked_factor(rng, 1, k, n, "contiguous")[0]
+        bs = [b] * count
+    else:
+        b = bs = _stacked_factor(rng, count, k, n, b_layout)
+    want = np.array([serial_matmul(x, y) for x, y in zip(a, bs)])
+    assert serial_matmul(a, b).tobytes() == want.tobytes()
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=st.integers(1, 600), k=st.integers(1, 200), n=st.integers(1, 200))
 @example(m=3, k=200, n=200)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,10 +160,13 @@ def test_affinity_makes_at_most_two_values_calls(monkeypatch):
 @settings(max_examples=100, deadline=None)
 @given(k=st.integers(1, 3), log_scale=st.floats(-3.0, 3.0),
        seed=st.integers(0, 2**32 - 1))
+@example(k=1, log_scale=0.0, seed=76304)  # the states path lies 16.95 eps from t there
 def test_sphere_values_match_the_states(k, log_scale, seed):
-    # Bloch coordinates against the states at random points, the poles and
-    # points of the equator; k = 1 is the quadratic kind.  The states path
-    # rounds t = <psi|A|psi> to a few eps ||A||, and t^k multiplies that by k
+    # Bloch coordinates at random points, the poles and points of the
+    # equator, against the exact rational value of t^k, t = Tr(A (I + r.sigma)/2)
+    # at each float point r: the value of the state whose projector that is;
+    # k = 1 is the quadratic kind.  Rounding t costs a few eps ||A||, and t^k
+    # multiplies that by k
     rng = np.random.default_rng(seed)
     matrix = random_hermitian(2, rng) * 10.0**log_scale
     f = quadratic(matrix) if k == 1 else power(matrix, k)
@@ -174,9 +178,14 @@ def test_sphere_values_match_the_states(k, log_scale, seed):
         points / np.linalg.norm(points, axis=1, keepdims=True),
     ])
     got = _sphere_values(f, points)
-    want = f.values(bloch_states(points))
+    (a00, a01), (_, a11) = f.matrix
+    a00, a11 = Fraction(a00.real), Fraction(a11.real)
     scale = max(1.0, np.linalg.norm(matrix, 2)) ** k
-    assert np.max(np.abs(got - want)) <= 16 * k * np.finfo(float).eps * scale
+    bound = Fraction(4 * k * np.finfo(float).eps * scale)
+    for value, (x, y, z) in zip(got.tolist(), points.tolist()):
+        t = (a00 + a11 + (a00 - a11) * Fraction(z)) / 2 \
+            + Fraction(a01.real) * Fraction(x) - Fraction(a01.imag) * Fraction(y)
+        assert abs(Fraction(value) - t**k) <= bound
 
 
 def test_non_finite_chord_value_fails_loudly():
@@ -447,7 +456,8 @@ def test_rotation_name_matches_the_full_name_table(n):
     for resamples in range(2, 7):
         table = structured + [("haar", j) for j in range(resamples)]
         rotations = haar_unitaries(n, resamples, np.random.default_rng(n))
-        assert len(_rotated_measures(f, np.eye(n, dtype=complex), rotations)) == len(table)
+        mus = _rotated_measures(f, np.eye(n, dtype=complex)[None], rotations[None])
+        assert mus.shape == (1, len(table))
         names = [_rotation_name(n, i) for i in range(len(table))]
         assert names == table
         assert all(type(x) is int for name in names for x in name[1:])
@@ -479,10 +489,11 @@ def test_basis_independence_makes_at_most_three_values_calls(n, monkeypatch):
     fourier = 1 if n >= 2 else 0
     assert sum(calls) == n + 2 * n * (n - 1) + n * (fourier + 6)
 
-    # with a matrix, only the base rows are evaluated as rows
+    # with a matrix, no row is evaluated through values: the base rows take
+    # A's values from the same product as the compression
     calls.clear()
     basis_independence(f, rows, rotations)
-    assert calls == [n]
+    assert calls == []
 
 
 @settings(max_examples=80, deadline=None)
@@ -502,8 +513,8 @@ def test_restricted_measures_match_the_row_path(d, k, log_scale, resamples, data
     rows = np.ascontiguousarray(haar_unitaries(d, 1, rng)[0][:, :n].T)
     rotations = haar_unitaries(n, resamples, rng)
 
-    mus = _rotated_measures(f, rows, rotations)
-    ref = _rotated_measures(_row_path(f), rows, rotations)
+    mus = _rotated_measures(f, rows[None], rotations[None])[0]
+    ref = _rotated_measures(_row_path(f), rows[None], rotations[None])[0]
     assert mus[0] == ref[0]
     scale = max(1.0, np.linalg.norm(matrix, 2) ** k)
     assert np.max(np.abs(mus - ref)) <= 1e-12 * scale
@@ -516,6 +527,69 @@ def test_non_finite_restricted_value_fails_loudly():
     for g in (f, _row_path(f)):
         with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
             basis_independence(g, np.eye(3, dtype=complex), rotations)
+
+
+def _scorer_observable(kind, d, rng):
+    if kind == "counting":
+        return counting(power(random_projector(d, rng), 2))
+    return _family_observable(kind, d, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(3, 13),
+    kind=st.sampled_from(["quadratic", "power", "counting", "custom"]),
+    count=st.integers(1, 3),
+    resamples=st.integers(2, 4),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_scorer_is_each_subspace_bit_for_bit(d, kind, count, resamples, data, seed):
+    # one stacked call of the scan's strided views u[:, :n].T gives each
+    # subspace's measures and record as a call of that subspace alone
+    n = data.draw(st.integers(1, d), label="n")
+    rng = np.random.default_rng(seed)
+    f = _scorer_observable(kind, d, rng)
+    rows = haar_unitaries(d, count, rng)[:, :, :n].transpose(0, 2, 1)
+    rotations = haar_unitaries(n, count * resamples, rng).reshape(count, resamples, n, n)
+    mus = _rotated_measures(f, rows, rotations)
+    records = nosignal._basis_records(f, rows, rotations)
+    for j in range(count):
+        alone = _rotated_measures(f, rows[j:j + 1], rotations[j:j + 1])
+        assert mus[j].tobytes() == alone[0].tobytes()
+        assert records[j] == basis_independence(f, rows[j], rotations[j])
+
+
+def test_stacked_scorer_fails_on_any_subspace_of_the_stack():
+    rotations = haar_unitaries(2, 6, np.random.default_rng(0)).reshape(3, 2, 2, 2)
+    # the observable of test_non_finite_restricted_value_fails_loudly is 0 on
+    # span{e0, e2} and span{e1, e2}, and overflows on mixes of e0 and e1
+    f = power([[0, 1e103, 0], [1e103, 0, 0], [0, 0, 0]], 3)
+    rows = np.eye(3, dtype=complex)[[[0, 2], [0, 1], [1, 2]]]
+    for g in (f, _row_path(f)):
+        nosignal._basis_records(g, rows[[0, 2]], rotations[[0, 2]])
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            nosignal._basis_records(g, rows, rotations)
+    # a second basis that is not orthonormal fails the one stacked check
+    rows = haar_unitaries(4, 3, np.random.default_rng(1))[:, :, :2].transpose(0, 2, 1)
+    rows[1, 0, 0] += 1e-6
+    with pytest.raises(ValueError, match=r"^basis is not orthonormal \(max deviation"):
+        nosignal._basis_records(quadratic(random_hermitian(4, np.random.default_rng(2))),
+                                rows, rotations)
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_stacked_scorer_at_d140_is_each_subspace_bit_for_bit(n):
+    # at d = 140 the products have more than 128 inner terms, where a
+    # threaded product would round differently from the per-slice blocks
+    rng = np.random.default_rng(n)
+    f = power(random_hermitian(140, rng), 2)
+    rows = haar_unitaries(140, 2, rng)[:, :, :n].transpose(0, 2, 1)
+    rotations = haar_unitaries(n, 4, rng).reshape(2, 2, n, n)
+    mus = _rotated_measures(f, rows, rotations)
+    for j in range(2):
+        alone = _rotated_measures(f, rows[j:j + 1], rotations[j:j + 1])
+        assert mus[j].tobytes() == alone[0].tobytes()
 
 
 def test_subspace_measure_matches_projector_trace():
@@ -791,19 +865,20 @@ def test_subspace_scan_makes_one_plus_d_qr_calls(d, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(type(f), "values", counted_values)
-    scans = {}
-    for name, scan in (("stacked", nosignal._subspace_records),
-                       ("reference", _per_subspace_records)):
-        log.clear()
-        scan(f, 11, 3, 6)
-        scans[name] = list(log)
-    # one QR for the 3 (d - 1) sampled subspaces, one per dimension m for
-    # the rotations, and the values calls of the per-subspace scan
-    qrs = [shape for kind, shape in scans["stacked"] if kind == "qr"]
-    assert qrs == [(3 * (d - 1), d, d)] + [(18, m, m) for m in range(1, d)] + [(6, d, d)]
-    assert [e for e in scans["stacked"] if e[0] == "values"] == [
-        e for e in scans["reference"] if e[0] == "values"
-    ]
+    nosignal._subspace_records(f, 11, 3, 6)
+    # one QR for the 3 (d - 1) sampled subspaces and one per dimension m for
+    # the rotations; an observable with a matrix makes no values call, as
+    # each dimension's subspaces are scored as one stacked product
+    qrs = [(3 * (d - 1), d, d)] + [(18, m, m) for m in range(1, d)] + [(6, d, d)]
+    assert log == [("qr", shape) for shape in qrs]
+    # without its matrix, each subspace in turn evaluates its base rows, its
+    # pair mixes (n >= 2) and its Fourier and 6 Haar rotations
+    log.clear()
+    nosignal._subspace_records(_row_path(f), 11, 3, 6)
+    want = []
+    for m in range(1, d + 1):
+        want += ([m, 2 * m * (m - 1), 7 * m] if m >= 2 else [1, 6]) * (3 if m < d else 1)
+    assert [n for kind, n in log if kind == "values"] == want
     # the certifier runs that scan once, and the trace fit reuses its
     # subspaces, whether the observable fails the spread or passes it
     for g, fit in ((f, False), (quadratic(random_hermitian(d, np.random.default_rng(d))), True)):
