@@ -40,13 +40,14 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     keeps every block on the calling thread.
 
     With OpenBLAS 0.3.31, for complex factors with k <= 128, each row is bit
-    for bit that of ``a @ b``, and numpy multiplies a stack slice by slice,
-    each slice as a 2-d product of its shape.  That is why no block has one
-    row: numpy sends a 1-row product to a matrix-vector kernel that rounds
+    for bit that of ``a @ b``.  That is why no block has one row: numpy
+    sends a 1-row product to a matrix-vector kernel that rounds
     differently.  The exceptions: a one-column b with a column-major a, whose
     matrix-vector kernel rounds differently with the row count; real
     products; and, for k > 128, a threaded ``a @ b``, which splits its inner
-    sums differently."""
+    sums differently.  numpy multiplies a stack slice by slice, each as the
+    2-d product of its shape and strides, so each slice of the result is
+    bit for bit that slice's own ``serial_matmul``."""
     edges = _row_edges(a.shape[-2], *b.shape[-2:])
     if len(edges) == 2:
         return a @ b

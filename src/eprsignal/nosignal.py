@@ -400,7 +400,8 @@ def _mixed_rows(rows: np.ndarray) -> np.ndarray:
 def _pair_mix_measures(base: np.ndarray, mixed: np.ndarray) -> np.ndarray:
     """Per subspace, the measures of the 2 * n(n-1)/2 bases in which one pair
     of rows a < b is mixed, real mixes first, from the (s, n) base values
-    ``base`` and the values ``mixed`` of the new rows, as ``_mixed_rows``.
+    ``base`` and the values ``mixed`` of the new rows, each subspace's laid
+    out as ``_mixed_rows`` stacks them.
 
     Only rows a and b change, so each measure is the row sum of ``base`` with
     entries a and b replaced.
