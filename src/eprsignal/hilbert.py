@@ -125,7 +125,8 @@ def haar_from_normals(z: np.ndarray) -> np.ndarray:
     """Haar unitaries from a (k, 2, d, d) stack of normal draws, the real and
     the imaginary block of each: one batched QR of the k complex Gaussian
     matrices, each R's diagonal phase-normalized so the distribution is
-    exactly left-invariant.  Each equals its own matrix's QR bit for bit."""
+    exactly left-invariant.  Each equals its own matrix's QR bit for bit.
+    A (k, 2, d, m) stack, m < d, gives the (k, d, m) frames of a thin QR."""
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]

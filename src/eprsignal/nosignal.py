@@ -508,22 +508,28 @@ def _subspace_records(f, seed: int, subspaces_per_dim: int, resamples: int) -> t
     Subspace k < spd (d - 1) is draw i = k mod spd of m = k // spd + 1: the
     first m columns of a Haar unitary from stream (seed, 20, m, i), as rows.
     Subspace k draws its Haar rotations from (seed, 20, m, 1000 + k).  The
-    QRs run stacked, one for all sampled subspaces and one per dimension m
-    for the rotations, and ``_basis_records`` scores each dimension's
-    subspaces as one stack.  The stack holds each basis as the strided view
-    u[:, :m].T of its unitary u, as one subspace alone would: a product's
-    last bits can depend on its operands' strides.
+    QRs run stacked, per dimension m < d one thin QR of the first m columns
+    of its subspaces' (2, d, d) draws, which gives those columns of the full
+    QR bit for bit, and per dimension m one for the rotations;
+    ``_basis_records`` scores each dimension's subspaces as one stack.  Each
+    frame is written into the first m columns of a d x d buffer u, and the
+    stack holds the strided view u[:, :m].T, as one subspace alone would: a
+    product's last bits can depend on its operands' strides.
     """
     d = f.dim
-    spaces = haar_from_normals(np.array([
+    normals = np.array([
         substream(seed, _PATH_SUBSPACE, m, i).standard_normal((2, d, d))
         for m in range(1, d) for i in range(subspaces_per_dim)
-    ]).reshape(-1, 2, d, d))
+    ]).reshape(-1, 2, d, d)
     records, bases = [], []
     for m in range(1, d + 1):
         k0 = (m - 1) * subspaces_per_dim
-        rows = (spaces[k0:k0 + subspaces_per_dim, :, :m].transpose(0, 2, 1) if m < d
-                else np.eye(d, dtype=complex)[None])
+        if m < d:
+            frames = np.empty((subspaces_per_dim, d, d), dtype=complex)
+            frames[:, :, :m] = haar_from_normals(normals[k0:k0 + subspaces_per_dim, :, :, :m])
+            rows = frames[:, :, :m].transpose(0, 2, 1)
+        else:
+            rows = np.eye(d, dtype=complex)[None]
         streams = [substream(seed, _PATH_SUBSPACE, m, 1000 + k) for k in range(k0, k0 + len(rows))]
         z = np.array([g.standard_normal((resamples, 2, m, m)) for g in streams])
         haar = haar_from_normals(z.reshape(-1, 2, m, m)).reshape(len(rows), resamples, m, m)

@@ -22,8 +22,8 @@ from .hilbert import (
 )
 
 # Construction-time spot checks (ray invariance of opaque evaluators, range of
-# observables flagged ``counting``) draw from this fixed stream so construction is
-# deterministic and rng-free for the caller.
+# ``custom`` observables flagged ``counting``) draw from this fixed stream so
+# construction is deterministic and rng-free for the caller.
 _SPOT_CHECK_SEED = 0x5EED
 # random (state, phase) pairs on which ``custom`` checks ray invariance
 _PHASE_CHECKS = 10
@@ -53,8 +53,9 @@ class FunctionalObservable:
     drops ``counting``).
 
     ``counting`` marks an observable valued in [0, 1], a detector that fires
-    or not.  The range is sampled, not proven: 1000 Haar-random states are
-    checked at construction.
+    or not.  With a ``matrix`` the range is exact, from its extreme
+    eigenvalues; a ``custom`` observable's is sampled, not proven: 1000
+    Haar-random states are checked at construction.
     """
 
     dim: int
@@ -67,8 +68,15 @@ class FunctionalObservable:
     def __post_init__(self):
         if not self.counting:
             return
-        rng = np.random.default_rng(_SPOT_CHECK_SEED + 1)
-        vals = self.values(random_pure_batch(1000, self.dim, rng))
+        if self.matrix is not None:
+            # <psi|M|psi> ranges over [lo, hi], and t^k takes its extremes
+            # there at the ends or at t = 0
+            lo, hi = np.linalg.eigvalsh(self.matrix)[[0, -1]]
+            ends = [lo, hi, 0.0] if lo < 0 < hi else [lo, hi]
+            vals = np.array(ends) ** (self.exponent or 1)
+        else:
+            rng = np.random.default_rng(_SPOT_CHECK_SEED + 1)
+            vals = self.values(random_pure_batch(1000, self.dim, rng))
         if vals.min() < -TOL_STRUCTURAL or vals.max() > 1.0 + TOL_STRUCTURAL:
             raise ValueError(
                 f"observable range [{vals.min()}, {vals.max()}] leaves [0, 1]"

@@ -24,6 +24,7 @@ from eprsignal.cli import (
     parse_config,
     run,
 )
+from eprsignal.serialize import observable_from_json
 
 
 def test_bundled_library_is_complete():
@@ -755,6 +756,46 @@ def test_exit_codes_on_the_bundled_configs_are_pinned(tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(raw))
         assert main(["gleason", "--config", str(config), *out]) == code
+
+
+def _spiked_counting_config(d: int) -> dict:
+    # a counting quadratic of F = diag(1.5, 0, ..., 0): f(e_0) = 1.5, which a
+    # 1000-state Haar sample does not reach at d = 24
+    pairs = [[[1.5 if i == j == 0 else 0.0, 0.0] for j in range(d)] for i in range(d)]
+    return {"command": "gleason", "seed": 0,
+            "observable": {"kind": "quadratic", "counting": True, "F": pairs}}
+
+
+def test_counting_observable_out_of_range_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_spiked_counting_config(24)))
+    assert main(["gleason", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: observable: observable range [0.0, 1.5] leaves [0, 1]\n"
+    assert captured.out == "" and not (tmp_path / "r").exists()
+
+
+def test_matrix_counting_observables_build_without_drawing(monkeypatch):
+    # a quadratic or power observable flagged counting has its range from its
+    # spectrum, so building it draws nothing; a custom one still samples
+    f24 = _counting_config(24, 0)["observable"]["F"]
+    descriptors = [
+        _counting_config(24, 0)["observable"],
+        _counting_config(24, 3)["observable"],
+        load_config("d3-gleason-fail")["observable"],
+        {**load_config("d3-gleason-pass")["observable"], "counting": True},
+        {"kind": "power", "P": f24, "k": 3, "counting": True},
+    ]
+    sampled = eprsignal.custom(lambda psi: abs(psi[0]) ** 2, dim=3)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("an observable drew samples as it was built")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for desc in descriptors:
+        assert observable_from_json(desc).counting, desc["kind"]
+    with pytest.raises(AssertionError, match="drew samples"):
+        dataclasses.replace(sampled, counting=True)
 
 
 def test_capacity_report_bytes_at_block_10(tmp_path):

@@ -17,6 +17,7 @@ from eprsignal.hilbert import (
     as_matrix,
     as_vector,
     bloch_states,
+    haar_from_normals,
     orthonormal_rows,
     random_pure_batch,
     serial_matmul,
@@ -108,6 +109,23 @@ def test_haar_unitary_deterministic_and_gs_stable():
     out = gram_schmidt(cols)
     for orig, ortho in zip(cols, out):
         np.testing.assert_allclose(orig, ortho, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(3, 40),
+    count=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_thin_frames_are_the_full_qr_columns_bit_for_bit(d, count, data, seed):
+    # the gleason scan QRs only the first m columns of each (2, d, d) draw:
+    # its frames must be those columns of the full QR's unitaries
+    m = data.draw(st.integers(1, d - 1), label="m")
+    z = np.random.default_rng(seed).standard_normal((count, 2, d, d))
+    thin = haar_from_normals(z[:, :, :, :m])
+    assert thin.shape == (count, d, m)
+    assert thin.tobytes() == np.ascontiguousarray(haar_from_normals(z)[:, :, :m]).tobytes()
 
 
 def test_haar_unitary_left_invariance_statistic():

@@ -797,6 +797,17 @@ def _per_subspace_records(f, seed, subspaces_per_dim, resamples):
     return records, [basis for basis, _ in rows]
 
 
+def _scan_qr_shapes(d, subspaces_per_dim=3, resamples=6):
+    # the operand shapes of the subspace scan's 2 d - 1 QRs, in call order:
+    # per dimension m < d a thin QR of the first m columns of its sampled
+    # subspaces' d x d draws, then one of their m x m rotations; last, the
+    # full space's d x d rotations
+    shapes = []
+    for m in range(1, d):
+        shapes += [(subspaces_per_dim, d, m), (subspaces_per_dim * resamples, m, m)]
+    return shapes + [(resamples, d, d)]
+
+
 def _gleason_texts(f, seed, **kwargs):
     cert = gleason_certify(f, seed=seed, **kwargs)
     return [dumps_canonical(encode(cert)) for encode in (certificate_to_json, witnesses_to_json)]
@@ -818,15 +829,14 @@ def test_batched_haar_draws_match_one_qr_per_draw(monkeypatch):
     calls = []
 
     def one_by_one(z):
-        calls.append(len(z))
+        calls.append((len(z), *z.shape[2:]))
         return _haar_from_normals_one_by_one(z)
 
     for module in (nosignal, hilbert):
         monkeypatch.setattr(module, "haar_from_normals", one_by_one)
     assert [_gleason_texts(f, 63) for f in observables] == batched
-    # one QR for the 3 (d - 1) sampled subspaces and one per dimension for
-    # the rotations, at d = 5 and d = 4: the trace fit draws nothing
-    assert calls == [12, 18, 18, 18, 18, 6, 9, 18, 18, 18, 6]
+    # the scan's QRs at d = 5 and d = 4: the trace fit draws nothing
+    assert calls == _scan_qr_shapes(5) + _scan_qr_shapes(4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -850,7 +860,7 @@ def test_stacked_subspace_scan_matches_per_subspace_reference(
 
 
 @pytest.mark.parametrize("d", [3, 5, 8])
-def test_subspace_scan_makes_one_plus_d_qr_calls(d, monkeypatch):
+def test_subspace_scan_makes_two_d_minus_one_qr_calls(d, monkeypatch):
     f = power(random_hermitian(d, np.random.default_rng(d)), 3)
     qr, values = np.linalg.qr, type(f).values
     log = []
@@ -866,11 +876,10 @@ def test_subspace_scan_makes_one_plus_d_qr_calls(d, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted_qr)
     monkeypatch.setattr(type(f), "values", counted_values)
     nosignal._subspace_records(f, 11, 3, 6)
-    # one QR for the 3 (d - 1) sampled subspaces and one per dimension m for
-    # the rotations; an observable with a matrix makes no values call, as
-    # each dimension's subspaces are scored as one stacked product
-    qrs = [(3 * (d - 1), d, d)] + [(18, m, m) for m in range(1, d)] + [(6, d, d)]
-    assert log == [("qr", shape) for shape in qrs]
+    # a thin QR of each dimension's sampled subspaces and one QR of their
+    # rotations; an observable with a matrix makes no values call, as each
+    # dimension's subspaces are scored as one stacked product
+    assert log == [("qr", shape) for shape in _scan_qr_shapes(d)]
     # without its matrix, each subspace in turn evaluates its base rows, its
     # pair mixes (n >= 2) and its Fourier and 6 Haar rotations
     log.clear()
@@ -885,7 +894,7 @@ def test_subspace_scan_makes_one_plus_d_qr_calls(d, monkeypatch):
         log.clear()
         cert = gleason_certify(g, seed=11)
         assert ("trace_fit" in cert.checks) == fit
-        assert sum(kind == "qr" for kind, _ in log) == 1 + d
+        assert sum(kind == "qr" for kind, _ in log) == 2 * d - 1
 
 
 def test_psd_deficit_check_records_the_lowest_eigenpair():

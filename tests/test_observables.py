@@ -169,6 +169,61 @@ def test_counting_flag_rejects_values_outside_unit_interval(d, c):
         counting(combine([c], [power(np.eye(d, dtype=complex), 2)]))
 
 
+def test_counting_range_of_a_matrix_is_exact():
+    # f(e_0) = 1.5, which a sample of 1000 Haar states does not reach at d = 24
+    spike = np.diag([1.5] + [0.0] * 23).astype(complex)
+    with pytest.raises(ValueError, match=r"observable range \[0\.0, 1\.5\] leaves \[0, 1\]"):
+        counting(quadratic(spike))
+    # t^2 on [-0.5, 1] lies in [0, 1]; on [-1.2, 1] it reaches 1.44, and t^3
+    # on [-0.5, 0.5] falls to -0.125
+    counting(power(np.diag([1.0, -0.5, 0.0]).astype(complex), 2))
+    for matrix, k in (([1.0, -1.2, 0.0], 2), ([0.5, -0.5, 0.0], 3)):
+        with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+            counting(power(np.diag(matrix).astype(complex), k))
+
+
+def test_counting_custom_observable_is_still_sampled():
+    # a custom observable has no matrix: its range is sampled, and a value
+    # above 1 on most states is found
+    f = custom(lambda psi: 2.0 * abs(psi[0]) ** 2, dim=3)
+    with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+        counting(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    log_scale=st.floats(-3.0, 3.0),
+    k=st.sampled_from([1, 2, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counting_range_holds_every_sampled_value(d, log_scale, k, seed):
+    # the range from the extreme eigenvalues contains every value the former
+    # 1000-state check sampled, so the exact check is never the weaker, and
+    # its ends are attained: by the extreme eigenvectors and, where
+    # lo < 0 < hi, by the mix of them on which <psi|A|psi> = 0
+    a = 10.0**log_scale * random_hermitian(d, np.random.default_rng(seed))
+    f = quadratic(a) if k == 1 else power(a, k)
+    eigenvalues, vectors = np.linalg.eigh(a)
+    lo, hi = eigenvalues[[0, -1]]
+    slack = 1e-12 * max(abs(lo), abs(hi)) ** k
+    attained = [vectors[:, 0], vectors[:, -1]]
+    if lo < 0 < hi:
+        p = hi / (hi - lo)
+        attained.append(np.sqrt(p) * vectors[:, 0] + np.sqrt(1.0 - p) * vectors[:, -1])
+    ends = np.array([lo, hi, 0.0][:len(attained)]) ** k
+    np.testing.assert_allclose(f.values(np.array(attained)), ends, rtol=0, atol=slack)
+    low, high = ends.min(), ends.max()
+    for rng in (np.random.default_rng(0x5EED + 1), np.random.default_rng(seed)):
+        vals = f.values(random_pure_batch(1000, d, rng))
+        assert low - slack <= vals.min() and vals.max() <= high + slack
+    if low < -1e-12 or high > 1.0 + 1e-12:
+        with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+            counting(f)
+    else:
+        assert counting(f).counting
+
+
 def test_polarization_recovers_diagonal():
     f = quadratic(np.diag([0.2, 0.3, 0.5]).astype(complex))
     np.testing.assert_allclose(
