@@ -758,17 +758,13 @@ def test_exit_codes_on_the_bundled_configs_are_pinned(tmp_path):
         assert main(["gleason", "--config", str(config), *out]) == code
 
 
-def _spiked_counting_config(d: int) -> dict:
-    # a counting quadratic of F = diag(1.5, 0, ..., 0): f(e_0) = 1.5, which a
-    # 1000-state Haar sample does not reach at d = 24
-    pairs = [[[1.5 if i == j == 0 else 0.0, 0.0] for j in range(d)] for i in range(d)]
-    return {"command": "gleason", "seed": 0,
-            "observable": {"kind": "quadratic", "counting": True, "F": pairs}}
-
-
 def test_counting_observable_out_of_range_is_a_config_error(tmp_path, capsys):
+    # a counting quadratic of F = diag(1.5, 0, ..., 0) at d = 24: f(e_0) =
+    # 1.5, which a sample of 1000 Haar states does not reach
+    pairs = [[[1.5 if i == j == 0 else 0.0, 0.0] for j in range(24)] for i in range(24)]
+    observable = {"kind": "quadratic", "counting": True, "F": pairs}
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(_spiked_counting_config(24)))
+    config.write_text(json.dumps({"command": "gleason", "observable": observable}))
     assert main(["gleason", "--config", str(config), "--out", str(tmp_path / "r")]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: observable: observable range [0.0, 1.5] leaves [0, 1]\n"

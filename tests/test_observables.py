@@ -174,11 +174,12 @@ def test_counting_range_of_a_matrix_is_exact():
     spike = np.diag([1.5] + [0.0] * 23).astype(complex)
     with pytest.raises(ValueError, match=r"observable range \[0\.0, 1\.5\] leaves \[0, 1\]"):
         counting(quadratic(spike))
-    # t^2 on [-0.5, 1] lies in [0, 1]; on [-1.2, 1] it reaches 1.44, and t^3
-    # on [-0.5, 0.5] falls to -0.125
+    # t^2 on [-0.5, 1] lies in [0, 1]; on [-1.2, 1] it reaches 1.44 and has
+    # its minimum at t = 0, and t^3 on [-0.5, 0.5] falls to -0.125
     counting(power(np.diag([1.0, -0.5, 0.0]).astype(complex), 2))
-    for matrix, k in (([1.0, -1.2, 0.0], 2), ([0.5, -0.5, 0.0], 3)):
-        with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+    for matrix, k, shown in (([1.0, -1.2, 0.0], 2, r"\[0\.0, 1\.44\]"),
+                             ([0.5, -0.5, 0.0], 3, r"\[-0\.125, 0\.125\]")):
+        with pytest.raises(ValueError, match=rf"observable range {shown} leaves \[0, 1\]"):
             counting(power(np.diag(matrix).astype(complex), k))
 
 
