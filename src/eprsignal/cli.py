@@ -55,6 +55,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run of a command: a JSON config merged with its command-line
+    overrides, one field per config key (``parse_config`` validates it).
+    ``to_dict`` gives the normalized config a report's ``meta`` records,
+    less the ``_OUTPUT_FIELDS``."""
+
     command: str
     scenario: dict | None = None
     observable: dict | None = None

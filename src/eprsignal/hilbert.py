@@ -54,6 +54,23 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a[..., i:j, :] @ b for i, j in zip(edges[:-1], edges[1:])], axis=-2)
 
 
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a * b).sum(axis=-1)`` bit for bit, for float64 or int64 a and b of
+    one row width, broadcast over their leading axes.
+
+    numpy 2.4 sums a row of fewer than 8 entries left to right, from +0.0,
+    but runs its reduction loop once per row.  Such rows are summed here a
+    column at a time, in the same order and from the same start; wider rows
+    go to numpy's own (pairwise) sum."""
+    n = a.shape[-1]
+    if not 0 < n < 8:
+        return (a * b).sum(axis=-1)
+    total = a[..., 0] * b[..., 0] + 0  # +0 turns a -0.0 product into +0.0
+    for j in range(1, n):
+        total += a[..., j] * b[..., j]
+    return total
+
+
 def as_vector(v) -> np.ndarray:
     """Coerce to a finite 1-d complex array."""
     arr = np.asarray(v, dtype=complex)

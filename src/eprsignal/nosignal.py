@@ -30,6 +30,7 @@ from .hilbert import (
     haar_from_normals,
     haar_unitary,  # unused here; bench/selftest.py looks it up in this module
     orthonormal_bases,
+    row_dot,
     serial_matmul,
 )
 from .observables import polarization_reconstruct
@@ -73,12 +74,13 @@ def _check_chords(x1, x2, x1p, x2p, x, p1, p2, p1p, p2p) -> None:
             if bad.any():
                 raise ValueError(f"convex weight {w[bad][0]} outside [0, 1]")
     for e in (x1, x2, x1p, x2p):
-        r = np.linalg.norm(e, axis=1)
+        r = np.sqrt(row_dot(e, e))
         bad = ~(np.abs(r - 1.0) <= _DECOMP_TOL)
         if bad.any():
             raise ValueError(f"chord endpoint radius {r[bad][0]} is not 1")
     for pa, pb, va, vb in ((p1, p2, x1, x2), (p1p, p2p, x1p, x2p)):
-        err = np.linalg.norm(pa[:, None] * va + pb[:, None] * vb - x, axis=1)
+        miss = pa[:, None] * va + pb[:, None] * vb - x
+        err = np.sqrt(row_dot(miss, miss))
         bad = ~(err <= _DECOMP_TOL)
         if bad.any():
             raise ValueError(f"decomposition misses the point by {err[bad][0]}")
@@ -254,9 +256,9 @@ def _chord_through(x: np.ndarray, direction: np.ndarray):
 
     Row-wise on (k, 3) arrays: the line x + t u with unit u meets the sphere
     at t_minus <= 0 <= t_plus."""
-    u = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
-    b = np.sum(x * u, axis=-1)
-    root = np.sqrt(b * b - (np.sum(x * x, axis=-1) - 1.0))
+    u = direction / np.sqrt(row_dot(direction, direction))[..., None]
+    b = row_dot(x, u)
+    root = np.sqrt(b * b - (row_dot(x, x) - 1.0))
     t_minus, t_plus = -b - root, -b + root
     e1 = x + t_minus[..., None] * u
     e2 = x + t_plus[..., None] * u
@@ -306,7 +308,7 @@ def _chord_draws(rng: np.random.Generator, k: int) -> tuple:
 
 def _random_chords(f, direction, uniform, chord, chord_p) -> dict:
     # uniform ball points, each with two chords through it: every pair intersects
-    direction = direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    direction = direction / np.sqrt(row_dot(direction, direction))[:, None]
     x = direction * (uniform ** (1.0 / 3.0))[:, None]
     e1, e2, p2 = _chord_through(x, chord)
     g1, g2, q2 = _chord_through(x, chord_p)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hilbert import row_dot
 from .observables import FunctionalObservable
 from .states import Ensemble, EntangledState, conditional_ensemble, rebase_alice
 from .streams import STREAM_VERSION, chunk_sizes, count_moments, substream
@@ -81,6 +82,18 @@ class SignalReport:
 
 @dataclass(frozen=True)
 class ChannelReport:
+    """What ``channel_capacity`` measured over ``trials`` blocks of
+    ``block_length`` draws, each block sending one random letter.
+
+    ``decision_threshold`` is the midpoint of the two exact letter means; a
+    block is decoded by which side of it the block's sample mean falls.
+    ``estimated_capacity_bits_per_block`` is 1 - H2(``bit_error_rate``), the
+    binary-symmetric-channel capacity at the measured error rate, in bits per
+    block, and 0 when the exact gap is 0.  ``stream_version`` is the random
+    stream layout the trials were drawn with (``streams.STREAM_VERSION``): a
+    recorded ``seed`` replays only under the same version.
+    """
+
     block_length: int
     trials: int
     bit_error_rate: float
@@ -236,7 +249,13 @@ def channel_capacity(
     The capacity estimate is the binary-symmetric-channel bound
     1 - H2(bit error rate), pinned to 0 when the exact gap is 0.
     Trials run in chunks of ``CHUNK`` trials whatever the block length, drawn
-    in order from one generator, ``substream(seed, 2)`` (stream version 4).
+    in order from one generator, ``substream(seed, 2)`` (stream version 4):
+    a chunk's letters, its tie-break coins, then the member counts of its
+    letter-0 and of its letter-1 blocks.  Each letter's blocks are decided
+    where they are drawn, and a coin is read only for a tied block.  A
+    block's sum of counts times member values is taken member by member
+    with ``hilbert.row_dot``, bit for bit numpy's row sum, so each decision
+    is the one a single ``(counts * values).sum(axis=1)`` would give.
     ``exact`` is the scenario's ``exact_gap`` report, when the caller already
     has it.  ``workers`` is accepted for compatibility and ignored.
     """
@@ -254,17 +273,20 @@ def channel_capacity(
     errors = 0
     for size in chunk_sizes(trials):
         # a chunk draws its letters, its tie-break coins, then the member
-        # counts of every letter-0 block and of every letter-1 block
+        # counts of every letter-0 block and of every letter-1 block; each
+        # letter's blocks are decided where they are drawn
         letters = rng.integers(0, 2, size)
         coins = rng.integers(0, 2, size)
-        means = np.empty(size)
-        for letter in (0, 1):
-            sent = letters == letter
-            counts = rng.multinomial(block_length, weights[letter], size=int(sent.sum()))
-            means[sent] = (counts * sc.member_values[letter]).sum(axis=1) / block_length
-        tie = np.abs(means - threshold) <= tie_tol
-        decoded = np.where(tie, coins, sign * (means - threshold) <= 0.0)
-        errors += int(np.count_nonzero(decoded != letters))
+        ones = np.count_nonzero(letters)
+        for letter, blocks in ((0, size - ones), (1, ones)):
+            counts = rng.multinomial(block_length, weights[letter], size=blocks)
+            gap = row_dot(counts, sc.member_values[letter]) / block_length - threshold
+            # a block decodes to 1 when sign * gap <= 0, a tied one to its coin
+            wrong = (sign * gap <= 0.0) != letter
+            tie = np.abs(gap) <= tie_tol
+            if tie.any():
+                wrong[tie] = coins[letters == letter][tie] != letter
+            errors += int(np.count_nonzero(wrong))
     ber = errors / trials
     capacity = 0.0 if exact.gap == 0.0 else 1.0 - binary_entropy(ber)
     return ChannelReport(

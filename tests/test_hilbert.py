@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from eprsignal import (
     EntangledState,
@@ -20,6 +21,7 @@ from eprsignal.hilbert import (
     haar_from_normals,
     orthonormal_rows,
     random_pure_batch,
+    row_dot,
     serial_matmul,
 )
 
@@ -422,3 +424,54 @@ def test_serial_matmul_blocks_stay_on_one_thread_and_above_one_row(m, k, n):
     for rows in sizes:
         # above the bound only where the 2-row minimum forces it
         assert rows <= allowed or (allowed < 3 and rows <= 3)
+
+
+# row_dot's operands: ints, or floats of magnitude up to 1e300 or down to
+# 1e-300 (their products overflow to inf or underflow to signed zeros)
+_ROW_FLOATS = st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)
+
+
+@st.composite
+def _row_operand(draw, shape):
+    if draw(st.booleans(), label="int"):
+        arr = draw(hnp.arrays(np.int64, shape, elements=st.integers(-2**20, 2**20)))
+    else:
+        arr = draw(hnp.arrays(float, shape, elements=_ROW_FLOATS))
+    return np.asfortranarray(arr) if draw(st.booleans(), label="F order") else arr
+
+
+@st.composite
+def _row_operands(draw):
+    # (m,) or (n, m) each, as the decoder's counts meet one letter's values
+    m, n = draw(st.integers(1, 12), label="m"), draw(st.integers(0, 6), label="n")
+    shape_a, shape_b = (draw(st.sampled_from([(m,), (n, m)])) for _ in range(2))
+    return draw(_row_operand(shape_a)), draw(_row_operand(shape_b))
+
+
+def _assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands=_row_operands())
+# all -0.0 products: numpy's sum starts from +0.0, not from the first product
+@example(operands=(np.array([[-0.0, -0.0], [0.0, -0.0]]), np.array([1.0, 1.0])))
+@example(operands=(np.array([-0.0]), np.array([1.0])))
+# 8 or more entries: numpy's pairwise sum, not a left-to-right one
+@example(operands=(np.array([[1e16] + [1.0] * 9]), np.ones(10)))
+def test_row_dot_is_numpys_row_sum_bit_for_bit(operands):
+    a, b = operands
+    with np.errstate(all="ignore"):
+        _assert_same_bits(row_dot(a, b), (a * b).sum(axis=-1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(0, 20).flatmap(
+    lambda k: hnp.arrays(float, (k, 3), elements=_ROW_FLOATS)))
+def test_row_dot_norm_is_linalg_norm_bit_for_bit(x):
+    # the chord scan's 3-vector norms
+    with np.errstate(all="ignore"):
+        _assert_same_bits(np.sqrt(row_dot(x, x)), np.linalg.norm(x, axis=-1))

@@ -55,6 +55,24 @@ def test_the_test_only_zoo_is_not_in_the_package():
         importlib.import_module("eprsignal.zoo")
 
 
+def test_every_public_class_and_every_dataclass_has_its_own_docstring():
+    # a dataclass without one gets a generated signature string instead,
+    # built with inspect.signature on every import
+    src = Path(eprsignal.__file__).parent
+    public = {name for name in eprsignal.__all__ if isinstance(getattr(eprsignal, name), type)}
+    defined, missing = set(), []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            defined.add(node.name)
+            dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+            if (node.name in public or dataclass) and not ast.get_docstring(node):
+                missing.append(f"{path.stem}.{node.name}")
+    assert public <= defined
+    assert missing == []
+
+
 # (module, name) imported but not used in the module.  bench/selftest.py:97
 # reads the Haar sampler as ``nosignal.haar_unitary`` to check that the
 # tracer restores the module's global.

@@ -23,6 +23,7 @@ from helpers import (
     E1,
     MINUS,
     PLUS,
+    PROJ0_2,
     bell_power_scenario,
     bell_quadratic_scenario,
     bell_state,
@@ -318,6 +319,29 @@ def test_channel_error_rate_matches_the_exact_value(seed):
     ber = channel_capacity(bell_power_scenario(), 10, trials, seed=seed).bit_error_rate
     sigma = np.sqrt(_BELL_BER_BLOCK_10 * (1.0 - _BELL_BER_BLOCK_10) / trials)
     assert abs(ber - _BELL_BER_BLOCK_10) <= 5.0 * sigma
+
+
+def _power_letters(members: int) -> Scenario:
+    # letters of `members` members each, with random weights and values
+    observable = power(PROJ0_2, 2)
+    return random_scenario(observable, members, members, np.random.default_rng(members))
+
+
+# block-10 decoder errors over 2 chunks and 100 trials at seed 25, as stream
+# version 4 draws them: letters of 3 members, of 9 (past numpy's 8-entry
+# switch to a pairwise row sum), and bell-quadratic's zero gap, where every
+# letter-1 block ties and is decoded by its coin
+@pytest.mark.parametrize("scenario, members, errors", [
+    (lambda: _power_letters(3), 3, 3922),
+    (lambda: _power_letters(9), 9, 6575),
+    (bell_quadratic_scenario, 2, 8308),
+], ids=["members-3", "members-9", "bell-quadratic-ties"])
+def test_channel_error_count_is_pinned(scenario, members, errors):
+    sc = scenario()
+    assert [len(v) for v in sc.member_values] == [members, members]
+    trials = 2 * CHUNK + 100
+    ch = channel_capacity(sc, 10, trials, seed=25)
+    assert ch.bit_error_rate == errors / trials
 
 
 def test_simulate_draws_are_unchanged_by_the_channel_layout():
