@@ -249,13 +249,11 @@ def channel_capacity(
     The capacity estimate is the binary-symmetric-channel bound
     1 - H2(bit error rate), pinned to 0 when the exact gap is 0.
     Trials run in chunks of ``CHUNK`` trials whatever the block length, drawn
-    in order from one generator, ``substream(seed, 2)`` (stream version 4):
-    a chunk's letters, its tie-break coins, then the member counts of its
-    letter-0 and of its letter-1 blocks.  Each letter's blocks are decided
-    where they are drawn, and a coin is read only for a tied block.  A
-    block's sum of counts times member values is taken member by member
-    with ``hilbert.row_dot``, bit for bit numpy's row sum, so each decision
-    is the one a single ``(counts * values).sum(axis=1)`` would give.
+    in order from one generator, ``substream(seed, 2)`` (stream version 4).
+    Each letter's blocks are decided where they are drawn, and a coin is
+    read only for a tied block.  A block's sum of counts times member values
+    is taken member by member with ``hilbert.row_dot``, bit for bit numpy's
+    ``(counts * values).sum(axis=1)``, so no decision depends on that layout.
     ``exact`` is the scenario's ``exact_gap`` report, when the caller already
     has it.  ``workers`` is accepted for compatibility and ignored.
     """
@@ -273,8 +271,7 @@ def channel_capacity(
     errors = 0
     for size in chunk_sizes(trials):
         # a chunk draws its letters, its tie-break coins, then the member
-        # counts of every letter-0 block and of every letter-1 block; each
-        # letter's blocks are decided where they are drawn
+        # counts of every letter-0 block and of every letter-1 block
         letters = rng.integers(0, 2, size)
         coins = rng.integers(0, 2, size)
         ones = np.count_nonzero(letters)
