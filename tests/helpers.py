@@ -10,12 +10,14 @@ from eprsignal import (
     EntangledState,
     FunctionalObservable,
     Scenario,
+    combine,
     custom,
     haar_unitary,
     power,
     quadratic,
 )
 from eprsignal.hilbert import (
+    TOL_DECISION,
     TOL_DERIVED,
     TOL_STRUCTURAL,
     as_matrix,
@@ -410,3 +412,47 @@ def builtin_observables(dim: int) -> list[ZooEntry]:
         ZooEntry("power2-plane", power(p0 + p1, 2), False) if dim >= 3 else None,
     ]
     return [e for e in entries if e is not None]
+
+
+def frame_z3(dim: int = 2) -> FunctionalObservable:
+    """f = 1/2 + z^3/2 of the Bloch z-coordinate z = |psi_0|^2 - |psi_1|^2:
+    f(n) + f(-n) = 1, so every orthonormal basis of dimension 2 sums to 1,
+    yet f is not affine on the Bloch ball."""
+
+    def values(batch: np.ndarray) -> np.ndarray:
+        z = np.abs(batch[:, 0]) ** 2 - np.abs(batch[:, 1]) ** 2
+        return 0.5 + 0.5 * z**3
+
+    return custom(values, dim, batch=True)
+
+
+def floor_families(dim: int, seed: int) -> list[tuple[str, FunctionalObservable, FunctionalObservable]]:
+    """(name, quadratic(A), g) of the families whose detection floors are
+    pinned, A a random Hermitian matrix from the seed: power(P, k) for
+    k = 2, 3 with P a Haar rank-1 projector and with P a random Hermitian
+    matrix, in dimension 2 the z^3 frame function, and the
+    ``projection-product`` entry of ``builtin_observables``."""
+    rng = np.random.default_rng([seed, dim])
+    base = quadratic(random_hermitian(dim, rng))
+    rank1 = projector(random_pure(dim, rng))
+    loose = random_hermitian(dim, rng)
+    families = [
+        ("power2-rank1", power(rank1, 2)),
+        ("power3-rank1", power(rank1, 3)),
+        ("power2-random", power(loose, 2)),
+        ("power3-random", power(loose, 3)),
+    ]
+    if dim == 2:
+        families.append(("frame-z3", frame_z3()))
+    product = next(e for e in builtin_observables(dim) if e.name == "projection-product")
+    families.append((product.name, product.observable))
+    return [(name, base, g) for name, g in families]
+
+
+def detection_floor(worst, base, g, eps=(1e-4, 1e-3), tolerance=TOL_DECISION) -> float:
+    """The smallest eps at which a check flags base + eps g: tolerance over
+    the slope of the check's worst violation in eps, ``worst(f)``, taken
+    from two eps values.  The quadratic part adds only rounding, so the
+    worst violation is linear in eps and no bisection is needed."""
+    low, high = (worst(combine([1.0, e], [base, g])) for e in eps)
+    return tolerance / ((high - low) / (eps[1] - eps[0]))

@@ -39,6 +39,8 @@ from helpers import (
     ball_density,
     builtin_observables,
     counting,
+    detection_floor,
+    floor_families,
     haar_unitaries,
     orthoadditivity_check,
     projector_matrix,
@@ -284,6 +286,32 @@ def test_extremal_decomposition_reproduces_mixture_functional():
             b_lo, rho @ b_lo
         ).real
         assert via_chord == pytest.approx(via_pair, abs=1e-10)
+
+
+# The chord scan's detection floors at d = 2 and 1000 chords, the smallest
+# eps at which it flags quadratic(A) + eps g (``detection_floor``), per seed
+# and family of ``floor_families``: the gate that a check replacing it must
+# pass, no floor more than 2x higher
+_CHORD_FLOORS_D2 = {
+    0: {"power2-rank1": 4.27e-8, "power3-rank1": 2.84e-8, "power2-random": 5.90e-8,
+        "power3-random": 2.21e-8, "frame-z3": 4.29e-8, "projection-product": 4.00e-8},
+    11: {"power2-rank1": 4.25e-8, "power3-rank1": 2.84e-8, "power2-random": 5.90e-9,
+         "power3-random": 2.09e-9, "frame-z3": 4.65e-8, "projection-product": 4.00e-8},
+    12: {"power2-rank1": 4.39e-8, "power3-rank1": 3.00e-8, "power2-random": 2.41e-8,
+         "power3-random": 8.18e-9, "frame-z3": 4.38e-8, "projection-product": 4.00e-8},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_CHORD_FLOORS_D2))
+def test_chord_scan_detection_floors_are_pinned(seed):
+    def worst(f):
+        return affinity_scan(f, 1000, seed=seed).checks["convex_chord"].worst
+
+    floors = {name: detection_floor(worst, base, g) for name, base, g in floor_families(2, seed)}
+    assert floors.keys() == _CHORD_FLOORS_D2[seed].keys()
+    for name, floor in floors.items():
+        pinned = _CHORD_FLOORS_D2[seed][name]
+        assert pinned / 2 <= floor <= 2 * pinned, name
 
 
 def test_subspace_measure_trace_for_quadratic():
