@@ -4,7 +4,6 @@ observables on quantum states."""
 from .hilbert import haar_unitary
 from .nosignal import (
     Certificate,
-    ChordColumns,
     SubspaceMeasureRecord,
     affinity_scan,
     basis_independence,
@@ -38,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Certificate",
     "ChannelReport",
-    "ChordColumns",
     "Ensemble",
     "EntangledState",
     "FunctionalObservable",

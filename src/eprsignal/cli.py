@@ -43,7 +43,7 @@ from .streams import STREAM_VERSION
 
 COMMANDS = ("gap", "simulate", "capacity", "affinity", "gleason", "certify")
 CERTIFIERS = ("affinity", "gleason", "certify")
-REPORT_VERSION = 5
+REPORT_VERSION = 6
 # RunConfig fields that only say where and how output goes; the report's
 # meta block leaves them out, so its bytes do not depend on them
 _OUTPUT_FIELDS = ("out", "format", "workers", "witnesses")
@@ -267,9 +267,10 @@ _PLOT_KIND_FOR_COMMAND = {
 def emit_plot_data(result: dict, kind: str) -> str:
     """Render a result dict as CSV rows for external plotting.
 
-    Kinds: ``bloch`` (sphere points of chord witnesses with their observable
-    values and violations), ``convergence`` (cumulative Monte-Carlo gap versus
-    log-spaced sample counts), ``violation-histogram`` (each subspace's spread).
+    Kinds: ``bloch`` (the Bloch point of each residual row's ray, with its
+    observable value and residual), ``convergence`` (cumulative Monte-Carlo
+    gap versus log-spaced sample counts), ``violation-histogram`` (each
+    subspace's spread).
     """
     lines: list[str] = []
     if kind == "bloch":
@@ -278,11 +279,11 @@ def emit_plot_data(result: dict, kind: str) -> str:
             raise ValueError("bloch plot data needs a certificate result")
         lines.append("x,y,z,f_value,violation")
         for w in witnesses:
-            points = (w["x1"], w["x2"], w["x1p"], w["x2p"])
-            for point, val in zip(points, w["values"]):
-                lines.append(
-                    f"{point[0]!r},{point[1]!r},{point[2]!r},{val!r},{w['violation']!r}"
-                )
+            # (2 Re c, 2 Im c, |psi0|^2 - |psi1|^2), c = conj(psi0) psi1
+            psi0, psi1 = (complex(*z) for z in w["ray"])
+            c = psi0.conjugate() * psi1
+            z = (psi0 * psi0.conjugate() - psi1 * psi1.conjugate()).real
+            lines.append(f"{2 * c.real!r},{2 * c.imag!r},{z!r},{w['value']!r},{w['residual']!r}")
     elif kind == "convergence":
         series = result.get("convergence")
         if series is None:

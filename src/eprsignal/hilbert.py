@@ -156,25 +156,3 @@ def random_pure_batch(m: int, d: int, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("dimension must be >= 1")
     v = rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def bloch_states(points) -> np.ndarray:
-    """Unit dim-2 states, one row each, of an (m, 3) array of surface points.
-
-    Convention: the north pole (0, 0, 1) gives the first basis vector and
-    (1, 0, 0) the equal real superposition, so that each state's projector
-    is (I + x sx + y sy + z sz)/2.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"expected points of shape (m, 3), got {points.shape}")
-    r = np.linalg.norm(points, axis=1)
-    bad = ~(np.abs(r - 1.0) <= 1e-9)  # a NaN radius fails too
-    if bad.any():
-        raise ValueError(f"point must lie on the ball surface (radius {r[bad][0]})")
-    theta = np.arccos(np.clip(points[:, 2] / r, -1.0, 1.0))
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    return np.stack(
-        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], axis=1
-    )
-

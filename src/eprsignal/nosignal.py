@@ -2,8 +2,10 @@
 
 Two certifiers, each returning a pass/fail certificate:
 
-* mixture consistency on the dim-2 ball: two convex decompositions of one
-  interior point must give one mixture average (chord scan);
+* the ray residual for dim 2: f(psi) = <psi|F|psi> must hold on every ray,
+  for the operator F that polarization reconstructs from f's probes; it is
+  checked on fixed and sampled rays, and in dim 2, where Gleason's theorem
+  does not apply, it decides quadraticity;
 * the subspace-measure route for dim >= 3: basis independence of the summed
   observable on sampled subspaces, and reconstruction of the unique
   compatible operator F with the fit mu(X) = Tr(F P_X) on the same
@@ -26,12 +28,13 @@ import numpy as np
 from .hilbert import (
     TOL_DECISION,
     TOL_DERIVED,
-    bloch_states,
+    TOL_STRUCTURAL,
     haar_from_normals,
     haar_unitary,  # unused here; bench/selftest.py looks it up in this module
     orthonormal_bases,
-    row_dot,
+    random_pure_batch,
     serial_matmul,
+    unit_rows,
 )
 from .observables import polarization_reconstruct
 from .streams import chunk_sizes, substream
@@ -39,91 +42,42 @@ from .streams import chunk_sizes, substream
 VERDICT_QUADRATIC = "quadratic-consistent"
 VERDICT_NON_QUADRATIC = "non-quadratic"
 
-# chord-pair witnesses evaluated per substream
-_WITNESS_CHUNK = 256
+# Haar rays of the residual check drawn per substream
+_RAY_CHUNK = 256
 
-# stream path tags (affinity chords, subspace draws); tags 11 (the affine
-# scan) and 21 (the trace fit's own subspaces) are retired, so no other
-# stream reuses them
-_PATH_CHORDS = 10
+# stream path tags (residual rays, subspace draws); tags 10 (the chord
+# scan), 11 (the affine scan) and 21 (the trace fit's own subspaces) are
+# retired, so no other stream reuses them
+_PATH_RAYS = 30
 _PATH_SUBSPACE = 20
 
 # PSD slack for reconstructed operators; eigenvalues above -1e-10 count as
 # non-negative
 _PSD_SLACK = 1e-10
 
-# decomposition residual, weight-sum and endpoint-radius tolerance of a chord
-# witness, and the slack of its convex weights around [0, 1]
-_DECOMP_TOL = 1e-9
-_WEIGHT_SLACK = 1e-12
-
-
-def _check_chords(x1, x2, x1p, x2p, x, p1, p2, p1p, p2p) -> None:
-    """Raise unless every row holds two convex decompositions of its point x,
-    x = p1 x1 + p2 x2 = p1p x1p + p2p x2p: each weight pair sums to 1, every
-    weight lies in [0, 1], and the four endpoints lie on the sphere.
-
-    Points are (k, 3) arrays and weights (k,) arrays; a NaN fails every check.
-    """
-    for a, b in ((p1, p2), (p1p, p2p)):
-        bad = ~(np.abs(a + b - 1.0) <= _DECOMP_TOL)
-        if bad.any():
-            raise ValueError(f"weights {a[bad][0]}, {b[bad][0]} do not sum to 1")
-        for w in (a, b):
-            bad = ~((w >= -_WEIGHT_SLACK) & (w <= 1.0 + _WEIGHT_SLACK))
-            if bad.any():
-                raise ValueError(f"convex weight {w[bad][0]} outside [0, 1]")
-    for e in (x1, x2, x1p, x2p):
-        r = np.sqrt(row_dot(e, e))
-        bad = ~(np.abs(r - 1.0) <= _DECOMP_TOL)
-        if bad.any():
-            raise ValueError(f"chord endpoint radius {r[bad][0]} is not 1")
-    for pa, pb, va, vb in ((p1, p2, x1, x2), (p1p, p2p, x1p, x2p)):
-        miss = pa[:, None] * va + pb[:, None] * vb - x
-        err = np.sqrt(row_dot(miss, miss))
-        bad = ~(err <= _DECOMP_TOL)
-        if bad.any():
-            raise ValueError(f"decomposition misses the point by {err[bad][0]}")
-
 
 @dataclass(frozen=True, eq=False)
-class ChordColumns:
-    """Evaluated chord-pair witnesses held as columns, one row per witness.
+class RayColumns:
+    """Residual rows held as columns, one row per ray: the (k, d) unit
+    ``rays``, f at each ray (``values``), <psi|F|psi> of the reconstructed
+    operator F (``expectation``) and ``residual`` = |values - expectation|.
+    The arrays are read-only; the rays and values are checked where they
+    are made, by ``_residual_rays`` and ``_ray_columns``."""
 
-    Row i decomposes the ball point ``x[i]`` twice,
-    x = p1 x1 + p2 x2 = p1p x1p + p2p x2p, with endpoints on the sphere;
-    ``values[i]`` is f at (x1, x2, x1p, x2p), ``lhs`` and ``rhs`` are the two
-    mixture averages and ``violation`` is |lhs - rhs|.  The rows are checked
-    once, at construction, and the arrays are read-only.
-    """
-
-    x1: np.ndarray
-    x2: np.ndarray
-    x1p: np.ndarray
-    x2p: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    p1p: np.ndarray
-    p2p: np.ndarray
-    x: np.ndarray
+    rays: np.ndarray
     values: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    violation: np.ndarray
+    expectation: np.ndarray
+    residual: np.ndarray
 
     def __post_init__(self):
-        _check_chords(
-            self.x1, self.x2, self.x1p, self.x2p, self.x,
-            self.p1, self.p2, self.p1p, self.p2p,
-        )
         for col in fields(self):
             getattr(self, col.name).flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.violation)
+        return len(self.residual)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, ChordColumns):
+        if not isinstance(other, RayColumns):
             return NotImplemented
         return all(
             np.array_equal(getattr(self, col.name), getattr(other, col.name))
@@ -187,9 +141,9 @@ def _decision_tolerance(tolerance) -> float:
 class Certificate:
     """Outcome of a scan: the worst violation found, and evidence.
 
-    ``witnesses`` is a ``ChordColumns`` record for the chord scan and a tuple
-    of subspace records for the subspace route.  ``checks`` maps each check
-    the scan ran to its ``Check``, in the order they ran.  Certificates
+    ``witnesses`` is a ``RayColumns`` record for the residual scan and a
+    tuple of subspace records for the subspace route.  ``checks`` maps each
+    check the scan ran to its ``Check``, in the order they ran.  Certificates
     compare by value, the ``operator`` arrays by ``np.array_equal``, and
     are unhashable.
     """
@@ -234,85 +188,37 @@ def _finite(out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sphere_values(f, points: np.ndarray) -> np.ndarray:
-    """f at the states of an (m, 3) array of sphere points, in one batch.
+def _residual_rays(d: int, n: int, seed: int) -> np.ndarray:
+    """The rows of the residual check in dimension d, once checked to be
+    unit vectors: the rays (e_a + e^{i pi/4} e_b)/sqrt(2) of each pair a < b
+    in ``np.triu_indices`` order, which are not polarization probes, then
+    the Fourier basis, then n Haar rays drawn in chunks of 256, chunk k from
+    stream (seed, 30, k)."""
+    a, b, fourier = _structured_family(d)
+    eye = np.eye(d, dtype=complex)
+    haar = [
+        random_pure_batch(size, d, substream(seed, _PATH_RAYS, k))
+        for k, size in enumerate(chunk_sizes(n, _RAY_CHUNK))
+    ]
+    pairs = (eye[a] + np.exp(0.25j * np.pi) * eye[b]) / math.sqrt(2.0)
+    return unit_rows(np.concatenate([pairs, fourier[0], *haar]), TOL_STRUCTURAL)
 
-    An f with a matrix A is read off the points r = (x, y, z), as in
-    ``_restricted_values``: f = t^k, k = ``f.exponent`` or 1, with t = Tr(A (I
-    + r.sigma)/2) = (A00 + A11)/2 + (A00 - A11)/2 z + Re A01 x - Im A01 y.  Any
-    other f makes one ``values`` call on the points' ``bloch_states``.
+
+def _ray_columns(f, rays: np.ndarray, operator: np.ndarray) -> RayColumns:
+    """The residual rows of f at the unit ``rays`` against the operator F.
+
+    An f with a matrix A takes f = t^k, k = ``f.exponent`` or 1, with
+    t = <psi|A|psi>, and <psi|F|psi> from one product of the rays with
+    [A | F]; any other f makes one ``values`` call.
     """
-    if f.matrix is None:
-        return f.values(bloch_states(points))
-    (a00, a01), (_, a11) = f.matrix
-    x, y, z = points.T
-    t = (a00.real + a11.real) / 2.0 + (a00.real - a11.real) / 2.0 * z
-    return _finite((t + a01.real * x - a01.imag * y) ** (f.exponent or 1))
-
-
-def _chord_through(x: np.ndarray, direction: np.ndarray):
-    """Endpoints on the sphere of the lines through interior points x along
-    ``direction``, plus the convex weight p2 placing x on each segment.
-
-    Row-wise on (k, 3) arrays: the line x + t u with unit u meets the sphere
-    at t_minus <= 0 <= t_plus."""
-    u = direction / np.sqrt(row_dot(direction, direction))[..., None]
-    b = row_dot(x, u)
-    root = np.sqrt(b * b - (row_dot(x, x) - 1.0))
-    t_minus, t_plus = -b - root, -b + root
-    e1 = x + t_minus[..., None] * u
-    e2 = x + t_plus[..., None] * u
-    return e1, e2, -t_minus / (t_plus - t_minus)
-
-
-def _evaluate_chords(f, x1, x2, x1p, x2p, p2, p2p, x) -> dict:
-    """The ``ChordColumns`` fields of k chord pairs, unchecked, with both
-    mixture averages from one ``values`` call on the (4k, 2) batch of their
-    endpoint states."""
-    k = len(x)
-    values = _sphere_values(f, np.concatenate([x1, x2, x1p, x2p]))
-    values = values.reshape(4, k).T
-    p1, p1p = 1.0 - p2, 1.0 - p2p
-    lhs = p1 * values[:, 0] + p2 * values[:, 1]
-    rhs = p1p * values[:, 2] + p2p * values[:, 3]
-    return dict(
-        x1=x1, x2=x2, x1p=x1p, x2p=x2p,
-        p1=p1, p2=p2, p1p=p1p, p2p=p2p,
-        x=x, values=values, lhs=lhs, rhs=rhs, violation=np.abs(lhs - rhs),
-    )
-
-
-def _center_diameter_probes(f) -> dict:
-    """Deterministic pairs of diameters through the center, evaluated.
-
-    Axis-aligned observables reach their extreme mixture split on one of
-    these, so the scan never relies on sampling luck to exhibit them.
-    """
-    s = 1.0 / math.sqrt(3.0)
-    axes = np.array([
-        [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-        [s, s, s], [s, -s, s], [-s, s, s], [-s, -s, s],
-    ])
-    i, j = np.triu_indices(len(axes), k=1)
-    half = np.full(len(i), 0.5)
-    return _evaluate_chords(
-        f, axes[i], -axes[i], axes[j], -axes[j], half, half, np.zeros((len(i), 3))
-    )
-
-
-def _chord_draws(rng: np.random.Generator, k: int) -> tuple:
-    """k chord pairs' draws in stream order: ball directions, radii, two chords."""
-    return (rng.standard_normal((k, 3)), rng.random(k),
-            rng.standard_normal((k, 3)), rng.standard_normal((k, 3)))
-
-
-def _random_chords(f, direction, uniform, chord, chord_p) -> dict:
-    # uniform ball points, each with two chords through it: every pair intersects
-    direction = direction / np.sqrt(row_dot(direction, direction))[:, None]
-    x = direction * (uniform ** (1.0 / 3.0))[:, None]
-    e1, e2, p2 = _chord_through(x, chord)
-    g1, g2, q2 = _chord_through(x, chord_p)
-    return _evaluate_chords(f, e1, e2, g1, g2, p2, q2, x)
+    if f.matrix is not None:
+        both = serial_matmul(rays.conj(), np.concatenate([f.matrix, operator], axis=1))
+        t, expectation = np.einsum("ikj,ij->ki", both.reshape(len(rays), 2, -1), rays).real
+        values = _finite(t ** (f.exponent or 1))
+    else:
+        values = f.values(rays)
+        expectation = np.einsum("ij,ij->i", serial_matmul(rays.conj(), operator), rays).real
+    return RayColumns(rays, values, expectation, np.abs(values - expectation))
 
 
 def affinity_scan(
@@ -322,38 +228,32 @@ def affinity_scan(
     tolerance: float = TOL_DECISION,
     workers: int = 1,
 ) -> Certificate:
-    """Chord-pair consistency scan for a dim-2 observable.
+    """Ray-residual scan for a dim-2 observable.
 
-    Evaluates both mixture averages on deterministic center-diameter pairs
-    and on ``n_chords`` sampled intersecting pairs, drawn in chunks of 256,
-    chunk k from stream (seed, 10, k), then built and evaluated in one pass
-    over all chunks.  The verdict compares the worst |lhs - rhs| against
-    ``tolerance``; in dimension 2, consistency of the convex decompositions
-    over the whole ball already decides affinity.  The one check is
-    ``convex_chord`` (the witness rows).  ``workers`` is ignored.
+    f is quadratic iff f(psi) = <psi|F|psi> on every ray, for the operator
+    F that ``polarization_reconstruct`` builds from f's probes; in dimension
+    2 this decides quadraticity, where Gleason's theorem does not apply.
+    The rows are ``_residual_rays``: 3 fixed rays, then ``n_chords`` Haar
+    rays.  The one check is ``residual``, the worst |f - <F>| over the rows
+    against ``tolerance``; the certificate carries F.  ``workers`` is
+    ignored.
     """
     if f.dim != 2:
-        raise ValueError("the chord scan is defined for dimension 2 only")
+        raise ValueError("the residual scan is defined for dimension 2 only")
     if n_chords < 1:
-        raise ValueError("need at least one chord pair")
+        raise ValueError("need at least one ray")
     tolerance = _decision_tolerance(tolerance)
 
-    draws = zip(*(
-        _chord_draws(substream(seed, _PATH_CHORDS, k), size)
-        for k, size in enumerate(chunk_sizes(n_chords, _WITNESS_CHUNK))
-    ))
-    blocks = [_center_diameter_probes(f), _random_chords(f, *map(np.concatenate, draws))]
-    # one validating construction over all rows
-    witnesses = ChordColumns(
-        **{name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
-    )
-    check = _worst_row(witnesses.violation)
+    operator = polarization_reconstruct(f)
+    witnesses = _ray_columns(f, _residual_rays(2, n_chords, seed), operator)
+    check = _worst_row(witnesses.residual)
     return Certificate(
         worst_violation=check.worst,
         witnesses=witnesses,
         tolerance=tolerance,
         seed=seed,
-        checks={"convex_chord": check},
+        operator=operator,
+        checks={"residual": check},
     )
 
 

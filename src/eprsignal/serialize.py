@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .nosignal import Certificate, ChordColumns, PsdDeficitRecord, SubspaceMeasureRecord
+from .nosignal import Certificate, PsdDeficitRecord, RayColumns, SubspaceMeasureRecord
 from .observables import power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
 from .states import EntangledState
@@ -140,25 +140,14 @@ def scenario_from_json(data) -> Scenario:
     )
 
 
-def chords_to_json(w: ChordColumns, rows: slice = slice(None)) -> list[dict]:
-    """One "chord" object per witness row (or per row of the slice ``rows``),
+def rays_to_json(w: RayColumns, rows: slice = slice(None)) -> list[dict]:
+    """One "ray" object per residual row (or per row of the slice ``rows``),
     built from the columns."""
-    rows = zip(*(
-        getattr(w, name)[rows].tolist()
-        for name in ("x1", "x2", "x1p", "x2p", "p1", "p2", "p1p", "p2p",
-                     "x", "lhs", "rhs", "violation", "values")
-    ))
+    rows = zip(vector_to_json(w.rays[rows]), w.values[rows].tolist(),
+               w.expectation[rows].tolist(), w.residual[rows].tolist())
     return [
-        {
-            "type": "chord",
-            "x1": x1, "x2": x2, "x1p": x1p, "x2p": x2p,
-            "p1": p1, "p2": p2, "p1p": p1p, "p2p": p2p,
-            "x": x,
-            "lhs": lhs, "rhs": rhs, "violation": violation,
-            "values": values,
-        }
-        for x1, x2, x1p, x2p, p1, p2, p1p, p2p, x, lhs, rhs, violation, values
-        in rows
+        {"type": "ray", "ray": ray, "value": value, "expectation": e, "residual": r}
+        for ray, value, e, r in rows
     ]
 
 
@@ -182,21 +171,24 @@ def witness_to_json(w) -> dict:
 def witnesses_to_json(c: Certificate) -> list[dict]:
     """Every witness of a certificate, one object each, in order: the table
     that ``--witnesses`` writes and ``--format csv`` renders."""
-    if isinstance(c.witnesses, ChordColumns):
-        return chords_to_json(c.witnesses)
+    if isinstance(c.witnesses, RayColumns):
+        return rays_to_json(c.witnesses)
     return [witness_to_json(w) for w in c.witnesses]
 
 
 def witness_digest(c: Certificate) -> str:
     """SHA-256 (hex) of the witness table in the byte layout README gives:
-    the 13 ``ChordColumns`` arrays in field order as C-contiguous ``<f8``, or
-    per subspace record the byte ``S`` and mu, spread and trace as ``<f8``."""
+    the ``RayColumns`` arrays in field order as C-contiguous little-endian
+    arrays, the rays ``<c16`` and the rest ``<f8``, or per subspace record
+    the byte ``S`` and mu, spread and trace as ``<f8``."""
     import hashlib  # only certificates pay for the import
 
     h = hashlib.sha256()
-    if isinstance(c.witnesses, ChordColumns):
-        for col in dataclasses.fields(ChordColumns):
-            h.update(np.ascontiguousarray(getattr(c.witnesses, col.name), "<f8").tobytes())
+    if isinstance(c.witnesses, RayColumns):
+        w = c.witnesses
+        h.update(np.ascontiguousarray(w.rays, "<c16").tobytes())
+        for col in (w.values, w.expectation, w.residual):
+            h.update(np.ascontiguousarray(col, "<f8").tobytes())
     else:
         for w in c.witnesses:
             # a trace_value of None, from basis_independence alone, is NaN
@@ -209,8 +201,8 @@ def _check_to_json(c: Certificate, check) -> dict:
     w = check.witness
     if isinstance(w, int):  # a row of the witness table
         out["index"] = w
-        if isinstance(c.witnesses, ChordColumns):
-            out["witness"] = chords_to_json(c.witnesses, slice(w, w + 1))[0]
+        if isinstance(c.witnesses, RayColumns):
+            out["witness"] = rays_to_json(c.witnesses, slice(w, w + 1))[0]
             return out
         w = c.witnesses[w]
         if isinstance(w, SubspaceMeasureRecord):

@@ -414,19 +414,19 @@ def builtin_observables(dim: int) -> list[ZooEntry]:
     return [e for e in entries if e is not None]
 
 
-def frame_z3(dim: int = 2) -> FunctionalObservable:
-    """f = 1/2 + z^3/2 of the Bloch z-coordinate z = |psi_0|^2 - |psi_1|^2:
-    f(n) + f(-n) = 1, so every orthonormal basis of dimension 2 sums to 1,
-    yet f is not affine on the Bloch ball."""
+def frame_z3() -> FunctionalObservable:
+    """f = 1/2 + z^3/2 in dimension 2, of the Bloch z-coordinate
+    z = |psi_0|^2 - |psi_1|^2: f(n) + f(-n) = 1, so every orthonormal basis
+    sums to 1, yet f is not affine on the Bloch ball."""
 
     def values(batch: np.ndarray) -> np.ndarray:
         z = np.abs(batch[:, 0]) ** 2 - np.abs(batch[:, 1]) ** 2
         return 0.5 + 0.5 * z**3
 
-    return custom(values, dim, batch=True)
+    return custom(values, 2, batch=True)
 
 
-def floor_families(dim: int, seed: int) -> list[tuple[str, FunctionalObservable, FunctionalObservable]]:
+def floor_families(dim: int, seed: int) -> list[tuple]:
     """(name, quadratic(A), g) of the families whose detection floors are
     pinned, A a random Hermitian matrix from the seed: power(P, k) for
     k = 2, 3 with P a Haar rank-1 projector and with P a random Hermitian
@@ -449,10 +449,11 @@ def floor_families(dim: int, seed: int) -> list[tuple[str, FunctionalObservable,
     return [(name, base, g) for name, g in families]
 
 
-def detection_floor(worst, base, g, eps=(1e-4, 1e-3), tolerance=TOL_DECISION) -> float:
-    """The smallest eps at which a check flags base + eps g: tolerance over
-    the slope of the check's worst violation in eps, ``worst(f)``, taken
-    from two eps values.  The quadratic part adds only rounding, so the
-    worst violation is linear in eps and no bisection is needed."""
-    low, high = (worst(combine([1.0, e], [base, g])) for e in eps)
-    return tolerance / ((high - low) / (eps[1] - eps[0]))
+def detection_floor(worst, base, g) -> float:
+    """The smallest eps at which a check flags base + eps g at the default
+    tolerance: the tolerance over the slope of the check's worst violation
+    ``worst(f)`` in eps, from eps = 1e-4 and 1e-3.  The quadratic part adds
+    only rounding, so the worst violation is linear in eps and no bisection
+    is needed."""
+    low, high = (worst(combine([1.0, e], [base, g])) for e in (1e-4, 1e-3))
+    return TOL_DECISION / ((high - low) / (1e-3 - 1e-4))

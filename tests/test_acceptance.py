@@ -113,7 +113,7 @@ def test_criterion_4_affinity_certifier():
         worst_quad = max(worst_quad, cert.worst_violation)
     cert_power = affinity_scan(power(PROJ0_2, 2), 1000, seed=1004)
     _verdict(
-        "criterion 4: chord-pair affinity certifier",
+        "criterion 4: ray-residual affinity certifier",
         worst_quad < 1e-9 and cert_power.worst_violation >= 0.2,
         f"quadratic worst {worst_quad:.2e}, power witness "
         f"{cert_power.worst_violation:.3f}",

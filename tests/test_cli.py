@@ -310,9 +310,9 @@ def test_certify_dispatches_on_dimension(tmp_path):
     code, report = run(power_cfg)
     assert code == 0
     assert report["result"]["verdict"] == "non-quadratic"
-    # dim-2 dispatch produced a chord-scan certificate
+    # dim-2 dispatch produced a residual-scan certificate
     witnesses = json.loads((tmp_path / "w2.json").read_text())["witnesses"]
-    assert witnesses[0]["type"] == "chord"
+    assert witnesses[0]["type"] == "ray"
 
 
 def test_exit_two_when_signal_found_but_not_expected(tmp_path):
@@ -417,7 +417,7 @@ def test_emit_plot_data_kinds(tmp_path):
     bloch = emit_plot_data(table, "bloch")
     lines = bloch.splitlines()
     assert lines[0] == "x,y,z,f_value,violation"
-    assert len(lines) == 1 + 4 * len(table["witnesses"])
+    assert len(lines) == 1 + len(table["witnesses"]) == 1 + 3 + 50
 
     assert emit_plot_data({"witnesses": []}, "bloch") == "x,y,z,f_value,violation\n"
     with pytest.raises(ValueError):
@@ -517,7 +517,7 @@ def test_report_meta_and_sidecar_do_not_depend_on_output_settings(tmp_path):
         tables.add(side.read_bytes())
     assert len(reports) == len(tables) == 1
     meta = json.loads(reports.pop())["meta"]
-    assert meta["report_version"] == 5 and "stream_version" not in meta
+    assert meta["report_version"] == 6 and "stream_version" not in meta
     from eprsignal import __version__
 
     assert meta["version"] == __version__
@@ -541,42 +541,43 @@ def test_witness_table_only_for_certifiers(capsys):
 
 # SHA-256 of the report bytes at the config seed: the JSON report of every
 # bundled config under its own command and of certify on the observable
-# configs (report version 5: simulate keeps log-spaced convergence rows,
-# gleason fits the trace on the subspaces of its spread check, and no row
-# holds a subspace basis or a chord's "affine" flag), the CSV plot
-# data of the certifier configs (as written when every witness was part of
-# the JSON report; the CSV is built from the same table), and simulate's
-# convergence CSV (as written one f-string per row).  The power2-affinity
-# bytes are those of chord values read off Bloch coordinates
+# configs (report version 6: simulate keeps log-spaced convergence rows,
+# gleason fits the trace on the subspaces of its spread check, no row
+# holds a subspace basis, and affinity writes ray-residual rows), the CSV
+# plot data of the certifier configs (as written when every witness was
+# part of the JSON report; the CSV is built from the same table), and
+# simulate's convergence CSV (as written one f-string per row).  Every
+# report but affinity's and dimension-2 certify's differs from version 5
+# only in its report_version line
 _REPORT_SHA256 = {
     ("simulate", "bell-power", "csv"):
         "def0e0ba0f40884dda816c42dddb4e812c69405bf8371941697e949ded63ebb5",
     ("simulate", "bell-power", "json"):
-        "45ae8a3bca6fbe698af183398954e15ab5ac6a310cfbb4f8492c7bfc2f6c93a9",
+        "c216291c9e8c80655b5281bb3f249d5831127d72bea9083e4ac678c728e52558",
     ("simulate", "bell-quadratic", "json"):
-        "1498f608e99fc33f9686d4e5f75045852e1e378b58606b0a678e2874d6b7577d",
+        "5587941665489c2bdf0e10d1a2aa3e4a4ec57330dc4efd07e168e11ae7fec02d",
     ("capacity", "bell-power", "json"):
-        "2444b462fdcc66998f5381b98b716f4241a0c210e5e149734724074172b621e6",
+        "856d83e8d33eae298b336725aeda495c3de6415ebac77e70a2cd88fee447e626",
     ("capacity", "bell-quadratic", "json"):
-        "b139b46e888b1717896a489162dd74bdfd024c64c52a0203e90290487484e69b",
+        "59e0f7d948f922ae66f647f02ce6840d406831cabcef2396429390dc8be101ce",
     ("gap", "bell-power", "json"):
-        "5da5d6c04be507b19f76e1808f5d70a35769b8ed3a09a0ad0b26dfad17dc2d6f",
+        "5a187430beafbd73f77e13256d9d0fea6ef6a0263799ab42caedfa349fbc6624",
     ("gap", "bell-quadratic", "json"):
-        "6d90ec0036a7e4f3432ab6b981861f08e896615bd73502dde1b59c92716363fb",
+        "623b7680df3d2fc366f78202bbb5b6bbc3a21d32dbc597bd9c832e3100fb28bb",
     ("gleason", "d3-gleason-fail", "json"):
-        "106713dd8d0fe840d8607c8edb678298dda7e4851a5f59ff2438d83e69ede11a",
+        "d2fbccd928f70a83ec1cf6ad4131760acfc28f5df38c3f0a39fa83c56e3a3a7d",
     ("gleason", "d3-gleason-pass", "json"):
-        "87201d986af1f7586cc80aed99d5052bf7b87f00bfe6786ab38070f2b29d502f",
+        "0297654b00c83fa93f9f3a610b1bc362e87717285e7c1e029693f9c6e7ab6be9",
     ("affinity", "power2-affinity", "json"):
-        "9be43a75fb4f73e82b9777aaa9c992c99289987fcf8eb99e14212e9fab970498",
+        "643aebcb06d1346040214ce1d60dfdc05ef3cf43d5c562ef1af38de8170188a0",
     ("certify", "d3-gleason-fail", "json"):
-        "dc0d2d71d6bba884ba99a46bd82adb754673ebace95b8cbadbd686e098e436d3",
+        "8432eab933e83eaed9b0d9ab032d755e05fad7a8f3767bcb3c7671431a150bf8",
     ("certify", "d3-gleason-pass", "json"):
-        "051518b071cb5610b566c7b5aec905ca373ecad908bf3636dca52441045cfb0a",
+        "c6ad2ecdcc3099f4ef4f6b2ec0193ac74843cccb26fd2254ada60b6bf584f775",
     ("certify", "power2-affinity", "json"):
-        "42c382790c2adc1e75c81f5e1e81ea3e6f02efff704aee7d4711f02bc9123347",
+        "693f0871262510f079542277bf3466683a644c6993a2dd30117ebd9641d70f4a",
     ("affinity", "power2-affinity", "csv"):
-        "9c8a1e2aa4cccd65733598dbe18ac4f90a7e1e09b246a73cde80057d3751dfea",
+        "365966f8a377e5c3efa5f552f5f41bd259adceee06d6a9dad1c72c98c15c2f97",
     ("gleason", "d3-gleason-fail", "csv"):
         "822585320a39c4e2817f99274582024d418dc59d834503756bdbb988a93d5a39",
     ("gleason", "d3-gleason-pass", "csv"):
@@ -613,18 +614,18 @@ def test_gleason_fail_semantics_are_pinned(seed, tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 11, 12])
 def test_affinity_semantics_are_pinned(seed, tmp_path):
-    # what the power2-affinity report decides, apart from its bytes: the worst
-    # chord pair is the first center-diameter probe, the z and x diameters,
-    # whose two mixture averages of |<0|psi>|^4 are 1/2 and 1/4
+    # what the power2-affinity report decides, apart from its bytes: 3 fixed
+    # rays and 1000 Haar rays; the Fourier row (e0 - e1)/sqrt(2) alone has
+    # f = 1/4 against <F> = 3/4, so the worst residual is at least 1/2, and
+    # no ray exceeds 1/4 + sqrt(2)/4
     out = tmp_path / "report.json"
     assert main(["affinity", "--config", "power2-affinity", "--seed", str(seed),
                  "--out", str(out)]) == 0
     result = json.loads(out.read_text())["result"]
     assert result["verdict"] == "non-quadratic"
-    assert result["worst_check"] == "convex_chord"
-    assert result["worst_violation"] == pytest.approx(0.25, rel=0, abs=1e-15)
-    check = result["checks"]["convex_chord"]
-    assert (check["index"], check["count"]) == (0, 1021)
+    assert result["worst_check"] == "residual"
+    assert 0.5 <= result["worst_violation"] <= 0.25 + 2**0.5 / 4
+    assert result["checks"]["residual"]["count"] == result["witness_count"] == 1003
 
 
 def _counting_config(d: int, seed: int) -> dict:
@@ -644,15 +645,16 @@ def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
     # SHA-256 of the JSON report and the --witnesses table of a d = 24
     # counting quadratic at seed 0, as written since the subspace scan
     # scores each rotation on the observable restricted to the subspace
-    # (report version 5: 70 subspace rows, each with its trace value and
-    # named by its index, with no basis)
+    # (report version 6, whose gleason rows are those of version 5: 70
+    # subspace rows, each with its trace value and named by its index, with
+    # no basis)
     config = tmp_path / "counting24.json"
     config.write_text(json.dumps(_counting_config(24, 0), sort_keys=True) + "\n")
     out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
     assert main(["gleason", "--config", str(config), "--out", str(out),
                  "--witnesses", str(side)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "5a0fd76aa43654750df35a8d4011fae6f301c66eca464003b8b0aca5ec1d94dd")
+        "2ac8e0462e2512013e21822ff5039ef9f56198279f12fb74f2008e74f26fe110")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
         "0c3851d7bbe57ed8c83bcaf7a38136b27d9895eb3a661a6fe251c46e1b8c1b9f")
 
@@ -799,7 +801,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     # capacity report above does not see the trial draws; at block 10 about
     # one trial in twelve fails (exactly 176/2048), and which ones depends on
     # the stream layout (version 4: 8,192 trials per chunk); bytes of report
-    # version 5
+    # version 6
     config = tmp_path / "capacity.json"
     raw = {**load_config("bell-power"), "command": "capacity", "block": 10, "trials": 20000}
     config.write_text(json.dumps(raw, sort_keys=True) + "\n")
@@ -807,7 +809,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     assert main(["capacity", "--config", str(config), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["result"]["bit_error_rate"] == 0.08755
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "fc76e43448c7e709c9a3214f6cf8376ae9491b80a320d934dabedbfbade1bea1")
+        "904bb96cd80630c82ae0b65870c2c428f6561d29625455ffc7a243d30069817d")
 
 
 def test_certify_csv_plots_what_it_dispatched_to(tmp_path):
@@ -825,7 +827,7 @@ def test_certify_csv_plots_what_it_dispatched_to(tmp_path):
 
 def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
     # simulate and capacity draw each stream from one generator (stream
-    # version 3); the chord scan keeps one generator per chunk of 256
+    # version 3); the residual scan keeps one generator per chunk of 256
     from eprsignal import nosignal, signaling, streams
 
     built = []
@@ -840,7 +842,7 @@ def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
     runs = [
         ("bell-power", {"n_samples": 100000}, [(0,), (1,)]),
         ("bell-power", {"command": "capacity"}, [(2,)]),
-        ("power2-affinity", {}, [(10, k) for k in range(4)]),
+        ("power2-affinity", {}, [(30, k) for k in range(4)]),
     ]
     for name, overrides, paths in runs:
         built.clear()
@@ -849,7 +851,7 @@ def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
 
 
 def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
-    # SHA-256 of the 1e7-sample report at report version 5 (the benchmark's
+    # SHA-256 of the 1e7-sample report at report version 6 (the benchmark's
     # simulate-bell scale; 12 convergence rows, after 1, 2, 4, ..., 1024 and
     # all 1,221 chunks), its convergence CSV, and the per-sample CSV at the
     # bundled 1e5 samples (as written before row tables were encoded column
@@ -860,7 +862,7 @@ def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
     assert len(json.loads(out.read_text())["result"]["convergence"]) == 12
     assert out.stat().st_size < 4096
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "4e7b38fe996e75211d80c3bad9ac8dd23c2fe6e91695e88de135ddf372b6af7a")
+        "6f72a6a975c718f4d81c3bd324a0f030a6bf9a7b6eec5051ebbbe0937171f3a2")
     assert main([*argv, "--format", "csv", "--out", str(csv)]) == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
         "07f7c24a8a73771f53b5e89b00cb43ec8a389ebb2021c5d9cd3b404071bee765")

@@ -17,7 +17,6 @@ from eprsignal.hilbert import (
     _row_edges,
     as_matrix,
     as_vector,
-    bloch_states,
     haar_from_normals,
     orthonormal_rows,
     random_pure_batch,
@@ -221,9 +220,6 @@ def test_bloch_conventions():
     assert tuple(p) == pytest.approx((0.0, 0.0, 1.0))
     p = bloch_point(PLUS)
     assert tuple(p) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
-    north, east = bloch_states([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    np.testing.assert_allclose(north, E0, atol=1e-12)
-    np.testing.assert_allclose(east, PLUS, atol=1e-12)
 
 
 def test_bloch_antipodal_orthogonal():
@@ -233,40 +229,15 @@ def test_bloch_antipodal_orthogonal():
         perp = np.array([-np.conj(psi[1]), np.conj(psi[0])])
         p, q = bloch_point(psi), bloch_point(perp)
         np.testing.assert_allclose(p, -q, atol=1e-12)
-        row, antipode = bloch_states(np.array([p, -p]))
-        assert abs(np.vdot(row, antipode)) < 1e-12
 
 
 def test_bloch_inverse_round_trip():
-    # rho = (I + r.sigma)/2 of a state's point is its projector, and the
-    # state bloch_states gives for a point r has that projector
+    # rho = (I + r.sigma)/2 of a state's point is its projector
     rng = np.random.default_rng(13)
     for _ in range(1000):
         psi = random_pure(2, rng)
         rho = ball_density(bloch_point(psi))
         assert np.linalg.norm(rho - np.outer(psi, psi.conj())) < 1e-12
-        chi = bloch_states(bloch_point(psi)[None, :])[0]
-        assert np.linalg.norm(rho - np.outer(chi, chi.conj())) < 1e-12
-
-
-def test_bloch_state_matches_ray():
-    rng = np.random.default_rng(14)
-    for _ in range(100):
-        psi = random_pure(2, rng)
-        chi = bloch_states(bloch_point(psi)[None, :])[0]
-        assert abs(abs(np.vdot(psi, chi)) - 1.0) < 1e-10
-
-
-def test_bloch_states_rows_match_scalar_map():
-    # a batch gives, row for row, what each point gives alone
-    rng = np.random.default_rng(15)
-    points = np.array([bloch_point(p) for p in random_pure_batch(50, 2, rng)])
-    rows = bloch_states(points)
-    assert rows.shape == (50, 2)
-    for point, row in zip(points, rows):
-        np.testing.assert_array_equal(row, bloch_states(point[None, :])[0])
-    with pytest.raises(ValueError):
-        bloch_states(np.vstack([points, [[0.0, 0.0, 0.9]]]))
 
 
 def test_random_pure_batch_unit_rows():
@@ -274,13 +245,6 @@ def test_random_pure_batch_unit_rows():
     assert a.shape == (200, 4)
     np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
     np.testing.assert_array_equal(a, random_pure_batch(200, 4, np.random.default_rng(16)))
-
-
-def test_bloch_inverse_rejects_outside_ball():
-    with pytest.raises(ValueError):
-        bloch_states([[1.2, 0.0, 0.0]])
-    with pytest.raises(ValueError, match=r"radius nan"):
-        bloch_states([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]])
 
 
 def _orthonormal_callers(d: int, rng: np.random.Generator):
@@ -472,6 +436,6 @@ def test_row_dot_is_numpys_row_sum_bit_for_bit(operands):
 @given(x=st.integers(0, 20).flatmap(
     lambda k: hnp.arrays(float, (k, 3), elements=_ROW_FLOATS)))
 def test_row_dot_norm_is_linalg_norm_bit_for_bit(x):
-    # the chord scan's 3-vector norms
+    # norms of short rows
     with np.errstate(all="ignore"):
         _assert_same_bits(np.sqrt(row_dot(x, x)), np.linalg.norm(x, axis=-1))

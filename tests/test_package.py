@@ -26,7 +26,6 @@ def test_all_is_the_api_the_commands_and_the_bench_use():
     assert sorted(eprsignal.__all__) == [
         "Certificate",
         "ChannelReport",
-        "ChordColumns",
         "Ensemble",
         "EntangledState",
         "FunctionalObservable",
@@ -99,11 +98,11 @@ def test_every_imported_name_is_used_in_its_module():
 
 
 # stream tags that recorded seeds use or used, besides the _PATH_* constants:
-# the channel draws letter b from (seed, b), and the tags 11 (the affine
-# scan) and 21 (the trace fit's own subspaces) are retired.  Reusing one
-# would change what a recorded seed replays.
+# the channel draws letter b from (seed, b), and the tags 10 (the chord
+# scan), 11 (the affine scan) and 21 (the trace fit's own subspaces) are
+# retired.  Reusing one would change what a recorded seed replays.
 _LETTER_TAGS = {0, 1}
-_RETIRED_TAGS = {11, 21}
+_RETIRED_TAGS = {10, 11, 21}
 
 
 def test_stream_path_tags_are_distinct_and_never_reuse_a_retired_tag():
@@ -120,7 +119,7 @@ def test_stream_path_tags_are_distinct_and_never_reuse_a_retired_tag():
             (path.stem, node.args[1]) for node in ast.walk(tree)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "substream"
         ]
-    assert {"nosignal._PATH_CHORDS", "nosignal._PATH_SUBSPACE", "signaling._PATH_CHANNEL"} <= set(tags)
+    assert {"nosignal._PATH_RAYS", "nosignal._PATH_SUBSPACE", "signaling._PATH_CHANNEL"} <= set(tags)
     values = list(tags.values())
     assert len(set(values)) == len(values)
     assert not set(values) & (_LETTER_TAGS | _RETIRED_TAGS)

@@ -172,23 +172,20 @@ def test_certificate_serialization_contains_witnesses():
     data = certificate_to_json(cert)
     assert data["verdict"] == "non-quadratic"
     assert data["seed"] == 73
+    assert data["operator"] == matrix_to_json(cert.operator)
     # the witness table is the sidecar's; the report holds its size
     data["witnesses"] = witnesses_to_json(cert)
     assert len(data["witnesses"]) == len(cert.witnesses) == data["witness_count"]
-    chord = data["witnesses"][0]
-    assert chord["type"] == "chord"
-    assert len(chord["values"]) == 4
-    assert list(chord) == [
-        "type", "x1", "x2", "x1p", "x2p", "p1", "p2", "p1p", "p2p", "x",
-        "lhs", "rhs", "violation", "values",
-    ]
+    row = data["witnesses"][0]
+    assert list(row) == ["type", "ray", "value", "expectation", "residual"]
+    assert row["type"] == "ray"
     # one object per row of the columns, in row order
     cols = cert.witnesses
-    for i in (0, 20, 21, len(cols) - 1):
+    for i in (0, 2, 3, len(cols) - 1):
         w = data["witnesses"][i]
-        assert w["x1p"] == cols.x1p[i].tolist() and w["p2"] == cols.p2[i]
-        assert w["values"] == cols.values[i].tolist()
-        assert w["violation"] == cols.violation[i]
+        assert w["ray"] == vector_to_json(cols.rays[i])
+        assert (w["value"], w["expectation"]) == (cols.values[i], cols.expectation[i])
+        assert w["residual"] == cols.residual[i]
     # serialized certificates must be canonical-JSON clean
     text = dumps_canonical(data)
     assert text.endswith("\n")
@@ -398,11 +395,9 @@ def test_report_encoding_matches_asdict():
     assert dumps_canonical(channel_report_to_json(ch)) == dumps_canonical(dataclasses.asdict(ch))
 
 
-_CHORD_FIELDS = ("x1", "x2", "x1p", "x2p", "p1", "p2", "p1p", "p2p",
-                 "x", "values", "lhs", "rhs", "violation")
 # the violation that each check reads off one row of the witness table
 _CHECK_VIOLATION = {
-    "convex_chord": lambda r: r["violation"],
+    "residual": lambda r: r["residual"],
     "basis_spread": lambda r: r["basis_spread"],
     "trace_fit": lambda r: abs(r["mu"] - r["trace_value"]),
 }
@@ -413,8 +408,9 @@ def _digest_of_table(rows) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    if rows and rows[0]["type"] == "chord":
-        for name in _CHORD_FIELDS:
+    if rows and rows[0]["type"] == "ray":
+        h.update(np.array([vector_from_json(r["ray"]) for r in rows], dtype="<c16").tobytes())
+        for name in ("value", "expectation", "residual"):
             h.update(np.array([r[name] for r in rows], dtype="<f8").tobytes())
         return h.hexdigest()
     for r in rows:
@@ -424,7 +420,7 @@ def _digest_of_table(rows) -> str:
 
 @settings(max_examples=25, deadline=None)
 @given(
-    route=st.sampled_from(["chord", "quadratic", "power"]),
+    route=st.sampled_from(["residual", "quadratic", "power"]),
     size=st.integers(1, 600),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -432,7 +428,7 @@ def test_report_digest_and_checks_replay_from_the_sidecar(route, size, seed):
     from eprsignal import gleason_certify
 
     rng = np.random.default_rng(seed)
-    if route == "chord":
+    if route == "residual":
         cert = affinity_scan(quadratic(random_hermitian(2, rng)) if size % 2
                              else power(PROJ0_2, 2), size, seed=seed)
     else:
