@@ -305,6 +305,48 @@ _CHORD_FLOORS_D2 = {
 }
 
 
+# The detection floors of the subspace scan that gleason ran up to report
+# version 6, at its defaults (3 subspaces per dimension, 6 resamples): per
+# dimension, seed and family of ``floor_families``, as ``_CHORD_FLOORS_D2``
+_SUBSPACE_FLOORS = {
+    3: {
+        0: {"power2-rank1": 2.2e-08, "power3-rank1": 1.53e-08, "power2-random": 2.87e-09,
+            "power3-random": 1.48e-09, "projection-product": 2e-08},
+        11: {"power2-rank1": 2.05e-08, "power3-rank1": 1.57e-08, "power2-random": 2.75e-09,
+             "power3-random": 9.75e-10, "projection-product": 2e-08},
+        12: {"power2-rank1": 1.93e-08, "power3-rank1": 1.46e-08, "power2-random": 2.56e-09,
+             "power3-random": 1.04e-09, "projection-product": 2e-08},
+    },
+    5: {
+        0: {"power2-rank1": 3.36e-08, "power3-rank1": 3.1e-08, "power2-random": 1.03e-09,
+            "power3-random": 4.35e-10, "projection-product": 2e-08},
+        11: {"power2-rank1": 2.51e-08, "power3-rank1": 2.38e-08, "power2-random": 1e-09,
+             "power3-random": 7.91e-10, "projection-product": 2e-08},
+        12: {"power2-rank1": 2.34e-08, "power3-rank1": 2.26e-08, "power2-random": 1.23e-09,
+             "power3-random": 4.91e-10, "projection-product": 2e-08},
+    },
+    24: {
+        0: {"power2-rank1": 8.9e-08, "power3-rank1": 1.92e-07, "power2-random": 3.16e-10,
+            "power3-random": 1.37e-10, "projection-product": 2e-08},
+        11: {"power2-rank1": 7.28e-08, "power3-rank1": 1.42e-07, "power2-random": 3.15e-10,
+             "power3-random": 1.21e-10, "projection-product": 2e-08},
+        12: {"power2-rank1": 7.43e-08, "power3-rank1": 1.46e-07, "power2-random": 2.88e-10,
+             "power3-random": 1.38e-10, "projection-product": 2e-08},
+    },
+}
+
+
+@pytest.mark.parametrize("d, seed", [(d, s) for d in sorted(_SUBSPACE_FLOORS) for s in (0, 11, 12)])
+def test_subspace_floors_are_pinned(d, seed):
+    def worst(f):
+        return gleason_certify(f, seed=seed).worst_violation
+
+    floors = {name: detection_floor(worst, base, g) for name, base, g in floor_families(d, seed)}
+    assert floors.keys() == _SUBSPACE_FLOORS[d][seed].keys()
+    for name, floor in floors.items():
+        assert floor == pytest.approx(_SUBSPACE_FLOORS[d][seed][name], rel=1e-2), name
+
+
 @pytest.mark.parametrize("seed", sorted(_CHORD_FLOORS_D2))
 def test_residual_floors_are_within_twice_the_chord_floors(seed):
     def worst(f):
@@ -720,12 +762,17 @@ def test_certifiers_agree_with_ground_truth():
 @pytest.mark.parametrize("seed", [0, 11, 12])
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_builtin_verdicts_and_worst_checks_are_pinned(d, seed):
-    # every zoo entry gets its tagged verdict, and the basis spread is its
-    # worst check, quadratic entries included
-    for entry in builtin_observables(d):
-        cert = gleason_certify(entry.observable, seed=seed)
-        assert (cert.verdict == VERDICT_QUADRATIC) == entry.is_quadratic, entry.name
-        assert cert.worst_check == "basis_spread", entry.name
+    # every zoo entry and random Hermitian quadratics at three scales get
+    # their verdicts, and the basis spread is the worst check, quadratic
+    # entries included
+    rng = np.random.default_rng(seed)
+    entries = [(e.name, e.observable, e.is_quadratic) for e in builtin_observables(d)]
+    entries += [(f"quadratic-1e{p}", quadratic(random_hermitian(d, rng) * 10.0**p), True)
+                for p in (-3, 0, 3)]
+    for name, f, is_quadratic in entries:
+        cert = gleason_certify(f, seed=seed)
+        assert (cert.verdict == VERDICT_QUADRATIC) == is_quadratic, name
+        assert cert.worst_check == "basis_spread", name
 
 
 def test_certified_kind_matches_signaling_behaviour():
