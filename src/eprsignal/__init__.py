@@ -2,13 +2,7 @@
 observables on quantum states."""
 
 from .hilbert import haar_unitary
-from .nosignal import (
-    Certificate,
-    SubspaceMeasureRecord,
-    affinity_scan,
-    basis_independence,
-    gleason_certify,
-)
+from .nosignal import Certificate, certify
 from .observables import (
     FunctionalObservable,
     combine,
@@ -42,15 +36,12 @@ __all__ = [
     "FunctionalObservable",
     "Scenario",
     "SignalReport",
-    "SubspaceMeasureRecord",
-    "affinity_scan",
-    "basis_independence",
+    "certify",
     "channel_capacity",
     "combine",
     "conditional_ensemble",
     "custom",
     "exact_gap",
-    "gleason_certify",
     "haar_unitary",
     "monte_carlo_report",
     "polarization_reconstruct",

@@ -2,8 +2,8 @@
 
 Commands map onto the library one-to-one: ``gap`` and ``simulate`` report
 signal gaps (exact / Monte-Carlo), ``capacity`` decodes letter blocks,
-``affinity`` and ``gleason`` run the dimension-specific certifiers, and
-``certify`` dispatches on the observable's dimension.
+and ``affinity`` (dimension 2), ``gleason`` (dimension >= 3) and ``certify``
+(any dimension) run the one certifier.
 
 Exit codes: 0 success, 1 usage or validation error, 2 when a signal was
 detected although the config declared none expected (CI gating).
@@ -20,9 +20,11 @@ from importlib import resources
 from itertools import repeat
 from pathlib import Path
 
+import numpy
+
 from . import __version__
 from .hilbert import TOL_DECISION
-from .nosignal import VERDICT_NON_QUADRATIC, affinity_scan, gleason_certify
+from .nosignal import VERDICT_NON_QUADRATIC, certify
 from .serialize import (
     certificate_to_json,
     channel_report_to_json,
@@ -43,7 +45,7 @@ from .streams import STREAM_VERSION
 
 COMMANDS = ("gap", "simulate", "capacity", "affinity", "gleason", "certify")
 CERTIFIERS = ("affinity", "gleason", "certify")
-REPORT_VERSION = 6
+REPORT_VERSION = 7
 # RunConfig fields that only say where and how output goes; the report's
 # meta block leaves them out, so its bytes do not depend on them
 _OUTPUT_FIELDS = ("out", "format", "workers", "witnesses")
@@ -67,8 +69,6 @@ class RunConfig:
     n_chords: int = 1000
     block: int = 1000
     trials: int = 200
-    subspaces_per_dim: int = 3
-    resamples: int = 6
     seed: int = 0
     tolerance: float = TOL_DECISION
     expect: str | None = None
@@ -87,7 +87,7 @@ _CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
 # the least value of each integer field, in the order they are checked;
 # simulate reports a sample variance per letter, so it needs n_samples >= 2
 _INT_MINIMUMS = {"n_samples": 1, "n_chords": 1, "block": 1, "trials": 1,
-                 "subspaces_per_dim": 1, "workers": 1, "resamples": 2, "seed": 0}
+                 "workers": 1, "seed": 0}
 
 
 def bundled_config_names() -> list[str]:
@@ -198,8 +198,9 @@ def execute(config: RunConfig) -> tuple[dict, bool, object, str]:
     """Run the configured command; returns (result dict, signal detected,
     source, command run) where the source of the sidecar files is the
     scenario for ``simulate``, the certificate for a certifier, and None
-    otherwise, and the command run is the one ``certify`` dispatched to or
-    else the configured one."""
+    otherwise, and the command run is the one whose plot data ``certify``
+    writes (``affinity`` in dimension 2, else ``gleason``) or else the
+    configured one."""
     cmd = config.command
     if cmd == "gap":
         report = exact_gap(_build_scenario(config))
@@ -237,23 +238,7 @@ def execute(config: RunConfig) -> tuple[dict, bool, object, str]:
         raise ConfigError(f"observable: affinity needs dimension 2, got {dim}")
     if cmd == "gleason" and dim < 3:
         raise ConfigError(f"observable: gleason needs dimension >= 3, got {dim}")
-    if cmd == "affinity":
-        cert = affinity_scan(
-            observable,
-            config.n_chords,
-            seed=config.seed,
-            tolerance=config.tolerance,
-            workers=config.workers,
-        )
-    else:
-        cert = gleason_certify(
-            observable,
-            seed=config.seed,
-            tolerance=config.tolerance,
-            subspaces_per_dim=config.subspaces_per_dim,
-            resamples=config.resamples,
-            workers=config.workers,
-        )
+    cert = certify(observable, config.n_chords, seed=config.seed, tolerance=config.tolerance)
     return certificate_to_json(cert), cert.verdict == VERDICT_NON_QUADRATIC, cert, cmd
 
 
@@ -270,7 +255,7 @@ def emit_plot_data(result: dict, kind: str) -> str:
     Kinds: ``bloch`` (the Bloch point of each residual row's ray, with its
     observable value and residual), ``convergence`` (cumulative Monte-Carlo
     gap versus log-spaced sample counts), ``violation-histogram`` (each
-    subspace's spread).
+    residual row's index and residual).
     """
     lines: list[str] = []
     if kind == "bloch":
@@ -297,20 +282,22 @@ def emit_plot_data(result: dict, kind: str) -> str:
             raise ValueError("violation histogram needs a certificate result")
         lines.append("index,violation")
         for i, w in enumerate(witnesses):
-            lines.append(f"{i},{w['basis_spread']!r}")
+            lines.append(f"{i},{w['residual']!r}")
     else:
         raise ValueError(f"unknown plot kind {kind!r}")
     return "\n".join(lines) + "\n"
 
 
 def _meta(config: RunConfig) -> dict:
-    """Provenance of a report: package and report versions, the stream
-    version of a sampled result, and the normalized config without its
-    output settings.  No timestamps and no host data."""
+    """Provenance of a report: package, report and numpy versions (the
+    report bytes are pinned on one numpy), the stream version of a sampled
+    result, and the normalized config without its output settings.  No
+    timestamps and no host data."""
     normal = config.to_dict()
     for key in _OUTPUT_FIELDS:
         del normal[key]
-    meta = {"version": __version__, "report_version": REPORT_VERSION, "config": normal}
+    meta = {"version": __version__, "report_version": REPORT_VERSION,
+            "numpy_version": numpy.__version__, "config": normal}
     if config.command in ("simulate", "capacity"):
         meta["stream_version"] = STREAM_VERSION
     return meta

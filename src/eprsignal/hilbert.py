@@ -97,22 +97,18 @@ def is_hermitian(m) -> bool:
 
 
 def orthonormal_rows(rows, tol: float, what: str) -> np.ndarray:
-    """The rows as a 2-d complex array, once checked by ``orthonormal_bases``."""
-    return orthonormal_bases(np.asarray(rows, dtype=complex)[None], tol, what)[0]
-
-
-def orthonormal_bases(bases: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """An (s, n, d) stack of bases, once checked to be finite and orthonormal:
-    every entry of each Gram matrix lies within ``tol`` of the identity's.
-    Raises ``ValueError`` naming ``what`` otherwise."""
-    if bases.ndim != 3:
+    """The rows as a 2-d complex array, once checked to be finite and
+    orthonormal: every entry of the Gram matrix lies within ``tol`` of the
+    identity's.  Raises ``ValueError`` naming ``what`` otherwise."""
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2:
         raise ValueError(f"{what} must be a list of equal-length vectors")
-    if not np.all(np.isfinite(bases)):
+    if not np.all(np.isfinite(rows)):
         raise ValueError(f"{what} has non-finite entries")
-    err = np.max(np.abs(bases.conj() @ bases.transpose(0, 2, 1) - np.eye(bases.shape[1])))
+    err = np.max(np.abs(rows.conj() @ rows.T - np.eye(rows.shape[0])))
     if not err <= tol:
         raise ValueError(f"{what} is not orthonormal (max deviation {err})")
-    return bases
+    return rows
 
 
 def unit_rows(rows, tol: float) -> np.ndarray:

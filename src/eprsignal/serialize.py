@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .nosignal import Certificate, PsdDeficitRecord, RayColumns, SubspaceMeasureRecord
+from .nosignal import Certificate, PsdDeficitRecord, RayColumns
 from .observables import power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
 from .states import EntangledState
@@ -152,13 +152,6 @@ def rays_to_json(w: RayColumns, rows: slice = slice(None)) -> list[dict]:
 
 
 def witness_to_json(w) -> dict:
-    if isinstance(w, SubspaceMeasureRecord):
-        return {
-            "type": "subspace-measure",
-            "mu": w.mu,
-            "basis_spread": w.basis_spread,
-            "trace_value": w.trace_value,
-        }
     if isinstance(w, PsdDeficitRecord):
         return {
             "type": "psd-deficit",
@@ -171,28 +164,19 @@ def witness_to_json(w) -> dict:
 def witnesses_to_json(c: Certificate) -> list[dict]:
     """Every witness of a certificate, one object each, in order: the table
     that ``--witnesses`` writes and ``--format csv`` renders."""
-    if isinstance(c.witnesses, RayColumns):
-        return rays_to_json(c.witnesses)
-    return [witness_to_json(w) for w in c.witnesses]
+    return rays_to_json(c.witnesses)
 
 
 def witness_digest(c: Certificate) -> str:
     """SHA-256 (hex) of the witness table in the byte layout README gives:
     the ``RayColumns`` arrays in field order as C-contiguous little-endian
-    arrays, the rays ``<c16`` and the rest ``<f8``, or per subspace record
-    the byte ``S`` and mu, spread and trace as ``<f8``."""
+    arrays, the rays ``<c16`` and the rest ``<f8``."""
     import hashlib  # only certificates pay for the import
 
-    h = hashlib.sha256()
-    if isinstance(c.witnesses, RayColumns):
-        w = c.witnesses
-        h.update(np.ascontiguousarray(w.rays, "<c16").tobytes())
-        for col in (w.values, w.expectation, w.residual):
-            h.update(np.ascontiguousarray(col, "<f8").tobytes())
-    else:
-        for w in c.witnesses:
-            # a trace_value of None, from basis_independence alone, is NaN
-            h.update(b"S" + np.array([w.mu, w.basis_spread, w.trace_value], "<f8").tobytes())
+    w = c.witnesses
+    h = hashlib.sha256(np.ascontiguousarray(w.rays, "<c16").tobytes())
+    for col in (w.values, w.expectation, w.residual):
+        h.update(np.ascontiguousarray(col, "<f8").tobytes())
     return h.hexdigest()
 
 
@@ -201,13 +185,9 @@ def _check_to_json(c: Certificate, check) -> dict:
     w = check.witness
     if isinstance(w, int):  # a row of the witness table
         out["index"] = w
-        if isinstance(c.witnesses, RayColumns):
-            out["witness"] = rays_to_json(c.witnesses, slice(w, w + 1))[0]
-            return out
-        w = c.witnesses[w]
-        if isinstance(w, SubspaceMeasureRecord):
-            out["rotations"] = {"max": list(w.max_rotation), "min": list(w.min_rotation)}
-    out["witness"] = None if w is None else witness_to_json(w)
+        out["witness"] = rays_to_json(c.witnesses, slice(w, w + 1))[0]
+    else:
+        out["witness"] = None if w is None else witness_to_json(w)
     return out
 
 

@@ -25,7 +25,6 @@ from eprsignal.hilbert import (
     haar_from_normals,
     orthonormal_rows,
 )
-from eprsignal.nosignal import _rotated_measures
 from eprsignal.serialize import matrix_from_json, matrix_to_json
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -160,10 +159,9 @@ def orthoadditivity_check(
 
     With the concatenated basis the identity holds termwise, as
     ``subspace_measure`` sums over the basis rows; the reported violation
-    therefore comes from the rebased evaluations of the direct sum (the
-    structured family plus ``resamples`` Haar rotations), i.e. the basis
-    spread of the joint subspace.  ``gleason_certify`` runs no such check:
-    its trace fit implies additivity on the subspaces it samples.
+    therefore comes from the rebased evaluations of the direct sum (its
+    Fourier mix and ``resamples`` Haar rotations), i.e. the basis spread of
+    the joint subspace.
     """
     rows_y = orthonormal_rows(basis_y, TOL_DERIVED, "basis")
     rows_z = orthonormal_rows(basis_z, TOL_DERIVED, "basis")
@@ -172,8 +170,11 @@ def orthoadditivity_check(
         raise ValueError(f"subspaces are not orthogonal (max overlap {cross})")
     mu_parts = subspace_measure(f, rows_y) + subspace_measure(f, rows_z)
     joint = orthonormal_rows(np.vstack([rows_y, rows_z]), TOL_DERIVED, "basis")
-    rotations = haar_unitaries(len(joint), resamples, rng)
-    mus = _rotated_measures(f, joint[None], rotations[None])[0]
+    n = len(joint)
+    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    fourier = np.exp(2j * np.pi * j * k / n) / np.sqrt(n)
+    rotations = [fourier, *haar_unitaries(n, resamples, rng)]
+    mus = np.array([subspace_measure(f, w @ joint) for w in rotations])
     return float(np.max(np.abs(mu_parts - mus)))
 
 

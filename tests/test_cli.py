@@ -111,7 +111,7 @@ def test_output_paths_must_be_strings(command, name, key, value, tmp_path, capsy
 
 
 _MINIMUMS = {"n_samples": 1, "n_chords": 1, "block": 1, "trials": 1,
-             "subspaces_per_dim": 1, "workers": 1, "resamples": 2, "seed": 0}
+             "workers": 1, "seed": 0}
 
 
 @pytest.mark.parametrize("field, value", [
@@ -147,8 +147,6 @@ def test_defaults_are_pinned():
         "n_chords": 1000,
         "block": 1000,
         "trials": 200,
-        "subspaces_per_dim": 3,
-        "resamples": 6,
         "seed": 0,
         "tolerance": 1e-8,
         "expect": None,
@@ -417,7 +415,7 @@ def test_emit_plot_data_kinds(tmp_path):
     bloch = emit_plot_data(table, "bloch")
     lines = bloch.splitlines()
     assert lines[0] == "x,y,z,f_value,violation"
-    assert len(lines) == 1 + len(table["witnesses"]) == 1 + 3 + 50
+    assert len(lines) == 1 + len(table["witnesses"]) == 1 + 3 + 50 + 12 * 128
 
     assert emit_plot_data({"witnesses": []}, "bloch") == "x,y,z,f_value,violation\n"
     with pytest.raises(ValueError):
@@ -517,7 +515,8 @@ def test_report_meta_and_sidecar_do_not_depend_on_output_settings(tmp_path):
         tables.add(side.read_bytes())
     assert len(reports) == len(tables) == 1
     meta = json.loads(reports.pop())["meta"]
-    assert meta["report_version"] == 6 and "stream_version" not in meta
+    assert meta["report_version"] == 7 and "stream_version" not in meta
+    assert meta["numpy_version"] == np.__version__
     from eprsignal import __version__
 
     assert meta["version"] == __version__
@@ -541,47 +540,47 @@ def test_witness_table_only_for_certifiers(capsys):
 
 # SHA-256 of the report bytes at the config seed: the JSON report of every
 # bundled config under its own command and of certify on the observable
-# configs (report version 6: simulate keeps log-spaced convergence rows,
-# gleason fits the trace on the subspaces of its spread check, no row
-# holds a subspace basis, and affinity writes ray-residual rows), the CSV
-# plot data of the certifier configs (as written when every witness was
-# part of the JSON report; the CSV is built from the same table), and
-# simulate's convergence CSV (as written one f-string per row).  Every
-# report but affinity's and dimension-2 certify's differs from version 5
-# only in its report_version line
+# configs (report version 7: simulate keeps log-spaced convergence rows,
+# and every certifier writes ray-residual rows, refined around the worst),
+# the CSV plot data of the certifier configs (as written when every
+# witness was part of the JSON report; the CSV is built from the same
+# table), and simulate's convergence CSV (as written one f-string per
+# row).  Every report but the certifiers' differs from version 6 only in
+# its meta block: the report_version and numpy_version lines, and no
+# subspaces_per_dim or resamples key
 _REPORT_SHA256 = {
     ("simulate", "bell-power", "csv"):
         "def0e0ba0f40884dda816c42dddb4e812c69405bf8371941697e949ded63ebb5",
     ("simulate", "bell-power", "json"):
-        "c216291c9e8c80655b5281bb3f249d5831127d72bea9083e4ac678c728e52558",
+        "7e8e0668f0a8f04878971d2912abb73b57ed1746dbcd82083ec655aab64081cc",
     ("simulate", "bell-quadratic", "json"):
-        "5587941665489c2bdf0e10d1a2aa3e4a4ec57330dc4efd07e168e11ae7fec02d",
+        "e1f681ec14ee50b531b14e6267da8a773eb16430c7eeaf742c0aec6d083650d6",
     ("capacity", "bell-power", "json"):
-        "856d83e8d33eae298b336725aeda495c3de6415ebac77e70a2cd88fee447e626",
+        "6574ec87df957c4250b2cf8213942626a69d99dde81920d574e8d6f457eca4af",
     ("capacity", "bell-quadratic", "json"):
-        "59e0f7d948f922ae66f647f02ce6840d406831cabcef2396429390dc8be101ce",
+        "138f3a5043be808302e6a4a3aa5ab7f325b2f53ad4dc693d30de0b05038a8ba3",
     ("gap", "bell-power", "json"):
-        "5a187430beafbd73f77e13256d9d0fea6ef6a0263799ab42caedfa349fbc6624",
+        "42e548195ed62871e06e931f50d4c3bc4abaef76196ae345d32b157a77dad0d5",
     ("gap", "bell-quadratic", "json"):
-        "623b7680df3d2fc366f78202bbb5b6bbc3a21d32dbc597bd9c832e3100fb28bb",
+        "3c4738183ede505f4ad8e4f83bb1185011335cb895f1006d477c5551265f9676",
     ("gleason", "d3-gleason-fail", "json"):
-        "d2fbccd928f70a83ec1cf6ad4131760acfc28f5df38c3f0a39fa83c56e3a3a7d",
+        "5597bd7213a2d04c2dd25c24ed221a0780fe5ef96a28d11b58689163880afdca",
     ("gleason", "d3-gleason-pass", "json"):
-        "0297654b00c83fa93f9f3a610b1bc362e87717285e7c1e029693f9c6e7ab6be9",
+        "2a9645ca5bf10e451e56638c674c69e6e8020fc329fa2c18c1b50bd66f78d139",
     ("affinity", "power2-affinity", "json"):
-        "643aebcb06d1346040214ce1d60dfdc05ef3cf43d5c562ef1af38de8170188a0",
+        "4364d14fcd725a0650f8c36a50810bad599488cb2f2948434ee58ef3deba53fa",
     ("certify", "d3-gleason-fail", "json"):
-        "8432eab933e83eaed9b0d9ab032d755e05fad7a8f3767bcb3c7671431a150bf8",
+        "d0d4a15ab70f1c0fa54c519bafb955eba5e2e2e809f3fce8b56a781145d841d4",
     ("certify", "d3-gleason-pass", "json"):
-        "c6ad2ecdcc3099f4ef4f6b2ec0193ac74843cccb26fd2254ada60b6bf584f775",
+        "ec654dedf7ae1d27c9635b6bce75ff07cdd3d1e14d53c00deea3b0e550009caa",
     ("certify", "power2-affinity", "json"):
-        "693f0871262510f079542277bf3466683a644c6993a2dd30117ebd9641d70f4a",
+        "f50859a9bf898074cdf8dcbba9f7f9ee545292ea0e347500e68739570e1d0beb",
     ("affinity", "power2-affinity", "csv"):
-        "365966f8a377e5c3efa5f552f5f41bd259adceee06d6a9dad1c72c98c15c2f97",
+        "31aba437c2d25357cf1473c1208d8c577615ea9dfce3a4ac686984c97b1028bf",
     ("gleason", "d3-gleason-fail", "csv"):
-        "822585320a39c4e2817f99274582024d418dc59d834503756bdbb988a93d5a39",
+        "75c61527ca99d8d0618022cd4d1e3b3f4a3cb61f15d43a9fa72917fdf540690a",
     ("gleason", "d3-gleason-pass", "csv"):
-        "2cad41253b1857cec085e16d888a3ccd3c1746a6da33c8aa711fb1dfddad75e1",
+        "77e68f44287d442c65ad7fd064e6d330fa49de1fa8d7630189ae2fa47512fd3c",
 }
 
 
@@ -599,25 +598,28 @@ def test_csv_plot_data_bytes_are_unchanged(command, name, fmt, tmp_path):
 
 @pytest.mark.parametrize("seed", [0, 11, 12])
 def test_gleason_fail_semantics_are_pinned(seed, tmp_path):
-    # what the d3-gleason-fail report decides, apart from its bytes: the worst
-    # spread is the full space's, 1 at the base minus 1/3 at the Fourier mix
+    # what the d3-gleason-fail report decides, apart from its bytes: 6 fixed
+    # rays, 1000 Haar rays and 1536 refined rays; the supremum of the
+    # residual of (<psi|0><0|psi>)^2 in dimension 3 is 3/4, which the
+    # refined rows come within 0.05 of, and the operator's lowest
+    # eigenvalue is (1 - sqrt(2))/2
     out = tmp_path / "report.json"
     assert main(["gleason", "--config", "d3-gleason-fail", "--seed", str(seed),
                  "--out", str(out)]) == 0
     result = json.loads(out.read_text())["result"]
     assert result["verdict"] == "non-quadratic"
-    assert result["worst_check"] == "basis_spread"
-    assert result["worst_violation"] == 0.6666666666666665
-    rotations = result["checks"]["basis_spread"]["rotations"]
-    assert rotations == {"max": ["base"], "min": ["fourier"]}
+    assert result["worst_check"] == "residual"
+    assert 0.7 <= result["worst_violation"] <= 0.75 + 1e-12
+    assert result["checks"]["residual"]["count"] == result["witness_count"] == 2542
+    assert result["checks"]["psd_deficit"]["worst"] == pytest.approx((2**0.5 - 1) / 2, abs=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 11, 12])
 def test_affinity_semantics_are_pinned(seed, tmp_path):
     # what the power2-affinity report decides, apart from its bytes: 3 fixed
-    # rays and 1000 Haar rays; the Fourier row (e0 - e1)/sqrt(2) alone has
-    # f = 1/4 against <F> = 3/4, so the worst residual is at least 1/2, and
-    # no ray exceeds 1/4 + sqrt(2)/4
+    # rays, 1000 Haar rays and 1536 refined rays; the Fourier row
+    # (e0 - e1)/sqrt(2) alone has f = 1/4 against <F> = 3/4, so the worst
+    # residual is at least 1/2, and no ray exceeds 1/4 + sqrt(2)/4
     out = tmp_path / "report.json"
     assert main(["affinity", "--config", "power2-affinity", "--seed", str(seed),
                  "--out", str(out)]) == 0
@@ -625,7 +627,7 @@ def test_affinity_semantics_are_pinned(seed, tmp_path):
     assert result["verdict"] == "non-quadratic"
     assert result["worst_check"] == "residual"
     assert 0.5 <= result["worst_violation"] <= 0.25 + 2**0.5 / 4
-    assert result["checks"]["residual"]["count"] == result["witness_count"] == 1003
+    assert result["checks"]["residual"]["count"] == result["witness_count"] == 2539
 
 
 def _counting_config(d: int, seed: int) -> dict:
@@ -643,93 +645,17 @@ def _counting_config(d: int, seed: int) -> dict:
 
 def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
     # SHA-256 of the JSON report and the --witnesses table of a d = 24
-    # counting quadratic at seed 0, as written since the subspace scan
-    # scores each rotation on the observable restricted to the subspace
-    # (report version 6, whose gleason rows are those of version 5: 70
-    # subspace rows, each with its trace value and named by its index, with
-    # no basis)
+    # counting quadratic at seed 0 (report version 7: 2,836 residual rows,
+    # of which the last 1,536 are refined)
     config = tmp_path / "counting24.json"
     config.write_text(json.dumps(_counting_config(24, 0), sort_keys=True) + "\n")
     out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
     assert main(["gleason", "--config", str(config), "--out", str(out),
                  "--witnesses", str(side)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "2ac8e0462e2512013e21822ff5039ef9f56198279f12fb74f2008e74f26fe110")
+        "b6479637cdd288c6d3ae4142ada844bb51dd52a4cbffeec23661164d59572296")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
-        "0c3851d7bbe57ed8c83bcaf7a38136b27d9895eb3a661a6fe251c46e1b8c1b9f")
-
-
-def _json_keys(tree):
-    # every key of a parsed JSON tree, at any depth
-    if isinstance(tree, dict):
-        for key, value in tree.items():
-            yield key
-            yield from _json_keys(value)
-    elif isinstance(tree, list):
-        for value in tree:
-            yield from _json_keys(value)
-
-
-def test_subspace_rows_hold_no_basis(tmp_path):
-    # a subspace row is named by its index in the witness table, so no
-    # gleason or certify report or table holds a basis, and at d = 24 the
-    # report and its table stay small
-    config = tmp_path / "counting24.json"
-    config.write_text(json.dumps(_counting_config(24, 3)))
-    out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
-    for command in ("gleason", "certify"):
-        for name in ("d3-gleason-fail", "d3-gleason-pass", str(config)):
-            assert main([command, "--config", name, "--out", str(out),
-                         "--witnesses", str(side)]) == 0
-            for path in (out, side):
-                assert "basis" not in set(_json_keys(json.loads(path.read_text()))), name
-    assert out.stat().st_size <= 84 * 1024 and side.stat().st_size < 16 * 1024
-
-
-def _subspace_semantics(cert, bases) -> str:
-    # SHA-256 of what the subspace scan decides, apart from the witness-row
-    # layout: the operator, then each subspace row's basis (shape, then
-    # <c16), mu and basis_spread (<f8) and its extreme rotations' names; the
-    # bases are those the scan drew, in row order
-    h = hashlib.sha256(np.ascontiguousarray(cert.operator, "<c16").tobytes())
-    assert len(bases) == len(cert.witnesses)
-    for w, rows in zip(cert.witnesses, bases):
-        basis = np.ascontiguousarray(rows, dtype="<c16")
-        h.update(np.array(basis.shape, dtype="<i8").tobytes() + basis.tobytes())
-        h.update(np.array([w.mu, w.basis_spread], dtype="<f8").tobytes())
-        h.update(repr((w.max_rotation, w.min_rotation)).encode())
-    return h.hexdigest()
-
-
-_SUBSPACE_SEMANTICS = {
-    "d3-gleason-fail": "0952511774302be9ccdf330c21809a6d35ee8e93b8717fca190d81f6f977b810",
-    "d3-gleason-pass": "31cde37e7ba8789143c7f45d951daeb980252a04e1fb4a005780fd0f058afe09",
-    "counting24-seed0": "3adcfd081760ba48760a89bf9ed80368fb5db50dced0ea0342aedaa030417d4b",
-    "counting24-seed3": "ec8df226e00ed4d89905c34341e781b1c69a2e78c7d2b87c52dcf3d4188153c1",
-}
-
-
-@pytest.mark.parametrize("name", sorted(_SUBSPACE_SEMANTICS))
-def test_subspace_rows_and_operator_are_pinned(name, monkeypatch):
-    # the subspace rows and the operator of gleason and certify on the
-    # bundled gleason configs and on the benchmark's d = 24 counting recipe
-    if name.startswith("counting24"):
-        raw = _counting_config(24, int(name.removeprefix("counting24-seed")))
-    else:
-        raw = load_config(name)
-    scan, scans = eprsignal.nosignal._subspace_records, []
-
-    def recording(*args):
-        scans.append(scan(*args))
-        return scans[-1]
-
-    monkeypatch.setattr(eprsignal.nosignal, "_subspace_records", recording)
-    for command in ("gleason", "certify"):
-        scans.clear()
-        _, _, cert, cmd = execute(parse_config({**raw, "command": command}))
-        assert cmd == "gleason" and len(scans) == 1
-        bases = scans[0][1]
-        assert _subspace_semantics(cert, bases) == _SUBSPACE_SEMANTICS[name], command
+        "42dfba1d9abfe5552bca5fb97fac56a99df95ea67f97853aa5d8a9d4931882c6")
 
 
 # the exit codes of the six commands, in COMMANDS order, on each bundled
@@ -801,7 +727,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     # capacity report above does not see the trial draws; at block 10 about
     # one trial in twelve fails (exactly 176/2048), and which ones depends on
     # the stream layout (version 4: 8,192 trials per chunk); bytes of report
-    # version 6
+    # version 7
     config = tmp_path / "capacity.json"
     raw = {**load_config("bell-power"), "command": "capacity", "block": 10, "trials": 20000}
     config.write_text(json.dumps(raw, sort_keys=True) + "\n")
@@ -809,7 +735,7 @@ def test_capacity_report_bytes_at_block_10(tmp_path):
     assert main(["capacity", "--config", str(config), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["result"]["bit_error_rate"] == 0.08755
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "904bb96cd80630c82ae0b65870c2c428f6561d29625455ffc7a243d30069817d")
+        "7dda3d9a47115630cb723ba0836bf923b40a79fcf2a1cd80d502b2e1a48ba9be")
 
 
 def test_certify_csv_plots_what_it_dispatched_to(tmp_path):
@@ -828,6 +754,7 @@ def test_certify_csv_plots_what_it_dispatched_to(tmp_path):
 def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
     # simulate and capacity draw each stream from one generator (stream
     # version 3); the residual scan keeps one generator per chunk of 256
+    # Haar rays, and its refinement one
     from eprsignal import nosignal, signaling, streams
 
     built = []
@@ -842,7 +769,7 @@ def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
     runs = [
         ("bell-power", {"n_samples": 100000}, [(0,), (1,)]),
         ("bell-power", {"command": "capacity"}, [(2,)]),
-        ("power2-affinity", {}, [(30, k) for k in range(4)]),
+        ("power2-affinity", {}, [(30, k) for k in range(4)] + [(31,)]),
     ]
     for name, overrides, paths in runs:
         built.clear()
@@ -851,7 +778,7 @@ def test_channel_streams_are_one_generator_each(monkeypatch, tmp_path):
 
 
 def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
-    # SHA-256 of the 1e7-sample report at report version 6 (the benchmark's
+    # SHA-256 of the 1e7-sample report at report version 7 (the benchmark's
     # simulate-bell scale; 12 convergence rows, after 1, 2, 4, ..., 1024 and
     # all 1,221 chunks), its convergence CSV, and the per-sample CSV at the
     # bundled 1e5 samples (as written before row tables were encoded column
@@ -862,7 +789,7 @@ def test_simulate_report_and_csv_bytes_at_1e7_samples(tmp_path):
     assert len(json.loads(out.read_text())["result"]["convergence"]) == 12
     assert out.stat().st_size < 4096
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "6f72a6a975c718f4d81c3bd324a0f030a6bf9a7b6eec5051ebbbe0937171f3a2")
+        "6a033d3e7d5f41f4b08e0bf0c486190b8d68af012780798e9e8dc24c51f02f16")
     assert main([*argv, "--format", "csv", "--out", str(csv)]) == 0
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
         "07f7c24a8a73771f53b5e89b00cb43ec8a389ebb2021c5d9cd3b404071bee765")

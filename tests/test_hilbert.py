@@ -8,9 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from eprsignal import (
     EntangledState,
-    basis_independence,
     haar_unitary,
-    quadratic,
     rebase_alice,
 )
 from eprsignal.hilbert import (
@@ -256,8 +254,7 @@ def _orthonormal_callers(d: int, rng: np.random.Generator):
     return [
         ("the A-side basis", 1e-12, lambda rows: EntangledState(alphas, rows, bob)),
         ("the A-side basis", 1e-12, lambda rows: rebase_alice(state, rows)),
-        ("basis", 1e-10, lambda rows: basis_independence(
-            quadratic(np.eye(d)), rows, np.array([np.eye(d)] * 2))),
+        ("rows", 1e-10, lambda rows: orthonormal_rows(rows, 1e-10, "rows")),
     ]
 
 
@@ -328,9 +325,8 @@ def test_serial_matmul_is_the_full_product_bit_for_bit(m, k, n, layouts, seed):
 
 def _stacked_factor(rng, count, rows, cols, layout):
     # a stack of count rows x cols factors: contiguous, or each slice a view
-    # of its own square-ish matrix, as the subspace scan takes its bases
-    # ("columns": the first rows columns, transposed) and their transposes
-    # ("row-sliced": the first cols columns)
+    # of its own square-ish matrix ("columns": the first rows columns,
+    # transposed; "row-sliced": the first cols columns)
     def draw(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 

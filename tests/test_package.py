@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import re
 import types
@@ -31,15 +32,12 @@ def test_all_is_the_api_the_commands_and_the_bench_use():
         "FunctionalObservable",
         "Scenario",
         "SignalReport",
-        "SubspaceMeasureRecord",
-        "affinity_scan",
-        "basis_independence",
+        "certify",
         "channel_capacity",
         "combine",
         "conditional_ensemble",
         "custom",
         "exact_gap",
-        "gleason_certify",
         "haar_unitary",
         "monte_carlo_report",
         "polarization_reconstruct",
@@ -99,10 +97,11 @@ def test_every_imported_name_is_used_in_its_module():
 
 # stream tags that recorded seeds use or used, besides the _PATH_* constants:
 # the channel draws letter b from (seed, b), and the tags 10 (the chord
-# scan), 11 (the affine scan) and 21 (the trace fit's own subspaces) are
-# retired.  Reusing one would change what a recorded seed replays.
+# scan), 11 (the affine scan), 20 (the subspace scan) and 21 (the trace
+# fit's own subspaces) are retired.  Reusing one would change what a
+# recorded seed replays.
 _LETTER_TAGS = {0, 1}
-_RETIRED_TAGS = {10, 11, 21}
+_RETIRED_TAGS = {10, 11, 20, 21}
 
 
 def test_stream_path_tags_are_distinct_and_never_reuse_a_retired_tag():
@@ -119,7 +118,7 @@ def test_stream_path_tags_are_distinct_and_never_reuse_a_retired_tag():
             (path.stem, node.args[1]) for node in ast.walk(tree)
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "substream"
         ]
-    assert {"nosignal._PATH_RAYS", "nosignal._PATH_SUBSPACE", "signaling._PATH_CHANNEL"} <= set(tags)
+    assert {"nosignal._PATH_RAYS", "nosignal._PATH_REFINE", "signaling._PATH_CHANNEL"} <= set(tags)
     values = list(tags.values())
     assert len(set(values)) == len(values)
     assert not set(values) & (_LETTER_TAGS | _RETIRED_TAGS)
@@ -138,3 +137,21 @@ def test_readme_names_the_current_report_version():
 
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert re.findall(r"`report_version` \((\d+):", readme) == [str(REPORT_VERSION)]
+
+
+def test_every_config_key_is_read_or_only_sets_the_output():
+    # a RunConfig field that no command reads would be accepted and recorded
+    # in meta, yet change nothing: each field is read as config.<field> by
+    # execute, run or a helper they call for it, or is an output setting
+    from eprsignal import cli
+
+    readers = ("execute", "run", "_build_scenario", "_build_observable", "_dump_samples")
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {
+        node.attr
+        for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in readers
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config"
+    }
+    for field in dataclasses.fields(cli.RunConfig):
+        assert field.name in read or field.name in cli._OUTPUT_FIELDS, field.name

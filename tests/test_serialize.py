@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from eprsignal import (
     Ensemble,
-    affinity_scan,
+    certify,
     monte_carlo_report,
     power,
     quadratic,
@@ -168,7 +168,7 @@ def test_scenario_round_trip_preserves_gap():
 
 
 def test_certificate_serialization_contains_witnesses():
-    cert = affinity_scan(power(PROJ0_2, 2), 50, seed=73)
+    cert = certify(power(PROJ0_2, 2), 50, seed=73)
     data = certificate_to_json(cert)
     assert data["verdict"] == "non-quadratic"
     assert data["seed"] == 73
@@ -198,7 +198,7 @@ def test_dumps_canonical_is_stable():
 
 
 def test_dumps_canonical_matches_json_dumps(tmp_path):
-    cert = affinity_scan(power(PROJ0_2, 2), 300, seed=74)
+    cert = certify(power(PROJ0_2, 2), 300, seed=74)
     data = {"result": certificate_to_json(cert), "witnesses": witnesses_to_json(cert),
             "name": "é", "none": None}
     reference = json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
@@ -398,8 +398,6 @@ def test_report_encoding_matches_asdict():
 # the violation that each check reads off one row of the witness table
 _CHECK_VIOLATION = {
     "residual": lambda r: r["residual"],
-    "basis_spread": lambda r: r["basis_spread"],
-    "trace_fit": lambda r: abs(r["mu"] - r["trace_value"]),
 }
 
 
@@ -408,13 +406,9 @@ def _digest_of_table(rows) -> str:
     import hashlib
 
     h = hashlib.sha256()
-    if rows and rows[0]["type"] == "ray":
-        h.update(np.array([vector_from_json(r["ray"]) for r in rows], dtype="<c16").tobytes())
-        for name in ("value", "expectation", "residual"):
-            h.update(np.array([r[name] for r in rows], dtype="<f8").tobytes())
-        return h.hexdigest()
-    for r in rows:
-        h.update(b"S" + np.array([r["mu"], r["basis_spread"], r["trace_value"]], dtype="<f8").tobytes())
+    h.update(np.array([vector_from_json(r["ray"]) for r in rows], dtype="<c16").tobytes())
+    for name in ("value", "expectation", "residual"):
+        h.update(np.array([r[name] for r in rows], dtype="<f8").tobytes())
     return h.hexdigest()
 
 
@@ -425,17 +419,14 @@ def _digest_of_table(rows) -> str:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_report_digest_and_checks_replay_from_the_sidecar(route, size, seed):
-    from eprsignal import gleason_certify
-
     rng = np.random.default_rng(seed)
     if route == "residual":
-        cert = affinity_scan(quadratic(random_hermitian(2, rng)) if size % 2
-                             else power(PROJ0_2, 2), size, seed=seed)
+        f = quadratic(random_hermitian(2, rng)) if size % 2 else power(PROJ0_2, 2)
     else:
         d = 3 + size % 2
         f = quadratic(random_hermitian(d, rng)) if route == "quadratic" \
             else power(random_hermitian(d, rng), 3)
-        cert = gleason_certify(f, seed=seed)
+    cert = certify(f, size, seed=seed)
     report = json.loads(dumps_canonical(certificate_to_json(cert)))
     table = json.loads(dumps_canonical({"witnesses": witnesses_to_json(cert)}))["witnesses"]
 
@@ -450,20 +441,3 @@ def test_report_digest_and_checks_replay_from_the_sidecar(route, size, seed):
         assert check["index"] == violations.index(check["worst"]), name
         assert check["count"] == len(table), name
     assert report["checks"][report["worst_check"]]["worst"] == report["worst_violation"]
-
-
-def test_digest_of_records_without_a_trace_value_replays_from_the_sidecar():
-    # basis_independence alone leaves trace_value None: the table writes
-    # null, and the digest takes it as NaN
-    from eprsignal import Certificate, basis_independence
-
-    rotations = np.array([np.eye(2, dtype=complex)] * 2)
-    records = tuple(
-        basis_independence(quadratic(random_hermitian(3, np.random.default_rng(70))),
-                           rows, rotations)
-        for rows in (np.eye(3)[:2], np.eye(3)[1:])
-    )
-    cert = Certificate(worst_violation=0.0, witnesses=records, tolerance=1e-8)
-    table = json.loads(dumps_canonical({"witnesses": witnesses_to_json(cert)}))["witnesses"]
-    assert [r["trace_value"] for r in table] == [None, None]
-    assert certificate_to_json(cert)["witness_digest"] == _digest_of_table(table)
