@@ -47,8 +47,8 @@ _STEP = 0.7
 _PATH_RAYS = 30
 _PATH_REFINE = 31
 
-# PSD slack for reconstructed operators; eigenvalues above -1e-10 count as
-# non-negative
+# PSD slack for reconstructed operators, relative to the decision scale:
+# eigenvalues above -1e-10 scale count as non-negative
 _PSD_SLACK = 1e-10
 
 
@@ -124,7 +124,10 @@ class Certificate:
 
     ``witnesses`` is the ``RayColumns`` table of the residual rows, and
     ``operator`` the reconstructed F.  ``checks`` maps each check the scan
-    ran to its ``Check``, in the order they ran.  Certificates
+    ran to its ``Check``, in the order they ran.  ``scale`` is the spread of
+    f over its polarization probes and ``floor`` the float resolution of
+    its values, 64 eps d max|f| over the probes; a bare certificate has
+    scale 1 and floor 0, so its tolerance is absolute.  Certificates
     compare by value, the ``operator`` arrays by ``np.array_equal``, and
     are unhashable.
     """
@@ -135,6 +138,8 @@ class Certificate:
     seed: int | None = None
     operator: np.ndarray | None = None
     checks: dict = field(default_factory=dict)
+    scale: float = 1.0
+    floor: float = 0.0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Certificate):
@@ -147,9 +152,10 @@ class Certificate:
 
     @property
     def verdict(self) -> str:
-        """Quadratic-consistent iff ``worst_violation < tolerance``; a NaN
-        violation is non-quadratic."""
-        if self.worst_violation < self.tolerance:
+        """Quadratic-consistent iff ``worst_violation`` is below
+        ``tolerance * scale`` and the float ``floor``, whichever is larger; a
+        NaN violation is non-quadratic."""
+        if self.worst_violation < max(self.tolerance * self.scale, self.floor):
             return VERDICT_QUADRATIC
         return VERDICT_NON_QUADRATIC
 
@@ -237,6 +243,19 @@ def _refined_rays(f, operator: np.ndarray, rays, values, expectation, seed: int)
     return [np.concatenate(col) for col in zip(*out)]
 
 
+def _decision_scale(operator: np.ndarray) -> tuple[float, float]:
+    """The spread of f over its d^2 polarization probes, and the float floor
+    64 eps d max|f| there, read back from the operator F built from them:
+    f is F_jj at e_j, and h + Re F_jk and h + Im F_jk at the two probes of a
+    pair j < k, h = (F_jj + F_kk)/2."""
+    d = len(operator)
+    j, k = np.triu_indices(d, k=1)
+    diag = operator.diagonal().real
+    h = (diag[j] + diag[k]) / 2.0
+    probes = np.concatenate([diag, h + operator[j, k].real, h + operator[j, k].imag])
+    return float(np.ptp(probes)), 64 * np.finfo(float).eps * d * float(np.abs(probes).max())
+
+
 def certify(
     f,
     n_rays: int = 1000,
@@ -254,12 +273,18 @@ def certify(
     rows; with ``f.counting`` the check ``psd_deficit`` also requires F to
     be positive semidefinite, as a counting measure is non-negative.  The
     certificate carries F and every row.
+
+    The verdict is relative to f: the decision scale is the spread of f
+    over its probes, which an offset b I does not move, and the floor the
+    float resolution of its values, so that f -> a f + b I moves no verdict
+    and a constant f is quadratic.  The PSD slack scales the same way.
     """
     if n_rays < 1:
         raise ValueError("need at least one ray")
     tolerance = _decision_tolerance(tolerance)
 
     operator = polarization_reconstruct(f)
+    scale, floor = _decision_scale(operator)
     rays = _residual_rays(f.dim, n_rays, seed)
     values, expectation = _ray_values(f, rays, operator)
     refined = _refined_rays(f, operator, rays, values, expectation, seed)
@@ -276,7 +301,7 @@ def certify(
         checks["psd_deficit"] = Check(
             deficit, 1, PsdDeficitRecord(low, tuple(eigenvectors[:, 0].tolist()))
         )
-        if deficit > _PSD_SLACK:
+        if deficit > _PSD_SLACK * scale:
             worst = max(worst, deficit)
 
     return Certificate(
@@ -286,6 +311,8 @@ def certify(
         seed=seed,
         operator=operator,
         checks=checks,
+        scale=scale,
+        floor=floor,
     )
 
 

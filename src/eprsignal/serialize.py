@@ -199,6 +199,8 @@ def certificate_to_json(c: Certificate) -> dict:
         "worst_violation": c.worst_violation,
         "worst_check": c.worst_check,
         "tolerance": c.tolerance,
+        "scale": c.scale,
+        "floor": c.floor,
         "seed": c.seed,
         "checks": {name: _check_to_json(c, check) for name, check in c.checks.items()},
         "witness_count": len(c.witnesses),

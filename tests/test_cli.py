@@ -564,17 +564,17 @@ _REPORT_SHA256 = {
     ("gap", "bell-quadratic", "json"):
         "3c4738183ede505f4ad8e4f83bb1185011335cb895f1006d477c5551265f9676",
     ("gleason", "d3-gleason-fail", "json"):
-        "5597bd7213a2d04c2dd25c24ed221a0780fe5ef96a28d11b58689163880afdca",
+        "6285c2a494c2c8d5e14cce4e9373efbbdeb2eee55313f7a8d5bf25fa6b3d3d1b",
     ("gleason", "d3-gleason-pass", "json"):
-        "2a9645ca5bf10e451e56638c674c69e6e8020fc329fa2c18c1b50bd66f78d139",
+        "f028e849c3f28cdeec4e2d54ab6918439216cd42e686c9c0e16bcc2c42bdd5a3",
     ("affinity", "power2-affinity", "json"):
-        "4364d14fcd725a0650f8c36a50810bad599488cb2f2948434ee58ef3deba53fa",
+        "2e1a368d94a6ca1186d53ce3c5b5c3b459e31c1ca3748a288796ca43d75e9675",
     ("certify", "d3-gleason-fail", "json"):
-        "d0d4a15ab70f1c0fa54c519bafb955eba5e2e2e809f3fce8b56a781145d841d4",
+        "2604916102c65f117a6285228d3858f3d6bd58b2cc8ed79107e2bc2adbfd9397",
     ("certify", "d3-gleason-pass", "json"):
-        "ec654dedf7ae1d27c9635b6bce75ff07cdd3d1e14d53c00deea3b0e550009caa",
+        "012cc96b4c1cac01312f0322409966e2635f81c8df76153e3518b0991ce5451f",
     ("certify", "power2-affinity", "json"):
-        "f50859a9bf898074cdf8dcbba9f7f9ee545292ea0e347500e68739570e1d0beb",
+        "02e7af80b73e95c14d551af595a81b6f3fdaf8bd2a75cabe27a3f17a6f5f8535",
     ("affinity", "power2-affinity", "csv"):
         "31aba437c2d25357cf1473c1208d8c577615ea9dfce3a4ac686984c97b1028bf",
     ("gleason", "d3-gleason-fail", "csv"):
@@ -653,7 +653,7 @@ def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
     assert main(["gleason", "--config", str(config), "--out", str(out),
                  "--witnesses", str(side)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "b6479637cdd288c6d3ae4142ada844bb51dd52a4cbffeec23661164d59572296")
+        "027b83e5f44d6e82884a9df1bbe71666a407ca9c0493c85e63d0744ef5885255")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
         "42dfba1d9abfe5552bca5fb97fac56a99df95ea67f97853aa5d8a9d4931882c6")
 
