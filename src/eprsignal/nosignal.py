@@ -57,8 +57,9 @@ class RayColumns:
     """Residual rows held as columns, one row per ray: the (k, d) unit
     ``rays``, f at each ray (``values``), <psi|F|psi> of the reconstructed
     operator F (``expectation``) and ``residual`` = |values - expectation|.
-    The arrays are read-only; the rays and values are checked where they
-    are made, by ``_residual_rays`` and ``_ray_values``."""
+    The arrays are read-only, and checked where they are made: the fixed
+    and Haar rays by ``_residual_rays``, the values by ``_ray_values``; the
+    refined rays are normalised by ``_refined_rays``."""
 
     rays: np.ndarray
     values: np.ndarray
@@ -204,8 +205,8 @@ def _ray_values(f, rays: np.ndarray, operator: np.ndarray) -> tuple:
         both = serial_matmul(rays.conj(), np.concatenate([f.matrix, operator], axis=1))
         t, expectation = np.einsum("ikj,ij->ki", both.reshape(len(rays), 2, -1), rays).real
         return _finite(t ** (f.exponent or 1)), expectation
-    expectation = np.einsum("ij,ij->i", serial_matmul(rays.conj(), operator), rays).real
-    return f.values(rays), expectation
+    values = f.values(rays)
+    return values, np.einsum("ij,ij->i", serial_matmul(rays.conj(), operator), rays).real
 
 
 def _refined_rays(f, operator: np.ndarray, rays, values, expectation, seed: int) -> list:
