@@ -18,7 +18,6 @@ from eprsignal.cli import (
     RunConfig,
     bundled_config_names,
     emit_plot_data,
-    execute,
     load_config,
     main,
     parse_config,

@@ -87,10 +87,11 @@ def test_custom_affinity_report_and_witness_bytes_are_unchanged(n, report, table
     assert hashlib.sha256(text).hexdigest() == table
 
 
-def test_affinity_makes_one_values_call_per_row_batch(monkeypatch):
-    # the operator's 4 probes take one values call; a custom f then takes one
-    # on all 3 + n rays and one per refinement round, and an f with a matrix
-    # none, as its values come from the product of the rays with [A | F]
+def test_affinity_makes_at_most_two_values_calls(monkeypatch):
+    # at most two before the refinement: the operator's 4 probes take one
+    # values call; a custom f then takes one on all 3 + n rays and one per
+    # refinement round, and an f with a matrix none, as its values come from
+    # the product of the rays with [A | F]
     f = power(PROJ0_2, 2)
     twin = custom(f.values, 2, batch=True)
     calls = []
