@@ -151,16 +151,6 @@ def rays_to_json(w: RayColumns, rows: slice = slice(None)) -> list[dict]:
     ]
 
 
-def witness_to_json(w) -> dict:
-    if isinstance(w, PsdDeficitRecord):
-        return {
-            "type": "psd-deficit",
-            "eigenvalue": w.eigenvalue,
-            "eigenvector": vector_to_json(w.eigenvector),
-        }
-    raise ValueError(f"cannot serialize witness of type {type(w).__name__}")
-
-
 def witnesses_to_json(c: Certificate) -> list[dict]:
     """Every witness of a certificate, one object each, in order: the table
     that ``--witnesses`` writes and ``--format csv`` renders."""
@@ -186,8 +176,11 @@ def _check_to_json(c: Certificate, check) -> dict:
     if isinstance(w, int):  # a row of the witness table
         out["index"] = w
         out["witness"] = rays_to_json(c.witnesses, slice(w, w + 1))[0]
-    else:
-        out["witness"] = None if w is None else witness_to_json(w)
+    elif isinstance(w, PsdDeficitRecord):
+        out["witness"] = {"type": "psd-deficit", "eigenvalue": w.eigenvalue,
+                          "eigenvector": vector_to_json(w.eigenvector)}
+    else:  # a check without rows
+        out["witness"] = None
     return out
 
 
