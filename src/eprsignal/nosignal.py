@@ -248,13 +248,16 @@ def _decision_scale(operator: np.ndarray) -> tuple[float, float]:
     """The spread of f over its d^2 polarization probes, and the float floor
     64 eps d max|f| there, read back from the operator F built from them:
     f is F_jj at e_j, and h + Re F_jk and h + Im F_jk at the two probes of a
-    pair j < k, h = (F_jj + F_kk)/2."""
+    pair j < k, h = (F_jj + F_kk)/2.  The floor is never below the smallest
+    normal float, so an f that is 0 at every probe and every row is
+    quadratic."""
     d = len(operator)
     j, k = np.triu_indices(d, k=1)
     diag = operator.diagonal().real
     h = (diag[j] + diag[k]) / 2.0
     probes = np.concatenate([diag, h + operator[j, k].real, h + operator[j, k].imag])
-    return float(np.ptp(probes)), 64 * np.finfo(float).eps * d * float(np.abs(probes).max())
+    floor = 64 * np.finfo(float).eps * d * float(np.abs(probes).max())
+    return float(np.ptp(probes)), max(floor, float(np.finfo(float).tiny))
 
 
 def certify(

@@ -18,6 +18,7 @@ from eprsignal.cli import (
     RunConfig,
     bundled_config_names,
     emit_plot_data,
+    execute,
     load_config,
     main,
     parse_config,
@@ -655,6 +656,74 @@ def test_d24_counting_report_and_witness_bytes_are_unchanged(tmp_path):
         "027b83e5f44d6e82884a9df1bbe71666a407ca9c0493c85e63d0744ef5885255")
     assert hashlib.sha256(side.read_bytes()).hexdigest() == (
         "42dfba1d9abfe5552bca5fb97fac56a99df95ea67f97853aa5d8a9d4931882c6")
+
+
+def _json_keys(tree):
+    # every key of a parsed JSON tree, at any depth
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield key
+            yield from _json_keys(value)
+    elif isinstance(tree, list):
+        for value in tree:
+            yield from _json_keys(value)
+
+
+def test_subspace_rows_hold_no_basis(tmp_path):
+    # the gleason rows, subspaces before the ray residual and rays since,
+    # are named by their index in the witness table: no gleason or certify
+    # report or table holds a basis, the report stays small at d = 24, and
+    # the table has the report's witness_count rows
+    config = tmp_path / "counting24.json"
+    config.write_text(json.dumps(_counting_config(24, 3)))
+    out, side = tmp_path / "report.json", tmp_path / "witnesses.json"
+    for command in ("gleason", "certify"):
+        for name in ("d3-gleason-fail", "d3-gleason-pass", str(config)):
+            assert main([command, "--config", name, "--out", str(out),
+                         "--witnesses", str(side)]) == 0
+            report, table = (json.loads(path.read_text()) for path in (out, side))
+            for tree in (report, table):
+                assert "basis" not in set(_json_keys(tree)), name
+            assert len(table["witnesses"]) == report["result"]["witness_count"], name
+    assert out.stat().st_size <= 84 * 1024
+
+
+def _row_semantics(cert) -> str:
+    # SHA-256 of what the certifier decides, apart from the witness-table
+    # layout: the operator (<c16), then the rows' rays (<c16) and their
+    # values, expectations and residuals (<f8), column by column
+    h = hashlib.sha256(np.ascontiguousarray(cert.operator, "<c16").tobytes())
+    w = cert.witnesses
+    h.update(np.ascontiguousarray(w.rays, "<c16").tobytes())
+    for column in (w.values, w.expectation, w.residual):
+        h.update(np.ascontiguousarray(column, "<f8").tobytes())
+    return h.hexdigest()
+
+
+_SUBSPACE_SEMANTICS = {
+    "d3-gleason-fail": "2ee359d8b94b9c8c7b8e7fc259cadb63917910af9fb388faf6111dc786b195aa",
+    "d3-gleason-pass": "eb3b480dc00097524ef966d34c902f06260034f2c057bab1d9f28e5da0ba2123",
+    "counting24-seed0": "5e12509b477069ad8f79f39bac6b2a7d983c3cbffe07fd54d8297de0a646274c",
+    "counting24-seed3": "88896ed732fb192293755f8431d9d06fdbe369ed72f3cf91faa92fe273432412",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUBSPACE_SEMANTICS))
+def test_subspace_rows_and_operator_are_pinned(name):
+    # the rows and the operator of gleason and certify on the bundled
+    # gleason configs and on the benchmark's d = 24 counting recipe; the
+    # gleason rows were subspaces up to report version 6, and are the
+    # residual's rays since
+    if name.startswith("counting24"):
+        raw = _counting_config(24, int(name.removeprefix("counting24-seed")))
+    else:
+        raw = load_config(name)
+    for command in ("gleason", "certify"):
+        _, _, cert, cmd = execute(parse_config({**raw, "command": command}))
+        d = len(cert.operator)
+        assert cmd == "gleason"
+        assert len(cert.witnesses) == d * (d - 1) // 2 + d + 1000 + 12 * 128
+        assert _row_semantics(cert) == _SUBSPACE_SEMANTICS[name], command
 
 
 # the exit codes of the six commands, in COMMANDS order, on each bundled

@@ -507,6 +507,125 @@ def _family_observable(kind, d, rng):
     )
 
 
+def _row_path(f):
+    # the same evaluator without its matrix, so the certifier evaluates every
+    # row through values, as a custom observable's
+    return dataclasses.replace(f, kind="custom", matrix=None, exponent=None)
+
+
+# zero at e_0, e_1, e_2, and (<psi|A|psi>)^3 = (2 c Re(e^{i pi/4} conj(psi_0)
+# psi_1))^3 with c^3 = 3e308: about 1.06e308 in size at the probes of the pair
+# (0, 1), and past the largest float where the mix of e_0 and e_1 is nearer
+# to e^{-i pi/4}
+_OVERFLOWING = 3.0 ** (1 / 3) * 10.0 ** (308 / 3) * np.exp(0.25j * np.pi)
+_OVERFLOWING_POWER = power(
+    [[0, _OVERFLOWING, 0], [np.conj(_OVERFLOWING), 0, 0], [0, 0, 0]], 3
+)
+
+
+def test_non_finite_restricted_value_fails_loudly():
+    # every probe and every fixed row of one Haar ray is finite, so the
+    # operator is; the refinement climbs to a row that overflows, and
+    # certify fails there, for an f with a matrix and for its row path
+    f = _OVERFLOWING_POWER
+    operator = polarization_reconstruct(f)
+    assert np.all(np.isfinite(operator))
+    for g in (f, _row_path(f)):
+        values, _ = _ray_values(g, _residual_rays(3, 1, 0), operator)
+        assert np.all(np.isfinite(values))
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            certify(g, 1, seed=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(2, 13),
+    k=st.integers(1, 3),
+    log_scale=st.floats(-3.0, 3.0),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restricted_measures_match_the_row_path(d, k, log_scale, n, seed):
+    # f and <F> on the residual rows from the product with [A | F] match
+    # those from one values call and a product with F alone
+    rng = np.random.default_rng(seed)
+    matrix = random_hermitian(d, rng) * 10.0**log_scale
+    f = quadratic(matrix) if k == 1 else power(matrix, k)
+    operator = polarization_reconstruct(f)
+    rays = _residual_rays(d, n, seed)
+    values, expectation = _ray_values(f, rays, operator)
+    ref_values, ref_expectation = _ray_values(_row_path(f), rays, operator)
+    scale = max(1.0, np.linalg.norm(matrix, 2) ** k)
+    assert np.max(np.abs(values - ref_values)) <= 1e-12 * scale
+    assert np.max(np.abs(expectation - ref_expectation)) <= 1e-12 * scale
+
+
+def _scorer_observable(kind, d, rng):
+    if kind == "counting":
+        return counting(power(random_projector(d, rng), 2))
+    return _family_observable(kind, d, rng)
+
+
+def _blocks_alone(f, rays, sizes, operator):
+    # _ray_values of each block of rows in turn, concatenated column by column
+    edges = np.cumsum([0, *sizes])
+    parts = [_ray_values(f, rays[i:j], operator) for i, j in zip(edges[:-1], edges[1:])]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 13),
+    kind=st.sampled_from(["quadratic", "power", "counting", "custom"]),
+    count=st.integers(1, 3),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_scorer_is_each_subspace_bit_for_bit(d, kind, count, data, seed):
+    # one call on a stack of row blocks gives each block's f and <F> as a
+    # call on that block alone, bit for bit, for blocks of two or more rows:
+    # a row's values do not depend on the batch it is scored in
+    sizes = data.draw(st.lists(st.integers(2, 300), min_size=count, max_size=count),
+                      label="sizes")
+    rng = np.random.default_rng(seed)
+    f = _scorer_observable(kind, d, rng)
+    operator = polarization_reconstruct(f)
+    rays = random_pure_batch(sum(sizes), d, rng)
+    stacked = _ray_values(f, rays, operator)
+    for got, alone in zip(stacked, _blocks_alone(f, rays, sizes, operator)):
+        assert got.tobytes() == alone.tobytes()
+
+
+def test_stacked_scorer_fails_on_any_subspace_of_the_stack():
+    # _OVERFLOWING_POWER is 0 on span{e0, e2} and span{e1, e2}, and
+    # overflows on mixes of e0 and e1 near e^{-i pi/4}: a stack fails if any
+    # of its rows does, and passes without them
+    s = 1 / math.sqrt(2)
+    rows = np.array([[1, 0, 0], [0, 0, 1], [s, s * np.exp(-0.25j * np.pi), 0],
+                     [0, 1, 0], [0, s, s]], dtype=complex)
+    operator = np.zeros((3, 3), dtype=complex)
+    for g in (_OVERFLOWING_POWER, _row_path(_OVERFLOWING_POWER)):
+        values, _ = _ray_values(g, rows[[0, 1, 3, 4]], operator)
+        assert not values.any()
+        for stack in (rows, rows[2:], rows[:3]):
+            with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+                _ray_values(g, stack, operator)
+
+
+@pytest.mark.parametrize("n", [1, 40])
+def test_stacked_scorer_at_d140_is_each_subspace_bit_for_bit(n):
+    # at d = 140 the products have more than 128 inner terms, where a
+    # threaded product would round differently from the per-block ones: two
+    # blocks of n + 1 rows score as each block alone, bit for bit
+    rng = np.random.default_rng(n)
+    f = power(random_hermitian(140, rng), 2)
+    operator = random_hermitian(140, rng)
+    rays = random_pure_batch(2 * (n + 1), 140, rng)
+    stacked = _ray_values(f, rays, operator)
+    for got, alone in zip(stacked, _blocks_alone(f, rays, [n + 1, n + 1], operator)):
+        assert got.tobytes() == alone.tobytes()
+
+
 def test_subspace_measure_matches_projector_trace():
     # for quadratic f the measure of any subspace is Tr(F P_X)
     rng = np.random.default_rng(62)
@@ -742,10 +861,12 @@ def test_verdict_does_not_depend_on_the_scale_of_f(f, verdict):
 @settings(max_examples=25, deadline=None)
 @given(d=st.integers(2, 5), log_a=st.floats(-6.0, 8.0), b_over_a=st.floats(-1e6, 1e6),
        seed=st.integers(0, 2**32 - 1))
+@example(d=2, log_a=0.0, b_over_a=-1.0, seed=0)
 def test_verdicts_are_unchanged_under_scale_and_offset(d, log_a, b_over_a, seed):
     # f -> a f + b I, a in [1e-6, 1e8] and |b| <= 1e6 a, moves no verdict of
     # the zoo: the residual, the probe spread and the float floor all scale
-    # with a, and an offset moves only the floor
+    # with a, and an offset moves only the floor.  The example makes the
+    # identity entry f = 0, whose spread and residual are both 0
     a = 10.0**log_a
     identity = quadratic(np.eye(d, dtype=complex))
     for entry in builtin_observables(d):
