@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -108,6 +109,24 @@ def test_haar_unitary_deterministic_and_gs_stable():
     out = gram_schmidt(cols)
     for orig, ortho in zip(cols, out):
         np.testing.assert_allclose(orig, ortho, atol=1e-10)
+
+
+# SHA-256 of haar_unitary(d, default_rng([7, d])) as little-endian complex128,
+# per d: the draw is one (2, d, d) block of normals, the real then the
+# imaginary part, and one square QR with the phases of R's diagonal divided out
+_HAAR_SHA256 = {
+    1: "23d62e01c8157a0538b888a7fae4197d73774228e31b8a52055aaa7b2bf5c1f4",
+    2: "7f45e3776895a0fa41823378a8f073a3af73dabf9976967e99425547b4dfa5ba",
+    3: "a2793061bb226919cba56f6ca767f78a3e9984ff21763e774a84095ed18a802c",
+    24: "d7f24ef002dd9baa8ea1f6dab5a4689cebd07f65d0b61aee736372895649dbd7",
+}
+
+
+@pytest.mark.parametrize("d", sorted(_HAAR_SHA256))
+def test_haar_unitary_is_pinned(d):
+    u = haar_unitary(d, np.random.default_rng([7, d]))
+    assert u.shape == (d, d)
+    assert hashlib.sha256(np.ascontiguousarray(u, "<c16").tobytes()).hexdigest() == _HAAR_SHA256[d]
 
 
 @settings(max_examples=60, deadline=None)
