@@ -307,6 +307,8 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
     """Execute a validated config, write the report, the ``witnesses`` table
     and, for ``simulate``, the ``dump_samples`` CSV; return (exit code,
     report)."""
+    _distinct_outputs({"--out": config.out, "--witnesses": config.witnesses,
+                       "--dump-samples": dump_samples})
     result, detected, source, ran = execute(config)
     report = {
         "command": config.command,
@@ -338,6 +340,17 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
     if config.expect == "no-signal" and detected:
         return 2, report
     return 0, report
+
+
+def _distinct_outputs(paths: dict) -> None:
+    """Reject two output flags that name one file, which the later write
+    would replace silently."""
+    seen = {}
+    for flag, path in paths.items():
+        if path:
+            other = seen.setdefault(Path(path).resolve(), flag)
+            if other != flag:
+                raise ConfigError(f"{flag}: names the same file as {other}: {path!r}")
 
 
 def _dump_samples(sc, config: RunConfig, path: str):

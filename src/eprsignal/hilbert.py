@@ -35,9 +35,8 @@ def _row_edges(m: int, k: int, n: int) -> list[int]:
 
 
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of 2-d arrays, or of stacks of them along a leading axis,
-    one ``_row_edges`` block of each slice's rows at a time, so that OpenBLAS
-    keeps every block on the calling thread.
+    """``a @ b`` of 2-d arrays, one ``_row_edges`` block of a's rows at a
+    time, so that OpenBLAS keeps every block on the calling thread.
 
     With OpenBLAS 0.3.31, for complex factors with k <= 128, each row is bit
     for bit that of ``a @ b``.  That is why no block has one row: numpy
@@ -45,13 +44,11 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     differently.  The exceptions: a one-column b with a column-major a, whose
     matrix-vector kernel rounds differently with the row count; real
     products; and, for k > 128, a threaded ``a @ b``, which splits its inner
-    sums differently.  numpy multiplies a stack slice by slice, each as the
-    2-d product of its shape and strides, so each slice of the result is
-    bit for bit that slice's own ``serial_matmul``."""
-    edges = _row_edges(a.shape[-2], *b.shape[-2:])
+    sums differently."""
+    edges = _row_edges(len(a), *b.shape)
     if len(edges) == 2:
         return a @ b
-    return np.concatenate([a[..., i:j, :] @ b for i, j in zip(edges[:-1], edges[1:])], axis=-2)
+    return np.concatenate([a[i:j] @ b for i, j in zip(edges[:-1], edges[1:])])
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -128,21 +125,15 @@ def unit_rows(rows, tol: float) -> np.ndarray:
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed d x d unitary from one draw of its real, then its
-    imaginary d x d block."""
+    imaginary d x d block: the Q of the complex Gaussian matrix's QR, each
+    column's phase set by R's diagonal so the distribution is exactly
+    left-invariant."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return haar_from_normals(rng.standard_normal((1, 2, d, d)))[0]
-
-
-def haar_from_normals(z: np.ndarray) -> np.ndarray:
-    """Haar unitaries from a (k, 2, d, d) stack of normal draws, the real and
-    the imaginary block of each: one batched QR of the k complex Gaussian
-    matrices, each R's diagonal phase-normalized so the distribution is
-    exactly left-invariant.  Each equals its own matrix's QR bit for bit.
-    A (k, 2, d, m) stack, m < d, gives the (k, d, m) frames of a thin QR."""
-    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[:, None, :]
+    z = rng.standard_normal((2, d, d))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
 
 
 def random_pure_batch(m: int, d: int, rng: np.random.Generator) -> np.ndarray:

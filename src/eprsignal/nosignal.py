@@ -25,7 +25,7 @@ from .hilbert import (
     serial_matmul,
     unit_rows,
 )
-from .observables import polarization_reconstruct
+from .observables import expectations, polarization_reconstruct
 from .streams import chunk_sizes, substream
 
 VERDICT_QUADRATIC = "quadratic-consistent"
@@ -93,7 +93,7 @@ class PsdDeficitRecord(NamedTuple):
 class Check(NamedTuple):
     """One check of a certificate: its worst violation, how many rows it
     scanned, and the row that attained the worst, either an index into the
-    certificate's witnesses or a record of its own (None without rows)."""
+    certificate's witnesses or a record of its own."""
 
     worst: float
     count: int
@@ -103,8 +103,6 @@ class Check(NamedTuple):
 def _worst_row(violations) -> Check:
     """Check over the witness rows with these violations; the witness is the
     first row attaining the max."""
-    if len(violations) == 0:
-        return Check(0.0, 0, None)
     i = int(np.argmax(violations))
     return Check(float(violations[i]), len(violations), i)
 
@@ -205,8 +203,7 @@ def _ray_values(f, rays: np.ndarray, operator: np.ndarray) -> tuple:
         both = serial_matmul(rays.conj(), np.concatenate([f.matrix, operator], axis=1))
         t, expectation = np.einsum("ikj,ij->ki", both.reshape(len(rays), 2, -1), rays).real
         return _finite(t ** (f.exponent or 1)), expectation
-    values = f.values(rays)
-    return values, np.einsum("ij,ij->i", serial_matmul(rays.conj(), operator), rays).real
+    return f.values(rays), expectations(rays, operator)
 
 
 def _refined_rays(f, operator: np.ndarray, rays, values, expectation, seed: int) -> list:

@@ -99,11 +99,9 @@ class FunctionalObservable:
         return float(self.values(np.asarray(psi, dtype=complex)[None, :])[0])
 
 
-def _expectation_batch(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    def values(batch: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", serial_matmul(batch.conj(), matrix), batch).real
-
-    return values
+def expectations(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """<psi|M|psi> of each row psi of the (m, d) ``rows``, real part."""
+    return np.einsum("ij,ij->i", serial_matmul(rows.conj(), matrix), rows).real
 
 
 def quadratic(matrix) -> FunctionalObservable:
@@ -114,7 +112,7 @@ def quadratic(matrix) -> FunctionalObservable:
     return FunctionalObservable(
         dim=m.shape[0],
         kind=KIND_QUADRATIC,
-        _values=_expectation_batch(m),
+        _values=lambda batch: expectations(batch, m),
         matrix=m,
     )
 
@@ -129,10 +127,9 @@ def power(matrix, exponent: int) -> FunctionalObservable:
         raise ValueError("matrix must be Hermitian")
     if int(exponent) != exponent or exponent < 2:
         raise ValueError("exponent must be an integer >= 2")
-    base = _expectation_batch(m)
 
     def values(batch: np.ndarray) -> np.ndarray:
-        return base(batch) ** int(exponent)
+        return expectations(batch, m) ** int(exponent)
 
     return FunctionalObservable(
         dim=m.shape[0],

@@ -14,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .nosignal import Certificate, PsdDeficitRecord, RayColumns
+from .nosignal import Certificate, RayColumns
 from .observables import power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
 from .states import EntangledState
@@ -176,11 +176,9 @@ def _check_to_json(c: Certificate, check) -> dict:
     if isinstance(w, int):  # a row of the witness table
         out["index"] = w
         out["witness"] = rays_to_json(c.witnesses, slice(w, w + 1))[0]
-    elif isinstance(w, PsdDeficitRecord):
+    else:  # the psd-deficit record
         out["witness"] = {"type": "psd-deficit", "eigenvalue": w.eigenvalue,
                           "eigenvector": vector_to_json(w.eigenvector)}
-    else:  # a check without rows
-        out["witness"] = None
     return out
 
 

@@ -129,10 +129,14 @@ def _shuffled(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return idx
 
 
-def _chunk_counts(sc: Scenario, letter: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    # The first draw of a letter's stream: the member counts of every chunk of
-    # the n samples, one row per chunk.  They alone fix the statistics.
-    return rng.multinomial(chunk_sizes(n), letter_ensemble(sc, letter).weights)
+def _chunk_counts(sc: Scenario, letter: int, n: int, seed: int) -> tuple:
+    # The first draw of the letter's stream substream(seed, letter), and the
+    # stream: the member counts of every chunk of the n samples, one row per
+    # chunk.  They alone fix the statistics.  The letter is checked first, as
+    # numpy would reject a negative one in substream as a bad seed entry.
+    weights = letter_ensemble(sc, letter).weights
+    rng = substream(seed, letter)
+    return rng.multinomial(chunk_sizes(n), weights), rng
 
 
 def per_sample_values(sc: Scenario, letter: int, n: int, seed: int) -> np.ndarray:
@@ -144,9 +148,8 @@ def per_sample_values(sc: Scenario, letter: int, n: int, seed: int) -> np.ndarra
     chunk.  The report's letter mean, and each convergence row's, equals the
     mean of the matching prefix of this array up to summation rounding.
     """
-    rng = substream(seed, letter)
-    counts = _chunk_counts(sc, letter, n, rng)
-    idx = np.concatenate([_shuffled(row, rng) for row in counts])
+    counts, rng = _chunk_counts(sc, letter, n, seed)
+    idx = np.concatenate([np.zeros(0, int), *(_shuffled(row, rng) for row in counts)])
     return sc.member_values[letter][idx]
 
 
@@ -154,7 +157,7 @@ def _letter_moments(
     sc: Scenario, letter: int, n: int, seed: int
 ) -> list[tuple[int, float, float]]:
     """Running (n, mean, sample variance) of f at ``count_moments``' rows."""
-    counts = _chunk_counts(sc, letter, n, substream(seed, letter))
+    counts, _ = _chunk_counts(sc, letter, n, seed)
     return count_moments(counts, sc.member_values[letter])
 
 

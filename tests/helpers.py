@@ -22,7 +22,6 @@ from eprsignal.hilbert import (
     TOL_STRUCTURAL,
     as_matrix,
     as_vector,
-    haar_from_normals,
     orthonormal_rows,
 )
 from eprsignal.serialize import matrix_from_json, matrix_to_json
@@ -77,12 +76,9 @@ def gram_schmidt(vectors) -> list[np.ndarray]:
 
 
 def haar_unitaries(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-distributed d x d unitaries, shape (count, d, d).
-    Matrix j draws its real, then its imaginary d x d block, so the stack
-    equals ``count`` calls of ``haar_unitary`` in a row."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    return haar_from_normals(rng.standard_normal((count, 2, d, d)))
+    """``count`` Haar-distributed d x d unitaries, shape (count, d, d): as
+    many calls of ``haar_unitary`` in a row."""
+    return np.array([haar_unitary(d, rng) for _ in range(count)], dtype=complex).reshape(count, d, d)
 
 
 def subspace_measure(f, basis) -> float:

@@ -377,6 +377,26 @@ def test_dump_samples_matches_report(tmp_path):
                                                     abs=1e-12)
 
 
+@pytest.mark.parametrize("command, config, flag", [
+    ("certify", "power2-affinity", "--witnesses"),
+    ("simulate", "bell-power", "--dump-samples"),
+])
+def test_an_output_flag_may_not_name_the_report_file(command, config, flag, tmp_path,
+                                                     monkeypatch, capsys):
+    # the second write would replace the report; a relative and an absolute
+    # path to one file collide too, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--config", config, "--samples", "100",
+                 "--out", "r.json", flag, str(tmp_path / "r.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "--out" in captured.err and flag in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+    assert main([command, "--config", config, "--samples", "100",
+                 "--out", "r.json", flag, "w"]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["command"] == command
+
+
 def test_csv_format_emits_plot_data(tmp_path):
     out = tmp_path / "conv.csv"
     cfg = parse_config(

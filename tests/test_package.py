@@ -95,6 +95,43 @@ def test_every_imported_name_is_used_in_its_module():
     assert unused == _UNUSED_IMPORTS_ALLOWED
 
 
+# top-level functions and classes that nothing in src/ refers to, yet stay
+_UNREFERENCED_ALLOWED = {
+    # no command writes a scenario yet; a report that records its scenario
+    # (ROADMAP item 2) is its caller
+    ("serialize", "scenario_to_json"),
+    # the names bench/workloads.py calls the certifier by; ROADMAP item 7
+    # deletes them once item 8 has the bench call certify itself
+    ("nosignal", "affinity_scan"),
+    ("nosignal", "gleason_certify"),
+}
+
+# the field that holds the name a node refers to
+_NAME_FIELDS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def test_every_top_level_function_and_class_is_referenced():
+    # a definition is referenced when its name appears in src/ as a name, an
+    # attribute or an imported name outside its own definition, or it is in
+    # __all__
+    src = Path(eprsignal.__file__).parent
+    defined, referenced = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, own))
+            for node in ast.walk(top):
+                field = _NAME_FIELDS.get(type(node))
+                if field and getattr(node, field) != own:
+                    referenced.add(getattr(node, field))
+    unreferenced = {
+        (module, name) for module, name in defined
+        if name not in referenced and name not in eprsignal.__all__
+    }
+    assert unreferenced == _UNREFERENCED_ALLOWED
+
+
 # stream tags that recorded seeds use or used, besides the _PATH_* constants:
 # the channel draws letter b from (seed, b), and the tags 10 (the chord
 # scan), 11 (the affine scan), 20 (the subspace scan) and 21 (the trace

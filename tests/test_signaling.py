@@ -111,6 +111,15 @@ def test_sample_sequence_small_and_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_sample_sequence_of_no_draws_and_a_bad_letter():
+    sc = bell_power_scenario()
+    none = per_sample_values(sc, 0, 0, 34)
+    assert none.dtype == float and none.shape == (0,)
+    for letter in (-1, 2):
+        with pytest.raises(ValueError, match="^letter must be 0 or 1$"):
+            per_sample_values(sc, letter, 10, 34)
+
+
 def test_monte_carlo_detects_bell_power_signal():
     report = monte_carlo_report(bell_power_scenario(), 100000, seed=7)
     assert report.z > 5.0
