@@ -98,19 +98,18 @@ def bundled_config_names() -> list[str]:
 def load_config(path_or_name: str) -> dict:
     """Read a config file; bare names resolve to the bundled library."""
     p = Path(path_or_name)
-    if p.is_file():
-        text = p.read_text()
-    else:
+    if not p.is_file():
         name = path_or_name.removesuffix(".json")
-        ref = resources.files("eprsignal").joinpath("configs", f"{name}.json")
-        if not ref.is_file():
+        p = resources.files("eprsignal").joinpath("configs", f"{name}.json")
+        if not p.is_file():
             raise ConfigError(
                 f"config: {path_or_name!r} is neither a file nor one of the "
                 f"bundled configs {bundled_config_names()}"
             )
-        text = ref.read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"config: cannot read {path_or_name!r} ({err})") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config: invalid JSON ({err})") from err
     if not isinstance(data, dict):
@@ -153,6 +152,8 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
         )
     if config.format not in ("json", "csv"):
         raise ConfigError(f"format: must be 'json' or 'csv', got {config.format!r}")
+    if config.format == "csv" and command in ("gap", "capacity"):
+        raise ConfigError(f"format: no CSV plot data defined for command {command!r}")
 
     scenario, observable = config.scenario, config.observable
     if command in CERTIFIERS and observable is None and isinstance(scenario, dict):
@@ -218,16 +219,10 @@ def execute(config: RunConfig) -> tuple[dict, bool, object, str]:
         return signal_report_to_json(report), report.z >= Z_THRESHOLD, scenario, cmd
     if cmd == "capacity":
         scenario = _build_scenario(config)
-        exact = exact_gap(scenario)
         report = channel_capacity(
-            scenario,
-            config.block,
-            config.trials,
-            seed=config.seed,
-            workers=config.workers,
-            exact=exact,
+            scenario, config.block, config.trials, seed=config.seed, workers=config.workers
         )
-        detected = _gap_detected(exact, config.tolerance)
+        detected = _gap_detected(exact_gap(scenario), config.tolerance)
         return channel_report_to_json(report), detected, None, cmd
 
     observable = _build_observable(config)
@@ -321,12 +316,7 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
     if config.command in CERTIFIERS and (config.witnesses or config.format == "csv"):
         table = {"witnesses": witnesses_to_json(source)}
     if config.format == "csv":
-        kind = _PLOT_KIND_FOR_COMMAND.get(ran)
-        if kind is None:
-            raise ConfigError(
-                f"format: no CSV plot data defined for command {config.command!r}"
-            )
-        text = emit_plot_data(table or result, kind)
+        text = emit_plot_data(table or result, _PLOT_KIND_FOR_COMMAND[ran])
     else:
         text = dumps_canonical(report)
     if config.out:
@@ -343,12 +333,16 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
 
 
 def _distinct_outputs(paths: dict) -> None:
-    """Reject two output flags that name one file, which the later write
-    would replace silently."""
+    """Reject, before anything runs or is written, an output path that is a
+    directory or lies in none, and two output flags that name one file,
+    which the later write would replace silently."""
     seen = {}
     for flag, path in paths.items():
         if path:
-            other = seen.setdefault(Path(path).resolve(), flag)
+            resolved = Path(path).resolve()
+            if resolved.is_dir() or not resolved.parent.is_dir():
+                raise ConfigError(f"{flag}: {path!r} is not a file in an existing directory")
+            other = seen.setdefault(resolved, flag)
             if other != flag:
                 raise ConfigError(f"{flag}: names the same file as {other}: {path!r}")
 

@@ -8,7 +8,6 @@ reports are dumped with sorted keys so equal values give equal bytes.
 from __future__ import annotations
 
 import dataclasses
-import io
 import math
 from json.encoder import encode_basestring_ascii
 
@@ -260,66 +259,27 @@ def dumps_canonical(obj) -> str:
     The bytes are those of ``json.dumps(obj, sort_keys=True, indent=1,
     separators=(",", ": "))`` plus the newline, for trees of str-keyed dicts,
     lists, tuples, str, int, float, bool and None; other types raise
-    ``TypeError`` and NaN or an infinity raises ``ValueError``.  The text is
-    streamed into one buffer, with two speed paths: each key order is sorted,
-    and its ``"key": `` prefixes encoded, once per call; and a list of floats
-    is formatted by one join, checked once for NaN and infinities.
+    ``TypeError`` and NaN or an infinity raises ``ValueError``.  One speed
+    path: a list of floats is formatted by one join, checked once for NaN
+    and infinities.
     """
-    buf = io.StringIO()
-    write = buf.write
-    layouts: dict[tuple, list[tuple[str, str]]] = {}
+    return _encode(obj, "\n") + "\n"
 
-    def layout(d: dict) -> list[tuple[str, str]]:
-        names = tuple(d)
-        found = layouts.get(names)
-        if found is None:
-            for key in names:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-            found = [(key, encode_basestring_ascii(key) + ": ") for key in sorted(names)]
-            layouts[names] = found
-        return found
 
-    def encode(o, pad: str) -> None:
-        # pad: newline plus the indent of the line that o starts on
-        if isinstance(o, dict):
-            if not o:
-                write("{}")
-                return
-            inner = pad + " "
-            comma = "," + inner
-            sep = "{" + inner
-            for key, prefix in layout(o):
-                item = o[key]
-                if type(item) is float:
-                    write(sep + prefix + _finite(float.__repr__(item)))
-                elif isinstance(item, (dict, list, tuple)):
-                    write(sep + prefix)
-                    encode(item, inner)
-                else:
-                    write(sep + prefix + _scalar(item))
-                sep = comma
-            write(pad + "}")
-        elif isinstance(o, (list, tuple)):
-            if not o:
-                write("[]")
-                return
-            inner = pad + " "
-            comma = "," + inner
-            try:  # float.__repr__ raises TypeError on an item that is not a float
-                text = comma.join(map(float.__repr__, o))
-            except TypeError:
-                sep = "[" + inner
-                for item in o:
-                    write(sep)
-                    encode(item, inner)
-                    sep = comma
-                write(pad + "]")
-            else:
-                write("[" + inner + _finite(text) + pad + "]")
-        else:
-            write(_scalar(o))
-
-    encode(obj, "\n")
-    write("\n")
-    return buf.getvalue()
+def _encode(o, pad: str) -> str:
+    # the text of o, where pad is a newline plus the indent of o's first line
+    if not isinstance(o, (dict, list, tuple)):
+        return _scalar(o)
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = pad + " "
+    comma = "," + inner
+    if isinstance(o, dict):
+        items = [encode_basestring_ascii(key) + ": " + _encode(o[key], inner)
+                 for key in sorted(o)]
+        return "{" + inner + comma.join(items) + pad + "}"
+    try:  # float.__repr__ raises TypeError on an item that is not a float
+        text = _finite(comma.join(map(float.__repr__, o)))
+    except TypeError:
+        text = comma.join([_encode(item, inner) for item in o])
+    return "[" + inner + text + pad + "]"

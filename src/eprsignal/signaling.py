@@ -241,7 +241,6 @@ def channel_capacity(
     trials: int,
     seed: int = 0,
     workers: int = 1,
-    exact: SignalReport | None = None,
 ) -> ChannelReport:
     """Estimate how well B decodes one uniformly random letter per block.
 
@@ -257,13 +256,11 @@ def channel_capacity(
     read only for a tied block.  A block's sum of counts times member values
     is taken member by member with ``hilbert.row_dot``, bit for bit numpy's
     ``(counts * values).sum(axis=1)``, so no decision depends on that layout.
-    ``exact`` is the scenario's ``exact_gap`` report, when the caller already
-    has it.  ``workers`` is accepted for compatibility and ignored.
+    ``workers`` is accepted for compatibility and ignored.
     """
     if block_length < 1 or trials < 1:
         raise ValueError("block length and trials must be >= 1")
-    if exact is None:
-        exact = exact_gap(sc)
+    exact = exact_gap(sc)
     threshold = (exact.exact_fb + exact.exact_fbprime) / 2.0
     sign = 1.0 if exact.gap >= 0.0 else -1.0
     scale = max(1.0, abs(exact.exact_fb), abs(exact.exact_fbprime))

@@ -397,6 +397,41 @@ def test_an_output_flag_may_not_name_the_report_file(command, config, flag, tmp_
     assert json.loads((tmp_path / "r.json").read_text())["command"] == command
 
 
+@pytest.mark.parametrize("fault", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command, config, flag", [
+    ("simulate", "bell-power", "--out"),
+    ("simulate", "bell-power", "--dump-samples"),
+    ("certify", "power2-affinity", "--witnesses"),
+])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(
+        command, config, flag, fault, tmp_path, monkeypatch, capsys):
+    # rejected before the command runs: no traceback, and no other output
+    # (the report of --out) is written first
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    argv = [command, "--config", config, "--samples", "100",
+            flag, "d" if fault == "directory" else "missing/x"]
+    if flag != "--out":
+        argv += ["--out", "r.json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag}: ") and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"command": "gap", "seed": 1, "x": "\xff"}')
+    out = tmp_path / "r.json"
+    assert main(["gap", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: cannot read {str(config)!r} (")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_csv_format_emits_plot_data(tmp_path):
     out = tmp_path / "conv.csv"
     cfg = parse_config(
@@ -410,10 +445,24 @@ def test_csv_format_emits_plot_data(tmp_path):
 
 
 def test_csv_format_rejected_for_gap():
-    cfg = parse_config(load_config("bell-power"),
-                       {"command": "gap", "format": "csv"})
     with pytest.raises(ConfigError, match="format"):
+        cfg = parse_config(load_config("bell-power"),
+                           {"command": "gap", "format": "csv"})
         run(cfg)
+
+
+def test_csv_format_for_capacity_is_rejected_before_it_runs(monkeypatch, tmp_path, capsys):
+    from eprsignal import cli
+
+    with pytest.raises(ConfigError, match="format"):
+        parse_config(load_config("bell-power"), {"command": "capacity", "format": "csv"})
+    monkeypatch.setattr(cli, "channel_capacity", None)  # a run would fail here
+    out = tmp_path / "c.csv"
+    assert main(["capacity", "--config", "bell-power", "--format", "csv",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: format: no CSV plot data defined for command 'capacity'\n")
+    assert not out.exists()
 
 
 def test_emit_plot_data_kinds(tmp_path):
@@ -491,23 +540,28 @@ def test_certifiers_take_the_observable_from_a_scenario_config(command, tmp_path
     assert json.loads(out.read_text())["result"]["verdict"] == "non-quadratic"
 
 
-def test_capacity_computes_the_exact_gap_once(monkeypatch, tmp_path):
+def test_capacity_reads_one_built_scenario(monkeypatch, tmp_path):
+    # the channel and the signal gate each take the exact gap, both from the
+    # one Scenario, whose letter ensembles are built once
     from eprsignal import cli, signaling
 
-    calls = []
-    exact_gap = signaling.exact_gap
+    built, calls = [], []
+    build, exact_gap = cli.scenario_from_json, signaling.exact_gap
 
     def counted(sc):
         calls.append(sc)
         return exact_gap(sc)
 
+    monkeypatch.setattr(cli, "scenario_from_json",
+                        lambda data: built.append(build(data)) or built[-1])
     monkeypatch.setattr(signaling, "exact_gap", counted)
     monkeypatch.setattr(cli, "exact_gap", counted)
     raw = {**load_config("bell-power"), "block": 10, "trials": 50}
     code, report = run(parse_config(raw, {"command": "capacity",
                                           "out": str(tmp_path / "r.json")}))
     assert code == 0 and report["result"]["trials"] == 50
-    assert len(calls) == 1
+    assert len(built) == 1 and len(calls) == 2
+    assert all(sc is built[0] for sc in calls)
 
 
 def test_dump_samples_builds_the_scenario_once(monkeypatch, tmp_path):
@@ -1051,7 +1105,12 @@ def test_each_command_takes_its_own_flags(command, flag, monkeypatch, capsys):
     value, field, parsed, commands = _FLAGS[flag]
     code, seen = _parsed(monkeypatch, [command, "--config", "bell-power", flag, value])
     captured = capsys.readouterr()
-    if commands is None or command in commands:
+    if flag == "--format" and command in ("gap", "capacity"):
+        # the parser takes the flag; the config has no CSV for these commands
+        assert code == 1 and seen is None
+        assert captured.err == (
+            f"error: format: no CSV plot data defined for command {command!r}\n")
+    elif commands is None or command in commands:
         assert code == 0 and captured.err == ""
         config, dump = seen
         assert config.command == command
