@@ -401,7 +401,7 @@ def main(argv=None) -> int:
         overrides = {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS}
         config = parse_config(data, overrides)
         return run(config, args.dump_samples)[0]
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -421,6 +421,16 @@ def test_an_output_path_that_cannot_be_written_is_a_usage_error(
     assert list((tmp_path / "d").iterdir()) == []
 
 
+def test_an_output_name_the_file_system_refuses_is_one_error_line(tmp_path, monkeypatch,
+                                                                capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gap", "--config", "bell-power", "--out", "a" * 300]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "a" * 300 in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_bytes(b'{"command": "gap", "seed": 1, "x": "\xff"}')
