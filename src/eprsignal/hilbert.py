@@ -34,21 +34,24 @@ def _row_edges(m: int, k: int, n: int) -> list[int]:
     return [i * m // blocks for i in range(blocks + 1)]
 
 
-def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` of 2-d arrays, one ``_row_edges`` block of a's rows at a
-    time, so that OpenBLAS keeps every block on the calling thread.
+def expectations(rows: np.ndarray, *matrices: np.ndarray) -> np.ndarray:
+    """Re <psi|M|psi> of each row psi of the (m, d) ``rows`` for each d x d
+    M of ``matrices``, as a (len(matrices), m) array.
 
-    With OpenBLAS 0.3.31, for complex factors with k <= 128, each row is bit
-    for bit that of ``a @ b``.  That is why no block has one row: numpy
-    sends a 1-row product to a matrix-vector kernel that rounds
-    differently.  The exceptions: a one-column b with a column-major a, whose
-    matrix-vector kernel rounds differently with the row count; real
-    products; and, for k > 128, a threaded ``a @ b``, which splits its inner
+    Each ``_row_edges`` block of rows makes one product of its conjugate
+    with [M_1 | M_2 | ...], which OpenBLAS keeps on the calling thread.
+    With OpenBLAS 0.3.31 and d <= 128, each row is bit for bit that of the
+    unblocked product.  That is why no block has one row: numpy sends a
+    1-row product to a matrix-vector kernel that rounds differently.  The
+    exception: for d > 128, a threaded unblocked product splits its inner
     sums differently."""
-    edges = _row_edges(len(a), *b.shape)
-    if len(edges) == 2:
-        return a @ b
-    return np.concatenate([a[i:j] @ b for i, j in zip(edges[:-1], edges[1:])])
+    stacked = np.concatenate(matrices, axis=1)
+    out = np.empty((len(matrices), len(rows)))
+    edges = _row_edges(len(rows), *stacked.shape)
+    for i, j in zip(edges[:-1], edges[1:]):
+        products = (rows[i:j].conj() @ stacked).reshape(j - i, len(matrices), -1)
+        out[:, i:j] = np.einsum("ikj,ij->ki", products, rows[i:j]).real
+    return out
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,12 +20,12 @@ import numpy as np
 from .hilbert import (
     TOL_DECISION,
     TOL_STRUCTURAL,
+    expectations,
     haar_unitary,  # unused here; bench/selftest.py looks it up in this module
     random_pure_batch,
-    serial_matmul,
     unit_rows,
 )
-from .observables import expectations, polarization_reconstruct
+from .observables import polarization_reconstruct
 from .streams import chunk_sizes, substream
 
 VERDICT_QUADRATIC = "quadratic-consistent"
@@ -196,14 +196,14 @@ def _ray_values(f, rays: np.ndarray, operator: np.ndarray) -> tuple:
     """f and <psi|F|psi> at the unit ``rays``, for the operator F.
 
     An f with a matrix A takes f = t^k, k = ``f.exponent`` or 1, with
-    t = <psi|A|psi>, and <psi|F|psi> from one product of the rays with
-    [A | F]; any other f makes one ``values`` call.
+    t = <psi|A|psi>, and t and <psi|F|psi> from one ``expectations`` call,
+    one product of each block of rays with [A | F]; any other f makes one
+    ``values`` call.
     """
     if f.matrix is not None:
-        both = serial_matmul(rays.conj(), np.concatenate([f.matrix, operator], axis=1))
-        t, expectation = np.einsum("ikj,ij->ki", both.reshape(len(rays), 2, -1), rays).real
+        t, expectation = expectations(rays, f.matrix, operator)
         return _finite(t ** (f.exponent or 1)), expectation
-    return f.values(rays), expectations(rays, operator)
+    return f.values(rays), expectations(rays, operator)[0]
 
 
 def _refined_rays(f, operator: np.ndarray, rays, values, expectation, seed: int) -> list:

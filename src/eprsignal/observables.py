@@ -16,9 +16,9 @@ import numpy as np
 from .hilbert import (
     TOL_STRUCTURAL,
     as_matrix,
+    expectations,
     is_hermitian,
     random_pure_batch,
-    serial_matmul,
 )
 
 # Construction-time spot checks (ray invariance of opaque evaluators, range of
@@ -99,11 +99,6 @@ class FunctionalObservable:
         return float(self.values(np.asarray(psi, dtype=complex)[None, :])[0])
 
 
-def expectations(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """<psi|M|psi> of each row psi of the (m, d) ``rows``, real part."""
-    return np.einsum("ij,ij->i", serial_matmul(rows.conj(), matrix), rows).real
-
-
 def quadratic(matrix) -> FunctionalObservable:
     """The expectation-value observable psi -> <psi|M|psi> of a Hermitian M."""
     m = as_matrix(matrix)
@@ -112,7 +107,7 @@ def quadratic(matrix) -> FunctionalObservable:
     return FunctionalObservable(
         dim=m.shape[0],
         kind=KIND_QUADRATIC,
-        _values=lambda batch: expectations(batch, m),
+        _values=lambda batch: expectations(batch, m)[0],
         matrix=m,
     )
 
@@ -129,7 +124,7 @@ def power(matrix, exponent: int) -> FunctionalObservable:
         raise ValueError("exponent must be an integer >= 2")
 
     def values(batch: np.ndarray) -> np.ndarray:
-        return expectations(batch, m) ** int(exponent)
+        return expectations(batch, m)[0] ** int(exponent)
 
     return FunctionalObservable(
         dim=m.shape[0],

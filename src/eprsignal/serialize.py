@@ -163,9 +163,9 @@ def witness_digest(c: Certificate) -> str:
     import hashlib  # only certificates pay for the import
 
     w = c.witnesses
-    h = hashlib.sha256(np.ascontiguousarray(w.rays, "<c16").tobytes())
+    h = hashlib.sha256(np.ascontiguousarray(w.rays, "<c16"))
     for col in (w.values, w.expectation, w.residual):
-        h.update(np.ascontiguousarray(col, "<f8").tobytes())
+        h.update(np.ascontiguousarray(col, "<f8"))
     return h.hexdigest()
 
 

@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,10 +16,10 @@ from eprsignal.hilbert import (
     _row_edges,
     as_matrix,
     as_vector,
+    expectations,
     orthonormal_rows,
     random_pure_batch,
     row_dot,
-    serial_matmul,
 )
 
 from helpers import (
@@ -303,25 +303,31 @@ def _factor(rng, rows, cols, layout):
 @settings(max_examples=150, deadline=None)
 @given(
     m=st.integers(1, 600),
-    k=st.integers(1, 128),
-    n=st.integers(1, 400),
-    layouts=st.tuples(st.sampled_from(_LAYOUTS), st.sampled_from(_LAYOUTS)),
+    d=st.integers(1, 128),
+    r=st.integers(1, 3),
+    layout=st.sampled_from(_LAYOUTS),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=5, k=128, n=300, layouts=("contiguous",) * 2, seed=0)  # k n > 32,768: 2 + 3 rows
-@example(m=7, k=128, n=257, layouts=("row-sliced", "transposed"), seed=1)
-@example(m=226, k=24, n=24, layouts=("contiguous",) * 2, seed=2)  # 113 + 113 rows
-@example(m=600, k=128, n=1, layouts=("strided", "contiguous"), seed=3)  # 300 + 300 rows
-def test_serial_matmul_is_the_full_product_bit_for_bit(m, k, n, layouts, seed):
-    # complex factors with k <= 128 (the package's products up to d = 128),
-    # as the docstring states: for larger k a threaded full product splits
-    # its inner sums into other blocks, real products can round differently
-    # with the block size, and so does the matrix-vector kernel numpy uses
-    # for a one-column b and a column-major a
-    assume(not (n == 1 and layouts[0] == "transposed"))
+@example(m=5, d=128, r=3, layout="contiguous", seed=0)  # k n > 32,768: 2 + 3 rows
+@example(m=7, d=128, r=2, layout="transposed", seed=1)
+@example(m=226, d=24, r=1, layout="contiguous", seed=2)  # 113 + 113 rows
+@example(m=1300, d=24, r=2, layout="contiguous", seed=3)  # the d = 24 residual rows
+@example(m=600, d=1, r=1, layout="strided", seed=4)  # 300 + 300 rows
+@example(m=599, d=1, r=1, layout="transposed", seed=5)  # a one-column product
+def test_expectations_is_the_unblocked_product_bit_for_bit(m, d, r, layout, seed):
+    # complex rows with d <= 128 (the package's up to d = 128), as the
+    # docstring states: for larger d a threaded unblocked product splits its
+    # inner sums into other blocks
     rng = np.random.default_rng(seed)
-    a, b = _factor(rng, m, k, layouts[0]), _factor(rng, k, n, layouts[1])
-    assert serial_matmul(a, b).tobytes() == (a @ b).tobytes()
+    rows = _factor(rng, m, d, layout)
+    matrices = [_factor(rng, d, d, "contiguous") for _ in range(r)]
+    got = expectations(rows, *matrices)
+    full = (rows.conj() @ np.concatenate(matrices, axis=1)).reshape(m, r, d)
+    assert got.tobytes() == np.einsum("ikj,ij->ki", full, rows).real.tobytes()
+    if r == 1:
+        # with one matrix, also the row sums of one unblocked product
+        one = np.einsum("ij,ij->i", rows.conj() @ matrices[0], rows).real
+        assert got[0].tobytes() == one.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -329,7 +335,7 @@ def test_serial_matmul_is_the_full_product_bit_for_bit(m, k, n, layouts, seed):
 @example(m=3, k=200, n=200)
 @example(m=5, k=181, n=182)
 @example(m=599, k=181, n=182)
-def test_serial_matmul_blocks_stay_on_one_thread_and_above_one_row(m, k, n):
+def test_expectations_blocks_stay_on_one_thread_and_above_one_row(m, k, n):
     edges = _row_edges(m, k, n)
     sizes = np.diff(edges)
     allowed = 65_536 // (k * n)

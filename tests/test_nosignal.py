@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -558,6 +559,26 @@ def test_restricted_measures_match_the_row_path(d, k, log_scale, n, seed):
     scale = max(1.0, np.linalg.norm(matrix, 2) ** k)
     assert np.max(np.abs(values - ref_values)) <= 1e-12 * scale
     assert np.max(np.abs(expectation - ref_expectation)) <= 1e-12 * scale
+
+
+def test_ray_values_temporaries_stay_block_sized():
+    # f and <F> on the d = 24 residual rows (the fixed rays and 1,000 Haar
+    # rays, 1,300 in all, 0.5 MB) allocate one row block's product at a
+    # time, not a product or a conjugate copy of every row; allocation
+    # sizes are deterministic, so the bound does not depend on timing
+    rng = np.random.default_rng(24)
+    f = power(random_hermitian(24, rng), 2)
+    operator = polarization_reconstruct(f)
+    rays = _residual_rays(24, 1000, 0)
+    _ray_values(f, rays, operator)  # any one-time allocation happens here
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        _ray_values(f, rays, operator)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def _scorer_observable(kind, d, rng):
