@@ -167,13 +167,6 @@ class Certificate:
         )
 
 
-def _finite(out: np.ndarray) -> np.ndarray:
-    """``out``, once checked to hold no NaN or infinity, as ``values`` checks."""
-    if not np.all(np.isfinite(out)):
-        raise ValueError("evaluator returned a non-finite value")
-    return out
-
-
 def _residual_rays(d: int, n: int, seed: int) -> np.ndarray:
     """The rows of the residual check in dimension d, once checked to be
     unit vectors: the rays (e_a + e^{i pi/4} e_b)/sqrt(2) of each pair a < b
@@ -195,14 +188,13 @@ def _residual_rays(d: int, n: int, seed: int) -> np.ndarray:
 def _ray_values(f, rays: np.ndarray, operator: np.ndarray) -> tuple:
     """f and <psi|F|psi> at the unit ``rays``, for the operator F.
 
-    An f with a matrix A takes f = t^k, k = ``f.exponent`` or 1, with
-    t = <psi|A|psi>, and t and <psi|F|psi> from one ``expectations`` call,
-    one product of each block of rays with [A | F]; any other f makes one
-    ``values`` call.
+    A polynomial f takes the expectations of its matrices and of F from one
+    ``expectations`` call, and its values from ``f.at_expectations``; a
+    ``custom`` f makes one ``values`` call.
     """
-    if f.matrix is not None:
-        t, expectation = expectations(rays, f.matrix, operator)
-        return _finite(t ** (f.exponent or 1)), expectation
+    if f.terms:
+        *t, expectation = expectations(rays, *f.matrices, operator)
+        return f.at_expectations(t), expectation
     return f.values(rays), expectations(rays, operator)[0]
 
 

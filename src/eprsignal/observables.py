@@ -8,6 +8,7 @@ projector P, doubles as a counting observable with values in [0, 1].
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,20 +18,15 @@ from .hilbert import (
     TOL_STRUCTURAL,
     as_matrix,
     expectations,
-    is_hermitian,
     random_pure_batch,
 )
 
-# Construction-time spot checks (ray invariance of opaque evaluators, range of
-# ``custom`` observables flagged ``counting``) draw from this fixed stream so
+# Construction-time spot checks (ray invariance of opaque evaluators, sampled
+# ranges of observables flagged ``counting``) draw from this fixed stream so
 # construction is deterministic and rng-free for the caller.
 _SPOT_CHECK_SEED = 0x5EED
 # random (state, phase) pairs on which ``custom`` checks ray invariance
 _PHASE_CHECKS = 10
-
-KIND_QUADRATIC = "quadratic"
-KIND_POWER = "power"
-KIND_CUSTOM = "custom"
 
 
 def _as_batch(psis) -> np.ndarray:
@@ -42,38 +38,46 @@ def _as_batch(psis) -> np.ndarray:
     return arr
 
 
+def _finite(out: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(out)):
+        raise ValueError("evaluator returned a non-finite value")
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class FunctionalObservable:
     """A real function on unit state vectors of a fixed dimension.
 
     ``values`` evaluates a batch (m, d) -> (m,); evaluation must be pure and
-    ray-invariant, and a NaN or infinite value is an error.  ``combine``
-    builds linear combinations; combinations of quadratics stay quadratic
-    with the combined matrix, anything else degrades to the custom kind (and
-    drops ``counting``).
+    ray-invariant, and a NaN or infinite value is an error.  A polynomial
+    f = sum_i c_i prod_j <psi|M_j|psi> holds Hermitian ``matrices`` and one
+    (c_i, indices of its factors in ``matrices``) pair per term in
+    ``terms``; a ``custom`` one, only its opaque ``_values``.  The derived
+    ``kind`` is ``quadratic`` for the terms ((1, (0,)),), ``power`` for
+    ((1, (0,)*k),), else ``polynomial`` or ``custom``.
 
     ``counting`` marks an observable valued in [0, 1], a detector that fires
-    or not.  With a ``matrix`` the range is exact, from its extreme
-    eigenvalues; a ``custom`` observable's is sampled, not proven: 1000
-    Haar-random states are checked at construction.
+    or not.  For one term over one matrix the range is exact, from its
+    extreme eigenvalues; any other observable's is sampled, not proven:
+    1000 Haar-random states are checked at construction.
     """
 
     dim: int
-    kind: str
-    _values: Callable[[np.ndarray], np.ndarray]
-    matrix: np.ndarray | None = None
-    exponent: int | None = None
+    matrices: tuple = ()
+    terms: tuple = ()
+    _values: Callable[[np.ndarray], np.ndarray] | None = None
     counting: bool = False
 
     def __post_init__(self):
         if not self.counting:
             return
-        if self.matrix is not None:
-            # <psi|M|psi> ranges over [lo, hi], and t^k takes its extremes
+        if len(self.matrices) == 1 and len(self.terms) == 1:
+            # <psi|M|psi> ranges over [lo, hi], and c t^k takes its extremes
             # there at the ends or at t = 0
-            lo, hi = np.linalg.eigvalsh(self.matrix)[[0, -1]]
+            (c, factors), = self.terms
+            lo, hi = np.linalg.eigvalsh(self.matrices[0])[[0, -1]]
             ends = [lo, hi, 0.0] if lo < 0 < hi else [lo, hi]
-            vals = np.array(ends) ** (self.exponent or 1)
+            vals = c * np.array(ends) ** len(factors)
         else:
             rng = np.random.default_rng(_SPOT_CHECK_SEED + 1)
             vals = self.values(random_pure_batch(1000, self.dim, rng))
@@ -82,34 +86,55 @@ class FunctionalObservable:
                 f"observable range [{vals.min()}, {vals.max()}] leaves [0, 1]"
             )
 
+    @property
+    def kind(self) -> str:
+        if self._values is not None:
+            return "custom"
+        (c, factors), *rest = self.terms
+        if rest or c != 1.0 or set(factors) != {0}:
+            return "polynomial"
+        return "quadratic" if len(factors) == 1 else "power"
+
     def values(self, psis) -> np.ndarray:
         batch = _as_batch(psis)
         if batch.shape[1] != self.dim:
             raise ValueError(
                 f"observable of dim {self.dim} applied to states of dim {batch.shape[1]}"
             )
+        if self._values is None:
+            return self.at_expectations(expectations(batch, *self.matrices))
         out = np.asarray(self._values(batch), dtype=float)
         if out.shape != (batch.shape[0],):
             raise ValueError("evaluator returned a wrongly shaped batch")
-        if not np.all(np.isfinite(out)):
-            raise ValueError("evaluator returned a non-finite value")
-        return out
+        return _finite(out)
+
+    def at_expectations(self, t) -> np.ndarray:
+        """f at the rows whose ``expectations(rows, *self.matrices)`` is t:
+        c times each term's factors, k equal ones as t[j] ** k, summed in
+        order."""
+        total = None
+        for c, factors in self.terms:
+            term = c
+            for j, k in Counter(factors).items():
+                term = term * t[j] ** k
+            total = term if total is None else total + term
+        return _finite(total)
 
     def __call__(self, psi) -> float:
         return float(self.values(np.asarray(psi, dtype=complex)[None, :])[0])
 
 
+def _hermitian(matrix) -> np.ndarray:
+    m = as_matrix(matrix)
+    if np.max(np.abs(m - m.conj().T)) > TOL_STRUCTURAL:
+        raise ValueError("matrix must be Hermitian")
+    return m
+
+
 def quadratic(matrix) -> FunctionalObservable:
     """The expectation-value observable psi -> <psi|M|psi> of a Hermitian M."""
-    m = as_matrix(matrix)
-    if not is_hermitian(m):
-        raise ValueError("matrix must be Hermitian")
-    return FunctionalObservable(
-        dim=m.shape[0],
-        kind=KIND_QUADRATIC,
-        _values=lambda batch: expectations(batch, m)[0],
-        matrix=m,
-    )
+    m = _hermitian(matrix)
+    return FunctionalObservable(dim=m.shape[0], matrices=(m,), terms=((1.0, (0,)),))
 
 
 def power(matrix, exponent: int) -> FunctionalObservable:
@@ -117,22 +142,11 @@ def power(matrix, exponent: int) -> FunctionalObservable:
 
     Ray-invariant and, when M is a projector, valued in [0, 1].
     """
-    m = as_matrix(matrix)
-    if not is_hermitian(m):
-        raise ValueError("matrix must be Hermitian")
+    m = _hermitian(matrix)
     if int(exponent) != exponent or exponent < 2:
         raise ValueError("exponent must be an integer >= 2")
-
-    def values(batch: np.ndarray) -> np.ndarray:
-        return expectations(batch, m)[0] ** int(exponent)
-
-    return FunctionalObservable(
-        dim=m.shape[0],
-        kind=KIND_POWER,
-        _values=values,
-        matrix=m,
-        exponent=int(exponent),
-    )
+    return FunctionalObservable(dim=m.shape[0], matrices=(m,),
+                                terms=((1.0, (0,) * int(exponent)),))
 
 
 def custom(evaluator: Callable, dim: int, batch: bool = False) -> FunctionalObservable:
@@ -149,13 +163,15 @@ def custom(evaluator: Callable, dim: int, batch: bool = False) -> FunctionalObse
         def values(psis: np.ndarray) -> np.ndarray:
             return np.array([float(evaluator(p)) for p in psis])
 
-    obs = FunctionalObservable(dim=dim, kind=KIND_CUSTOM, _values=values)
+    obs = FunctionalObservable(dim=dim, _values=values)
     _check_ray_invariance(obs)
     return obs
 
 
 def combine(coeffs, observables) -> FunctionalObservable:
-    """Real linear combination sum_i c_i f_i of observables of one dimension."""
+    """Real linear combination sum_i c_i f_i of observables of one dimension,
+    without ``counting``: of quadratics, the quadratic of the combined
+    matrix; of polynomials, their polynomial; else ``custom``."""
     cs = [float(c) for c in coeffs]
     obs = list(observables)
     if len(cs) != len(obs) or not obs:
@@ -163,9 +179,14 @@ def combine(coeffs, observables) -> FunctionalObservable:
     dim = obs[0].dim
     if any(o.dim != dim for o in obs):
         raise ValueError("observables must share a dimension")
-    if all(o.kind == KIND_QUADRATIC for o in obs):
-        mat = sum(c * o.matrix for c, o in zip(cs, obs))
-        return quadratic(mat)
+    if all(o.kind == "quadratic" for o in obs):
+        return quadratic(sum(c * o.matrices[0] for c, o in zip(cs, obs)))
+    if all(o.terms for o in obs):
+        matrices, terms = [], []
+        for c, o in zip(cs, obs):
+            terms += [(c * b, tuple(len(matrices) + j for j in f)) for b, f in o.terms]
+            matrices += o.matrices
+        return FunctionalObservable(dim=dim, matrices=tuple(matrices), terms=tuple(terms))
 
     def values(batch: np.ndarray) -> np.ndarray:
         out = np.zeros(batch.shape[0])
@@ -173,7 +194,7 @@ def combine(coeffs, observables) -> FunctionalObservable:
             out += c * o.values(batch)
         return out
 
-    return FunctionalObservable(dim=dim, kind=KIND_CUSTOM, _values=values)
+    return FunctionalObservable(dim=dim, _values=values)
 
 
 def _check_ray_invariance(obs: FunctionalObservable):

@@ -80,9 +80,9 @@ def entangled_from_json(data) -> EntangledState:
 
 def observable_to_json(f) -> dict:
     if f.kind == "quadratic":
-        desc = {"kind": "quadratic", "F": matrix_to_json(f.matrix)}
+        desc = {"kind": "quadratic", "F": matrix_to_json(f.matrices[0])}
     elif f.kind == "power":
-        desc = {"kind": "power", "P": matrix_to_json(f.matrix), "k": int(f.exponent)}
+        desc = {"kind": "power", "P": matrix_to_json(f.matrices[0]), "k": len(f.terms[0][1])}
     else:
         raise ValueError("only quadratic and power observables serialize")
     if f.counting:

@@ -398,6 +398,8 @@ def builtin_observables(dim: int) -> list[ZooEntry]:
         b = np.abs(batch[:, 1]) ** 2
         return a * b
 
+    # <P0><P1> as the polynomial of one term, and as an opaque closure
+    product = FunctionalObservable(dim=dim, matrices=(p0, p1), terms=((1.0, (0, 1)),))
     entries = [
         ZooEntry("identity", quadratic(np.eye(dim, dtype=complex)), True),
         ZooEntry("spread-diagonal", quadratic(_spread_diag(dim)), True),
@@ -405,7 +407,8 @@ def builtin_observables(dim: int) -> list[ZooEntry]:
         ZooEntry("offdiag-hermitian", quadratic(_offdiag_hermitian(dim)), True),
         ZooEntry("power2-projector", power(p0, 2), False),
         ZooEntry("power3-projector", power(p0, 3), False),
-        ZooEntry("projection-product", custom(product_eval, dim, batch=True), False),
+        ZooEntry("projection-product", product, False),
+        ZooEntry("projection-product-custom", custom(product_eval, dim, batch=True), False),
         ZooEntry("power2-plane", power(p0 + p1, 2), False) if dim >= 3 else None,
     ]
     return [e for e in entries if e is not None]

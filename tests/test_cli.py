@@ -329,6 +329,21 @@ def test_quiet_scenario_with_no_signal_expectation_passes(tmp_path):
     assert report["result"]["z"] < 5.0
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12")
+@pytest.mark.parametrize("n", [10, 10**4, 10**5])
+def test_a_rare_branch_of_a_quadratic_scenario_is_no_signal(n, tmp_path):
+    # sqrt(1 - eps)|00> + sqrt(eps)|11>, eps = 1e-6, under the Z and X
+    # letters and f = <psi|0><0|psi>: the exact gap is 0, but below ~1e7
+    # samples the weight-1e-6 branch is never drawn, both sample variances
+    # are 0, and the plug-in z of the 1e-6 mean difference is infinite
+    raw = load_config("bell-quadratic")
+    raw["scenario"]["state"]["alphas"] = [[(1 - 1e-6) ** 0.5, 0.0], [1e-3, 0.0]]
+    cfg = parse_config({**raw, "seed": 1, "n_samples": n},
+                       {"out": str(tmp_path / "r.json")})
+    code, _ = run(cfg)
+    assert code == 0
+
+
 def test_reports_byte_identical_across_runs_and_workers(tmp_path):
     texts = []
     for workers in (1, 4, 1):
@@ -631,7 +646,11 @@ def test_witness_table_only_for_certifiers(capsys):
 # table), and simulate's convergence CSV (as written one f-string per
 # row).  Every report but the certifiers' differs from version 6 only in
 # its meta block: the report_version and numpy_version lines, and no
-# subspaces_per_dim or resamples key
+# subspaces_per_dim or resamples key.  The certifier reports at d = 2 and 3
+# moved once more within version 7, when each matrix got its own product
+# in hilbert.expectations: their values column now equals f.values at the
+# same rays bit for bit, where the product with [A | F] differed by an ulp
+# in some rows; verdicts, worst checks and row counts did not move
 _REPORT_SHA256 = {
     ("simulate", "bell-power", "csv"):
         "def0e0ba0f40884dda816c42dddb4e812c69405bf8371941697e949ded63ebb5",
@@ -648,23 +667,23 @@ _REPORT_SHA256 = {
     ("gap", "bell-quadratic", "json"):
         "3c4738183ede505f4ad8e4f83bb1185011335cb895f1006d477c5551265f9676",
     ("gleason", "d3-gleason-fail", "json"):
-        "6285c2a494c2c8d5e14cce4e9373efbbdeb2eee55313f7a8d5bf25fa6b3d3d1b",
+        "950b4563bfd5334df0e871ccb37697cc9aae795f9455fe231304f4cd01cedac0",
     ("gleason", "d3-gleason-pass", "json"):
-        "f028e849c3f28cdeec4e2d54ab6918439216cd42e686c9c0e16bcc2c42bdd5a3",
+        "3753cda7bd1c64c997d30080b2c4bda56088d1eaaae2b3a05a08d42df740dcb4",
     ("affinity", "power2-affinity", "json"):
-        "2e1a368d94a6ca1186d53ce3c5b5c3b459e31c1ca3748a288796ca43d75e9675",
+        "21c5e62244154dcc42008d323d7a3cf0b50257be639707a6c81cd534c46aa65c",
     ("certify", "d3-gleason-fail", "json"):
-        "2604916102c65f117a6285228d3858f3d6bd58b2cc8ed79107e2bc2adbfd9397",
+        "77561821290e77048714764ae42c36d8880884f8e946194b6463b833cb7871c7",
     ("certify", "d3-gleason-pass", "json"):
-        "012cc96b4c1cac01312f0322409966e2635f81c8df76153e3518b0991ce5451f",
+        "de592f5e40641b7f776d27b290e24c0e4d7d309aa5b5fbb504cb3e1624cf1657",
     ("certify", "power2-affinity", "json"):
-        "02e7af80b73e95c14d551af595a81b6f3fdaf8bd2a75cabe27a3f17a6f5f8535",
+        "708fa287418160a7a08fa36dbd1352d8bef2d46f0e8812a85e98bc0d64e9faa5",
     ("affinity", "power2-affinity", "csv"):
-        "31aba437c2d25357cf1473c1208d8c577615ea9dfce3a4ac686984c97b1028bf",
+        "8800940da0858d924b7ebf1ef475a2a5449b80f27c8ad048041de88f3b239457",
     ("gleason", "d3-gleason-fail", "csv"):
-        "75c61527ca99d8d0618022cd4d1e3b3f4a3cb61f15d43a9fa72917fdf540690a",
+        "535c1a13d7696000d24ffb495f24235711b6ebf7f37a4ca18b7896f587fd1e4c",
     ("gleason", "d3-gleason-pass", "csv"):
-        "77e68f44287d442c65ad7fd064e6d330fa49de1fa8d7630189ae2fa47512fd3c",
+        "018b29558bf634d5899e70708eb31a5a75e9458743b126b47726f1d2ffb54fb5",
 }
 
 
@@ -784,9 +803,10 @@ def _row_semantics(cert) -> str:
     return h.hexdigest()
 
 
+# the d = 3 pins moved with the per-matrix products, as _REPORT_SHA256's did
 _SUBSPACE_SEMANTICS = {
-    "d3-gleason-fail": "2ee359d8b94b9c8c7b8e7fc259cadb63917910af9fb388faf6111dc786b195aa",
-    "d3-gleason-pass": "eb3b480dc00097524ef966d34c902f06260034f2c057bab1d9f28e5da0ba2123",
+    "d3-gleason-fail": "e3b7cd1c349d9651be1ab6b553c8d351349783b5260eba0dfbfd0ea4b31b0107",
+    "d3-gleason-pass": "e45cd51d8e698d6da16c917a62766da72492d5d260e90ce89b21c9e5bcaf977e",
     "counting24-seed0": "5e12509b477069ad8f79f39bac6b2a7d983c3cbffe07fd54d8297de0a646274c",
     "counting24-seed3": "88896ed732fb192293755f8431d9d06fdbe369ed72f3cf91faa92fe273432412",
 }

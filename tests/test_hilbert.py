@@ -308,7 +308,7 @@ def _factor(rng, rows, cols, layout):
     layout=st.sampled_from(_LAYOUTS),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(m=5, d=128, r=3, layout="contiguous", seed=0)  # k n > 32,768: 2 + 3 rows
+@example(m=5, d=128, r=3, layout="contiguous", seed=0)  # 2 + 3 rows
 @example(m=7, d=128, r=2, layout="transposed", seed=1)
 @example(m=226, d=24, r=1, layout="contiguous", seed=2)  # 113 + 113 rows
 @example(m=1300, d=24, r=2, layout="contiguous", seed=3)  # the d = 24 residual rows
@@ -317,17 +317,19 @@ def _factor(rng, rows, cols, layout):
 def test_expectations_is_the_unblocked_product_bit_for_bit(m, d, r, layout, seed):
     # complex rows with d <= 128 (the package's up to d = 128), as the
     # docstring states: for larger d a threaded unblocked product splits its
-    # inner sums into other blocks
+    # inner sums into other blocks.  Each matrix's row is the row sums of
+    # one unblocked product with that matrix alone, whatever the call
+    # groups with it and in whatever order
     rng = np.random.default_rng(seed)
     rows = _factor(rng, m, d, layout)
     matrices = [_factor(rng, d, d, "contiguous") for _ in range(r)]
+    order = rng.permutation(r)
     got = expectations(rows, *matrices)
-    full = (rows.conj() @ np.concatenate(matrices, axis=1)).reshape(m, r, d)
-    assert got.tobytes() == np.einsum("ikj,ij->ki", full, rows).real.tobytes()
-    if r == 1:
-        # with one matrix, also the row sums of one unblocked product
-        one = np.einsum("ij,ij->i", rows.conj() @ matrices[0], rows).real
-        assert got[0].tobytes() == one.tobytes()
+    shuffled = expectations(rows, *(matrices[k] for k in order))
+    for k, matrix in enumerate(matrices):
+        one = np.einsum("ij,ij->i", rows.conj() @ matrix, rows).real.tobytes()
+        assert got[k].tobytes() == expectations(rows, matrix)[0].tobytes() == one
+        assert shuffled[list(order).index(k)].tobytes() == one
 
 
 @settings(max_examples=300, deadline=None)

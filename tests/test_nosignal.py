@@ -20,7 +20,7 @@ from eprsignal import (
     quadratic,
 )
 from eprsignal.cli import ConfigError, execute, parse_config
-from eprsignal.hilbert import random_pure_batch
+from eprsignal.hilbert import expectations, random_pure_batch
 from eprsignal.observables import polarization_reconstruct
 from eprsignal.nosignal import (
     VERDICT_NON_QUADRATIC,
@@ -91,8 +91,8 @@ def test_custom_affinity_report_and_witness_bytes_are_unchanged(n, report, table
 def test_affinity_makes_at_most_two_values_calls(monkeypatch):
     # at most two before the refinement: the operator's 4 probes take one
     # values call; a custom f then takes one on all 3 + n rays and one per
-    # refinement round, and an f with a matrix none, as its values come from
-    # the product of the rays with [A | F]
+    # refinement round, and a polynomial f none, as its values come from
+    # the expectations of its matrices and F in one kernel call
     f = power(PROJ0_2, 2)
     twin = custom(f.values, 2, batch=True)
     calls = []
@@ -105,7 +105,7 @@ def test_affinity_makes_at_most_two_values_calls(monkeypatch):
     monkeypatch.setattr(type(f), "values", counted)
     certify(twin, 10000, seed=0)
     assert calls == [4, 3 + 10000] + [128] * 12
-    for g in (f, quadratic(PROJ0_2)):
+    for g in (f, quadratic(PROJ0_2), combine([1.0, 0.5], [quadratic(PROJ0_2), f])):
         calls.clear()
         certify(g, 10000, seed=0)
         assert calls == [4]
@@ -204,7 +204,7 @@ def test_extremal_decomposition_reproduces_mixture_functional():
     # density matrix, whatever two-member decomposition produced it
     rng = np.random.default_rng(48)
     f = quadratic(random_hermitian(2, rng))
-    (lo, hi), vecs = np.linalg.eigh(f.matrix)
+    (lo, hi), vecs = np.linalg.eigh(f.matrices[0])
     b_lo, b_hi = vecs[:, 0], vecs[:, 1]
     for _ in range(100):
         pair, p = random_pure_batch(2, 2, rng), rng.uniform()
@@ -509,9 +509,9 @@ def _family_observable(kind, d, rng):
 
 
 def _row_path(f):
-    # the same evaluator without its matrix, so the certifier evaluates every
-    # row through values, as a custom observable's
-    return dataclasses.replace(f, kind="custom", matrix=None, exponent=None)
+    # the same evaluator without its matrices and terms, so the certifier
+    # evaluates every row through values, as a custom observable's
+    return dataclasses.replace(f, matrices=(), terms=(), _values=f.values)
 
 
 # zero at e_0, e_1, e_2, and (<psi|A|psi>)^3 = (2 c Re(e^{i pi/4} conj(psi_0)
@@ -547,7 +547,7 @@ def test_non_finite_restricted_value_fails_loudly():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_restricted_measures_match_the_row_path(d, k, log_scale, n, seed):
-    # f and <F> on the residual rows from the product with [A | F] match
+    # f and <F> on the residual rows from one kernel call on A and F match
     # those from one values call and a product with F alone
     rng = np.random.default_rng(seed)
     matrix = random_hermitian(d, rng) * 10.0**log_scale
@@ -559,6 +559,29 @@ def test_restricted_measures_match_the_row_path(d, k, log_scale, n, seed):
     scale = max(1.0, np.linalg.norm(matrix, 2) ** k)
     assert np.max(np.abs(values - ref_values)) <= 1e-12 * scale
     assert np.max(np.abs(expectation - ref_expectation)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    kind=st.sampled_from(["quadratic", "power", "combine"]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certificate_columns_replay_bit_for_bit(d, kind, n, seed):
+    # the values column is f.values at the certificate's rays, and the
+    # expectation column expectations(rays, F), bit for bit: a matrix's
+    # products do not depend on the other matrices of a kernel call, nor on
+    # which rows share a call
+    rng = np.random.default_rng(seed)
+    a, b = random_hermitian(d, rng), random_hermitian(d, rng)
+    f = {"quadratic": quadratic(a), "power": power(a, 3),
+         "combine": combine([1.0, 0.01], [quadratic(a), power(b, 2)])}[kind]
+    cert = certify(f, n, seed=seed)
+    rays = cert.witnesses.rays
+    assert cert.witnesses.values.tobytes() == f.values(rays).tobytes()
+    assert cert.witnesses.expectation.tobytes() == (
+        expectations(rays, cert.operator)[0].tobytes())
 
 
 def test_ray_values_temporaries_stay_block_sized():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from eprsignal import (
     Ensemble,
+    FunctionalObservable,
     certify,
     combine,
     custom,
@@ -39,7 +42,7 @@ def test_quadratic_basics():
 
 
 def test_observables_compare_by_identity():
-    # the matrix field is an array, which has no single truth value or hash,
+    # the matrices field holds arrays, which have no single truth value or hash,
     # so equality and hashing go by identity
     f = quadratic(np.eye(3))
     assert f == f
@@ -109,7 +112,53 @@ def test_combination_of_quadratics_stays_quadratic():
     g = quadratic(random_hermitian(3, rng))
     h = combine([1.5, -2.0], [f, g])
     assert h.kind == "quadratic"
-    np.testing.assert_allclose(h.matrix, 1.5 * f.matrix - 2.0 * g.matrix, atol=1e-14)
+    np.testing.assert_allclose(
+        h.matrices[0], 1.5 * f.matrices[0] - 2.0 * g.matrices[0], atol=1e-14)
+
+
+def test_combination_of_polynomials_is_their_polynomial():
+    # the parts' matrices side by side, each term scaled by its part's
+    # coefficient; its values are the parts' sum bit for bit, and a custom
+    # part makes the combination custom
+    f = combine([1.0, 0.5], [quadratic(PROJ0_2), power(PROJ0_2, 2)])
+    assert f.kind == "polynomial" and len(f.matrices) == 2
+    assert f.terms == ((1.0, (0,)), (0.5, (1, 1)))
+    assert combine([2.0], [f]).terms == ((2.0, (0,)), (1.0, (1, 1)))
+    assert combine([1.0], [power(PROJ0_2, 3)]).kind == "power"
+    psis = random_pure_batch(100, 2, np.random.default_rng(9))
+    parts = quadratic(PROJ0_2).values(psis) + 0.5 * power(PROJ0_2, 2).values(psis)
+    assert f.values(psis).tobytes() == parts.tobytes()
+    twin = custom(power(PROJ0_2, 2).values, 2, batch=True)
+    assert combine([1.0, 0.5], [quadratic(PROJ0_2), twin]).kind == "custom"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    shape=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3),
+                   min_size=1, max_size=3),
+    log_scale=st.floats(-3.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_polynomial_values_match_a_custom_evaluation(d, shape, log_scale, seed):
+    # sum_i c_i prod_j <psi|M_ij|psi> over three random Hermitian matrices,
+    # from one kernel call and from an opaque evaluator of the same
+    # expression, one state at a time: equal within 1e-12 scale, with
+    # scale = sum_i |c_i| prod_j ||M_ij||_2
+    rng = np.random.default_rng(seed)
+    matrices = tuple(10.0**log_scale * random_hermitian(d, rng) for _ in range(3))
+    terms = tuple((float(c), tuple(f)) for c, f in zip(rng.uniform(-2, 2, len(shape)), shape))
+    f = FunctionalObservable(dim=d, matrices=matrices, terms=terms)
+
+    def expression(batch):
+        t = [[np.vdot(psi, m @ psi).real for m in matrices] for psi in batch]
+        return [sum(c * math.prod(ts[j] for j in fs) for c, fs in terms) for ts in t]
+
+    twin = FunctionalObservable(dim=d, _values=expression)
+    norms = [np.linalg.norm(m, 2) for m in matrices]
+    scale = sum(abs(c) * math.prod(norms[j] for j in fs) for c, fs in terms)
+    psis = random_pure_batch(50, d, rng)
+    assert np.max(np.abs(f.values(psis) - twin.values(psis))) <= 1e-12 * scale
 
 
 def test_quadratic_average_matches_density_trace():
@@ -121,7 +170,7 @@ def test_quadratic_average_matches_density_trace():
         k = int(rng.integers(1, 5))
         w = rng.random(k)
         ens = Ensemble(w / w.sum(), [random_pure(d, rng) for _ in range(k)])
-        via_trace = np.trace(f.matrix @ ensemble_density(ens).mat).real
+        via_trace = np.trace(f.matrices[0] @ ensemble_density(ens).mat).real
         assert ensemble_average(f, ens) == pytest.approx(via_trace, abs=1e-10)
 
 
@@ -180,6 +229,19 @@ def test_counting_range_of_a_matrix_is_exact():
                              ([0.5, -0.5, 0.0], 3, r"\[-0\.125, 0\.125\]")):
         with pytest.raises(ValueError, match=rf"observable range {shown} leaves \[0, 1\]"):
             counting(power(np.diag(matrix).astype(complex), k))
+
+
+def test_counting_range_of_several_terms_is_sampled():
+    # with more than one term or matrix the range is sampled, as a custom
+    # observable's: (t + t^2)/2 of the d = 24 spike is 1.875 at e_0, which
+    # 1000 Haar states do not reach, and 5 |psi_0|^2 |psi_1|^2 in d = 2,
+    # 1.25 at |+>, is found above 1
+    spike = np.diag([1.5] + [0.0] * 23).astype(complex)
+    assert counting(combine([0.5, 0.5], [quadratic(spike), power(spike, 2)])).counting
+    product = FunctionalObservable(dim=2, matrices=(PROJ0_2, np.eye(2) - PROJ0_2),
+                                   terms=((5.0, (0, 1)),))
+    with pytest.raises(ValueError, match=r"leaves \[0, 1\]"):
+        counting(product)
 
 
 def test_counting_custom_observable_is_still_sampled():

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from eprsignal import (
     Ensemble,
     certify,
+    combine,
+    custom,
     monte_carlo_report,
     power,
     quadratic,
@@ -126,12 +128,19 @@ def test_observable_descriptors():
     desc = observable_to_json(p)
     assert desc["kind"] == "power" and desc["k"] == 2 and "P" in desc
     back = observable_from_json(desc)
-    assert back.kind == "power" and back.exponent == 2
+    assert back.kind == "power" and back.terms == ((1.0, (0, 0)),)
 
     c = counting(power(PROJ0_2, 2))
     desc = observable_to_json(c)
     assert desc["counting"] is True
     assert observable_from_json(desc).counting
+
+    # a polynomial other than these two, and a custom observable, have no
+    # descriptor yet
+    twin = custom(p.values, 2, batch=True)
+    for f in (combine([1.0, 0.5], [q, p]), twin):
+        with pytest.raises(ValueError, match="only quadratic and power observables serialize"):
+            observable_to_json(f)
 
     with pytest.raises(ValueError):
         observable_from_json({"kind": "mystery"})
