@@ -12,13 +12,11 @@ detected although the config declared none expected (CI gating).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
-from importlib import resources
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy
 
@@ -55,8 +53,7 @@ class ConfigError(ValueError):
     """Malformed config; the message carries the offending field path."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One run of a command: a JSON config merged with its command-line
     overrides, one field per config key (``parse_config`` validates it).
     ``to_dict`` gives the normalized config a report's ``meta`` records,
@@ -79,11 +76,11 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         """Normal form: every field explicit, stable ordering, shallow."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return self._asdict()
 
 
 # the top-level keys a config may hold
-_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(RunConfig))
+_CONFIG_KEYS = frozenset(RunConfig._fields)
 # the least value of each integer field, in the order they are checked;
 # simulate reports a sample variance per letter, so it needs n_samples >= 2
 _INT_MINIMUMS = {"n_samples": 1, "n_chords": 1, "block": 1, "trials": 1,
@@ -91,6 +88,9 @@ _INT_MINIMUMS = {"n_samples": 1, "n_chords": 1, "block": 1, "trials": 1,
 
 
 def bundled_config_names() -> list[str]:
+    # imported only where a bare name is resolved: it costs 10-19 ms
+    from importlib import resources
+
     base = resources.files("eprsignal").joinpath("configs")
     return sorted(p.name.removesuffix(".json") for p in base.iterdir())
 
@@ -99,6 +99,8 @@ def load_config(path_or_name: str) -> dict:
     """Read a config file; bare names resolve to the bundled library."""
     p = Path(path_or_name)
     if not p.is_file():
+        from importlib import resources  # as in bundled_config_names
+
         name = path_or_name.removesuffix(".json")
         p = resources.files("eprsignal").joinpath("configs", f"{name}.json")
         if not p.is_file():
@@ -170,7 +172,7 @@ def parse_config(data: dict, overrides: dict | None = None) -> RunConfig:
             raise ConfigError(f"{key}: must be a path string, got {val!r}")
     if config.witnesses is not None and command not in CERTIFIERS:
         raise ConfigError(f"witnesses: no witness table for command {command!r}")
-    return dataclasses.replace(config, observable=observable, tolerance=float(tolerance))
+    return config._replace(observable=observable, tolerance=float(tolerance))
 
 
 def _build_scenario(config: RunConfig):

@@ -3,7 +3,8 @@
 Everything here operates on plain numpy arrays: vectors are 1-d complex
 arrays, lists of states are 2-d arrays with one state per row, operators are
 square 2-d complex arrays.  All functions are pure; randomized ones take an
-explicit ``numpy.random.Generator``.
+explicit ``numpy.random.Generator``.  ``ReadOnly`` is the base of the
+package's value objects.
 """
 
 from __future__ import annotations
@@ -23,6 +24,18 @@ TOL_DECISION = 1e-8
 # on a 2-CPU host, its thread pool took more CPU than wall time and sometimes
 # stalled for hundreds of milliseconds.
 _SERIAL_PRODUCT = 65_536
+
+
+class ReadOnly:
+    """Base of the package's value objects: ``__init__`` sets each field
+    once, through ``vars(self)``, and setting or deleting an attribute
+    afterwards raises ``AttributeError``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _row_edges(m: int, k: int, n: int) -> list[int]:

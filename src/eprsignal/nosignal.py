@@ -12,7 +12,6 @@ semidefinite F.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from .hilbert import (
     TOL_DECISION,
     TOL_STRUCTURAL,
+    ReadOnly,
     expectations,
     haar_unitary,  # unused here; bench/selftest.py looks it up in this module
     random_pure_batch,
@@ -52,23 +52,21 @@ _PATH_REFINE = 31
 _PSD_SLACK = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class RayColumns:
+class RayColumns(ReadOnly):
     """Residual rows held as columns, one row per ray: the (k, d) unit
     ``rays``, f at each ray (``values``), <psi|F|psi> of the reconstructed
     operator F (``expectation``) and ``residual`` = |values - expectation|.
     The arrays are read-only, and checked where they are made: the fixed
     and Haar rays by ``_residual_rays``, the values by ``_ray_values``; the
-    refined rays are normalised by ``_refined_rays``."""
+    refined rays are normalised by ``_refined_rays``.  Tables compare by
+    value and are unhashable."""
 
-    rays: np.ndarray
-    values: np.ndarray
-    expectation: np.ndarray
-    residual: np.ndarray
-
-    def __post_init__(self):
-        for col in fields(self):
-            getattr(self, col.name).flags.writeable = False
+    def __init__(self, rays: np.ndarray, values: np.ndarray, expectation: np.ndarray,
+                 residual: np.ndarray):
+        vars(self).update(rays=rays, values=values, expectation=expectation,
+                          residual=residual)
+        for col in vars(self).values():
+            col.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.residual)
@@ -76,10 +74,7 @@ class RayColumns:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RayColumns):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, col.name), getattr(other, col.name))
-            for col in fields(self)
-        )
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
 class PsdDeficitRecord(NamedTuple):
@@ -117,8 +112,7 @@ def _decision_tolerance(tolerance) -> float:
     return tol
 
 
-@dataclass(frozen=True, eq=False)
-class Certificate:
+class Certificate(ReadOnly):
     """Outcome of a scan: the worst violation found, and evidence.
 
     ``witnesses`` is the ``RayColumns`` table of the residual rows, and
@@ -131,23 +125,19 @@ class Certificate:
     are unhashable.
     """
 
-    worst_violation: float
-    witnesses: RayColumns
-    tolerance: float
-    seed: int | None = None
-    operator: np.ndarray | None = None
-    checks: dict = field(default_factory=dict)
-    scale: float = 1.0
-    floor: float = 0.0
+    def __init__(self, worst_violation: float, witnesses: RayColumns, tolerance: float,
+                 seed: int | None = None, operator: np.ndarray | None = None,
+                 checks: dict | None = None, scale: float = 1.0, floor: float = 0.0):
+        vars(self).update(worst_violation=worst_violation, witnesses=witnesses,
+                          tolerance=tolerance, seed=seed, operator=operator,
+                          checks={} if checks is None else checks, scale=scale, floor=floor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Certificate):
             return NotImplemented
-        rest = [f.name for f in fields(self) if f.name != "operator"]
-        # lists compare items by identity first: a NaN violation equals itself
-        return np.array_equal(self.operator, other.operator) and (
-            [getattr(self, n) for n in rest] == [getattr(other, n) for n in rest]
-        )
+        mine, theirs = dict(vars(self)), dict(vars(other))
+        # dicts compare values by identity first: a NaN violation equals itself
+        return np.array_equal(mine.pop("operator"), theirs.pop("operator")) and mine == theirs
 
     @property
     def verdict(self) -> str:

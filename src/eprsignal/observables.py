@@ -9,13 +9,13 @@ projector P, doubles as a counting observable with values in [0, 1].
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .hilbert import (
     TOL_STRUCTURAL,
+    ReadOnly,
     as_matrix,
     expectations,
     random_pure_batch,
@@ -44,8 +44,7 @@ def _finite(out: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class FunctionalObservable:
+class FunctionalObservable(ReadOnly):
     """A real function on unit state vectors of a fixed dimension.
 
     ``values`` evaluates a batch (m, d) -> (m,); evaluation must be pure and
@@ -59,23 +58,22 @@ class FunctionalObservable:
     ``counting`` marks an observable valued in [0, 1], a detector that fires
     or not.  For one term over one matrix the range is exact, from its
     extreme eigenvalues; any other observable's is sampled, not proven:
-    1000 Haar-random states are checked at construction.
+    1000 Haar-random states are checked at construction.  Observables
+    compare and hash by identity.
     """
 
-    dim: int
-    matrices: tuple = ()
-    terms: tuple = ()
-    _values: Callable[[np.ndarray], np.ndarray] | None = None
-    counting: bool = False
-
-    def __post_init__(self):
-        if not self.counting:
+    def __init__(self, dim: int, matrices: tuple = (), terms: tuple = (),
+                 _values: Callable[[np.ndarray], np.ndarray] | None = None,
+                 counting: bool = False):
+        vars(self).update(dim=dim, matrices=matrices, terms=terms, _values=_values,
+                          counting=counting)
+        if not counting:
             return
-        if len(self.matrices) == 1 and len(self.terms) == 1:
+        if len(matrices) == 1 and len(terms) == 1:
             # <psi|M|psi> ranges over [lo, hi], and c t^k takes its extremes
             # there at the ends or at t = 0
-            (c, factors), = self.terms
-            lo, hi = np.linalg.eigvalsh(self.matrices[0])[[0, -1]]
+            (c, factors), = terms
+            lo, hi = np.linalg.eigvalsh(matrices[0])[[0, -1]]
             ends = [lo, hi, 0.0] if lo < 0 < hi else [lo, hi]
             vals = c * np.array(ends) ** len(factors)
         else:

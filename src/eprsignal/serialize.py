@@ -7,14 +7,13 @@ reports are dumped with sorted keys so equal values give equal bytes.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .nosignal import Certificate, RayColumns
-from .observables import power, quadratic
+from .observables import FunctionalObservable, power, quadratic
 from .signaling import ChannelReport, Scenario, SignalReport
 from .states import EntangledState
 
@@ -111,7 +110,9 @@ def observable_from_json(data):
     counting = data.get("counting", False)
     if not isinstance(counting, bool):
         raise ValueError(f"counting must be true or false, got {counting!r}")
-    return dataclasses.replace(obs, counting=True) if counting else obs
+    if counting:
+        obs = FunctionalObservable(obs.dim, obs.matrices, obs.terms, counting=True)
+    return obs
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -201,16 +202,11 @@ def certificate_to_json(c: Certificate) -> dict:
     return out
 
 
-def _fields(r) -> dict:
-    # a report's fields by name, without the deep copy of dataclasses.asdict
-    return {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}
-
-
 def signal_report_to_json(r: SignalReport) -> dict:
     """Report fields by name; an infinite z (constant samples at different
     means) is written as null with ``"z_infinite": true``, as JSON has no
     infinity."""
-    out = _fields(r)
+    out = r._asdict()
     if r.z is not None and math.isinf(r.z):
         out["z"] = None
         out["z_infinite"] = True
@@ -224,7 +220,7 @@ def signal_report_to_json(r: SignalReport) -> dict:
 
 
 def channel_report_to_json(r: ChannelReport) -> dict:
-    return _fields(r)
+    return r._asdict()
 
 
 def _finite(text: str) -> str:

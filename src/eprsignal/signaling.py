@@ -11,11 +11,11 @@ split them, which is the signal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .hilbert import row_dot
+from .hilbert import ReadOnly, row_dot
 from .observables import FunctionalObservable
 from .states import Ensemble, EntangledState, conditional_ensemble, rebase_alice
 from .streams import STREAM_VERSION, chunk_sizes, count_moments, substream
@@ -26,43 +26,32 @@ _PATH_CHANNEL = 2
 Z_THRESHOLD = 5.0
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(ReadOnly):
     """An entangled state, two A-side bases (letters 0 and 1) given as rows,
-    and the B-side observable."""
+    and the B-side observable.  Built once per letter: the B-side
+    ``ensembles`` and the observable's value on each of their members,
+    ``member_values``.  Scenarios compare and hash by identity."""
 
-    state: EntangledState
-    basis_a: np.ndarray
-    basis_a_prime: np.ndarray
-    observable: FunctionalObservable
-    # per letter, built once: the B-side ensemble and the observable's value
-    # on each of its members
-    ensembles: tuple[Ensemble, ...] = field(init=False, repr=False)
-    member_values: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.observable.dim != self.state.dim_b:
+    def __init__(self, state: EntangledState, basis_a, basis_a_prime,
+                 observable: FunctionalObservable):
+        if observable.dim != state.dim_b:
             raise ValueError(
-                f"observable dim {self.observable.dim} does not match the B side "
-                f"dim {self.state.dim_b}"
+                f"observable dim {observable.dim} does not match the B side "
+                f"dim {state.dim_b}"
             )
         # rebasing checks each basis's span, the rebased state its
         # orthonormality; the bases kept are the rebased states' frozen rows
-        rebased = tuple(
-            rebase_alice(self.state, basis) for basis in (self.basis_a, self.basis_a_prime)
-        )
+        rebased = tuple(rebase_alice(state, basis) for basis in (basis_a, basis_a_prime))
         ensembles = tuple(conditional_ensemble(r) for r in rebased)
-        values = tuple(self.observable.values(e.states) for e in ensembles)
+        values = tuple(observable.values(e.states) for e in ensembles)
         for v in values:
             v.setflags(write=False)
-        object.__setattr__(self, "basis_a", rebased[0].alice_basis)
-        object.__setattr__(self, "basis_a_prime", rebased[1].alice_basis)
-        object.__setattr__(self, "ensembles", ensembles)
-        object.__setattr__(self, "member_values", values)
+        vars(self).update(state=state, basis_a=rebased[0].alice_basis,
+                          basis_a_prime=rebased[1].alice_basis, observable=observable,
+                          ensembles=ensembles, member_values=values)
 
 
-@dataclass(frozen=True)
-class SignalReport:
+class SignalReport(NamedTuple):
     """Exact averages for both letters plus optional Monte-Carlo estimates."""
 
     exact_fb: float
@@ -80,8 +69,17 @@ class SignalReport:
     stream_version: int | None = None
 
 
-@dataclass(frozen=True)
-class ChannelReport:
+class _ChannelFields(NamedTuple):
+    block_length: int
+    trials: int
+    bit_error_rate: float
+    estimated_capacity_bits_per_block: float
+    decision_threshold: float
+    seed: int | None = None
+    stream_version: int | None = None
+
+
+class ChannelReport(_ChannelFields):
     """What ``channel_capacity`` measured over ``trials`` blocks of
     ``block_length`` draws, each block sending one random letter.
 
@@ -94,17 +92,13 @@ class ChannelReport:
     recorded ``seed`` replays only under the same version.
     """
 
-    block_length: int
-    trials: int
-    bit_error_rate: float
-    estimated_capacity_bits_per_block: float
-    decision_threshold: float
-    seed: int | None = None
-    stream_version: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.bit_error_rate <= 1.0:
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        if not 0.0 <= report.bit_error_rate <= 1.0:
             raise ValueError("bit error rate must lie in [0, 1]")
+        return report
 
 
 def letter_ensemble(sc: Scenario, letter: int) -> Ensemble:

@@ -8,13 +8,12 @@ read-only (n, d) complex array, checked once, when its owner is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .hilbert import (
     TOL_STRUCTURAL,
     TOL_DERIVED,
+    ReadOnly,
     as_vector,
     orthonormal_rows,
     unit_rows,
@@ -29,23 +28,19 @@ def _frozen_array(a) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class EntangledState:
+class EntangledState(ReadOnly):
     """A correlated state: coefficients, an orthonormal A-side basis, and unit
     (not necessarily orthogonal) B-side states, one row per branch.
 
     The flattened vector is ``sum_i alphas[i] * kron(alice_basis[i], bob_states[i])``
-    and is unit because the A-side products are mutually orthogonal.
+    and is unit because the A-side products are mutually orthogonal.  States
+    compare and hash by identity.
     """
 
-    alphas: np.ndarray
-    alice_basis: np.ndarray
-    bob_states: np.ndarray
-
-    def __post_init__(self):
-        alphas = as_vector(self.alphas)
-        alice = orthonormal_rows(self.alice_basis, TOL_STRUCTURAL, "the A-side basis")
-        bob = unit_rows(self.bob_states, TOL_STRUCTURAL)
+    def __init__(self, alphas, alice_basis, bob_states):
+        alphas = as_vector(alphas)
+        alice = orthonormal_rows(alice_basis, TOL_STRUCTURAL, "the A-side basis")
+        bob = unit_rows(bob_states, TOL_STRUCTURAL)
         n = alphas.size
         if not (len(alice) == len(bob) == n):
             raise ValueError(
@@ -54,9 +49,8 @@ class EntangledState:
         total = float(np.sum(np.abs(alphas) ** 2))
         if abs(total - 1.0) > TOL_STRUCTURAL:
             raise ValueError(f"coefficient weights sum to {total}, not 1")
-        object.__setattr__(self, "alphas", _frozen_array(alphas))
-        object.__setattr__(self, "alice_basis", _frozen_array(alice))
-        object.__setattr__(self, "bob_states", _frozen_array(bob))
+        vars(self).update(alphas=_frozen_array(alphas), alice_basis=_frozen_array(alice),
+                          bob_states=_frozen_array(bob))
 
     @property
     def branches(self) -> int:
@@ -71,25 +65,20 @@ class EntangledState:
         return self.bob_states.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class Ensemble:
+class Ensemble(ReadOnly):
     """A probability-weighted list of pure states of one dimension, one row
-    per member."""
+    per member; ensembles compare and hash by identity."""
 
-    weights: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        states = unit_rows(self.states, TOL_STRUCTURAL)
+    def __init__(self, weights, states):
+        w = np.asarray(weights, dtype=float)
+        states = unit_rows(states, TOL_STRUCTURAL)
         if w.ndim != 1 or w.size != len(states) or w.size < 1:
             raise ValueError("weights and states must be matched non-empty lists")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
         if abs(w.sum() - 1.0) > TOL_STRUCTURAL:
             raise ValueError(f"weights sum to {w.sum()}, not 1")
-        object.__setattr__(self, "weights", _frozen_array(w))
-        object.__setattr__(self, "states", _frozen_array(states))
+        vars(self).update(weights=_frozen_array(w), states=_frozen_array(states))
 
     @property
     def dim(self) -> int:

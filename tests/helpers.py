@@ -289,7 +289,7 @@ def bell_quadratic_scenario() -> Scenario:
 
 def counting(f):
     """``f`` flagged as a counting observable, so its [0, 1] range is checked."""
-    return dataclasses.replace(f, counting=True)
+    return FunctionalObservable(f.dim, f.matrices, f.terms, f._values, counting=True)
 
 
 def projector_matrix(dim: int, index: int = 0) -> np.ndarray:

@@ -1,13 +1,19 @@
 import ast
-import dataclasses
+import copy
 import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import eprsignal
+from eprsignal import certify
+
+from helpers import bell_power_scenario
 
 
 def test_all_names_exactly_the_public_package_namespace():
@@ -52,9 +58,7 @@ def test_the_test_only_zoo_is_not_in_the_package():
         importlib.import_module("eprsignal.zoo")
 
 
-def test_every_public_class_and_every_dataclass_has_its_own_docstring():
-    # a dataclass without one gets a generated signature string instead,
-    # built with inspect.signature on every import
+def test_every_public_class_has_its_own_docstring():
     src = Path(eprsignal.__file__).parent
     public = {name for name in eprsignal.__all__ if isinstance(getattr(eprsignal, name), type)}
     defined, missing = set(), []
@@ -63,8 +67,7 @@ def test_every_public_class_and_every_dataclass_has_its_own_docstring():
             if not isinstance(node, ast.ClassDef):
                 continue
             defined.add(node.name)
-            dataclass = any("dataclass" in ast.unparse(d) for d in node.decorator_list)
-            if (node.name in public or dataclass) and not ast.get_docstring(node):
+            if node.name in public and not ast.get_docstring(node):
                 missing.append(f"{path.stem}.{node.name}")
     assert public <= defined
     assert missing == []
@@ -190,5 +193,50 @@ def test_every_config_key_is_read_or_only_sets_the_output():
         for node in ast.walk(fn)
         if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "config"
     }
-    for field in dataclasses.fields(cli.RunConfig):
-        assert field.name in read or field.name in cli._OUTPUT_FIELDS, field.name
+    for field in cli.RunConfig._fields:
+        assert field in read or field in cli._OUTPUT_FIELDS, field
+
+
+def test_importing_the_cli_loads_no_dataclasses_resources_or_random():
+    # dataclasses would generate code with exec on every run; the bundled
+    # configs' importlib.resources is imported only to resolve a bare config
+    # name, and numpy.random only by the commands that draw.  -S keeps the
+    # .pth hooks of site, which may import any of them, out of the count
+    code = "import sys, eprsignal.cli; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "eprsignal.cli" in loaded
+    assert {"dataclasses", "importlib.resources", "numpy.random"} & loaded == set()
+
+
+def test_value_objects_are_read_only_and_copy_by_their_equality_rules():
+    # certificates and their witness tables compare by value and are
+    # unhashable; states, ensembles, scenarios and observables compare and
+    # hash by identity
+    scenario = bell_power_scenario()
+    cert = certify(scenario.observable, 50, seed=0)
+    objects = (scenario, scenario.state, scenario.ensembles[0], scenario.observable,
+               cert.witnesses, cert)
+    assert sorted(type(obj).__name__ for obj in objects) == [
+        "Certificate", "Ensemble", "EntangledState", "FunctionalObservable",
+        "RayColumns", "Scenario"]
+    for obj in objects:
+        fields = dict(vars(obj))
+        for name, value in fields.items():
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+            assert getattr(obj, name) is value
+        dup = copy.copy(obj)
+        assert type(dup) is type(obj)
+        assert all(getattr(dup, name) is value for name, value in fields.items())
+        if type(obj).__name__ in ("Certificate", "RayColumns"):
+            assert dup == obj
+            with pytest.raises(TypeError):
+                hash(dup)
+        else:
+            assert dup == dup and dup != obj
+            assert hash(dup) == hash(dup) != hash(obj)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprsignal import (
+    ChannelReport,
     EntangledState,
     Scenario,
     channel_capacity,
@@ -369,3 +370,13 @@ def test_binary_entropy_edges():
     assert binary_entropy(0.5) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         binary_entropy(1.5)
+
+
+@pytest.mark.parametrize("rate", [1.5, -0.1, float("nan")])
+def test_channel_report_rejects_an_error_rate_outside_the_unit_interval(rate):
+    fields = dict(block_length=10, trials=100, estimated_capacity_bits_per_block=0.0,
+                  decision_threshold=0.5)
+    with pytest.raises(ValueError, match=r"^bit error rate must lie in \[0, 1\]$"):
+        ChannelReport(bit_error_rate=rate, **fields)
+    for edge in (0.0, 1.0):
+        assert ChannelReport(bit_error_rate=edge, **fields).bit_error_rate == edge
