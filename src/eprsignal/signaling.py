@@ -100,6 +100,11 @@ class ChannelReport(_ChannelFields):
             raise ValueError("bit error rate must lie in [0, 1]")
         return report
 
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks the rate as well
+        return cls(*iterable)
+
 
 def letter_ensemble(sc: Scenario, letter: int) -> Ensemble:
     """B-side ensemble induced by measuring the letter's basis on the A side."""

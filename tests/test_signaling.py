@@ -379,4 +379,7 @@ def test_channel_report_rejects_an_error_rate_outside_the_unit_interval(rate):
     with pytest.raises(ValueError, match=r"^bit error rate must lie in \[0, 1\]$"):
         ChannelReport(bit_error_rate=rate, **fields)
     for edge in (0.0, 1.0):
-        assert ChannelReport(bit_error_rate=edge, **fields).bit_error_rate == edge
+        report = ChannelReport(bit_error_rate=edge, **fields)
+        assert report.bit_error_rate == edge
+        with pytest.raises(ValueError, match=r"^bit error rate must lie in \[0, 1\]$"):
+            report._replace(bit_error_rate=rate)
