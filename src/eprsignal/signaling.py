@@ -11,6 +11,7 @@ split them, which is the signal.
 from __future__ import annotations
 
 import math
+from functools import wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -94,6 +95,7 @@ class ChannelReport(_ChannelFields):
 
     __slots__ = ()
 
+    @wraps(_ChannelFields.__new__)  # so that its signature names the fields
     def __new__(cls, *args, **kwargs):
         report = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= report.bit_error_rate <= 1.0:
