@@ -643,8 +643,8 @@ def test_witness_table_only_for_certifiers(capsys):
 # and every certifier writes ray-residual rows, refined around the worst),
 # the CSV plot data of the certifier configs (as written when every
 # witness was part of the JSON report; the CSV is built from the same
-# table), and simulate's convergence CSV (as written one f-string per
-# row).  Every report but the certifiers' differs from version 6 only in
+# table) and of certify at d = 2, whose Bloch rows are affinity's, and
+# simulate's convergence CSV (as written one f-string per row).  Every report but the certifiers' differs from version 6 only in
 # its meta block: the report_version and numpy_version lines, and no
 # subspaces_per_dim or resamples key.  The certifier reports at d = 2 and 3
 # moved once more within version 7, when each matrix got its own product
@@ -679,6 +679,8 @@ _REPORT_SHA256 = {
     ("certify", "power2-affinity", "json"):
         "708fa287418160a7a08fa36dbd1352d8bef2d46f0e8812a85e98bc0d64e9faa5",
     ("affinity", "power2-affinity", "csv"):
+        "8800940da0858d924b7ebf1ef475a2a5449b80f27c8ad048041de88f3b239457",
+    ("certify", "power2-affinity", "csv"):
         "8800940da0858d924b7ebf1ef475a2a5449b80f27c8ad048041de88f3b239457",
     ("gleason", "d3-gleason-fail", "csv"):
         "535c1a13d7696000d24ffb495f24235711b6ebf7f37a4ca18b7896f587fd1e4c",
