@@ -22,7 +22,7 @@ import numpy
 
 from . import __version__
 from .hilbert import TOL_DECISION
-from .nosignal import VERDICT_NON_QUADRATIC, certify
+from .nosignal import VERDICT_NON_QUADRATIC, Certificate, certify
 from .serialize import (
     certificate_to_json,
     channel_report_to_json,
@@ -56,7 +56,7 @@ class ConfigError(ValueError):
 class RunConfig(NamedTuple):
     """One run of a command: a JSON config merged with its command-line
     overrides, one field per config key (``parse_config`` validates it).
-    ``to_dict`` gives the normalized config a report's ``meta`` records,
+    ``_asdict`` gives the normalized config a report's ``meta`` records,
     less the ``_OUTPUT_FIELDS``."""
 
     command: str
@@ -74,10 +74,6 @@ class RunConfig(NamedTuple):
     workers: int = 1
     witnesses: str | None = None
 
-    def to_dict(self) -> dict:
-        """Normal form: every field explicit, stable ordering, shallow."""
-        return self._asdict()
-
 
 # the top-level keys a config may hold
 _CONFIG_KEYS = frozenset(RunConfig._fields)
@@ -87,22 +83,22 @@ _INT_MINIMUMS = {"n_samples": 1, "n_chords": 1, "block": 1, "trials": 1,
                  "workers": 1, "seed": 0}
 
 
-def bundled_config_names() -> list[str]:
+def _bundled_configs():
     # imported only where a bare name is resolved: it costs 10-19 ms
     from importlib import resources
 
-    base = resources.files("eprsignal").joinpath("configs")
-    return sorted(p.name.removesuffix(".json") for p in base.iterdir())
+    return resources.files("eprsignal").joinpath("configs")
+
+
+def bundled_config_names() -> list[str]:
+    return sorted(p.name.removesuffix(".json") for p in _bundled_configs().iterdir())
 
 
 def load_config(path_or_name: str) -> dict:
     """Read a config file; bare names resolve to the bundled library."""
     p = Path(path_or_name)
     if not p.is_file():
-        from importlib import resources  # as in bundled_config_names
-
-        name = path_or_name.removesuffix(".json")
-        p = resources.files("eprsignal").joinpath("configs", f"{name}.json")
+        p = _bundled_configs().joinpath(f"{path_or_name.removesuffix('.json')}.json")
         if not p.is_file():
             raise ConfigError(
                 f"config: {path_or_name!r} is neither a file nor one of the "
@@ -197,91 +193,59 @@ def _gap_detected(report, tolerance: float) -> bool:
     return abs(report.gap) >= tolerance * scale
 
 
-def execute(config: RunConfig) -> tuple[dict, bool, object, str]:
+def execute(config: RunConfig) -> tuple[dict, bool, object]:
     """Run the configured command; returns (result dict, signal detected,
-    source, command run) where the source of the sidecar files is the
-    scenario for ``simulate``, the certificate for a certifier, and None
-    otherwise, and the command run is the one whose plot data ``certify``
-    writes (``affinity`` in dimension 2, else ``gleason``) or else the
-    configured one."""
+    source), where the source of the plot data and the sidecar files is
+    the scenario for ``simulate``, the certificate for a certifier, and
+    None otherwise."""
     cmd = config.command
     if cmd == "gap":
         report = exact_gap(_build_scenario(config))
-        detected = _gap_detected(report, config.tolerance)
-        return signal_report_to_json(report), detected, None, cmd
+        return signal_report_to_json(report), _gap_detected(report, config.tolerance), None
     if cmd == "simulate":
         scenario = _build_scenario(config)
-        report = monte_carlo_report(
-            scenario,
-            config.n_samples,
-            seed=config.seed,
-            workers=config.workers,
-            track_convergence=True,
-        )
-        return signal_report_to_json(report), report.z >= Z_THRESHOLD, scenario, cmd
+        report = monte_carlo_report(scenario, config.n_samples, seed=config.seed,
+                                    track_convergence=True)
+        return signal_report_to_json(report), report.z >= Z_THRESHOLD, scenario
     if cmd == "capacity":
         scenario = _build_scenario(config)
-        report = channel_capacity(
-            scenario, config.block, config.trials, seed=config.seed, workers=config.workers
-        )
+        report = channel_capacity(scenario, config.block, config.trials, seed=config.seed)
         detected = _gap_detected(exact_gap(scenario), config.tolerance)
-        return channel_report_to_json(report), detected, None, cmd
+        return channel_report_to_json(report), detected, None
 
     observable = _build_observable(config)
     dim = observable.dim
-    if cmd == "certify":
-        cmd = "affinity" if dim == 2 else "gleason"
     if cmd == "affinity" and dim != 2:
         raise ConfigError(f"observable: affinity needs dimension 2, got {dim}")
     if cmd == "gleason" and dim < 3:
         raise ConfigError(f"observable: gleason needs dimension >= 3, got {dim}")
     cert = certify(observable, config.n_chords, seed=config.seed, tolerance=config.tolerance)
-    return certificate_to_json(cert), cert.verdict == VERDICT_NON_QUADRATIC, cert, cmd
+    return certificate_to_json(cert), cert.verdict == VERDICT_NON_QUADRATIC, cert
 
 
-_PLOT_KIND_FOR_COMMAND = {
-    "simulate": "convergence",
-    "affinity": "bloch",
-    "gleason": "violation-histogram",
-}
-
-
-def emit_plot_data(result: dict, kind: str) -> str:
-    """Render a result dict as CSV rows for external plotting.
-
-    Kinds: ``bloch`` (the Bloch point of each residual row's ray, with its
-    observable value and residual), ``convergence`` (cumulative Monte-Carlo
-    gap versus log-spaced sample counts), ``violation-histogram`` (each
-    residual row's index and residual).
-    """
-    lines: list[str] = []
-    if kind == "bloch":
-        witnesses = result.get("witnesses")
-        if witnesses is None:
-            raise ValueError("bloch plot data needs a certificate result")
-        lines.append("x,y,z,f_value,violation")
-        for w in witnesses:
+def _plot_data(result: dict, source) -> str:
+    """CSV rows for external plotting.  A certificate's residual rows give,
+    in dimension 2, each ray's Bloch point with its observable value and
+    residual, and in dimension >= 3 each row's index and residual; without
+    a certificate, simulate's cumulative Monte-Carlo gap versus log-spaced
+    sample counts."""
+    if not isinstance(source, Certificate):
+        lines = ["n,mc_gap,pooled_stderr"]
+        for row in result["convergence"]:
+            lines.append(f"{row['n']},{row['mc_gap']!r},{row['pooled_stderr']!r}")
+    elif source.witnesses.rays.shape[1] > 2:
+        lines = ["index,violation"]
+        for i, r in enumerate(source.witnesses.residual.tolist()):
+            lines.append(f"{i},{r!r}")
+    else:
+        w = source.witnesses
+        lines = ["x,y,z,f_value,violation"]
+        for (psi0, psi1), value, r in zip(w.rays.tolist(), w.values.tolist(),
+                                          w.residual.tolist()):
             # (2 Re c, 2 Im c, |psi0|^2 - |psi1|^2), c = conj(psi0) psi1
-            psi0, psi1 = (complex(*z) for z in w["ray"])
             c = psi0.conjugate() * psi1
             z = (psi0 * psi0.conjugate() - psi1 * psi1.conjugate()).real
-            lines.append(f"{2 * c.real!r},{2 * c.imag!r},{z!r},{w['value']!r},{w['residual']!r}")
-    elif kind == "convergence":
-        series = result.get("convergence")
-        if series is None:
-            raise ValueError("convergence plot data needs a Monte-Carlo result")
-        lines.append("n,mc_gap,pooled_stderr")
-        for row in series:
-            lines.append(f"{row['n']},{row['mc_gap']!r},{row['pooled_stderr']!r}")
-    elif kind == "violation-histogram":
-        witnesses = result.get("witnesses")
-        if witnesses is None:
-            raise ValueError("violation histogram needs a certificate result")
-        lines.append("index,violation")
-        for i, w in enumerate(witnesses):
-            lines.append(f"{i},{w['residual']!r}")
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}")
+            lines.append(f"{2 * c.real!r},{2 * c.imag!r},{z!r},{value!r},{r!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -290,7 +254,7 @@ def _meta(config: RunConfig) -> dict:
     report bytes are pinned on one numpy), the stream version of a sampled
     result, and the normalized config without its output settings.  No
     timestamps and no host data."""
-    normal = config.to_dict()
+    normal = config._asdict()
     for key in _OUTPUT_FIELDS:
         del normal[key]
     meta = {"version": __version__, "report_version": REPORT_VERSION,
@@ -306,7 +270,7 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
     report)."""
     _distinct_outputs({"--out": config.out, "--witnesses": config.witnesses,
                        "--dump-samples": dump_samples})
-    result, detected, source, ran = execute(config)
+    result, detected, source = execute(config)
     report = {
         "command": config.command,
         "seed": config.seed,
@@ -314,18 +278,13 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
         "result": result,
         "meta": _meta(config),
     }
-    table = None
-    if config.command in CERTIFIERS and (config.witnesses or config.format == "csv"):
-        table = {"witnesses": witnesses_to_json(source)}
-    if config.format == "csv":
-        text = emit_plot_data(table or result, _PLOT_KIND_FOR_COMMAND[ran])
-    else:
-        text = dumps_canonical(report)
+    text = _plot_data(result, source) if config.format == "csv" else dumps_canonical(report)
     if config.out:
         Path(config.out).write_text(text)
     else:
         sys.stdout.write(text)
     if config.witnesses:
+        table = {"witnesses": witnesses_to_json(source)}
         Path(config.witnesses).write_text(dumps_canonical(table))
     if dump_samples and config.command == "simulate":
         _dump_samples(source, config, dump_samples)

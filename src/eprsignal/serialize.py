@@ -153,7 +153,7 @@ def rays_to_json(w: RayColumns, rows: slice = slice(None)) -> list[dict]:
 
 def witnesses_to_json(c: Certificate) -> list[dict]:
     """Every witness of a certificate, one object each, in order: the table
-    that ``--witnesses`` writes and ``--format csv`` renders."""
+    that ``--witnesses`` writes."""
     return rays_to_json(c.witnesses)
 
 

@@ -17,7 +17,6 @@ from eprsignal.cli import (
     ConfigError,
     RunConfig,
     bundled_config_names,
-    emit_plot_data,
     execute,
     load_config,
     main,
@@ -41,8 +40,8 @@ def test_every_bundled_config_parses_and_round_trips():
     for name in bundled_config_names():
         raw = load_config(name)
         cfg = parse_config(raw)
-        normal = cfg.to_dict()
-        again = parse_config(normal).to_dict()
+        normal = cfg._asdict()
+        again = parse_config(normal)._asdict()
         assert again == normal, name
 
 
@@ -139,7 +138,7 @@ def test_every_integer_field_has_a_bound():
 
 def test_defaults_are_pinned():
     scenario = load_config("bell-power")["scenario"]
-    assert parse_config({"command": "gap", "scenario": scenario}).to_dict() == {
+    assert parse_config({"command": "gap", "scenario": scenario})._asdict() == {
         "command": "gap",
         "scenario": scenario,
         "observable": None,
@@ -490,32 +489,32 @@ def test_csv_format_for_capacity_is_rejected_before_it_runs(monkeypatch, tmp_pat
     assert not out.exists()
 
 
-def test_emit_plot_data_kinds(tmp_path):
-    sidecar = tmp_path / "w.json"
-    cfg = parse_config(load_config("d3-gleason-fail"),
-                       {"out": str(tmp_path / "g.json"), "witnesses": str(sidecar)})
-    run(cfg)
-    hist = emit_plot_data(json.loads(sidecar.read_text()), "violation-histogram")
-    assert hist.splitlines()[0] == "index,violation"
+def test_csv_plot_data_follows_the_dimension(tmp_path):
+    # the certifier's CSV rows follow the observable's dimension, not the
+    # command: index,violation at d >= 3, one Bloch row per witness at d = 2
+    hist = tmp_path / "g.csv"
+    for command in ("gleason", "certify"):
+        assert main([command, "--config", "d3-gleason-fail", "--format", "csv",
+                     "--out", str(hist)]) == 0
+        assert hist.read_text().splitlines()[0] == "index,violation"
 
-    bloch_cfg = parse_config(
+    config = tmp_path / "bloch.json"
+    config.write_text(json.dumps(
         {"command": "affinity",
          "observable": load_config("bell-power")["scenario"]["observable"],
-         "n_chords": 50},
-        {"out": str(tmp_path / "a.json"), "witnesses": str(sidecar)},
-    )
-    run(bloch_cfg)
-    table = json.loads(sidecar.read_text())
-    bloch = emit_plot_data(table, "bloch")
-    lines = bloch.splitlines()
-    assert lines[0] == "x,y,z,f_value,violation"
-    assert len(lines) == 1 + len(table["witnesses"]) == 1 + 3 + 50 + 12 * 128
-
-    assert emit_plot_data({"witnesses": []}, "bloch") == "x,y,z,f_value,violation\n"
-    with pytest.raises(ValueError):
-        emit_plot_data({"witnesses": []}, "convergence")
-    with pytest.raises(ValueError):
-        emit_plot_data({}, "nonsense")
+         "n_chords": 50}))
+    sidecar = tmp_path / "w.json"
+    written = set()
+    for command in ("affinity", "certify"):
+        bloch = tmp_path / f"{command}.csv"
+        assert main([command, "--config", str(config), "--format", "csv",
+                     "--out", str(bloch), "--witnesses", str(sidecar)]) == 0
+        table = json.loads(sidecar.read_text())
+        lines = bloch.read_text().splitlines()
+        assert lines[0] == "x,y,z,f_value,violation"
+        assert len(lines) == 1 + len(table["witnesses"]) == 1 + 3 + 50 + 12 * 128
+        written.add(bloch.read_bytes())
+    assert len(written) == 1
 
 
 @pytest.mark.parametrize("command, name", [
@@ -619,7 +618,7 @@ def test_report_meta_and_sidecar_do_not_depend_on_output_settings(tmp_path):
     from eprsignal import __version__
 
     assert meta["version"] == __version__
-    expected = parse_config(load_config("power2-affinity")).to_dict()
+    expected = parse_config(load_config("power2-affinity"))._asdict()
     for key in ("out", "workers", "format", "witnesses"):
         del expected[key]
     assert meta["config"] == expected
@@ -825,9 +824,10 @@ def test_subspace_rows_and_operator_are_pinned(name):
     else:
         raw = load_config(name)
     for command in ("gleason", "certify"):
-        _, _, cert, cmd = execute(parse_config({**raw, "command": command}))
+        _, _, cert = execute(parse_config({**raw, "command": command}))
         d = len(cert.operator)
-        assert cmd == "gleason"
+        # the dimension that gives these rows index,violation plot data
+        assert cert.witnesses.rays.shape[1] == d >= 3
         assert len(cert.witnesses) == d * (d - 1) // 2 + d + 1000 + 12 * 128
         assert _row_semantics(cert) == _SUBSPACE_SEMANTICS[name], command
 
@@ -1148,9 +1148,23 @@ def test_each_command_takes_its_own_flags(command, flag, monkeypatch, capsys):
         assert config.command == command
         assert (dump if field == "dump" else getattr(config, field)) == parsed
     else:
+        # the message README gives for --witnesses on gap
         assert code == 1 and seen is None
-        assert captured.err.startswith("error: ") and flag in captured.err
-        assert len(captured.err.splitlines()) == 1
+        assert captured.err == f"error: {flag}: not an option of command {command!r}\n"
+
+
+def test_a_witness_table_key_needs_a_certifier(tmp_path, monkeypatch, capsys):
+    # the config-key route to the --witnesses rule: the same refusal, named
+    # by the key, before anything is written
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**load_config("bell-power"), "command": "simulate",
+                                  "witnesses": "w.json"}))
+    assert main(["simulate", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: witnesses: no witness table for command 'simulate'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 @pytest.mark.parametrize("argv", [[], ["--config", "bell-power"],
