@@ -195,13 +195,14 @@ def _gap_detected(report, tolerance: float) -> bool:
 
 def execute(config: RunConfig) -> tuple[dict, bool, object]:
     """Run the configured command; returns (result dict, signal detected,
-    source), where the source of the plot data and the sidecar files is
-    the scenario for ``simulate``, the certificate for a certifier, and
-    None otherwise."""
+    source), where the source is the scenario for ``simulate`` (its
+    per-sample values), the certificate for a certifier (its plot data and
+    witness table), and None otherwise."""
     cmd = config.command
     if cmd == "gap":
         report = exact_gap(_build_scenario(config))
-        return signal_report_to_json(report), _gap_detected(report, config.tolerance), None
+        detected = _gap_detected(report, config.tolerance)
+        return signal_report_to_json(report), detected, None
     if cmd == "simulate":
         scenario = _build_scenario(config)
         report = monte_carlo_report(scenario, config.n_samples, seed=config.seed,
