@@ -220,7 +220,10 @@ def execute(config: RunConfig) -> tuple[dict, bool, object]:
         raise ConfigError(f"observable: affinity needs dimension 2, got {dim}")
     if cmd == "gleason" and dim < 3:
         raise ConfigError(f"observable: gleason needs dimension >= 3, got {dim}")
-    cert = certify(observable, config.n_chords, seed=config.seed, tolerance=config.tolerance)
+    try:
+        cert = certify(observable, config.n_chords, seed=config.seed, tolerance=config.tolerance)
+    except ValueError as err:
+        raise ConfigError(f"observable: {err}") from err
     return certificate_to_json(cert), cert.verdict == VERDICT_NON_QUADRATIC, cert
 
 

@@ -42,30 +42,27 @@ def _row_edges(m: int, k: int, n: int) -> list[int]:
     """Edges of near-equal row blocks of m x k @ k x n factors: at most
     65,536 // (k * n) rows each, and none of one row when m >= 2 (so 2 or 3
     rows, above the bound, where k * n > 32,768).  ``expectations`` asks for
-    d x d products, whatever the number of matrices it takes."""
+    d x d products."""
     rows = max(1, _SERIAL_PRODUCT // max(1, k * n))
     blocks = max(1, min(-(-m // rows), m // 2))
     return [i * m // blocks for i in range(blocks + 1)]
 
 
-def expectations(rows: np.ndarray, *matrices: np.ndarray) -> np.ndarray:
-    """Re <psi|M|psi> of each row psi of the (m, d) ``rows`` for each d x d
-    M of ``matrices``, as a (len(matrices), m) array.
+def expectations(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Re <psi|M|psi> of each row psi of the (m, d) ``rows`` for the d x d
+    ``matrix`` M, as an (m,) array.
 
     Each ``_row_edges`` block of rows makes one product of its conjugate
-    with each M, which OpenBLAS keeps on the calling thread, so M's row is
-    bit for bit ``expectations(rows, M)[0]`` whatever else the call takes.
-    With OpenBLAS 0.3.31 and d <= 128, each row is also bit for bit that of
-    the unblocked product.  That is why no block has one row: numpy sends a
-    1-row product to a matrix-vector kernel that rounds differently.  The
-    exception: for d > 128, a threaded unblocked product splits its inner
-    sums differently."""
-    out = np.empty((len(matrices), len(rows)))
+    with M, which OpenBLAS keeps on the calling thread.  With OpenBLAS
+    0.3.31 and d <= 128, each row is bit for bit that of the unblocked
+    product.  That is why no block has one row: numpy sends a 1-row product
+    to a matrix-vector kernel that rounds differently.  The exception: for
+    d > 128, a threaded unblocked product splits its inner sums
+    differently."""
+    out = np.empty(len(rows))
     edges = _row_edges(len(rows), rows.shape[1], rows.shape[1])
     for i, j in zip(edges[:-1], edges[1:]):
-        conj = rows[i:j].conj()
-        for row, m in zip(out, matrices):
-            row[i:j] = np.einsum("ij,ij->i", conj @ m, rows[i:j]).real
+        out[i:j] = np.einsum("ij,ij->i", rows[i:j].conj() @ matrix, rows[i:j]).real
     return out
 
 

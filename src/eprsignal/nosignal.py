@@ -176,16 +176,8 @@ def _residual_rays(d: int, n: int, seed: int) -> np.ndarray:
 
 
 def _ray_values(f, rays: np.ndarray, operator: np.ndarray) -> tuple:
-    """f and <psi|F|psi> at the unit ``rays``, for the operator F.
-
-    A polynomial f takes the expectations of its matrices and of F from one
-    ``expectations`` call, and its values from ``f.at_expectations``; a
-    ``custom`` f makes one ``values`` call.
-    """
-    if f.terms:
-        *t, expectation = expectations(rays, *f.matrices, operator)
-        return f.at_expectations(t), expectation
-    return f.values(rays), expectations(rays, operator)[0]
+    """f and <psi|F|psi> at the unit ``rays``, for the operator F."""
+    return f.values(rays), expectations(rays, operator)
 
 
 def _refined_rays(f, operator: np.ndarray, rays, values, expectation, seed: int) -> list:

@@ -100,23 +100,20 @@ class FunctionalObservable(ReadOnly):
                 f"observable of dim {self.dim} applied to states of dim {batch.shape[1]}"
             )
         if self._values is None:
-            return self.at_expectations(expectations(batch, *self.matrices))
+            # c times each term's factors, k equal ones as t[j] ** k, summed
+            # in order
+            t = [expectations(batch, m) for m in self.matrices]
+            total = None
+            for c, factors in self.terms:
+                term = c
+                for j, k in Counter(factors).items():
+                    term = term * t[j] ** k
+                total = term if total is None else total + term
+            return _finite(total)
         out = np.asarray(self._values(batch), dtype=float)
         if out.shape != (batch.shape[0],):
             raise ValueError("evaluator returned a wrongly shaped batch")
         return _finite(out)
-
-    def at_expectations(self, t) -> np.ndarray:
-        """f at the rows whose ``expectations(rows, *self.matrices)`` is t:
-        c times each term's factors, k equal ones as t[j] ** k, summed in
-        order."""
-        total = None
-        for c, factors in self.terms:
-            term = c
-            for j, k in Counter(factors).items():
-                term = term * t[j] ** k
-            total = term if total is None else total + term
-        return _finite(total)
 
     def __call__(self, psi) -> float:
         return float(self.values(np.asarray(psi, dtype=complex)[None, :])[0])

@@ -530,6 +530,47 @@ def test_wrong_dimension_for_certifier_is_a_config_error(command, name, capsys):
     assert lines[0].startswith("error: observable: ")
 
 
+def _diag_json(*entries) -> list:
+    return [[[x if i == j else 0.0, 0.0] for j in range(len(entries))]
+            for i, x in enumerate(entries)]
+
+
+@pytest.mark.parametrize("route", ["observable", "scenario"])
+@pytest.mark.parametrize("command, observable, message", [
+    ("certify", {"kind": "quadratic", "F": _diag_json(1.0)},
+     "dimension must be >= 2"),
+    ("affinity", {"kind": "power", "P": _diag_json(1e200, 0.0), "k": 2},
+     "evaluator returned a non-finite value"),
+    ("certify", {"kind": "power", "P": _diag_json(1e200, 0.0), "k": 2},
+     "evaluator returned a non-finite value"),
+    ("gleason", {"kind": "power", "P": _diag_json(1e200, 0.0, 0.0), "k": 2},
+     "evaluator returned a non-finite value"),
+], ids=["1x1-quadratic", "overflow-affinity", "overflow-certify", "overflow-gleason"])
+def test_observable_the_certifier_rejects_is_a_config_error(route, command, observable,
+                                                            message, tmp_path):
+    # certify's ValueError is a config error: one error line, no traceback,
+    # no output file (numpy's overflow warning may come first)
+    if route == "observable":
+        raw = {"command": command, "observable": observable}
+    else:
+        raw = load_config("bell-power")
+        raw.update(command=command)
+        raw["scenario"]["observable"] = observable
+    config, out = tmp_path / "c.json", tmp_path / "r.json"
+    config.write_text(json.dumps(raw))
+    env = {**os.environ, "PYTHONPATH": str(Path(eprsignal.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "eprsignal.cli", command, "--config", str(config),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert not out.exists()
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1] == f"error: observable: {message}"
+
+
 def _offset_quadratic_config(command: str, c: float) -> dict:
     # the no-signal Bell scenario with f = <psi|diag(1 + c, c)|psi>: both
     # letter means are c + 1/2, the exact gap is 0 up to rounding at scale c

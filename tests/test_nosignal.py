@@ -88,11 +88,10 @@ def test_custom_affinity_report_and_witness_bytes_are_unchanged(n, report, table
     assert hashlib.sha256(text).hexdigest() == table
 
 
-def test_affinity_makes_at_most_two_values_calls(monkeypatch):
-    # at most two before the refinement: the operator's 4 probes take one
-    # values call; a custom f then takes one on all 3 + n rays and one per
-    # refinement round, and a polynomial f none, as its values come from
-    # the expectations of its matrices and F in one kernel call
+def test_certify_makes_one_values_call_per_batch(monkeypatch):
+    # every observable, polynomial or opaque, is evaluated the same way: the
+    # operator's 4 probes take one values call, all 3 + n rays one, and each
+    # refinement round one
     f = power(PROJ0_2, 2)
     twin = custom(f.values, 2, batch=True)
     calls = []
@@ -103,12 +102,33 @@ def test_affinity_makes_at_most_two_values_calls(monkeypatch):
         return values(self, psis)
 
     monkeypatch.setattr(type(f), "values", counted)
-    certify(twin, 10000, seed=0)
-    assert calls == [4, 3 + 10000] + [128] * 12
-    for g in (f, quadratic(PROJ0_2), combine([1.0, 0.5], [quadratic(PROJ0_2), f])):
+    for g in (twin, f, quadratic(PROJ0_2), combine([1.0, 0.5], [quadratic(PROJ0_2), f])):
         calls.clear()
         certify(g, 10000, seed=0)
-        assert calls == [4]
+        assert calls == [4, 3 + 10000] + [128] * 12
+
+
+@settings(max_examples=12, deadline=None)
+@given(d=st.sampled_from([2, 3, 5]), n=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=2, n=1, seed=0)
+@example(d=3, n=300, seed=1)
+@example(d=5, n=50, seed=2)
+def test_certify_cannot_tell_a_polynomial_from_its_opaque_twin(d, n, seed):
+    # the certifier reads an observable only through its values: wrapping a
+    # polynomial's values as an opaque evaluator moves no bit of the
+    # certificate
+    rng = np.random.default_rng(seed)
+    a, b = random_hermitian(d, rng), random_hermitian(d, rng)
+    polynomials = [e.observable for e in builtin_observables(d)
+                   if e.observable.terms and not e.observable.counting]
+    polynomials.append(combine([1.0, 0.01], [quadratic(a), power(b, 2)]))
+    for f in polynomials:
+        cert = certify(f, n, seed)
+        twin = certify(custom(f.values, d, batch=True), n, seed)
+        assert twin == cert
+        assert dumps_canonical(certificate_to_json(twin)) == (
+            dumps_canonical(certificate_to_json(cert)))
 
 
 def test_non_finite_chord_value_fails_loudly():
@@ -576,9 +596,8 @@ def test_restricted_measures_match_the_row_path(d, k, log_scale, n, seed):
 )
 def test_certificate_columns_replay_bit_for_bit(d, kind, n, seed):
     # the values column is f.values at the certificate's rays, and the
-    # expectation column expectations(rays, F), bit for bit: a matrix's
-    # products do not depend on the other matrices of a kernel call, nor on
-    # which rows share a call
+    # expectation column expectations(rays, F), bit for bit: a row's
+    # products do not depend on which rows share a call
     rng = np.random.default_rng(seed)
     a, b = random_hermitian(d, rng), random_hermitian(d, rng)
     f = {"quadratic": quadratic(a), "power": power(a, 3),
@@ -587,7 +606,7 @@ def test_certificate_columns_replay_bit_for_bit(d, kind, n, seed):
     rays = cert.witnesses.rays
     assert cert.witnesses.values.tobytes() == f.values(rays).tobytes()
     assert cert.witnesses.expectation.tobytes() == (
-        expectations(rays, cert.operator)[0].tobytes())
+        expectations(rays, cert.operator).tobytes())
 
 
 def test_ray_values_temporaries_stay_block_sized():
