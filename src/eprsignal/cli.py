@@ -28,16 +28,18 @@ from .serialize import (
     channel_report_to_json,
     dumps_canonical,
     observable_from_json,
+    rays_to_json,
     scenario_from_json,
     signal_report_to_json,
-    witnesses_to_json,
 )
 from .signaling import (
+    ROUNDING,
     Z_THRESHOLD,
     channel_capacity,
     exact_gap,
     monte_carlo_report,
     per_sample_values,
+    value_range,
 )
 from .streams import STREAM_VERSION
 
@@ -185,12 +187,14 @@ def _build_observable(config: RunConfig):
         raise ConfigError(f"observable: {err}") from err
 
 
-def _gap_detected(report, tolerance: float) -> bool:
-    """Whether an exact gap is a signal: |gap| >= tolerance times the scale
-    max(1, |exact_fb|, |exact_fbprime|), so that the rounding of two large
-    letter means does not read as a signal."""
-    scale = max(1.0, abs(report.exact_fb), abs(report.exact_fbprime))
-    return abs(report.gap) >= tolerance * scale
+def _gap_detected(scenario, report, tolerance: float) -> bool:
+    """Whether the scenario's exact gap is a signal: |gap| >= tolerance
+    times the spread of f over both letters' members, and never below the
+    rounding of f's largest |value| there (nor the smallest normal float),
+    so that neither f's scale nor its offset moves the verdict."""
+    spread, magnitude = value_range(scenario)
+    floor = max(ROUNDING * magnitude, sys.float_info.min)
+    return abs(report.gap) >= max(tolerance * spread, floor)
 
 
 def execute(config: RunConfig) -> tuple[dict, bool, object]:
@@ -200,8 +204,9 @@ def execute(config: RunConfig) -> tuple[dict, bool, object]:
     witness table), and None otherwise."""
     cmd = config.command
     if cmd == "gap":
-        report = exact_gap(_build_scenario(config))
-        detected = _gap_detected(report, config.tolerance)
+        scenario = _build_scenario(config)
+        report = exact_gap(scenario)
+        detected = _gap_detected(scenario, report, config.tolerance)
         return signal_report_to_json(report), detected, None
     if cmd == "simulate":
         scenario = _build_scenario(config)
@@ -211,7 +216,7 @@ def execute(config: RunConfig) -> tuple[dict, bool, object]:
     if cmd == "capacity":
         scenario = _build_scenario(config)
         report = channel_capacity(scenario, config.block, config.trials, seed=config.seed)
-        detected = _gap_detected(exact_gap(scenario), config.tolerance)
+        detected = _gap_detected(scenario, exact_gap(scenario), config.tolerance)
         return channel_report_to_json(report), detected, None
 
     observable = _build_observable(config)
@@ -288,7 +293,7 @@ def run(config: RunConfig, dump_samples: str | None = None) -> tuple[int, dict]:
     else:
         sys.stdout.write(text)
     if config.witnesses:
-        table = {"witnesses": witnesses_to_json(source)}
+        table = {"witnesses": rays_to_json(source.witnesses)}
         Path(config.witnesses).write_text(dumps_canonical(table))
     if dump_samples and config.command == "simulate":
         _dump_samples(source, config, dump_samples)

@@ -119,18 +119,16 @@ class Certificate(ReadOnly):
     ``operator`` the reconstructed F.  ``checks`` maps each check the scan
     ran to its ``Check``, in the order they ran.  ``scale`` is the spread of
     f over its polarization probes and ``floor`` the float resolution of
-    its values, 64 eps d max|f| over the probes; a bare certificate has
-    scale 1 and floor 0, so its tolerance is absolute.  Certificates
-    compare by value, the ``operator`` arrays by ``np.array_equal``, and
-    are unhashable.
+    its values, 64 eps d max|f| over the probes.  Only ``certify`` builds
+    one.  Certificates compare by value, the ``operator`` arrays by
+    ``np.array_equal``, and are unhashable.
     """
 
     def __init__(self, worst_violation: float, witnesses: RayColumns, tolerance: float,
-                 seed: int | None = None, operator: np.ndarray | None = None,
-                 checks: dict | None = None, scale: float = 1.0, floor: float = 0.0):
+                 seed: int, operator: np.ndarray, checks: dict, scale: float, floor: float):
         vars(self).update(worst_violation=worst_violation, witnesses=witnesses,
                           tolerance=tolerance, seed=seed, operator=operator,
-                          checks={} if checks is None else checks, scale=scale, floor=floor)
+                          checks=checks, scale=scale, floor=floor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Certificate):

@@ -142,19 +142,14 @@ def scenario_from_json(data) -> Scenario:
 
 def rays_to_json(w: RayColumns, rows: slice = slice(None)) -> list[dict]:
     """One "ray" object per residual row (or per row of the slice ``rows``),
-    built from the columns."""
+    built from the columns; over every row, the table that ``--witnesses``
+    writes."""
     rows = zip(vector_to_json(w.rays[rows]), w.values[rows].tolist(),
                w.expectation[rows].tolist(), w.residual[rows].tolist())
     return [
         {"type": "ray", "ray": ray, "value": value, "expectation": e, "residual": r}
         for ray, value, e, r in rows
     ]
-
-
-def witnesses_to_json(c: Certificate) -> list[dict]:
-    """Every witness of a certificate, one object each, in order: the table
-    that ``--witnesses`` writes."""
-    return rays_to_json(c.witnesses)
 
 
 def witness_digest(c: Certificate) -> str:
@@ -185,7 +180,7 @@ def _check_to_json(c: Certificate, check) -> dict:
 def certificate_to_json(c: Certificate) -> dict:
     """The certificate's verdict, worst violation and per-check worst rows,
     with the witness table as its row count and digest only."""
-    out = {
+    return {
         "verdict": c.verdict,
         "worst_violation": c.worst_violation,
         "worst_check": c.worst_check,
@@ -196,10 +191,8 @@ def certificate_to_json(c: Certificate) -> dict:
         "checks": {name: _check_to_json(c, check) for name, check in c.checks.items()},
         "witness_count": len(c.witnesses),
         "witness_digest": witness_digest(c),
+        "operator": matrix_to_json(c.operator),
     }
-    if c.operator is not None:
-        out["operator"] = matrix_to_json(c.operator)
-    return out
 
 
 def signal_report_to_json(r: SignalReport) -> dict:

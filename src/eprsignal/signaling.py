@@ -11,20 +11,22 @@ split them, which is the signal.
 from __future__ import annotations
 
 import math
-from functools import wraps
 from typing import NamedTuple
 
 import numpy as np
 
 from .hilbert import ReadOnly, row_dot
 from .observables import FunctionalObservable
-from .states import Ensemble, EntangledState, conditional_ensemble, rebase_alice
+from .states import EntangledState, conditional_ensemble, rebase_alice
 from .streams import STREAM_VERSION, chunk_sizes, count_moments, substream
 
 # Stream paths: letters 0 and 1 sample on paths 0 and 1, channel trials on 2.
 _PATH_CHANNEL = 2
 
 Z_THRESHOLD = 5.0
+# two averages of f closer than this times f's largest |value| differ by
+# summation rounding only
+ROUNDING = 128.0 * np.finfo(float).eps
 
 
 class Scenario(ReadOnly):
@@ -70,17 +72,7 @@ class SignalReport(NamedTuple):
     stream_version: int | None = None
 
 
-class _ChannelFields(NamedTuple):
-    block_length: int
-    trials: int
-    bit_error_rate: float
-    estimated_capacity_bits_per_block: float
-    decision_threshold: float
-    seed: int | None = None
-    stream_version: int | None = None
-
-
-class ChannelReport(_ChannelFields):
+class ChannelReport(NamedTuple):
     """What ``channel_capacity`` measured over ``trials`` blocks of
     ``block_length`` draws, each block sending one random letter.
 
@@ -93,26 +85,21 @@ class ChannelReport(_ChannelFields):
     recorded ``seed`` replays only under the same version.
     """
 
-    __slots__ = ()
-
-    @wraps(_ChannelFields.__new__)  # so that its signature names the fields
-    def __new__(cls, *args, **kwargs):
-        report = super().__new__(cls, *args, **kwargs)
-        if not 0.0 <= report.bit_error_rate <= 1.0:
-            raise ValueError("bit error rate must lie in [0, 1]")
-        return report
-
-    @classmethod
-    def _make(cls, iterable):
-        # through __new__, so that _replace checks the rate as well
-        return cls(*iterable)
+    block_length: int
+    trials: int
+    bit_error_rate: float
+    estimated_capacity_bits_per_block: float
+    decision_threshold: float
+    seed: int | None = None
+    stream_version: int | None = None
 
 
-def letter_ensemble(sc: Scenario, letter: int) -> Ensemble:
-    """B-side ensemble induced by measuring the letter's basis on the A side."""
-    if letter not in (0, 1):
-        raise ValueError("letter must be 0 or 1")
-    return sc.ensembles[letter]
+def value_range(sc: Scenario) -> tuple[float, float]:
+    """The spread (max - min) of the observable over both letters' members,
+    and its largest |value| there: the scale a gap is read against, and the
+    magnitude that fixes the float resolution of an average of the values."""
+    values = np.concatenate(sc.member_values)
+    return float(np.ptp(values)), float(np.abs(values).max())
 
 
 def exact_gap(sc: Scenario) -> SignalReport:
@@ -135,9 +122,10 @@ def _chunk_counts(sc: Scenario, letter: int, n: int, seed: int) -> tuple:
     # stream: the member counts of every chunk of the n samples, one row per
     # chunk.  They alone fix the statistics.  The letter is checked first, as
     # numpy would reject a negative one in substream as a bad seed entry.
-    weights = letter_ensemble(sc, letter).weights
+    if letter not in (0, 1):
+        raise ValueError("letter must be 0 or 1")
     rng = substream(seed, letter)
-    return rng.multinomial(chunk_sizes(n), weights), rng
+    return rng.multinomial(chunk_sizes(n), sc.ensembles[letter].weights), rng
 
 
 def per_sample_values(sc: Scenario, letter: int, n: int, seed: int) -> np.ndarray:
@@ -162,13 +150,14 @@ def _letter_moments(
     return count_moments(counts, sc.member_values[letter])
 
 
-def _z_statistic(mean_b: float, mean_bp: float, se_b: float, se_bp: float) -> float:
-    # a mean difference below summation rounding resolution is no evidence;
-    # without this, a single-branch scenario (both letters emit one ray, so
-    # the standard errors vanish) turns a 1-ulp difference into z = inf
+def _z_statistic(mean_b: float, mean_bp: float, se_b: float, se_bp: float,
+                 magnitude: float) -> float:
+    # a mean difference below summation rounding resolution at f's largest
+    # |value| is no evidence; without this, a single-branch scenario (both
+    # letters emit one ray, so the standard errors vanish) turns a 1-ulp
+    # difference into z = inf
     diff = abs(mean_b - mean_bp)
-    scale = max(1.0, abs(mean_b), abs(mean_bp))
-    if diff <= 128.0 * np.finfo(float).eps * scale:
+    if diff <= ROUNDING * magnitude:
         return 0.0
     denom = math.sqrt(se_b * se_b + se_bp * se_bp)
     if denom == 0.0:
@@ -220,7 +209,7 @@ def monte_carlo_report(
         mc_fbprime=mean_bp,
         stderr_b=se_b,
         stderr_bprime=se_bp,
-        z=_z_statistic(mean_b, mean_bp, se_b, se_bp),
+        z=_z_statistic(mean_b, mean_bp, se_b, se_bp, value_range(sc)[1]),
         n_samples=n,
         seed=seed,
         convergence=convergence,
@@ -247,8 +236,9 @@ def channel_capacity(
 
     Decoder: compare the block sample mean of the observable to the midpoint
     of the two exact means.  Differences below the block's summation rounding
-    scale count as ties and are broken by a fair coin, so zero-gap scenarios
-    decode at chance level instead of inheriting a knife-edge float bias.
+    at f's largest |value| (``value_range``) count as ties and are broken by
+    a fair coin, so zero-gap scenarios decode at chance level instead of
+    inheriting a knife-edge float bias, whatever f's scale.
     The capacity estimate is the binary-symmetric-channel bound
     1 - H2(bit error rate), pinned to 0 when the exact gap is 0.
     Trials run in chunks of ``CHUNK`` trials whatever the block length, drawn
@@ -264,10 +254,8 @@ def channel_capacity(
     exact = exact_gap(sc)
     threshold = (exact.exact_fb + exact.exact_fbprime) / 2.0
     sign = 1.0 if exact.gap >= 0.0 else -1.0
-    scale = max(1.0, abs(exact.exact_fb), abs(exact.exact_fbprime))
-    tie_tol = np.finfo(float).eps * block_length * scale
+    tie_tol = np.finfo(float).eps * block_length * value_range(sc)[1]
 
-    weights = [letter_ensemble(sc, letter).weights for letter in (0, 1)]
     rng = substream(seed, _PATH_CHANNEL)
     errors = 0
     for size in chunk_sizes(trials):
@@ -277,7 +265,7 @@ def channel_capacity(
         coins = rng.integers(0, 2, size)
         ones = np.count_nonzero(letters)
         for letter, blocks in ((0, size - ones), (1, ones)):
-            counts = rng.multinomial(block_length, weights[letter], size=blocks)
+            counts = rng.multinomial(block_length, sc.ensembles[letter].weights, size=blocks)
             gap = row_dot(counts, sc.member_values[letter]) / block_length - threshold
             # a block decodes to 1 when sign * gap <= 0, a tied one to its coin
             wrong = (sign * gap <= 0.0) != letter

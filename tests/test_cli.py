@@ -9,8 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import eprsignal
+from eprsignal import combine, quadratic, serialize
 from eprsignal.cli import (
     _INT_MINIMUMS,
     COMMANDS,
@@ -596,6 +599,94 @@ def test_signal_gate_is_relative_to_the_letter_means(command, tmp_path):
     raw.update(command=command, expect="no-signal", block=10, trials=50)
     code, _ = run(parse_config(raw, {"out": str(tmp_path / "s.json")}))
     assert code == 2
+
+
+def _bell_run(name, command, out_dir, factor=1.0, offset=None, **fields):
+    # run(command) on a bundled Bell config under "expect": "no-signal", its
+    # observable's matrix (power's P or quadratic's F) times factor and,
+    # given an offset b, f replaced by combine([1, b], [f, quadratic(I)])
+    raw = load_config(name)
+    obs = raw["scenario"]["observable"]
+    key = "P" if obs["kind"] == "power" else "F"
+    obs[key] = [[[factor * re, factor * im] for re, im in row] for row in obs[key]]
+    raw.update(command=command, expect="no-signal", **fields)
+    config = parse_config(raw, {"out": str(out_dir / f"{command}.json")})
+    if offset is None:
+        return run(config)
+    build = serialize.observable_from_json
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "observable_from_json", lambda data: combine(
+            [1.0, offset], [build(data), quadratic(np.eye(2))]))
+        return run(config)
+
+
+@pytest.mark.parametrize("command", ["gap", "simulate", "capacity"])
+def test_a_small_observable_still_signals(command, tmp_path):
+    # P = 1e-4 |0><0|: the exact gap is 2.5e-9 against a spread of 1e-8,
+    # a signal whatever its absolute size
+    code, report = _bell_run("bell-power", command, tmp_path, factor=1e-4)
+    assert code == 2
+    if command == "gap":
+        assert report["result"]["gap"] == pytest.approx(2.5e-9, rel=1e-12)
+
+
+def test_a_tiny_observable_decodes_as_well_as_its_unit_scale(tmp_path):
+    # P = 1e-7 |0><0|: values of order 1e-14, below the rounding of a unit
+    # scale, must neither tie every block nor zero z
+    fields = dict(block=100, trials=2000, seed=0)
+    tiny = {c: _bell_run("bell-power", c, tmp_path, factor=1e-7, **fields)
+            for c in ("gap", "simulate", "capacity")}
+    assert {c: code for c, (code, _) in tiny.items()} == dict.fromkeys(tiny, 2)
+    _, unit = _bell_run("bell-power", "capacity", tmp_path, **fields)
+    ber = tiny["capacity"][1]["result"]["bit_error_rate"]
+    assert ber == unit["result"]["bit_error_rate"] == 0.0035
+    assert tiny["simulate"][1]["result"]["z"] >= 5.0
+
+
+_CHANNEL_COMMANDS = ("gap", "simulate", "capacity")
+
+
+@pytest.fixture(scope="module")
+def bell_runs(tmp_path_factory):
+    # the channel commands' (exit code, result) on both Bell configs, unscaled
+    out = tmp_path_factory.mktemp("bell")
+    return {(name, c): _bell_run(name, c, out)
+            for name in ("bell-power", "bell-quadratic") for c in _CHANNEL_COMMANDS}
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["bell-power", "bell-quadratic"]), k=st.integers(-60, 60))
+@example(name="bell-power", k=-30)
+@example(name="bell-quadratic", k=-30)
+@example(name="bell-power", k=60)
+def test_channel_verdicts_do_not_depend_on_the_scale_of_f(bell_runs, tmp_path_factory,
+                                                          name, k):
+    # f -> 4^k f exactly (power's P by 2^k, quadratic's F by 4^k): the exit
+    # codes hold, and z and the bit error rate hold bit for bit
+    out = tmp_path_factory.mktemp("scaled")
+    factor = 2.0**k if name == "bell-power" else 4.0**k
+    for command in _CHANNEL_COMMANDS:
+        code, report = _bell_run(name, command, out, factor=factor)
+        base_code, base = bell_runs[name, command]
+        assert code == base_code, command
+        if command == "simulate":
+            assert report["result"]["z"] == base["result"]["z"]
+        if command == "capacity":
+            assert report["result"]["bit_error_rate"] == base["result"]["bit_error_rate"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(["bell-power", "bell-quadratic"]),
+       offset=st.floats(-1e6, 1e6))
+@example(name="bell-power", offset=1e6)
+@example(name="bell-quadratic", offset=-1e6)
+@example(name="bell-quadratic", offset=-0.5)
+def test_channel_verdicts_do_not_depend_on_an_offset_of_f(bell_runs, tmp_path_factory,
+                                                          name, offset):
+    out = tmp_path_factory.mktemp("offset")
+    for command in _CHANNEL_COMMANDS:
+        code, _ = _bell_run(name, command, out, offset=offset)
+        assert code == bell_runs[name, command][0], command
 
 
 @pytest.mark.parametrize("command", ["affinity", "certify"])

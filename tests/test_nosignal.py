@@ -29,7 +29,7 @@ from eprsignal.nosignal import (
     _ray_values,
     _residual_rays,
 )
-from eprsignal.serialize import certificate_to_json, dumps_canonical, observable_to_json, witnesses_to_json
+from eprsignal.serialize import certificate_to_json, dumps_canonical, observable_to_json, rays_to_json
 from eprsignal.streams import substream
 
 from helpers import (
@@ -84,7 +84,7 @@ def test_custom_affinity_report_and_witness_bytes_are_unchanged(n, report, table
     assert cert.verdict == VERDICT_NON_QUADRATIC and cert.worst_violation >= 0.5
     text = dumps_canonical(certificate_to_json(cert)).encode()
     assert hashlib.sha256(text).hexdigest() == report
-    text = dumps_canonical({"witnesses": witnesses_to_json(cert)}).encode()
+    text = dumps_canonical({"witnesses": rays_to_json(cert.witnesses)}).encode()
     assert hashlib.sha256(text).hexdigest() == table
 
 
@@ -768,7 +768,8 @@ def test_gleason_workers_identical():
 def test_certificate_verdict_must_match_violation(worst, tolerance):
     # the verdict is derived, never stored: non-quadratic unless the worst
     # violation is below the tolerance, so a NaN violation is non-quadratic
-    cert = Certificate(worst_violation=worst, witnesses=(), tolerance=tolerance)
+    cert = Certificate(worst_violation=worst, witnesses=(), tolerance=tolerance, seed=0,
+                       operator=np.zeros((2, 2), complex), checks={}, scale=1.0, floor=0.0)
     assert (cert.verdict == VERDICT_NON_QUADRATIC) == (not worst < tolerance)
     assert cert.verdict in (VERDICT_QUADRATIC, VERDICT_NON_QUADRATIC)
     assert "verdict" not in vars(cert)

@@ -27,12 +27,12 @@ from eprsignal.serialize import (
     matrix_to_json,
     observable_from_json,
     observable_to_json,
+    rays_to_json,
     scenario_from_json,
     scenario_to_json,
     signal_report_to_json,
     vector_from_json,
     vector_to_json,
-    witnesses_to_json,
 )
 from helpers import (
     PROJ0_2,
@@ -183,7 +183,7 @@ def test_certificate_serialization_contains_witnesses():
     assert data["seed"] == 73
     assert data["operator"] == matrix_to_json(cert.operator)
     # the witness table is the sidecar's; the report holds its size
-    data["witnesses"] = witnesses_to_json(cert)
+    data["witnesses"] = rays_to_json(cert.witnesses)
     assert len(data["witnesses"]) == len(cert.witnesses) == data["witness_count"]
     row = data["witnesses"][0]
     assert list(row) == ["type", "ray", "value", "expectation", "residual"]
@@ -208,7 +208,7 @@ def test_dumps_canonical_is_stable():
 
 def test_dumps_canonical_matches_json_dumps(tmp_path):
     cert = certify(power(PROJ0_2, 2), 300, seed=74)
-    data = {"result": certificate_to_json(cert), "witnesses": witnesses_to_json(cert),
+    data = {"result": certificate_to_json(cert), "witnesses": rays_to_json(cert.witnesses),
             "name": "é", "none": None}
     reference = json.dumps(data, sort_keys=True, separators=(",", ": "), indent=1)
     assert dumps_canonical(data) == reference + "\n"
@@ -438,7 +438,7 @@ def test_report_digest_and_checks_replay_from_the_sidecar(route, size, seed):
             else power(random_hermitian(d, rng), 3)
     cert = certify(f, size, seed=seed)
     report = json.loads(dumps_canonical(certificate_to_json(cert)))
-    table = json.loads(dumps_canonical({"witnesses": witnesses_to_json(cert)}))["witnesses"]
+    table = json.loads(dumps_canonical({"witnesses": rays_to_json(cert.witnesses)}))["witnesses"]
 
     assert report["witness_count"] == len(table) == len(cert.witnesses)
     assert report["witness_digest"] == _digest_of_table(table)

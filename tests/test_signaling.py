@@ -1,4 +1,5 @@
 import copy
+import inspect
 
 import numpy as np
 import pytest
@@ -372,14 +373,32 @@ def test_binary_entropy_edges():
         binary_entropy(1.5)
 
 
-@pytest.mark.parametrize("rate", [1.5, -0.1, float("nan")])
-def test_channel_report_rejects_an_error_rate_outside_the_unit_interval(rate):
-    fields = dict(block_length=10, trials=100, estimated_capacity_bits_per_block=0.0,
-                  decision_threshold=0.5)
-    with pytest.raises(ValueError, match=r"^bit error rate must lie in \[0, 1\]$"):
-        ChannelReport(bit_error_rate=rate, **fields)
-    for edge in (0.0, 1.0):
-        report = ChannelReport(bit_error_rate=edge, **fields)
-        assert report.bit_error_rate == edge
-        with pytest.raises(ValueError, match=r"^bit error rate must lie in \[0, 1\]$"):
-            report._replace(bit_error_rate=rate)
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    members=st.integers(1, 4),
+    block=st.integers(1, 40),
+    trials=st.integers(1, 3 * CHUNK),
+    quadratic_f=st.booleans(),
+)
+def test_channel_error_rate_is_a_count_of_trials(seed, members, block, trials, quadratic_f):
+    # the rate is errors / trials for a whole number 0 <= errors <= trials,
+    # so it lies in [0, 1] by construction; quadratic letters tie their blocks
+    observable = quadratic(PROJ0_2) if quadratic_f else power(PROJ0_2, 2)
+    sc = random_scenario(observable, members, members, np.random.default_rng(seed))
+    rate = channel_capacity(sc, block, trials, seed=seed).bit_error_rate
+    errors = round(rate * trials)
+    assert errors / trials == rate
+    assert 0 <= errors <= trials
+
+
+def test_channel_report_is_a_plain_record():
+    fields = ["block_length", "trials", "bit_error_rate",
+              "estimated_capacity_bits_per_block", "decision_threshold", "seed",
+              "stream_version"]
+    assert list(ChannelReport._fields) == fields
+    assert list(inspect.signature(ChannelReport).parameters) == fields
+    report = channel_capacity(bell_power_scenario(), 10, 100, seed=3)
+    changed = report._replace(bit_error_rate=0.5)
+    assert type(changed) is ChannelReport and changed.bit_error_rate == 0.5
+    assert changed._replace(bit_error_rate=report.bit_error_rate) == report
